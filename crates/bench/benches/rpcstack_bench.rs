@@ -1,13 +1,10 @@
 //! Microbenchmarks for the RPC stack: the wire codec (the code whose
-//! cycles Fig. 20's serialization tax measures), the cost model, and the
-//! balancing policies.
+//! cycles Fig. 20's serialization tax measures) and the cost model.
 
 use bytes::Bytes;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rpclens_rpcstack::codec::{crc32, decode_frame, encode_frame, Flags, RpcFrame, RpcHeader};
 use rpclens_rpcstack::cost::{MessageClass, StackCostConfig, StackCostModel};
-use rpclens_rpcstack::loadbalancer::{LbPolicy, LoadBalancer, TargetInfo};
-use rpclens_simcore::prelude::*;
 
 fn frame(payload_len: usize) -> RpcFrame {
     RpcFrame {
@@ -64,32 +61,5 @@ fn bench_cost_model(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_load_balancers(c: &mut Criterion) {
-    let mut g = c.benchmark_group("load_balancer");
-    g.throughput(Throughput::Elements(1));
-    let targets: Vec<TargetInfo> = (0..32)
-        .map(|i| TargetInfo {
-            rtt: SimDuration::from_micros(50 + i * 37),
-            backlog: SimDuration::from_micros(i * 11),
-            cpu_util: (i as f64 * 0.029) % 1.0,
-            weight: 1.0,
-        })
-        .collect();
-    let mut rng = Prng::seed_from(1);
-    for policy in LbPolicy::ALL {
-        let mut lb = LoadBalancer::new(policy);
-        g.bench_function(policy.label(), |b| {
-            b.iter(|| black_box(lb.pick(&targets, &mut rng)))
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_codec,
-    bench_crc,
-    bench_cost_model,
-    bench_load_balancers
-);
+criterion_group!(benches, bench_codec, bench_crc, bench_cost_model);
 criterion_main!(benches);

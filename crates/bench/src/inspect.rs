@@ -8,6 +8,7 @@
 
 use rpclens_fleet::control::ControlPlane;
 use rpclens_fleet::faults::FaultScenario;
+use rpclens_fleet::incident::IncidentPlane;
 use rpclens_netsim::topology::Topology;
 use rpclens_obs::RunManifest;
 use rpclens_rpcstack::component::LatencyComponent;
@@ -301,19 +302,20 @@ pub fn controllers_text(
         .ok_or_else(|| format!("unknown fault scenario {scenario}"))?;
     let topology = Topology::default_world(seed);
     let region_of: Vec<u16> = topology.clusters().map(|c| c.region.0).collect();
-    let Some(mut cp) = ControlPlane::new(
-        &faults,
-        seed,
-        region_of,
-        rpclens_tsdb::DEFAULT_SAMPLE_PERIOD,
-    ) else {
+    let Some(spec) = faults.control else {
         return Err(format!(
             "scenario `{}` has no control plane; closed-loop presets: incident-smoke",
             faults.name
         ));
     };
+    let mut incidents = faults
+        .incidents
+        .and_then(|i| IncidentPlane::new(&i, seed, region_of));
     let mut out = format!("scenario {} at seed {seed}\n", faults.name);
-    out.push_str(&cp.render_timeline(topology.num_clusters() as u16, duration));
+    out.push_str(
+        &ControlPlane::new(spec, rpclens_tsdb::DEFAULT_SAMPLE_PERIOD)
+            .render_timeline(incidents.as_mut(), duration),
+    );
     Ok(out)
 }
 

@@ -12,17 +12,10 @@
 //!   latency are coupled to its exogenous state.
 //! - [`pool`]: an exact FIFO M/G/k worker pool producing server queueing
 //!   delay.
-//! - [`accounting`]: windowed CPU usage accounting for the load-balancing
-//!   analysis (Fig. 22).
 //! - [`site`]: dense `(u16, u16)`-keyed lookup tables so the driver's
 //!   per-span site access is one vector index instead of a hash probe.
-//! - [`faults`]: trajectory-stored failure episodes (crash/restart churn,
-//!   drains, partitions, overload surges) queryable at any instant, the
-//!   substrate of the fleet driver's fault-injection plane.
 
-pub mod accounting;
 pub mod exogenous;
-pub mod faults;
 pub mod machine;
 pub mod mgk;
 pub mod pool;
@@ -31,9 +24,7 @@ pub mod site;
 /// Convenience re-exports of the most commonly used cluster types.
 pub mod prelude {
     pub use crate::{
-        accounting::UsageAccumulator,
         exogenous::{ExogenousProfile, ExogenousVars},
-        faults::{EpisodeParams, EpisodeProcess},
         machine::{Machine, MachineConfig, MachineId},
         mgk::{erlang_c, QueueModel},
         pool::WorkerPool,

@@ -4,11 +4,11 @@
 //! Under the open-loop fault plane the fleet never fights back — overload
 //! fronts shed until the episode ends on its own. This module adds the
 //! three reactions production fleets mount, each a *pure function of the
-//! seed and the incident trajectories* so that every simulation shard
-//! reconstructs the identical controller timeline (shards run
-//! independently and merge; a controller that reacted to per-shard
-//! observed counters would break the bit-identical-at-any-shard-count
-//! contract):
+//! seed and the incident trajectories* (read from the shard's own
+//! [`IncidentPlane`]) so that every simulation shard reconstructs the
+//! identical controller timeline (shards run independently and merge; a
+//! controller that reacted to per-shard observed counters would break the
+//! bit-identical-at-any-shard-count contract):
 //!
 //! - **Autoscaler** ([`AutoscalerSpec`]): per-cluster capacity, stepped
 //!   up after sustained overload at consecutive window boundaries and
@@ -33,10 +33,9 @@
 //! state. See `docs/ROBUSTNESS.md` for the closed- vs open-loop
 //! comparison.
 
-use crate::faults::FaultScenario;
-use crate::incident::{IncidentPlane, IncidentSpec};
+use crate::faults::PartitionState;
+use crate::incident::IncidentPlane;
 use rpclens_simcore::time::{SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// Autoscaler configuration: capacity added under sustained overload.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -142,65 +141,36 @@ impl AdmissionTally {
     }
 }
 
-/// Per-cluster autoscaler state: the capacity factor of every window
-/// evaluated so far, extended lazily and deterministically.
-#[derive(Debug, Default)]
-struct CapacityTimeline {
-    factors: Vec<f64>,
-    streak: u32,
-}
-
-/// The per-shard control plane.
+/// The control plane of one shard.
 ///
-/// Owns a *private* copy of the incident plane: controller decisions
-/// read incident trajectories (which are pure functions of the seed), so
-/// the controller timeline is identical in every shard no matter which
-/// calls each shard simulates. Queries never consume caller draws.
+/// Holds controller *state* only: every decision reads the caller's
+/// [`IncidentPlane`] (pure functions of the seed), so the controller
+/// timeline is identical in every shard no matter which calls each shard
+/// simulates. Queries never consume caller draws. Passing `None` for the
+/// incident plane means no incident ever strikes: capacity stays at 1.0
+/// and no path is degraded.
 #[derive(Debug)]
 pub struct ControlPlane {
     spec: ControlSpec,
     window_ns: u64,
-    incidents: Option<IncidentPlane>,
-    capacity: HashMap<u16, CapacityTimeline>,
+    /// Autoscaler capacity factor of every cluster, one row per window
+    /// evaluated so far. Rows are appended in window order, all clusters
+    /// at once, so incident trajectories are only ever read forward in
+    /// time.
+    capacity: Vec<Vec<f64>>,
+    /// Consecutive overloaded boundaries per cluster, as of the last row.
+    streak: Vec<u32>,
 }
 
 impl ControlPlane {
-    /// Materialises a scenario's control spec. Returns `None` when the
-    /// scenario runs no controllers, so the driver's hot path gates on
-    /// plane presence alone.
-    pub fn new(
-        scenario: &FaultScenario,
-        seed: u64,
-        region_of: Vec<u16>,
-        window: SimDuration,
-    ) -> Option<Self> {
-        let spec = scenario.control?;
-        let incidents = scenario
-            .incidents
-            .as_ref()
-            .and_then(|i| IncidentPlane::new(i, seed, region_of));
-        Some(ControlPlane {
-            spec,
-            window_ns: window.as_nanos().max(1),
-            incidents,
-            capacity: HashMap::new(),
-        })
-    }
-
-    /// Builds directly from parts (used by the timeline renderer and
-    /// tests).
-    pub fn from_parts(
-        spec: ControlSpec,
-        incidents: Option<&IncidentSpec>,
-        seed: u64,
-        region_of: Vec<u16>,
-        window: SimDuration,
-    ) -> Self {
+    /// A control plane running `spec`, with decisions held for one
+    /// `window` each.
+    pub fn new(spec: ControlSpec, window: SimDuration) -> Self {
         ControlPlane {
             spec,
             window_ns: window.as_nanos().max(1),
-            incidents: incidents.and_then(|i| IncidentPlane::new(i, seed, region_of)),
-            capacity: HashMap::new(),
+            capacity: Vec::new(),
+            streak: Vec::new(),
         }
     }
 
@@ -220,69 +190,91 @@ impl ControlPlane {
     }
 
     /// The autoscaler's capacity factor for `cluster` during the window
-    /// containing `now` (1.0 when no autoscaler runs). Lazily extends the
-    /// per-cluster timeline: window `w`'s factor is a fold of the
-    /// overload condition at boundaries `0..=w`, so it is identical in
-    /// every shard regardless of query order.
-    pub fn capacity_factor(&mut self, cluster: u16, now: SimTime) -> f64 {
-        let Some(spec) = self.spec.autoscaler else {
+    /// containing `now` (1.0 when no autoscaler runs). Window `w`'s
+    /// factor is a fold of the overload condition at boundaries `0..=w`;
+    /// missing rows are evaluated in window order for every cluster at
+    /// once, so the answer is identical in every shard regardless of
+    /// query order.
+    pub fn capacity_factor(
+        &mut self,
+        incidents: Option<&mut IncidentPlane>,
+        cluster: u16,
+        now: SimTime,
+    ) -> f64 {
+        let (Some(spec), Some(incidents)) = (self.spec.autoscaler, incidents) else {
             return 1.0;
         };
         let w = self.window_of(now);
-        let Some(incidents) = self.incidents.as_mut() else {
-            return 1.0;
-        };
-        let timeline = self.capacity.entry(cluster).or_default();
-        while timeline.factors.len() <= w {
-            let b = timeline.factors.len();
-            let boundary = SimTime::from_nanos(b as u64 * self.window_ns);
-            let overloaded = incidents.overload_factor(cluster, boundary).is_some();
-            timeline.streak = if overloaded { timeline.streak + 1 } else { 0 };
-            let prev = timeline.factors.last().copied().unwrap_or(1.0);
-            timeline
-                .factors
-                .push(step_capacity(&spec, prev, timeline.streak));
+        let clusters = incidents.num_clusters();
+        self.streak.resize(clusters, 0);
+        while self.capacity.len() <= w {
+            let boundary = self.boundary(self.capacity.len());
+            let mut row = Vec::with_capacity(clusters);
+            for c in 0..clusters {
+                let overloaded = incidents.overload_factor(c as u16, boundary).is_some();
+                let streak = &mut self.streak[c];
+                *streak = if overloaded { *streak + 1 } else { 0 };
+                let prev = self.capacity.last().map_or(1.0, |r| r[c]);
+                row.push(step_capacity(&spec, prev, *streak));
+            }
+            self.capacity.push(row);
         }
-        timeline.factors[w]
+        self.capacity[w]
+            .get(cluster as usize)
+            .copied()
+            .unwrap_or(1.0)
     }
 
     /// Whether the load balancer steers away from the `a`–`b` path during
     /// the window containing `now`: true when the weight-shift controller
     /// runs and the region pair was cut or browned out at the window's
     /// opening boundary. `wan` is the caller-computed path class.
-    pub fn path_degraded(&mut self, a: u16, b: u16, wan: bool, now: SimTime) -> bool {
-        if !self.spec.lb_shift {
-            return false;
-        }
-        let boundary = self.boundary(self.window_of(now));
-        let Some(incidents) = self.incidents.as_mut() else {
+    pub fn path_degraded(
+        &mut self,
+        incidents: Option<&mut IncidentPlane>,
+        a: u16,
+        b: u16,
+        wan: bool,
+        now: SimTime,
+    ) -> bool {
+        let Some(incidents) = incidents.filter(|_| self.spec.lb_shift) else {
             return false;
         };
-        incidents.partition_state(a, b, wan, boundary) != crate::faults::PartitionState::Connected
+        let boundary = self.boundary(self.window_of(now));
+        incidents.partition_state(a, b, wan, boundary) != PartitionState::Connected
+    }
+
+    /// Whether the load-balancer weight-shift controller runs.
+    pub fn shifts_load(&self) -> bool {
+        self.spec.lb_shift
     }
 
     /// Autoscaler activity over `[0, duration)`: `(cluster-windows above
     /// baseline capacity, peak capacity factor in permille)`. Evaluates
     /// every cluster's timeline to the end of the run.
-    pub fn autoscaler_activity(&mut self, n_clusters: u16, duration: SimDuration) -> (u64, u64) {
+    pub fn autoscaler_activity(
+        &mut self,
+        incidents: Option<&mut IncidentPlane>,
+        duration: SimDuration,
+    ) -> (u64, u64) {
         let end = SimTime::from_nanos(duration.as_nanos().saturating_sub(1));
-        let mut scaled_windows = 0u64;
-        let mut peak = 1.0f64;
-        for c in 0..n_clusters {
-            self.capacity_factor(c, end);
-            if let Some(t) = self.capacity.get(&c) {
-                scaled_windows += t.factors.iter().filter(|&&f| f > 1.0).count() as u64;
-                peak = t.factors.iter().copied().fold(peak, f64::max);
-            }
-        }
+        self.capacity_factor(incidents, 0, end);
+        let rows = &self.capacity[..self.capacity.len().min(self.window_of(end) + 1)];
+        let scaled_windows = rows.iter().flatten().filter(|&&f| f > 1.0).count() as u64;
+        let peak = rows.iter().flatten().copied().fold(1.0f64, f64::max);
         (scaled_windows, (peak * 1000.0).round() as u64)
     }
 
     /// Renders the controller timeline: one line per window with the
     /// clusters holding added capacity and the degraded region pairs the
     /// balancer avoids. Windows with no controller activity are elided.
-    pub fn render_timeline(&mut self, n_clusters: u16, duration: SimDuration) -> String {
+    pub fn render_timeline(
+        &mut self,
+        mut incidents: Option<&mut IncidentPlane>,
+        duration: SimDuration,
+    ) -> String {
         use std::fmt::Write as _;
+        let n_clusters = incidents.as_ref().map_or(0, |i| i.num_clusters() as u16);
         let windows = (duration.as_nanos() / self.window_ns) as usize;
         let mut out = String::new();
         let _ = writeln!(
@@ -295,14 +287,14 @@ impl ControlPlane {
         for w in 0..windows {
             let mid = self.boundary(w);
             let mut scaled: Vec<(u16, f64)> = (0..n_clusters)
-                .map(|c| (c, self.capacity_factor(c, mid)))
+                .map(|c| (c, self.capacity_factor(incidents.as_deref_mut(), c, mid)))
                 .filter(|&(_, f)| f > 1.0)
                 .collect();
             scaled.sort_by_key(|&(c, _)| c);
             let mut degraded: Vec<(u16, u16)> = Vec::new();
             for a in 0..n_clusters {
                 for b in a + 1..n_clusters {
-                    if self.path_degraded(a, b, true, mid) {
+                    if self.path_degraded(incidents.as_deref_mut(), a, b, true, mid) {
                         degraded.push((a, b));
                     }
                 }
@@ -342,9 +334,13 @@ impl ControlPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{EpisodeSpec, OverloadSpec};
+    use crate::faults::{EpisodeSpec, OverloadSpec, PartitionSpec};
+    use crate::incident::{IncidentSpec, IncidentSummaryRow};
     use proptest::prelude::*;
-    use rpclens_cluster::faults::EpisodeParams;
+    use rpclens_simcore::renewal::RenewalParams;
+    use std::collections::BTreeSet;
+
+    const WINDOW: SimDuration = SimDuration::from_secs(1_800);
 
     fn autoscaler() -> AutoscalerSpec {
         AutoscalerSpec {
@@ -362,48 +358,61 @@ mod tests {
         }
     }
 
+    fn episodes(up: SimDuration, down: SimDuration) -> EpisodeSpec {
+        EpisodeSpec {
+            eligible: 1.0,
+            params: RenewalParams {
+                up_mean: up,
+                down_mean: down,
+            },
+        }
+    }
+
+    fn front(episodes: EpisodeSpec) -> OverloadSpec {
+        OverloadSpec {
+            episodes,
+            util_factor: 2.0,
+            shed_wait: SimDuration::from_millis(15),
+        }
+    }
+
     fn incident_spec() -> IncidentSpec {
         IncidentSpec {
             drain: None,
             surge_factor: 1.0,
             wan_cut: None,
-            front: Some(OverloadSpec {
-                episodes: EpisodeSpec {
-                    eligible: 1.0,
-                    params: EpisodeParams {
-                        up_mean: SimDuration::from_hours(4),
-                        down_mean: SimDuration::from_hours(2),
-                    },
-                },
-                util_factor: 2.0,
-                shed_wait: SimDuration::from_millis(15),
-            }),
+            front: Some(front(episodes(
+                SimDuration::from_hours(4),
+                SimDuration::from_hours(2),
+            ))),
         }
     }
 
-    fn plane() -> ControlPlane {
-        ControlPlane::from_parts(
-            ControlSpec {
-                autoscaler: Some(autoscaler()),
-                lb_shift: true,
-                admission: Some(admission()),
-            },
-            Some(&incident_spec()),
-            7,
-            vec![0, 0, 1, 1],
-            SimDuration::from_secs(1_800),
+    fn closed_loop() -> ControlSpec {
+        ControlSpec {
+            autoscaler: Some(autoscaler()),
+            lb_shift: true,
+            admission: Some(admission()),
+        }
+    }
+
+    fn planes() -> (ControlPlane, IncidentPlane) {
+        (
+            ControlPlane::new(closed_loop(), WINDOW),
+            IncidentPlane::new(&incident_spec(), 7, vec![0, 0, 1, 1]).unwrap(),
         )
+    }
+
+    fn boundary(w: usize) -> SimTime {
+        SimTime::from_nanos(w as u64 * WINDOW.as_nanos())
     }
 
     #[test]
     fn capacity_rises_under_sustained_overload_and_decays_after() {
-        let mut p = plane();
-        let day = SimDuration::from_hours(24);
-        let windows = (day.as_nanos() / p.window_ns) as usize;
-        let mut factors = Vec::new();
-        for w in 0..windows {
-            factors.push(p.capacity_factor(0, SimTime::from_nanos(w as u64 * p.window_ns)));
-        }
+        let (mut p, mut inc) = planes();
+        let factors: Vec<f64> = (0..48)
+            .map(|w| p.capacity_factor(Some(&mut inc), 0, boundary(w)))
+            .collect();
         assert!(factors.iter().all(|&f| (1.0..=2.5).contains(&f)));
         // With a 2 h mean front over 24 h, capacity must have moved.
         assert!(
@@ -419,16 +428,14 @@ mod tests {
 
     #[test]
     fn capacity_timeline_is_query_order_independent() {
-        let mut fwd = plane();
-        let mut rev = plane();
-        let day = SimDuration::from_hours(24);
-        let windows = (day.as_nanos() / fwd.window_ns) as usize;
-        let recorded: Vec<f64> = (0..windows)
-            .map(|w| fwd.capacity_factor(1, SimTime::from_nanos(w as u64 * fwd.window_ns)))
+        let (mut fwd, mut fwd_inc) = planes();
+        let (mut rev, mut rev_inc) = planes();
+        let recorded: Vec<f64> = (0..48)
+            .map(|w| fwd.capacity_factor(Some(&mut fwd_inc), 1, boundary(w)))
             .collect();
-        for w in (0..windows).rev() {
+        for w in (0..48).rev() {
             assert_eq!(
-                rev.capacity_factor(1, SimTime::from_nanos(w as u64 * rev.window_ns)),
+                rev.capacity_factor(Some(&mut rev_inc), 1, boundary(w)),
                 recorded[w],
                 "window {w}"
             );
@@ -436,23 +443,21 @@ mod tests {
     }
 
     #[test]
-    fn no_autoscaler_means_unit_capacity() {
-        let mut p = ControlPlane::from_parts(
+    fn no_autoscaler_or_no_incidents_means_unit_capacity() {
+        let (_, mut inc) = planes();
+        let mut open = ControlPlane::new(
             ControlSpec {
                 autoscaler: None,
                 lb_shift: false,
                 admission: None,
             },
-            Some(&incident_spec()),
-            7,
-            vec![0, 0, 1, 1],
-            SimDuration::from_secs(1_800),
+            WINDOW,
         );
-        for w in 0..48u64 {
-            assert_eq!(
-                p.capacity_factor(0, SimTime::from_nanos(w * 1_800_000_000_000)),
-                1.0
-            );
+        let mut blind = ControlPlane::new(closed_loop(), WINDOW);
+        for w in 0..48 {
+            assert_eq!(open.capacity_factor(Some(&mut inc), 0, boundary(w)), 1.0);
+            assert_eq!(blind.capacity_factor(None, 0, boundary(w)), 1.0);
+            assert!(!blind.path_degraded(None, 0, 2, true, boundary(w)));
         }
     }
 
@@ -475,10 +480,110 @@ mod tests {
 
     #[test]
     fn timeline_render_reports_activity() {
-        let mut p = plane();
-        let text = p.render_timeline(4, SimDuration::from_hours(24));
+        let (mut p, mut inc) = planes();
+        let text = p.render_timeline(Some(&mut inc), SimDuration::from_hours(24));
         assert!(text.contains("controller timeline"));
         assert!(text.contains("windows with controller activity"));
+    }
+
+    #[test]
+    fn whole_run_reports_survive_pruning_and_match_fresh_planes() {
+        // Minutes-scale means give every incident trajectory ~100 flips
+        // per simulated day, so an eight-day horizon drives each one past
+        // the prune trigger. Each report walks time in order on its own
+        // plane (as telemetry and inspect call them) and must agree with
+        // fresh planes queried once at each boundary.
+        let minutes = |m: u64| SimDuration::from_secs(m * 60);
+        let spec = IncidentSpec {
+            drain: Some(episodes(minutes(20), minutes(10))),
+            surge_factor: 1.8,
+            wan_cut: Some(PartitionSpec {
+                episodes: episodes(minutes(25), minutes(10)),
+                brownout_excess: SimDuration::from_millis(25),
+            }),
+            front: Some(front(episodes(minutes(25), minutes(15)))),
+        };
+        let regions = vec![0, 0, 0, 1, 1, 1];
+        let fresh = || IncidentPlane::new(&spec, 7, regions.clone()).unwrap();
+        let horizon = SimDuration::from_hours(24 * 8);
+        let windows = (horizon.as_nanos() / WINDOW.as_nanos()) as usize;
+        let control = ControlSpec {
+            admission: None,
+            ..closed_loop()
+        };
+
+        let mut summarized = fresh();
+        let rows = summarized.summary(horizon, WINDOW);
+        let replay = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            summarized.cluster_drained(0, SimTime::ZERO)
+        }));
+        assert!(replay.is_err(), "horizon too short to prune");
+        let (scaled, peak) =
+            ControlPlane::new(control, WINDOW).autoscaler_activity(Some(&mut fresh()), horizon);
+        let text = ControlPlane::new(control, WINDOW).render_timeline(Some(&mut fresh()), horizon);
+
+        // Reference: one fresh plane per boundary, so nothing is pruned.
+        let mut drains = vec![BTreeSet::new(); 6];
+        let mut cuts = BTreeSet::new();
+        let mut fronts = vec![BTreeSet::new(); 2];
+        let mut capacity = [1.0f64; 6];
+        let mut streak = [0u32; 6];
+        let (mut ref_scaled, mut ref_peak) = (0u64, 1.0f64);
+        let mut ref_active = Vec::new();
+        for w in 0..=windows {
+            let t = boundary(w);
+            let mut p = fresh();
+            for (c, seen) in drains.iter_mut().enumerate() {
+                seen.extend(p.drain_episode(c as u16, t));
+            }
+            cuts.extend(p.cut_episode(0, 1, t));
+            for (r, seen) in fronts.iter_mut().enumerate() {
+                seen.extend(p.front_episode(r as u16, t));
+            }
+            if w == windows {
+                break;
+            }
+            for c in 0..6 {
+                let overloaded = p.overload_factor(c as u16, t).is_some();
+                streak[c] = if overloaded { streak[c] + 1 } else { 0 };
+                capacity[c] = step_capacity(&autoscaler(), capacity[c], streak[c]);
+            }
+            ref_scaled += capacity.iter().filter(|&&f| f > 1.0).count() as u64;
+            ref_peak = capacity.iter().copied().fold(ref_peak, f64::max);
+            let cut = p.partition_state(0, 3, true, t) != PartitionState::Connected;
+            if cut || capacity.iter().any(|&f| f > 1.0) {
+                ref_active.push(w);
+            }
+        }
+
+        let expect = |kind, sets: &[BTreeSet<u64>]| IncidentSummaryRow {
+            kind,
+            entities_struck: sets.iter().filter(|s| !s.is_empty()).count() as u64,
+            episodes: sets.iter().map(|s| s.len() as u64).sum(),
+        };
+        assert_eq!(
+            rows,
+            vec![
+                expect("cluster-drain", &drains),
+                expect("wan-cut", std::slice::from_ref(&cuts)),
+                expect("overload-front", &fronts),
+            ]
+        );
+        assert_eq!(
+            (scaled, peak),
+            (ref_scaled, (ref_peak * 1000.0).round() as u64)
+        );
+        assert!(scaled > 0, "autoscaler never scaled");
+        let rendered: Vec<usize> = text
+            .lines()
+            .filter_map(|l| l.trim_start().strip_prefix('w'))
+            .map(|l| l.split(':').next().unwrap().trim().parse().unwrap())
+            .collect();
+        assert_eq!(rendered, ref_active);
+        assert!(text.contains(&format!(
+            "{} windows with controller activity",
+            ref_active.len()
+        )));
     }
 
     proptest! {

@@ -23,9 +23,9 @@
 //! accounting.
 
 use crate::catalog::{Catalog, CatalogConfig, ServiceCategory, ServiceHot};
-use crate::control::{admission_verdict, AdmissionVerdict, ControlPlane};
-use crate::faults::{FaultPlane, FaultScenario, PartitionState};
-use crate::incident::IncidentPlane;
+use crate::conditions::{Environment, Unavailable};
+use crate::control::{admission_verdict, AdmissionVerdict};
+use crate::faults::FaultScenario;
 use crate::pool;
 use crate::streamagg;
 use crate::workload::{RootArrival, Workload};
@@ -356,9 +356,26 @@ struct TraceCtx {
     admission_abandoned: u64,
 }
 
-/// Outcome of one placed call as seen by the caller.
-struct CallOutcome {
-    finish: SimTime,
+/// One call to place: everything `place_call`, `place_attempt` and
+/// `simulate_call` need to know about it. Retries and hedges copy it
+/// with a new `start` (and `avoid`).
+#[derive(Clone, Copy)]
+struct Call {
+    method: MethodId,
+    /// The calling service (charged the client-side stack cycles).
+    client_service: ServiceId,
+    client_cluster: ClusterId,
+    /// The client machine's utilization (drives its soft queues).
+    client_util: f64,
+    /// Span index of the parent, or `ROOT_PARENT`.
+    parent: u32,
+    start: SimTime,
+    depth: u32,
+    /// Fire-and-forget: the parent does not wait for this call.
+    detached: bool,
+    deadline: Option<Deadline>,
+    /// Placement a retry steers away from.
+    avoid: Option<Avoid>,
 }
 
 /// Placement to steer away from on a retry (load-balancer failover).
@@ -373,22 +390,11 @@ struct Avoid {
     cluster_level: bool,
 }
 
-/// Everything one attempt (primary + optional hedge) reports back to the
-/// retry loop: the caller-observed outcome plus the winner's error and
-/// placement, which steer backoff and failover.
-struct AttemptResult {
-    outcome: CallOutcome,
-    /// The winner's final error, if any.
-    error: Option<ErrorKind>,
-    /// The winner's placement `(cluster, machine index)`.
-    server: Option<(ClusterId, usize)>,
-    /// Whether the winner's failure condemned the whole cluster.
-    cluster_level: bool,
-}
-
-/// What one `simulate_call` reports to `place_attempt`.
+/// What one `simulate_call` reports to `place_attempt`, and one attempt
+/// (primary + optional hedge) to the retry loop: the caller-observed
+/// finish plus the error and placement that steer backoff and failover.
 struct SimResult {
-    outcome: CallOutcome,
+    finish: SimTime,
     /// Span index, or `None` if the span budget was exhausted.
     span: Option<u32>,
     /// Final error on this call, if any.
@@ -929,19 +935,10 @@ struct Shard<'a> {
     /// live (shard 0 — every window it closes mid-run precedes every
     /// other shard's first window).
     live: Option<&'a streamagg::WindowSink>,
-    /// Fault plane: seed-derived failure episode processes, identical in
-    /// every shard. `None` when the scenario injects nothing.
-    faults: Option<FaultPlane>,
-    /// Correlated-incident plane: shared cross-entity incidents whose
-    /// per-entity trajectories are seed-derived and hence identical in
-    /// every shard. `None` when the scenario has no incident layer.
-    incidents: Option<IncidentPlane>,
-    /// Closed-loop control plane. Its controller timelines are pure
-    /// functions of `(seed, incident spec, window index)` — it owns a
-    /// *private* incident-plane copy and never reads shard-local
-    /// counters, so every shard reconstructs identical decisions. `None`
-    /// for open-loop scenarios.
-    control: Option<ControlPlane>,
+    /// Fault, incident and control planes: seed-derived trajectories
+    /// and controller timelines, identical in every shard (controllers
+    /// never read shard-local counters).
+    env: Environment,
     /// Reusable span buffer: every trace expands into this arena, so tree
     /// expansion reuses capacity across roots. Sampled traces copy the
     /// exact-length spans out; unsampled traces cost no allocation.
@@ -970,15 +967,10 @@ impl<'a> Shard<'a> {
             agg: streamagg::WindowAgg::new(world.catalog.num_services()),
             closed: Vec::new(),
             live: None,
-            faults: FaultPlane::new(&world.config.faults, world.config.scale.seed),
-            incidents: world.config.faults.incidents.and_then(|spec| {
-                IncidentPlane::new(&spec, world.config.scale.seed, world.region_of.clone())
-            }),
-            control: ControlPlane::new(
+            env: Environment::new(
                 &world.config.faults,
                 world.config.scale.seed,
                 world.region_of.clone(),
-                rpclens_tsdb::DEFAULT_SAMPLE_PERIOD,
             ),
             arena: Vec::new(),
             counters: ShardCounters::new(),
@@ -1047,22 +1039,25 @@ impl<'a> Shard<'a> {
             let client_util =
                 self.world.client_profiles[root.client_cluster.0 as usize].cpu_util_at(root.at);
             let entry_service = self.world.catalog.hot(root.method).service;
-            let outcome = self.place_call(
+            let finish = self.place_call(
                 &mut ctx,
-                root.method,
-                entry_service,
-                root.client_cluster,
-                client_util,
-                ROOT_PARENT,
-                root.at,
-                0,
-                false,
-                deadline,
+                Call {
+                    method: root.method,
+                    client_service: entry_service,
+                    client_cluster: root.client_cluster,
+                    client_util,
+                    parent: ROOT_PARENT,
+                    start: root.at,
+                    depth: 0,
+                    detached: false,
+                    deadline,
+                    avoid: None,
+                },
             );
             self.counters.roots += 1;
             self.counters
                 .root_latency_us
-                .record(outcome.finish.since(root.at).as_nanos() / 1_000);
+                .record(finish.since(root.at).as_nanos() / 1_000);
             // Window accounting for every span, sampled or not. All of a
             // root's spans land in the *root's* window; roots arrive in
             // time order, so crossing a window boundary closes the open
@@ -1130,178 +1125,102 @@ impl<'a> Shard<'a> {
     /// when the scenario retries, wraps it in the client resilience loop
     /// — jittered exponential backoff gated by the per-trace
     /// [`RetryBudget`], with load-balancer failover away from the failed
-    /// placement. Returns the caller-observed outcome (the final
-    /// attempt's finish; earlier failed attempts and backoff waits all
-    /// precede it in simulated time).
-    #[allow(clippy::too_many_arguments)]
-    fn place_call(
-        &mut self,
-        ctx: &mut TraceCtx,
-        method: MethodId,
-        client_service: ServiceId,
-        client_cluster: ClusterId,
-        client_util: f64,
-        parent: u32,
-        start: SimTime,
-        depth: u32,
-        detached: bool,
-        deadline: Option<Deadline>,
-    ) -> CallOutcome {
+    /// placement. Returns the caller-observed finish (the final attempt's;
+    /// earlier failed attempts and backoff waits all precede it in
+    /// simulated time).
+    fn place_call(&mut self, ctx: &mut TraceCtx, call: Call) -> SimTime {
         let retry_spec = self.world.config.faults.retry;
-        let mut attempt_start = start;
-        let mut avoid: Option<Avoid> = None;
+        let mut attempt_call = call;
         let mut attempt = 0u32;
         loop {
-            let res = self.place_attempt(
-                ctx,
-                method,
-                client_service,
-                client_cluster,
-                client_util,
-                parent,
-                attempt_start,
-                depth,
-                detached,
-                deadline,
-                avoid,
-            );
+            let res = self.place_attempt(ctx, attempt_call);
             // No retry configuration: the attempt is the call.
             let Some(spec) = retry_spec else {
-                return res.outcome;
+                return res.finish;
             };
             let Some(err) = res.error else {
                 // Success earns the trace's budget a fractional token.
                 if let Some(budget) = ctx.retry_budget.as_mut() {
                     budget.on_success();
                 }
-                return res.outcome;
+                return res.finish;
             };
             if !BackoffPolicy::retryable(err) {
-                return res.outcome;
+                return res.finish;
             }
             let next_attempt = attempt + 1;
             if next_attempt > spec.backoff.max_attempts {
-                return res.outcome;
+                return res.finish;
             }
             // The token bucket is what stops a retry storm: once failures
             // outpace `ratio` x successes, further retries are denied.
             if let Some(budget) = ctx.retry_budget.as_mut() {
                 if !budget.try_spend() {
                     self.counters.resilience.retries_denied += 1;
-                    return res.outcome;
+                    return res.finish;
                 }
             }
             let delay = spec
                 .backoff
                 .delay(next_attempt, &mut ctx.rng)
                 .unwrap_or(SimDuration::ZERO);
-            let retry_start = res.outcome.finish + delay;
+            let retry_start = res.finish + delay;
             // A retry that would start past the deadline is pointless.
-            if let Some(d) = deadline {
+            if let Some(d) = call.deadline {
                 if d.expired(retry_start) {
-                    return res.outcome;
+                    return res.finish;
                 }
             }
             self.counters.resilience.retries_issued += 1;
             ctx.retries += 1;
-            avoid = res.server.map(|(cluster, machine)| Avoid {
-                cluster,
-                machine,
-                cluster_level: res.cluster_level,
-            });
-            attempt_start = retry_start;
+            attempt_call = Call {
+                start: retry_start,
+                avoid: res.server.map(|(cluster, machine)| Avoid {
+                    cluster,
+                    machine,
+                    cluster_level: res.cluster_level,
+                }),
+                ..call
+            };
             attempt = next_attempt;
         }
     }
 
     /// One attempt of a call, wrapping `simulate_call` with hedging for
-    /// eligible leaf methods. Reports the winner's error and placement so
-    /// the retry loop can back off and fail over.
-    #[allow(clippy::too_many_arguments)]
-    fn place_attempt(
-        &mut self,
-        ctx: &mut TraceCtx,
-        method: MethodId,
-        client_service: ServiceId,
-        client_cluster: ClusterId,
-        client_util: f64,
-        parent: u32,
-        start: SimTime,
-        depth: u32,
-        detached: bool,
-        deadline: Option<Deadline>,
-        avoid: Option<Avoid>,
-    ) -> AttemptResult {
-        let hedge = self.world.catalog.hot(method).hedge;
-        let primary = self.simulate_call(
-            ctx,
-            method,
-            client_service,
-            client_cluster,
-            client_util,
-            parent,
-            start,
-            depth,
-            detached,
-            deadline,
-            avoid,
-        );
-        let primary_result = AttemptResult {
-            outcome: CallOutcome {
-                finish: primary.outcome.finish,
-            },
-            error: primary.error,
-            server: primary.server,
-            cluster_level: primary.cluster_level,
-        };
+    /// eligible leaf methods. Reports the winner's finish, error and
+    /// placement so the retry loop can back off and fail over.
+    fn place_attempt(&mut self, ctx: &mut TraceCtx, call: Call) -> SimResult {
+        let hedge = self.world.catalog.hot(call.method).hedge;
+        let primary = self.simulate_call(ctx, call);
         let Some(primary_idx) = primary.span else {
-            return primary_result;
+            return primary;
         };
         if !hedge.enabled || !self.world.config.hedging_enabled {
-            return primary_result;
+            return primary;
         }
-        let primary_latency = primary.outcome.finish.since(start);
+        let primary_latency = primary.finish.since(call.start);
         let Some(delay) = hedge.decide(primary_latency, &mut ctx.rng) else {
-            return primary_result;
+            return primary;
         };
         // Issue the hedge copy after `delay`.
         self.counters.hedges_issued += 1;
-        let hedge_start = start + delay;
+        let hedge_start = call.start + delay;
         let hedged = self.simulate_call(
             ctx,
-            method,
-            client_service,
-            client_cluster,
-            client_util,
-            parent,
-            hedge_start,
-            depth,
-            detached,
-            deadline,
-            avoid,
+            Call {
+                start: hedge_start,
+                ..call
+            },
         );
         let Some(hedge_idx) = hedged.span else {
-            return primary_result;
+            return primary;
         };
-        let hedge_latency = hedged.outcome.finish.since(hedge_start);
+        let hedge_latency = hedged.finish.since(hedge_start);
         let resolution = resolve_hedge(primary_latency, hedge_latency, delay);
-        let (loser_idx, loser_run) = if resolution.hedge_won {
-            (primary_idx, resolution.loser_run_time)
+        let (loser_idx, winner) = if resolution.hedge_won {
+            (primary_idx, hedged)
         } else {
-            (hedge_idx, resolution.loser_run_time)
-        };
-        let winner = if resolution.hedge_won {
-            &hedged
-        } else {
-            &primary
-        };
-        let winner_result = AttemptResult {
-            outcome: CallOutcome {
-                finish: start + resolution.winner_latency,
-            },
-            error: winner.error,
-            server: winner.server,
-            cluster_level: winner.cluster_level,
+            (hedge_idx, primary)
         };
         // Cancel the loser: mark its span, charge the cycles its *whole
         // subtree* performed before the cancellation (the replication
@@ -1312,7 +1231,6 @@ impl<'a> Shard<'a> {
         loser.error = Some(ErrorKind::Cancelled);
         loser.hedged = true;
         ctx.spans[hedge_idx as usize].hedged = true;
-        let _ = loser_run;
         // Depth-first expansion makes the loser's subtree a contiguous
         // index range: it ends at the first span whose parent precedes
         // the loser (or at another root, for hedged root calls).
@@ -1328,30 +1246,31 @@ impl<'a> Shard<'a> {
             rpclens_rpcstack::error::ErrorProfile::work_fraction(ErrorKind::Cancelled);
         let wasted = (wasted_kilocycles as f64 * 1000.0 * work_fraction) as u64;
         self.errors.record_error(ErrorKind::Cancelled, wasted);
-        winner_result
+        SimResult {
+            finish: call.start + resolution.winner_latency,
+            ..winner
+        }
     }
 
-    /// Simulates one call (and its subtree). Reports the outcome, span
+    /// Simulates one call (and its subtree). Reports the finish, span
     /// index (`None` if the span budget was exhausted), final error, and
     /// placement.
-    #[allow(clippy::too_many_arguments)]
-    fn simulate_call(
-        &mut self,
-        ctx: &mut TraceCtx,
-        method: MethodId,
-        client_service: ServiceId,
-        client_cluster: ClusterId,
-        client_util: f64,
-        parent: u32,
-        start: SimTime,
-        depth: u32,
-        detached: bool,
-        deadline: Option<Deadline>,
-        avoid: Option<Avoid>,
-    ) -> SimResult {
+    fn simulate_call(&mut self, ctx: &mut TraceCtx, call: Call) -> SimResult {
+        let Call {
+            method,
+            client_service,
+            client_cluster,
+            client_util,
+            parent,
+            start,
+            depth,
+            detached,
+            deadline,
+            avoid,
+        } = call;
         if ctx.budget == 0 {
             return SimResult {
-                outcome: CallOutcome { finish: start },
+                finish: start,
                 span: None,
                 error: None,
                 server: None,
@@ -1417,22 +1336,18 @@ impl<'a> Shard<'a> {
         // failover path a retry takes, but *before* the request is ever
         // sent. Only an active controller draws, so scenarios without
         // one keep their draw sequence.
-        if deployed.len() > 1 {
-            if let Some(cp) = self.control.as_mut() {
-                let wan = world
-                    .topology
-                    .path_class(client_cluster, server_cluster)
-                    .is_wan();
-                if cp.path_degraded(client_cluster.0, server_cluster.0, wan, t) {
-                    if let Some(pos) = deployed.iter().position(|&c| c == server_cluster) {
-                        let mut j = ctx.rng.index(deployed.len() - 1);
-                        if j >= pos {
-                            j += 1;
-                        }
-                        server_cluster = deployed[j];
-                        self.counters.control.lb_shifts += 1;
-                    }
+        if deployed.len() > 1
+            && self
+                .env
+                .path_degraded(&world.topology, client_cluster, server_cluster, t)
+        {
+            if let Some(pos) = deployed.iter().position(|&c| c == server_cluster) {
+                let mut j = ctx.rng.index(deployed.len() - 1);
+                if j >= pos {
+                    j += 1;
                 }
+                server_cluster = deployed[j];
+                self.counters.control.lb_shifts += 1;
             }
         }
         let site = world.site(hot.service, server_cluster);
@@ -1452,77 +1367,20 @@ impl<'a> Shard<'a> {
             }
         }
 
-        // 3b. Causal availability: a WAN blackout on the path, a drained
-        // cluster, or a crashed machine makes the target `Unavailable` —
-        // the request is sent and bounces with the transport-level error.
-        // A brownout instead adds excess latency to both wire crossings.
-        let mut causal: Option<ErrorKind> = None;
-        let mut cluster_level = false;
-        let mut brownout = SimDuration::ZERO;
-        let mut overload_factor: Option<f64> = None;
-        if let Some(plane) = self.faults.as_mut() {
-            let wan = world
-                .topology
-                .path_class(client_cluster, server_cluster)
-                .is_wan();
-            match plane.partition_state(client_cluster.0, server_cluster.0, wan, t) {
-                PartitionState::Blackout => {
-                    causal = Some(ErrorKind::Unavailable);
-                    cluster_level = true;
-                }
-                PartitionState::Brownout => {
-                    if let Some(spec) = plane.scenario().wan_partition {
-                        brownout = spec.brownout_excess;
-                    }
-                }
-                PartitionState::Connected => {}
-            }
-            if causal.is_none() && plane.cluster_drained(server_cluster.0, t) {
-                causal = Some(ErrorKind::Unavailable);
-                cluster_level = true;
-            }
-            if causal.is_none() && plane.machine_crashed(hot.service.0, server_cluster.0, mi, t) {
-                causal = Some(ErrorKind::Unavailable);
-            }
-            overload_factor = plane.overload_factor(hot.service.0, server_cluster.0, t);
-        }
-        // 3c. Incident composition (precedence rules in
-        // `crate::incident`): blackout from either plane beats brownout;
-        // both-brownout takes the larger excess; a drain from either
-        // plane is a drain; overload factors never stack — the strongest
-        // front wins.
-        if let Some(inc) = self.incidents.as_mut() {
-            let wan = world
-                .topology
-                .path_class(client_cluster, server_cluster)
-                .is_wan();
-            match inc.partition_state(client_cluster.0, server_cluster.0, wan, t) {
-                PartitionState::Blackout => {
-                    causal = Some(ErrorKind::Unavailable);
-                    cluster_level = true;
-                }
-                PartitionState::Brownout => {
-                    brownout = brownout.max(inc.brownout_excess());
-                }
-                PartitionState::Connected => {}
-            }
-            if causal.is_none() && inc.cluster_drained(server_cluster.0, t) {
-                causal = Some(ErrorKind::Unavailable);
-                cluster_level = true;
-            }
-            if let Some(f) = inc.overload_factor(server_cluster.0, t) {
-                overload_factor = Some(overload_factor.map_or(f, |g| g.max(f)));
-            }
-        }
-        // The autoscaler's added capacity divides the effective surge:
-        // a fully absorbed surge (effective factor at or below 1) is no
-        // overload at all.
-        if let Some(f) = overload_factor {
-            if let Some(cp) = self.control.as_mut() {
-                let eff = f / cp.capacity_factor(server_cluster.0, t);
-                overload_factor = (eff > 1.0).then_some(eff);
-            }
-        }
+        // 3b. Environment: a WAN blackout on the path, a drained cluster,
+        // or a crashed machine makes the target `Unavailable` — the
+        // request is sent and bounces with the transport-level error. A
+        // brownout instead adds excess latency to both wire crossings,
+        // and an overload surge inflates the pool's utilization below.
+        let env = self.env.conditions(
+            &world.topology,
+            client_cluster,
+            server_cluster,
+            hot.service,
+            mi,
+            t,
+        );
+        let mut cluster_level = env.unavailable == Some(Unavailable::Cluster);
 
         // 4. Request network wire.
         let wire_req = world.cost.wire_bytes(req_bytes, sh.compressed);
@@ -1535,7 +1393,7 @@ impl<'a> Shard<'a> {
         );
         self.counters.wire.record(req_congested);
         ctx.congested_wire += u64::from(req_congested);
-        let req_net = req_net + brownout;
+        let req_net = req_net + env.brownout;
         breakdown.set(LatencyComponent::RequestNetworkWire, req_net);
         t += req_net;
 
@@ -1557,13 +1415,8 @@ impl<'a> Shard<'a> {
         // clamped below saturation so the M/G/k wait stays finite. A
         // bounded admission queue enforces its own, tighter utilization
         // cap — the queue refuses to fill past it.
-        let admission = if overload_factor.is_some() {
-            self.control.as_ref().and_then(ControlPlane::admission)
-        } else {
-            None
-        };
-        if let Some(factor) = overload_factor {
-            let cap = admission.map_or(0.98, |a| a.util_cap);
+        if let Some(factor) = env.overload {
+            let cap = env.admission.map_or(0.98, |a| a.util_cap);
             pool_util = (pool_util * factor).min(cap);
         }
         let queue_wait =
@@ -1573,15 +1426,7 @@ impl<'a> Shard<'a> {
         // threshold are rejected with `NoResource` instead of being
         // served. An explicit admission queue supersedes this rule — its
         // verdict (admit/shed/abandon) is applied at injection below.
-        let shed = admission.is_none()
-            && overload_factor.is_some()
-            && self
-                .faults
-                .as_ref()
-                .and_then(|p| p.scenario().overload)
-                .map(|spec| spec.shed_wait)
-                .or_else(|| self.incidents.as_ref().and_then(IncidentPlane::shed_wait))
-                .is_some_and(|w| queue_wait > w);
+        let shed = env.shed_wait.is_some_and(|w| queue_wait > w);
         let srq = wakeup + queue_wait;
         breakdown.set(LatencyComponent::ServerRecvQueue, srq);
         t += srq;
@@ -1594,10 +1439,10 @@ impl<'a> Shard<'a> {
         // waits past the shed bound are refused (`NoResource`), waits
         // past the caller's patience are abandoned (`Aborted`), and
         // admitted + shed + abandoned always equals offered.
-        let injected = if let Some(kind) = causal {
+        let injected = if env.unavailable.is_some() {
             self.counters.resilience.causal_unavailable += 1;
-            Some(kind)
-        } else if let Some(spec) = admission {
+            Some(ErrorKind::Unavailable)
+        } else if let Some(spec) = env.admission {
             self.counters.control.admission_offered += 1;
             match admission_verdict(&spec, queue_wait) {
                 AdmissionVerdict::Admitted => world.config.errors.draw(&mut ctx.rng),
@@ -1661,21 +1506,24 @@ impl<'a> Shard<'a> {
                     if ctx.budget == 0 {
                         break;
                     }
-                    let child = self.place_call(
+                    let child_finish = self.place_call(
                         ctx,
-                        edge.target,
-                        hot.service,
-                        server_cluster,
-                        util,
-                        span_idx,
-                        t,
-                        depth + 1,
-                        !edge.blocking,
-                        child_deadline,
+                        Call {
+                            method: edge.target,
+                            client_service: hot.service,
+                            client_cluster: server_cluster,
+                            client_util: util,
+                            parent: span_idx,
+                            start: t,
+                            depth: depth + 1,
+                            detached: !edge.blocking,
+                            deadline: child_deadline,
+                            avoid: None,
+                        },
                     );
                     // Fire-and-forget edges do not extend the parent.
                     if edge.blocking {
-                        children_end = children_end.max(child.finish);
+                        children_end = children_end.max(child_finish);
                     }
                 }
             }
@@ -1705,7 +1553,7 @@ impl<'a> Shard<'a> {
         );
         self.counters.wire.record(resp_congested);
         ctx.congested_wire += u64::from(resp_congested);
-        let resp_net = resp_net + brownout;
+        let resp_net = resp_net + env.brownout;
         breakdown.set(LatencyComponent::ResponseNetworkWire, resp_net);
         t += resp_net;
         let crq = world.soft_queue.delay(client_util, &mut ctx.rng);
@@ -1777,7 +1625,7 @@ impl<'a> Shard<'a> {
         ctx.spans[span_idx as usize] = builder.build();
 
         SimResult {
-            outcome: CallOutcome { finish: t },
+            finish: t,
             span: Some(span_idx),
             error: injected,
             server: Some((server_cluster, mi)),

@@ -3,8 +3,8 @@
 //!
 //! A [`FaultScenario`] names which failure sources are active and how
 //! intense they are; [`FaultPlane`] materialises it as lazily-built
-//! [`EpisodeProcess`] trajectories keyed by entity (machine, cluster, WAN
-//! cluster pair, or deployment site). Both halves are deterministic:
+//! [`AlternatingRenewal`] trajectories keyed by entity (machine, cluster,
+//! WAN cluster pair, or deployment site). Both halves are deterministic:
 //! entity eligibility and episode trajectories derive from the master
 //! seed via labelled [`Prng`] streams and never consume caller draws, so
 //! every simulation shard reconstructs identical failure timelines and
@@ -17,11 +17,11 @@
 
 use crate::control::{AdmissionSpec, AutoscalerSpec, ControlSpec};
 use crate::incident::IncidentSpec;
-use rpclens_cluster::faults::{EpisodeParams, EpisodeProcess};
 use rpclens_netsim::congestion::CongestionParams;
 use rpclens_rpcstack::deadline::DeadlinePolicy;
 use rpclens_rpcstack::error::ErrorProfile;
 use rpclens_rpcstack::retry::BackoffPolicy;
+use rpclens_simcore::renewal::{AlternatingRenewal, RenewalParams};
 use rpclens_simcore::rng::Prng;
 use rpclens_simcore::time::{SimDuration, SimTime};
 use std::collections::HashMap;
@@ -33,8 +33,9 @@ pub struct EpisodeSpec {
     /// Fraction of entities eligible for this failure source (the
     /// eligibility draw is deterministic per entity).
     pub eligible: f64,
-    /// Episode process parameters for each eligible entity.
-    pub params: EpisodeParams,
+    /// Healthy (up) and failed (down) mean durations for each eligible
+    /// entity.
+    pub params: RenewalParams,
 }
 
 /// WAN partition source: eligible cluster pairs alternate between full
@@ -177,14 +178,14 @@ impl FaultScenario {
             name: "chaos-smoke",
             machine_crash: Some(EpisodeSpec {
                 eligible: 0.30,
-                params: EpisodeParams {
+                params: RenewalParams {
                     up_mean: SimDuration::from_hours(6),
                     down_mean: SimDuration::from_secs(300),
                 },
             }),
             cluster_drain: Some(EpisodeSpec {
                 eligible: 0.10,
-                params: EpisodeParams {
+                params: RenewalParams {
                     up_mean: SimDuration::from_hours(12),
                     down_mean: SimDuration::from_secs(900),
                 },
@@ -194,7 +195,7 @@ impl FaultScenario {
             wan_partition: Some(PartitionSpec::wan_derived(
                 EpisodeSpec {
                     eligible: 0.20,
-                    params: EpisodeParams {
+                    params: RenewalParams {
                         up_mean: SimDuration::from_hours(4),
                         down_mean: SimDuration::from_secs(180),
                     },
@@ -204,7 +205,7 @@ impl FaultScenario {
             overload: Some(OverloadSpec {
                 episodes: EpisodeSpec {
                     eligible: 0.10,
-                    params: EpisodeParams {
+                    params: RenewalParams {
                         up_mean: SimDuration::from_hours(6),
                         down_mean: SimDuration::from_secs(600),
                     },
@@ -241,7 +242,7 @@ impl FaultScenario {
             wan_partition: Some(PartitionSpec::wan_derived(
                 EpisodeSpec {
                     eligible: 0.60,
-                    params: EpisodeParams {
+                    params: RenewalParams {
                         up_mean: SimDuration::from_secs(5_400),
                         down_mean: SimDuration::from_secs(240),
                     },
@@ -279,7 +280,7 @@ impl FaultScenario {
             overload: Some(OverloadSpec {
                 episodes: EpisodeSpec {
                     eligible: 0.50,
-                    params: EpisodeParams {
+                    params: RenewalParams {
                         up_mean: SimDuration::from_hours(2),
                         down_mean: SimDuration::from_secs(1_800),
                     },
@@ -330,7 +331,7 @@ impl FaultScenario {
             incidents: Some(IncidentSpec {
                 drain: Some(EpisodeSpec {
                     eligible: 0.30,
-                    params: EpisodeParams {
+                    params: RenewalParams {
                         up_mean: SimDuration::from_hours(8),
                         down_mean: SimDuration::from_secs(2_700),
                     },
@@ -339,7 +340,7 @@ impl FaultScenario {
                 wan_cut: Some(PartitionSpec::wan_derived(
                     EpisodeSpec {
                         eligible: 0.60,
-                        params: EpisodeParams {
+                        params: RenewalParams {
                             up_mean: SimDuration::from_hours(6),
                             down_mean: SimDuration::from_secs(1_800),
                         },
@@ -349,7 +350,7 @@ impl FaultScenario {
                 front: Some(OverloadSpec {
                     episodes: EpisodeSpec {
                         eligible: 0.75,
-                        params: EpisodeParams {
+                        params: RenewalParams {
                             up_mean: SimDuration::from_hours(5),
                             down_mean: SimDuration::from_hours(2),
                         },
@@ -442,9 +443,10 @@ impl Default for FaultScenario {
 }
 
 /// Connectivity of one WAN cluster pair at one instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PartitionState {
     /// Normal connectivity.
+    #[default]
     Connected,
     /// Degraded: messages pass but carry excess latency.
     Brownout,
@@ -463,6 +465,67 @@ const PARTITION_LABEL: u64 = 0xFA17_0003;
 const OVERLOAD_LABEL: u64 = 0xFA17_0004;
 const GATE_LABEL: u64 = 0xFA17_00FF;
 
+/// Lazily built episode trajectories, keyed by `(generator domain,
+/// entity key)`. Shared by the fault and incident planes, whose domains
+/// are disjoint.
+#[derive(Debug)]
+pub(crate) struct Episodes {
+    seed: u64,
+    /// Ineligible entities are remembered as `None`, so the gate draw
+    /// happens exactly once per entity.
+    table: HashMap<(u64, u64), Option<AlternatingRenewal>>,
+}
+
+impl Episodes {
+    pub(crate) fn new(seed: u64) -> Self {
+        Episodes {
+            seed,
+            table: HashMap::new(),
+        }
+    }
+
+    /// Ordinal of the episode entity `key` of source `domain` is inside
+    /// at `now`, or `None` while it is healthy or ineligible. The first
+    /// query builds the entity from `(master seed, domain, key)` alone.
+    pub(crate) fn episode_at(
+        &mut self,
+        domain: u64,
+        key: u64,
+        spec: &EpisodeSpec,
+        now: SimTime,
+    ) -> Option<u64> {
+        let seed = self.seed;
+        self.table
+            .entry((domain, key))
+            .or_insert_with(|| {
+                let mut gate = Prng::seed_from(seed)
+                    .stream(GATE_LABEL ^ domain)
+                    .stream(key);
+                (gate.next_f64() < spec.eligible).then(|| {
+                    AlternatingRenewal::new(
+                        spec.params,
+                        Prng::seed_from(seed).stream(domain).stream(key),
+                    )
+                })
+            })
+            .as_mut()?
+            .episode_at(now)
+    }
+}
+
+impl PartitionState {
+    /// Classifies a partition episode on its ordinal's parity, so no
+    /// generator draw is spent on it: even episodes are blackouts, odd
+    /// ones brownouts.
+    pub(crate) fn from_episode(episode: Option<u64>) -> Self {
+        match episode {
+            Some(e) if e % 2 == 0 => PartitionState::Blackout,
+            Some(_) => PartitionState::Brownout,
+            None => PartitionState::Connected,
+        }
+    }
+}
+
 /// The per-shard materialisation of a [`FaultScenario`].
 ///
 /// Episode processes are built lazily the first time an entity is
@@ -472,41 +535,7 @@ const GATE_LABEL: u64 = 0xFA17_00FF;
 #[derive(Debug)]
 pub struct FaultPlane {
     scenario: FaultScenario,
-    seed: u64,
-    crash: HashMap<u64, Option<EpisodeProcess>>,
-    drain: HashMap<u16, Option<EpisodeProcess>>,
-    partition: HashMap<u32, Option<EpisodeProcess>>,
-    overload: HashMap<u32, Option<EpisodeProcess>>,
-}
-
-/// Lazily builds (or fetches) the episode process for one entity.
-/// Ineligible entities are remembered as `None` so the gate draw happens
-/// exactly once per entity. Shared with the incident plane
-/// (`crate::incident`), whose generator domains are disjoint from the
-/// per-entity fault labels above.
-pub(crate) fn lazy_episode<'a, K: std::hash::Hash + Eq + Copy>(
-    map: &'a mut HashMap<K, Option<EpisodeProcess>>,
-    key: K,
-    key_bits: u64,
-    domain: u64,
-    seed: u64,
-    spec: &EpisodeSpec,
-) -> Option<&'a mut EpisodeProcess> {
-    map.entry(key)
-        .or_insert_with(|| {
-            let mut gate = Prng::seed_from(seed)
-                .stream(GATE_LABEL ^ domain)
-                .stream(key_bits);
-            if gate.next_f64() < spec.eligible {
-                Some(EpisodeProcess::new(
-                    spec.params,
-                    Prng::seed_from(seed).stream(domain).stream(key_bits),
-                ))
-            } else {
-                None
-            }
-        })
-        .as_mut()
+    episodes: Episodes,
 }
 
 impl FaultPlane {
@@ -516,17 +545,8 @@ impl FaultPlane {
     pub fn new(scenario: &FaultScenario, seed: u64) -> Option<Self> {
         scenario.injects_faults().then(|| FaultPlane {
             scenario: *scenario,
-            seed,
-            crash: HashMap::new(),
-            drain: HashMap::new(),
-            partition: HashMap::new(),
-            overload: HashMap::new(),
+            episodes: Episodes::new(seed),
         })
-    }
-
-    /// The scenario this plane materialises.
-    pub fn scenario(&self) -> &FaultScenario {
-        &self.scenario
     }
 
     /// Whether the task of `service` on machine `machine` of `cluster` is
@@ -542,10 +562,9 @@ impl FaultPlane {
             return false;
         };
         let key = ((service as u64) << 24) | ((cluster as u64) << 8) | machine as u64;
-        match lazy_episode(&mut self.crash, key, key, CRASH_LABEL, self.seed, &spec) {
-            Some(p) => p.active_at(now),
-            None => false,
-        }
+        self.episodes
+            .episode_at(CRASH_LABEL, key, &spec, now)
+            .is_some()
     }
 
     /// Whether `cluster` is being drained at `now`.
@@ -553,65 +572,42 @@ impl FaultPlane {
         let Some(spec) = self.scenario.cluster_drain else {
             return false;
         };
-        match lazy_episode(
-            &mut self.drain,
-            cluster,
-            cluster as u64,
-            DRAIN_LABEL,
-            self.seed,
-            &spec,
-        ) {
-            Some(p) => p.active_at(now),
-            None => false,
-        }
+        self.episodes
+            .episode_at(DRAIN_LABEL, cluster as u64, &spec, now)
+            .is_some()
     }
 
     /// Connectivity of the (unordered) cluster pair `a`–`b` at `now`.
     /// `wan` is the caller-computed path classification; non-WAN pairs
-    /// never partition. Episodes alternate blackout/brownout on their
-    /// ordinal, so no extra generator draw is spent classifying them.
+    /// never partition.
     pub fn partition_state(&mut self, a: u16, b: u16, wan: bool, now: SimTime) -> PartitionState {
-        let Some(spec) = self.scenario.wan_partition else {
+        let Some(spec) = self.scenario.wan_partition.filter(|_| wan && a != b) else {
             return PartitionState::Connected;
         };
-        if !wan || a == b {
-            return PartitionState::Connected;
-        }
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        let key = ((lo as u32) << 16) | hi as u32;
-        match lazy_episode(
-            &mut self.partition,
-            key,
-            key as u64,
+        let key = ((a.min(b) as u64) << 16) | a.max(b) as u64;
+        PartitionState::from_episode(self.episodes.episode_at(
             PARTITION_LABEL,
-            self.seed,
+            key,
             &spec.episodes,
-        ) {
-            Some(p) => match p.active_episode(now) {
-                Some(episode) if episode % 2 == 0 => PartitionState::Blackout,
-                Some(_) => PartitionState::Brownout,
-                None => PartitionState::Connected,
-            },
-            None => PartitionState::Connected,
-        }
+            now,
+        ))
+    }
+
+    /// Excess one-way latency a pair brownout adds per crossing.
+    pub fn brownout_excess(&self) -> SimDuration {
+        self.scenario
+            .wan_partition
+            .map_or(SimDuration::ZERO, |s| s.brownout_excess)
     }
 
     /// The utilization surge multiplier for the deployment site of
     /// `service` in `cluster` at `now`, or `None` outside any surge.
     pub fn overload_factor(&mut self, service: u16, cluster: u16, now: SimTime) -> Option<f64> {
         let spec = self.scenario.overload?;
-        let key = ((service as u32) << 16) | cluster as u32;
-        match lazy_episode(
-            &mut self.overload,
-            key,
-            key as u64,
-            OVERLOAD_LABEL,
-            self.seed,
-            &spec.episodes,
-        ) {
-            Some(p) => p.active_at(now).then_some(spec.util_factor),
-            None => None,
-        }
+        let key = ((service as u64) << 16) | cluster as u64;
+        self.episodes
+            .episode_at(OVERLOAD_LABEL, key, &spec.episodes, now)
+            .map(|_| spec.util_factor)
     }
 }
 

@@ -8,20 +8,9 @@
 //! regions, and an overload front sweeps a whole region at once. The
 //! [`IncidentPlane`] draws those *shared* incidents from seeded episode
 //! processes keyed by the incident's scope (cluster, region pair, or
-//! region) and materialises them as deterministic per-entity answers the
-//! driver composes with [`crate::faults::FaultPlane`] queries.
-//!
-//! Precedence when both planes speak (tested in `composition` below and
-//! exercised end-to-end by the driver):
-//!
-//! - **Reachability**: a blackout from either plane wins over any
-//!   brownout; when both planes brown the same path out, the larger
-//!   excess applies.
-//! - **Drains**: a cluster is drained when either plane drains it.
-//! - **Overload**: surge sources never stack multiplicatively — the
-//!   *strongest* factor among the per-site surge, the regional front,
-//!   and the neighbour surge applies (each is already an absolute
-//!   utilization multiplier, so stacking would double-count the load).
+//! region) and materialises them as deterministic per-entity answers.
+//! `crate::conditions` composes them with [`crate::faults::FaultPlane`]
+//! answers and documents the precedence rules.
 //!
 //! The same determinism contract as the fault plane holds: eligibility
 //! gates and trajectories derive from `(master seed, scope key)` via
@@ -29,15 +18,12 @@
 //! query order — so every shard reconstructs identical incident
 //! timelines and `--faults none` runs draw nothing at all.
 
-use crate::faults::{lazy_episode, EpisodeSpec, OverloadSpec, PartitionSpec, PartitionState};
-use rpclens_cluster::faults::EpisodeProcess;
+use crate::faults::{EpisodeSpec, Episodes, OverloadSpec, PartitionSpec, PartitionState};
 use rpclens_simcore::time::{SimDuration, SimTime};
-use std::collections::{BTreeSet, HashMap};
 
 /// Generator domains for the incident plane, disjoint from the fault
 /// plane's `0xFA17_xxxx` family (and every other consumer of the master
-/// seed). The shared gate label is XORed with each domain, mirroring
-/// `crate::faults`.
+/// seed).
 const INCIDENT_DRAIN_LABEL: u64 = 0x1AC1_0001;
 const INCIDENT_CUT_LABEL: u64 = 0x1AC1_0002;
 const INCIDENT_FRONT_LABEL: u64 = 0x1AC1_0003;
@@ -98,14 +84,11 @@ pub struct IncidentSummaryRow {
 #[derive(Debug)]
 pub struct IncidentPlane {
     spec: IncidentSpec,
-    seed: u64,
     /// Region of each cluster, indexed by cluster id.
     region_of: Vec<u16>,
     /// Clusters of each region (ascending), indexed by region id.
     members: Vec<Vec<u16>>,
-    drain: HashMap<u16, Option<EpisodeProcess>>,
-    cut: HashMap<u32, Option<EpisodeProcess>>,
-    front: HashMap<u16, Option<EpisodeProcess>>,
+    episodes: Episodes,
 }
 
 impl IncidentPlane {
@@ -126,37 +109,43 @@ impl IncidentPlane {
             }
             IncidentPlane {
                 spec: *spec,
-                seed,
                 region_of,
                 members,
-                drain: HashMap::new(),
-                cut: HashMap::new(),
-                front: HashMap::new(),
+                episodes: Episodes::new(seed),
             }
         })
     }
 
-    /// The spec this plane materialises.
-    pub fn spec(&self) -> &IncidentSpec {
-        &self.spec
+    /// Number of clusters in the region map.
+    pub fn num_clusters(&self) -> usize {
+        self.region_of.len()
+    }
+
+    /// Ordinal of the drain incident `cluster` is inside at `now`, if any.
+    pub(crate) fn drain_episode(&mut self, cluster: u16, now: SimTime) -> Option<u64> {
+        let spec = self.spec.drain?;
+        self.episodes
+            .episode_at(INCIDENT_DRAIN_LABEL, cluster as u64, &spec, now)
+    }
+
+    /// Ordinal of the WAN cut between regions `lo < hi` active at `now`.
+    pub(crate) fn cut_episode(&mut self, lo: u16, hi: u16, now: SimTime) -> Option<u64> {
+        let spec = self.spec.wan_cut?;
+        let key = ((lo as u64) << 16) | hi as u64;
+        self.episodes
+            .episode_at(INCIDENT_CUT_LABEL, key, &spec.episodes, now)
+    }
+
+    /// Ordinal of the overload front sweeping `region` at `now`, if any.
+    pub(crate) fn front_episode(&mut self, region: u16, now: SimTime) -> Option<u64> {
+        let spec = self.spec.front?;
+        self.episodes
+            .episode_at(INCIDENT_FRONT_LABEL, region as u64, &spec.episodes, now)
     }
 
     /// Whether `cluster` is inside a drain incident at `now`.
     pub fn cluster_drained(&mut self, cluster: u16, now: SimTime) -> bool {
-        let Some(spec) = self.spec.drain else {
-            return false;
-        };
-        match lazy_episode(
-            &mut self.drain,
-            cluster,
-            cluster as u64,
-            INCIDENT_DRAIN_LABEL,
-            self.seed,
-            &spec,
-        ) {
-            Some(p) => p.active_at(now),
-            None => false,
-        }
+        self.drain_episode(cluster, now).is_some()
     }
 
     /// Connectivity of the cluster pair `a`–`b` at `now` under region-pair
@@ -164,36 +153,16 @@ impl IncidentPlane {
     /// non-WAN and same-region pairs never cut. Episodes alternate
     /// blackout/brownout on their ordinal.
     pub fn partition_state(&mut self, a: u16, b: u16, wan: bool, now: SimTime) -> PartitionState {
-        let Some(spec) = self.spec.wan_cut else {
-            return PartitionState::Connected;
-        };
-        let (ra, rb) = match (
+        let (Some(&ra), Some(&rb)) = (
             self.region_of.get(a as usize),
             self.region_of.get(b as usize),
-        ) {
-            (Some(&ra), Some(&rb)) => (ra, rb),
-            _ => return PartitionState::Connected,
+        ) else {
+            return PartitionState::Connected;
         };
         if !wan || ra == rb {
             return PartitionState::Connected;
         }
-        let (lo, hi) = if ra <= rb { (ra, rb) } else { (rb, ra) };
-        let key = ((lo as u32) << 16) | hi as u32;
-        match lazy_episode(
-            &mut self.cut,
-            key,
-            key as u64,
-            INCIDENT_CUT_LABEL,
-            self.seed,
-            &spec.episodes,
-        ) {
-            Some(p) => match p.active_episode(now) {
-                Some(episode) if episode % 2 == 0 => PartitionState::Blackout,
-                Some(_) => PartitionState::Brownout,
-                None => PartitionState::Connected,
-            },
-            None => PartitionState::Connected,
-        }
+        PartitionState::from_episode(self.cut_episode(ra.min(rb), ra.max(rb), now))
     }
 
     /// Excess one-way latency a region-pair brownout adds per crossing.
@@ -206,46 +175,25 @@ impl IncidentPlane {
     /// The utilization surge multiplier on `cluster` at `now`, or `None`
     /// outside any incident: the strongest of the regional overload front
     /// and the neighbour surge from a same-region cluster drain (sources
-    /// do not stack — see the module-level precedence rules).
+    /// do not stack — see the precedence rules in `crate::conditions`).
     pub fn overload_factor(&mut self, cluster: u16, now: SimTime) -> Option<f64> {
-        let mut factor: Option<f64> = None;
+        let region = *self.region_of.get(cluster as usize)?;
+        let mut factor = None;
         if let Some(front) = self.spec.front {
-            if let Some(&region) = self.region_of.get(cluster as usize) {
-                let active = match lazy_episode(
-                    &mut self.front,
-                    region,
-                    region as u64,
-                    INCIDENT_FRONT_LABEL,
-                    self.seed,
-                    &front.episodes,
-                ) {
-                    Some(p) => p.active_at(now),
-                    None => false,
-                };
-                if active {
-                    factor = Some(front.util_factor);
-                }
+            if self.front_episode(region, now).is_some() {
+                factor = Some(front.util_factor);
             }
         }
-        if self.spec.drain.is_some() && self.neighbour_draining(cluster, now) {
+        if self.spec.drain.is_some() && self.neighbour_draining(region, cluster, now) {
             let surge = self.spec.surge_factor;
-            factor = Some(factor.map_or(surge, |f| f.max(surge)));
+            factor = Some(factor.map_or(surge, |f: f64| f.max(surge)));
         }
         factor
     }
 
-    /// The shed-wait threshold of the regional front, if one is
-    /// configured (neighbour surges shed at the same threshold).
-    pub fn shed_wait(&self) -> Option<SimDuration> {
-        self.spec.front.map(|f| f.shed_wait)
-    }
-
     /// Whether any *other* cluster in `cluster`'s region is draining at
     /// `now` (its displaced load is what surges this cluster).
-    fn neighbour_draining(&mut self, cluster: u16, now: SimTime) -> bool {
-        let Some(&region) = self.region_of.get(cluster as usize) else {
-            return false;
-        };
+    fn neighbour_draining(&mut self, region: u16, cluster: u16, now: SimTime) -> bool {
         // The member list is tiny (clusters per region), cloned to avoid
         // aliasing the lazily-built process map during the scan.
         let peers = self.members[region as usize].clone();
@@ -259,110 +207,79 @@ impl IncidentPlane {
     /// per configured incident kind, sampled at every `window` boundary.
     /// Episode counts are lower bounds — episodes shorter than a window
     /// can fall between samples.
+    ///
+    /// Time-major: every entity is sampled at one boundary before any is
+    /// sampled at the next, so the walk never looks back and stays inside
+    /// the trajectories' retention window over any horizon.
     pub fn summary(
         &mut self,
         duration: SimDuration,
         window: SimDuration,
     ) -> Vec<IncidentSummaryRow> {
-        let boundaries: Vec<SimTime> = (0..=duration.as_nanos() / window.as_nanos().max(1))
-            .map(|w| SimTime::from_nanos(w * window.as_nanos()))
-            .collect();
         let n_clusters = self.region_of.len() as u16;
-        let n_regions = self.members.len() as u16;
-        let mut rows = Vec::new();
-        if self.spec.drain.is_some() {
-            let mut struck = 0u64;
-            let mut episodes = 0u64;
-            for c in 0..n_clusters {
-                let mut seen = BTreeSet::new();
-                for &t in &boundaries {
-                    if self.cluster_drained(c, t) {
-                        if let Some(p) = self.drain.get_mut(&c).and_then(|p| p.as_mut()) {
-                            if let Some(e) = p.active_episode(t) {
-                                seen.insert(e);
-                            }
-                        }
-                    }
-                }
-                struck += u64::from(!seen.is_empty());
-                episodes += seen.len() as u64;
+        // Regions with members; the cut between two of them is keyed per
+        // region pair, and the front per region.
+        let regions: Vec<u16> = (0..self.members.len() as u16)
+            .filter(|&r| !self.members[r as usize].is_empty())
+            .collect();
+        let pairs: Vec<(u16, u16)> = regions
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &ra)| regions[i + 1..].iter().map(move |&rb| (ra, rb)))
+            .collect();
+        let mut drains = vec![EpisodeTally::default(); n_clusters as usize];
+        let mut cuts = vec![EpisodeTally::default(); pairs.len()];
+        let mut fronts = vec![EpisodeTally::default(); regions.len()];
+        let step = window.as_nanos().max(1);
+        for w in 0..=duration.as_nanos() / step {
+            let t = SimTime::from_nanos(w * window.as_nanos());
+            for (c, tally) in drains.iter_mut().enumerate() {
+                tally.see(self.drain_episode(c as u16, t));
             }
-            rows.push(IncidentSummaryRow {
-                kind: "cluster-drain",
-                entities_struck: struck,
-                episodes,
-            });
-        }
-        if self.spec.wan_cut.is_some() {
-            let mut struck = 0u64;
-            let mut episodes = 0u64;
-            for ra in 0..n_regions {
-                for rb in ra + 1..n_regions {
-                    // Representative clusters of each region; the cut is
-                    // keyed per region pair, so any member pair sees it.
-                    let (Some(&a), Some(&b)) = (
-                        self.members[ra as usize].first(),
-                        self.members[rb as usize].first(),
-                    ) else {
-                        continue;
-                    };
-                    let mut seen = BTreeSet::new();
-                    for &t in &boundaries {
-                        if self.partition_state(a, b, true, t) != PartitionState::Connected {
-                            let key = ((ra as u32) << 16) | rb as u32;
-                            if let Some(p) = self.cut.get_mut(&key).and_then(|p| p.as_mut()) {
-                                if let Some(e) = p.active_episode(t) {
-                                    seen.insert(e);
-                                }
-                            }
-                        }
-                    }
-                    struck += u64::from(!seen.is_empty());
-                    episodes += seen.len() as u64;
-                }
+            for (&(ra, rb), tally) in pairs.iter().zip(&mut cuts) {
+                tally.see(self.cut_episode(ra, rb, t));
             }
-            rows.push(IncidentSummaryRow {
-                kind: "wan-cut",
-                entities_struck: struck,
-                episodes,
-            });
-        }
-        if self.spec.front.is_some() {
-            let mut struck = 0u64;
-            let mut episodes = 0u64;
-            for r in 0..n_regions {
-                let Some(&c) = self.members[r as usize].first() else {
-                    continue;
-                };
-                let mut seen = BTreeSet::new();
-                for &t in &boundaries {
-                    // Query through the public surface so lazy gating
-                    // matches the driver's; then read the ordinal.
-                    let _ = self.overload_factor(c, t);
-                    if let Some(p) = self.front.get_mut(&r).and_then(|p| p.as_mut()) {
-                        if let Some(e) = p.active_episode(t) {
-                            seen.insert(e);
-                        }
-                    }
-                }
-                struck += u64::from(!seen.is_empty());
-                episodes += seen.len() as u64;
+            for (&r, tally) in regions.iter().zip(&mut fronts) {
+                tally.see(self.front_episode(r, t));
             }
-            rows.push(IncidentSummaryRow {
-                kind: "overload-front",
-                entities_struck: struck,
-                episodes,
-            });
         }
-        rows
+        [
+            ("cluster-drain", self.spec.drain.is_some(), drains),
+            ("wan-cut", self.spec.wan_cut.is_some(), cuts),
+            ("overload-front", self.spec.front.is_some(), fronts),
+        ]
+        .into_iter()
+        .filter(|(_, configured, _)| *configured)
+        .map(|(kind, _, tallies)| IncidentSummaryRow {
+            kind,
+            entities_struck: tallies.iter().filter(|t| t.episodes > 0).count() as u64,
+            episodes: tallies.iter().map(|t| t.episodes).sum(),
+        })
+        .collect()
+    }
+}
+
+/// Distinct episodes one entity showed at successive boundaries. Ordinals
+/// never decrease in time, so counting changes counts distinct episodes.
+#[derive(Debug, Clone, Copy, Default)]
+struct EpisodeTally {
+    last: Option<u64>,
+    episodes: u64,
+}
+
+impl EpisodeTally {
+    fn see(&mut self, episode: Option<u64>) {
+        if episode.is_some() && episode != self.last {
+            self.episodes += 1;
+            self.last = episode;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::FaultScenario;
-    use rpclens_cluster::faults::EpisodeParams;
+    use rpclens_simcore::renewal::RenewalParams;
 
     /// Two regions of three clusters each.
     fn region_map() -> Vec<u16> {
@@ -373,7 +290,7 @@ mod tests {
         IncidentSpec {
             drain: Some(EpisodeSpec {
                 eligible: 1.0,
-                params: EpisodeParams {
+                params: RenewalParams {
                     up_mean: SimDuration::from_hours(4),
                     down_mean: SimDuration::from_secs(2_400),
                 },
@@ -382,7 +299,7 @@ mod tests {
             wan_cut: Some(PartitionSpec {
                 episodes: EpisodeSpec {
                     eligible: 1.0,
-                    params: EpisodeParams {
+                    params: RenewalParams {
                         up_mean: SimDuration::from_hours(5),
                         down_mean: SimDuration::from_secs(1_800),
                     },
@@ -392,7 +309,7 @@ mod tests {
             front: Some(OverloadSpec {
                 episodes: EpisodeSpec {
                     eligible: 1.0,
-                    params: EpisodeParams {
+                    params: RenewalParams {
                         up_mean: SimDuration::from_hours(5),
                         down_mean: SimDuration::from_hours(2),
                     },
@@ -543,49 +460,5 @@ mod tests {
                 assert_eq!(backward.cluster_drained(c, t), expect.0, "drain at {t}");
             }
         }
-    }
-
-    #[test]
-    fn composition_precedence_with_the_fault_plane() {
-        // The driver composes the two planes with max-wins overload and
-        // blackout-beats-brownout reachability; verify the building
-        // blocks give the composed answer the documented precedence.
-        let spec = spec();
-        let mut plane = IncidentPlane::new(&spec, 7, region_map()).unwrap();
-        let scenario = FaultScenario::chaos_smoke();
-        let mut faults = crate::faults::FaultPlane::new(&scenario, 7).unwrap();
-        for t in instants() {
-            for c in 0..6u16 {
-                let fault_f = faults.overload_factor(0, c, t);
-                let incident_f = plane.overload_factor(c, t);
-                let composed = match (fault_f, incident_f) {
-                    (Some(a), Some(b)) => Some(a.max(b)),
-                    (a, b) => a.or(b),
-                };
-                // Strongest-source-wins: the composed factor equals at
-                // least each contributing factor and never their product.
-                if let (Some(cf), Some(a), Some(b)) = (composed, fault_f, incident_f) {
-                    assert!(cf >= a && cf >= b && cf < a * b);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn summary_reports_struck_entities_and_episodes() {
-        let mut plane = IncidentPlane::new(&spec(), 7, region_map()).unwrap();
-        let rows = plane.summary(SimDuration::from_hours(24), SimDuration::from_secs(1_800));
-        assert_eq!(rows.len(), 3);
-        let drain = rows.iter().find(|r| r.kind == "cluster-drain").unwrap();
-        let cut = rows.iter().find(|r| r.kind == "wan-cut").unwrap();
-        let front = rows.iter().find(|r| r.kind == "overload-front").unwrap();
-        assert!(drain.entities_struck > 0 && drain.episodes >= drain.entities_struck);
-        // Two regions: exactly one region pair can be struck.
-        assert!(cut.entities_struck <= 1);
-        assert!(front.entities_struck <= 2);
-        assert!(
-            cut.episodes + front.episodes > 0,
-            "no shared incidents at all"
-        );
     }
 }

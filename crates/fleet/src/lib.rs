@@ -35,6 +35,9 @@
 //! - [`control`]: the closed-loop control plane — a deterministic
 //!   autoscaler, load-balancer weight shifts, and bounded admission
 //!   queues evaluated on window boundaries, identical on every shard.
+//! - [`conditions`]: the one environment lookup per call — composes the
+//!   fault, incident and control planes into the unavailability,
+//!   brownout, overload and shedding a call meets at its target.
 //! - [`telemetry`]: adapters from a completed run to the `rpclens-obs`
 //!   observability plane — run manifests, per-window detector inputs,
 //!   and the end-of-run SLO report.
@@ -47,6 +50,7 @@
 
 pub mod baselines;
 pub mod catalog;
+pub mod conditions;
 pub mod control;
 pub mod driver;
 pub mod faults;

@@ -153,17 +153,14 @@ fn controller_rows(run: &FleetRun) -> Vec<(String, u64)> {
     let Some(spec) = run.config.faults.control else {
         return Vec::new();
     };
-    let mut cp = ControlPlane::from_parts(
-        spec,
-        run.config.faults.incidents.as_ref(),
-        run.config.scale.seed,
-        region_map(run),
-        rpclens_tsdb::DEFAULT_SAMPLE_PERIOD,
-    );
-    let (scaled_windows, peak_permille) = cp.autoscaler_activity(
-        run.topology.num_clusters() as u16,
-        run.config.scale.duration,
-    );
+    let mut incidents = run
+        .config
+        .faults
+        .incidents
+        .and_then(|i| IncidentPlane::new(&i, run.config.scale.seed, region_map(run)));
+    let (scaled_windows, peak_permille) =
+        ControlPlane::new(spec, rpclens_tsdb::DEFAULT_SAMPLE_PERIOD)
+            .autoscaler_activity(incidents.as_mut(), run.config.scale.duration);
     let c = &run.telemetry.counters.control;
     vec![
         ("autoscaler_scaled_windows".to_string(), scaled_windows),

@@ -10,6 +10,7 @@
 //! describes rather than i.i.d. noise.
 
 use rpclens_simcore::dist::{BoundedPareto, Exponential, Sample};
+use rpclens_simcore::renewal::{AlternatingRenewal, RenewalParams};
 use rpclens_simcore::rng::Prng;
 use rpclens_simcore::time::{SimDuration, SimTime};
 
@@ -65,14 +66,20 @@ impl CongestionParams {
         }
     }
 
+    /// The state trajectory's holding times: calm periods are the
+    /// renewal process's up state, congestion episodes its down state.
+    pub fn renewal(&self) -> RenewalParams {
+        RenewalParams {
+            up_mean: self.calm_mean,
+            down_mean: self.congested_mean,
+        }
+    }
+
     /// Long-run fraction of time the path resides in its busy
-    /// (congested) state: `congested_mean / (calm_mean + congested_mean)`
-    /// — the alternating-renewal duty cycle the empirical
-    /// `congestion_fraction_matches_duty_cycle` test converges to.
+    /// (congested) state: `congested_mean / (calm_mean + congested_mean)`,
+    /// the alternating-renewal duty cycle.
     pub fn congested_duty_cycle(&self) -> f64 {
-        let calm = self.calm_mean.as_secs_f64();
-        let busy = self.congested_mean.as_secs_f64();
-        busy / (calm + busy)
+        self.renewal().duty_cycle()
     }
 
     /// Mean excess delay while congested, in seconds: the expectation of
@@ -93,85 +100,28 @@ impl CongestionParams {
     }
 }
 
-/// The lazily-evolved congestion process for one path.
+/// The lazily-evolved congestion process for one path: an
+/// [`AlternatingRenewal`] trajectory (calm = up, congested = down) plus
+/// the per-message delay distributions of each state.
 ///
 /// State transitions are computed on demand when the path is queried, so
 /// paths that carry no traffic cost nothing.
 ///
 /// # Determinism contract
 ///
-/// The process's own generator is reserved for the state *trajectory*:
-/// it is consumed exactly one draw per state flip, strictly in trajectory
-/// order, and the flip instants are remembered. That makes
-/// [`CongestionProcess::state_at`] a pure function of `(construction
-/// seed, now)` — independent of who queries the path, how often, in what
-/// order (queries may jump backwards in time, within the retention
-/// window below), or from which simulation shard. Per-message jitter is
-/// sampled from the caller's generator in
-/// [`CongestionProcess::queueing_delay`], so concurrent callers never
-/// perturb each other's delays either.
-///
-/// Remembering the trajectory costs one [`SimTime`] per flip, and the
-/// process keeps only a sliding *retention window* of recent flips
-/// resident: once the stored tail exceeds [`PRUNE_TRIGGER_LEN`] entries,
-/// intervals ending more than [`RETENTION`] behind the trajectory
-/// frontier are discarded (their generator draws were consumed in
-/// trajectory order, so the retained tail — and every answer within it —
-/// is bit-identical to the never-pruned trajectory). That caps resident
-/// state at a few KB per path regardless of how long the simulation
-/// runs, instead of growing linearly with simulated time; with thousands
-/// of active cluster-pair paths per shard, this is what keeps a
-/// simulated day (or ten) of fleet traffic memory-bounded.
-///
-/// The price is a bounded look-behind: queries may still jump backwards,
-/// but only within [`RETENTION`] of the furthest instant ever queried.
-/// The fleet driver processes roots in arrival order and traces span at
-/// most seconds, so its look-behind is minutes at worst — orders of
-/// magnitude inside the window. A query below the retained horizon
-/// panics (loudly, rather than silently misreporting a state).
+/// The process's own generator is reserved for the state *trajectory*,
+/// which makes [`CongestionProcess::state_at`] a pure function of
+/// `(construction seed, now)` — independent of who queries the path, how
+/// often, in what order (within the trajectory's retention window), or
+/// from which simulation shard. Per-message jitter is sampled from the
+/// caller's generator in [`CongestionProcess::queueing_delay`], so
+/// concurrent callers never perturb each other's delays either.
 #[derive(Debug, Clone)]
 pub struct CongestionProcess {
-    params: CongestionParams,
-    /// `flip_ends[i]` is the instant global interval `pruned + i` ends.
-    /// Global interval `g` covers `[end(g-1), end(g))` (interval 0
-    /// starts at `SimTime::ZERO`) and is calm exactly when `g` is even.
-    /// Only the tail of the trajectory inside the retention window is
-    /// stored; older entries are discarded once their draws are burned.
-    flip_ends: Vec<SimTime>,
-    /// Number of leading intervals discarded below the retention
-    /// horizon. Keeps global interval numbering (and hence calm/congested
-    /// parity) stable across pruning.
-    pruned: usize,
-    /// End instant of the last pruned interval: the stored trajectory
-    /// now begins at this instant. Queries below it panic.
-    pruned_end: SimTime,
-    /// Local (post-pruning) interval index of the last `state_at` answer.
-    /// A lookup hint only: queries are near-monotone in practice, so the
-    /// containing interval is usually this one or the next, and the
-    /// binary search over the stored tail can be skipped. Never affects
-    /// the result.
-    cursor: usize,
-    rng: Prng,
-    calm_hold: Exponential,
-    congested_hold: Exponential,
+    trajectory: AlternatingRenewal,
     calm_jitter: Exponential,
     congested_excess: BoundedPareto,
 }
-
-/// How far behind the trajectory frontier past intervals stay queryable.
-///
-/// Two simulated hours: the fleet driver's look-behind is bounded by one
-/// trace's wall time (seconds) plus shard boundary skew (zero — chunks
-/// are contiguous), so this margin is ~3 orders of magnitude of slack.
-const RETENTION: SimDuration = SimDuration::from_hours(2);
-
-/// Stored-tail length above which a pruning pass runs.
-///
-/// 512 entries exceed the flips a [`RETENTION`] window typically holds
-/// for the built-in parameter sets (~475 for fabric, ~118 for WAN), so a
-/// pass usually drops a bounded batch; `drain` keeps the allocation, so
-/// this also caps each path's vector at ~1,024 capacity (8 KB) for good.
-const PRUNE_TRIGGER_LEN: usize = 512;
 
 impl CongestionProcess {
     /// Creates a process with its own random stream.
@@ -181,10 +131,6 @@ impl CongestionProcess {
     /// Panics if the parameters are degenerate (zero means or an empty
     /// excess-delay range); the built-in parameter sets are always valid.
     pub fn new(params: CongestionParams, rng: Prng) -> Self {
-        let calm_hold = Exponential::from_mean(params.calm_mean.as_secs_f64())
-            .expect("calm mean must be positive");
-        let congested_hold = Exponential::from_mean(params.congested_mean.as_secs_f64())
-            .expect("congested mean must be positive");
         let calm_jitter = Exponential::from_mean(params.calm_jitter_mean.as_secs_f64())
             .expect("jitter mean must be positive");
         let congested_excess = BoundedPareto::new(
@@ -193,137 +139,47 @@ impl CongestionProcess {
             params.alpha,
         )
         .expect("excess delay range must be non-empty");
-        let mut process = CongestionProcess {
-            params,
-            flip_ends: Vec::new(),
-            pruned: 0,
-            pruned_end: SimTime::ZERO,
-            cursor: 0,
-            rng,
-            calm_hold,
-            congested_hold,
+        CongestionProcess {
+            trajectory: AlternatingRenewal::new(params.renewal(), rng),
             calm_jitter,
             congested_excess,
-        };
-        // Sample the first calm period so the process does not flip at t=0.
-        let first = process.calm_hold.sample(&mut process.rng);
-        process
-            .flip_ends
-            .push(SimTime::ZERO + SimDuration::from_secs_f64(first.max(1e-6)));
-        process
+        }
     }
 
-    /// Extends the trajectory to cover `now` and returns the state of the
-    /// interval containing it.
-    ///
-    /// Queries may arrive in any order within the retention window:
-    /// extending only appends flips (one generator draw each, in
-    /// trajectory order), and a query below the frontier is answered from
-    /// the remembered flip instants, so the result depends on `now`
-    /// alone.
+    /// The state of the path at `now`.
     ///
     /// # Panics
     ///
-    /// Panics if `now` falls below the retained horizon — more than
-    /// [`RETENTION`] behind the furthest instant the trajectory was ever
-    /// extended to. Callers with near-monotone query patterns (every
-    /// user in this workspace) can never trip this.
+    /// Panics if `now` lies more than the trajectory's retention window
+    /// behind the furthest instant this path was queried at (see
+    /// [`AlternatingRenewal`]).
     pub fn state_at(&mut self, now: SimTime) -> CongestionState {
-        while *self.flip_ends.last().expect("trajectory is never empty") <= now {
-            // The global interval being appended; even indices are calm.
-            let next = self.pruned + self.flip_ends.len();
-            let hold = if next.is_multiple_of(2) {
-                self.calm_hold.sample(&mut self.rng)
-            } else {
-                self.congested_hold.sample(&mut self.rng)
-            };
-            let end = *self.flip_ends.last().expect("trajectory is never empty")
-                + SimDuration::from_secs_f64(hold.max(1e-6));
-            self.flip_ends.push(end);
-        }
-        if self.flip_ends.len() > PRUNE_TRIGGER_LEN {
-            self.prune();
-        }
-        assert!(
-            now >= self.pruned_end,
-            "congestion query at {now} below the retained horizon {} \
-             (queries may look back at most {RETENTION} behind the frontier)",
-            self.pruned_end,
-        );
-        // Interval `i` (local) contains `now` iff it starts at or before
-        // `now` and ends after it; a local interval's start is the
-        // previous stored end, or `pruned_end` for the first one. Try the
-        // cursor hint (last answer, then its successor) before
-        // binary-searching the stored tail; all three branches compute
-        // the same index.
-        let c = self.cursor;
-        let i = if c < self.flip_ends.len()
-            && now < self.flip_ends[c]
-            && (if c == 0 {
-                self.pruned_end <= now
-            } else {
-                self.flip_ends[c - 1] <= now
-            }) {
-            c
-        } else if c + 1 < self.flip_ends.len()
-            && now < self.flip_ends[c + 1]
-            && self.flip_ends[c] <= now
-        {
-            c + 1
-        } else {
-            self.flip_ends.partition_point(|&end| end <= now)
-        };
-        self.cursor = i;
-        // Parity is over the *global* interval index.
-        if (self.pruned + i).is_multiple_of(2) {
-            CongestionState::Calm
-        } else {
+        if self.trajectory.is_down(now) {
             CongestionState::Congested
+        } else {
+            CongestionState::Calm
         }
-    }
-
-    /// Discards stored intervals ending at or before `frontier -
-    /// RETENTION`, keeping global numbering via the pruned-prefix count.
-    ///
-    /// Pure bookkeeping: every discarded interval's generator draw was
-    /// already consumed in trajectory order, so answers inside the
-    /// retained window are unchanged.
-    fn prune(&mut self) {
-        let frontier = *self.flip_ends.last().expect("trajectory is never empty");
-        let horizon = SimTime::from_nanos(frontier.as_nanos().saturating_sub(RETENTION.as_nanos()));
-        // Keep at least one interval so the trajectory stays non-empty.
-        let cut = self
-            .flip_ends
-            .partition_point(|&end| end <= horizon)
-            .min(self.flip_ends.len() - 1);
-        if cut == 0 {
-            return;
-        }
-        self.pruned_end = self.flip_ends[cut - 1];
-        self.flip_ends.drain(..cut);
-        self.pruned += cut;
-        self.cursor = self.cursor.saturating_sub(cut);
     }
 
     /// Samples the queueing delay this path adds to a message sent at
-    /// `now`, drawing the jitter from `rng`.
+    /// `now`, drawing the jitter from `rng`, and reports the state it was
+    /// drawn in.
     ///
     /// The path's internal generator only advances the state trajectory
     /// (see the type-level determinism contract); the per-message jitter
     /// comes from the caller so that two callers sharing a path draw from
     /// their own independent streams.
-    pub fn queueing_delay(&mut self, now: SimTime, rng: &mut Prng) -> SimDuration {
-        match self.state_at(now) {
-            CongestionState::Calm => SimDuration::from_secs_f64(self.calm_jitter.sample(rng)),
-            CongestionState::Congested => {
-                SimDuration::from_secs_f64(self.congested_excess.sample(rng))
-            }
-        }
-    }
-
-    /// The parameters this process was built with.
-    pub fn params(&self) -> &CongestionParams {
-        &self.params
+    pub fn queueing_delay(
+        &mut self,
+        now: SimTime,
+        rng: &mut Prng,
+    ) -> (SimDuration, CongestionState) {
+        let state = self.state_at(now);
+        let secs = match state {
+            CongestionState::Calm => self.calm_jitter.sample(rng),
+            CongestionState::Congested => self.congested_excess.sample(rng),
+        };
+        (SimDuration::from_secs_f64(secs), state)
     }
 }
 
@@ -339,66 +195,22 @@ mod tests {
     fn calm_delays_are_small_congested_are_larger() {
         let mut p = process(CongestionParams::fabric(), 1);
         let mut rng = Prng::seed_from(11);
-        // Walk time forward and bucket delays by observed state.
-        let mut calm_max = SimDuration::ZERO;
+        // Walk time forward and bucket delays by the reported state.
         let mut congested_min = SimDuration::from_secs(999);
         let mut saw_congestion = false;
         for i in 0..200_000u64 {
             let now = SimTime::from_nanos(i * 1_000_000); // 1 ms steps.
-            let state = p.state_at(now);
-            let d = p.queueing_delay(now, &mut rng);
-            match state {
-                CongestionState::Calm => calm_max = calm_max.max(d),
-                CongestionState::Congested => {
-                    saw_congestion = true;
-                    congested_min = congested_min.min(d);
-                }
+            let (d, state) = p.queueing_delay(now, &mut rng);
+            assert_eq!(state, p.state_at(now));
+            if state == CongestionState::Congested {
+                saw_congestion = true;
+                congested_min = congested_min.min(d);
             }
         }
         assert!(saw_congestion, "no congestion episode in 200 s");
         // Congested delays start above the configured minimum, which is
         // itself well above the calm mean.
         assert!(congested_min.as_nanos() >= 200_000, "{congested_min}");
-    }
-
-    #[test]
-    fn episodes_are_bursty_not_iid() {
-        let mut p = process(CongestionParams::fabric(), 2);
-        // Sample states on a fine grid; consecutive samples should agree
-        // far more often than independent coin flips would.
-        let mut same = 0u32;
-        let mut total = 0u32;
-        let mut prev = p.state_at(SimTime::ZERO);
-        for i in 1..100_000u64 {
-            let s = p.state_at(SimTime::from_nanos(i * 100_000)); // 0.1 ms.
-            if s == prev {
-                same += 1;
-            }
-            total += 1;
-            prev = s;
-        }
-        assert!(same as f64 / total as f64 > 0.99, "state flips too often");
-    }
-
-    #[test]
-    fn congestion_fraction_matches_duty_cycle() {
-        let params = CongestionParams::fabric();
-        let mut p = process(params, 3);
-        let mut congested = 0u64;
-        let n = 3_000_000u64;
-        for i in 0..n {
-            // 1 ms grid over 3000 s ≫ calm_mean, so the empirical duty
-            // cycle should approach congested/(calm+congested) ≈ 1.3%.
-            if p.state_at(SimTime::from_nanos(i * 1_000_000)) == CongestionState::Congested {
-                congested += 1;
-            }
-        }
-        let frac = congested as f64 / n as f64;
-        let expected = 0.4 / 30.4;
-        assert!(
-            (frac - expected).abs() < expected,
-            "duty cycle {frac}, expected ~{expected}"
-        );
     }
 
     #[test]
@@ -444,7 +256,7 @@ mod tests {
         let mut rng = Prng::seed_from(44);
         for i in 0..500_000u64 {
             let now = SimTime::from_nanos(i * 1_000_000);
-            let d = p.queueing_delay(now, &mut rng);
+            let (d, _) = p.queueing_delay(now, &mut rng);
             assert!(d <= SimDuration::from_millis(901), "delay {d} too large");
         }
     }
@@ -465,115 +277,17 @@ mod tests {
     }
 
     #[test]
-    fn trajectory_is_independent_of_query_pattern() {
-        // Two copies of a process driven on completely different query
-        // patterns — one message-heavy and monotone, one advanced in a
-        // single jump and then queried *backwards* — must agree on the
-        // state at every instant, because the trajectory consumes
-        // generator draws only at state flips, in trajectory order, and
-        // past intervals stay queryable. This is the property the sharded
-        // fleet driver leans on: shards interleave path queries in
-        // arbitrary time order yet must sample identical congestion.
-        let mut dense = process(CongestionParams::fabric(), 9);
-        let mut sparse = process(CongestionParams::fabric(), 9);
+    fn caller_jitter_draws_do_not_move_the_trajectory() {
+        // One copy burns caller jitter draws on every query, the other
+        // only reads states: both must see the same congestion episodes,
+        // because the trajectory has its own generator.
+        let mut noisy = process(CongestionParams::fabric(), 9);
+        let mut quiet = process(CongestionParams::fabric(), 9);
         let mut jitter_rng = Prng::seed_from(99);
-        let mut recorded = Vec::new();
         for i in 0..400_000u64 {
             let now = SimTime::from_nanos(i * 250_000); // 0.25 ms grid to 100 s.
-            recorded.push(dense.state_at(now));
-            // The dense copy also burns caller jitter draws; that must not
-            // affect its trajectory.
-            dense.queueing_delay(now, &mut jitter_rng);
+            let (_, state) = noisy.queueing_delay(now, &mut jitter_rng);
+            assert_eq!(state, quiet.state_at(now), "diverged at {now}");
         }
-        sparse.state_at(SimTime::from_nanos(100_000_000_000)); // one jump.
-        for i in (0..400_000u64).rev() {
-            let now = SimTime::from_nanos(i * 250_000);
-            assert_eq!(
-                recorded[i as usize],
-                sparse.state_at(now),
-                "diverged at {now}"
-            );
-        }
-    }
-
-    #[test]
-    fn cursor_hint_matches_partition_point() {
-        // Drive the process with a query pattern hostile to the cursor
-        // (large forward and backward jumps); after every answer, the
-        // chosen interval must equal the full binary search's.
-        let mut p = process(CongestionParams::fabric(), 7);
-        let mut mix = 0x243F_6A88_85A3_08D3u64;
-        for _ in 0..50_000 {
-            mix = mix
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let now = SimTime::from_nanos(mix % 200_000_000_000); // 0..200 s.
-            let state = p.state_at(now);
-            let i = p.flip_ends.partition_point(|&end| end <= now);
-            assert_eq!(p.cursor, i, "hint diverged at {now}");
-            assert_eq!(state == CongestionState::Calm, i % 2 == 0);
-        }
-    }
-
-    #[test]
-    fn time_can_jump_far_ahead() {
-        let mut p = process(CongestionParams::fabric(), 6);
-        // Jumping hours ahead must terminate and yield a valid state.
-        let s = p.state_at(SimTime::from_nanos(3_600_000_000_000 * 24));
-        assert!(matches!(
-            s,
-            CongestionState::Calm | CongestionState::Congested
-        ));
-    }
-
-    #[test]
-    fn resident_trajectory_stays_bounded_over_a_simulated_week() {
-        // Without retention pruning a fabric path stores ~5,700 flips per
-        // simulated day; a monotone week-long walk must stay near the
-        // prune trigger instead of growing linearly with simulated time.
-        let mut p = process(CongestionParams::fabric(), 21);
-        let week_ns = 7 * 24 * 3_600_000_000_000u64;
-        let mut peak = 0usize;
-        for i in 0..7 * 24 * 4u64 {
-            // One query per simulated quarter hour.
-            p.state_at(SimTime::from_nanos(i * (week_ns / (7 * 24 * 4))));
-            peak = peak.max(p.flip_ends.len());
-        }
-        assert!(
-            peak <= PRUNE_TRIGGER_LEN + 128,
-            "stored tail peaked at {peak} entries"
-        );
-        assert!(p.pruned > 10_000, "only {} intervals pruned", p.pruned);
-    }
-
-    #[test]
-    fn pruned_process_agrees_with_unpruned_inside_the_window() {
-        // Same seed, two query patterns: one advanced day-by-day (which
-        // prunes), one queried only at the comparison instants after a
-        // single jump. Every answer inside the retention window must
-        // match — pruning is pure bookkeeping over already-drawn flips.
-        let mut walked = process(CongestionParams::fabric(), 22);
-        let mut jumped = process(CongestionParams::fabric(), 22);
-        let day_ns = 24 * 3_600_000_000_000u64;
-        for i in 0..24 * 60u64 {
-            walked.state_at(SimTime::from_nanos(i * day_ns / (24 * 60)));
-        }
-        assert!(walked.pruned > 0, "walk never pruned");
-        jumped.state_at(SimTime::from_nanos(day_ns));
-        // Compare across the last simulated hour (well inside retention).
-        for i in 0..600u64 {
-            let now = SimTime::from_nanos(day_ns - i * 6_000_000_000);
-            assert_eq!(walked.state_at(now), jumped.state_at(now), "at {now}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "below the retained horizon")]
-    fn query_below_the_retained_horizon_panics() {
-        let mut p = process(CongestionParams::fabric(), 23);
-        // Advance a simulated day (prunes everything older than the
-        // retention window), then look back to the epoch.
-        p.state_at(SimTime::from_nanos(24 * 3_600_000_000_000));
-        p.state_at(SimTime::ZERO);
     }
 }

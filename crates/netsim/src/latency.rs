@@ -193,8 +193,8 @@ impl Network {
                 ))
             }
         };
-        let congested = process.state_at(now) == CongestionState::Congested;
-        (base + process.queueing_delay(now, rng), congested)
+        let (queueing, state) = process.queueing_delay(now, rng);
+        (base + queueing, state == CongestionState::Congested)
     }
 
     /// The path class between two clusters (delegates to the topology).

@@ -12,7 +12,6 @@
 //! - [`deadline`]: deadline budgets and hop-by-hop propagation.
 //! - [`error`]: RPC error taxonomy and injection profiles (Fig. 23).
 //! - [`hedging`]: request hedging, the dominant source of cancellations.
-//! - [`loadbalancer`]: pluggable load-balancing policies (§4.3).
 //! - [`retry`]: backoff and retry budgets for transient errors.
 //! - [`queue`]: soft client-side queue delay models.
 //!
@@ -25,7 +24,6 @@ pub mod cost;
 pub mod deadline;
 pub mod error;
 pub mod hedging;
-pub mod loadbalancer;
 pub mod queue;
 pub mod retry;
 
@@ -38,7 +36,6 @@ pub mod prelude {
         deadline::{Deadline, DeadlinePolicy},
         error::{ErrorKind, ErrorProfile},
         hedging::HedgePolicy,
-        loadbalancer::{LbPolicy, LoadBalancer, TargetInfo},
         queue::SoftQueue,
         retry::{BackoffPolicy, RetryBudget},
     };

@@ -378,84 +378,6 @@ impl Sample for Mixture {
     }
 }
 
-/// A log-normal sampler that trades two Box-Muller draws for one uniform
-/// draw and a table interpolation.
-///
-/// The table holds the analytic quantile function evaluated on a uniform
-/// grid over `(0, 1)`; sampling draws one uniform, scales it into the
-/// grid, and interpolates linearly between neighbouring quantiles. With
-/// 1024 cells the relative error against the exact quantile stays below
-/// ~1% through the P99.9 region for the sigmas the catalog uses.
-///
-/// **Not part of the driver's determinism contract.** The fleet driver's
-/// golden digest pins the exact Box-Muller draw sequence of
-/// [`LogNormal::sample`] (two uniforms per gaussian); this sampler
-/// consumes one uniform and produces different (equally distributed)
-/// values, so wiring it into the simulated hot path would change every
-/// trace byte. It exists for consumers outside that contract — synthetic
-/// load generation, calibration sweeps — where throughput matters and
-/// bit-compatibility with the driver does not. See
-/// `docs/PERFORMANCE.md`.
-#[derive(Debug, Clone)]
-pub struct QuantizedLogNormal {
-    /// `quantiles[i]` is the analytic quantile at `(i + 0.5) / cells`...
-    /// extended by half a cell at each end so interpolation never leaves
-    /// the table.
-    quantiles: Vec<f64>,
-    source: LogNormal,
-}
-
-impl QuantizedLogNormal {
-    /// Default table resolution: fine enough that interpolation error is
-    /// far below the sampling noise of any realistic experiment.
-    pub const DEFAULT_CELLS: usize = 1024;
-
-    /// Tabulates `source` at [`QuantizedLogNormal::DEFAULT_CELLS`]
-    /// resolution.
-    pub fn new(source: LogNormal) -> Self {
-        Self::with_cells(source, Self::DEFAULT_CELLS)
-    }
-
-    /// Tabulates `source` with `cells` grid cells.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cells < 2`.
-    pub fn with_cells(source: LogNormal, cells: usize) -> Self {
-        assert!(cells >= 2, "need at least 2 grid cells, got {cells}");
-        // Node i sits at probability (i + 0.5) / (cells + 1) shifted so
-        // the end nodes stay strictly inside (0, 1): the table clamps
-        // the extreme tails to roughly the P(0.05%) .. P(99.95%) band
-        // at the default resolution.
-        let n = cells + 1;
-        let quantiles = (0..n)
-            .map(|i| source.quantile((i as f64 + 0.5) / n as f64))
-            .collect();
-        QuantizedLogNormal { quantiles, source }
-    }
-
-    /// The tabulated source distribution.
-    pub fn source(&self) -> LogNormal {
-        self.source
-    }
-}
-
-impl Sample for QuantizedLogNormal {
-    fn sample(&self, rng: &mut Prng) -> f64 {
-        let cells = self.quantiles.len() - 1;
-        let x = rng.next_f64() * cells as f64;
-        let i = (x as usize).min(cells - 1);
-        let frac = x - i as f64;
-        let lo = self.quantiles[i];
-        let hi = self.quantiles[i + 1];
-        lo + (hi - lo) * frac
-    }
-
-    fn mean(&self) -> Option<f64> {
-        self.source.mean()
-    }
-}
-
 /// Approximate inverse of the standard normal CDF (Acklam's algorithm,
 /// relative error < 1.15e-9).
 ///
@@ -625,62 +547,6 @@ mod tests {
         let samples = sample_n(&m, 100_000, 7);
         let big = samples.iter().filter(|&&x| x > 50.0).count() as f64 / samples.len() as f64;
         assert!((big - 0.2).abs() < 0.01, "big fraction {big}");
-    }
-
-    #[test]
-    fn quantized_lognormal_tracks_the_exact_quantiles() {
-        let exact = LogNormal::from_median_sigma(1000.0, 1.5).unwrap();
-        let q = QuantizedLogNormal::new(exact);
-        let mut samples = sample_n(&q, 200_000, 21);
-        for (p, tol) in [(0.1, 0.03), (0.5, 0.03), (0.9, 0.03), (0.99, 0.08)] {
-            let got = empirical_quantile(&mut samples, p);
-            let want = exact.quantile(p);
-            assert!(
-                (got - want).abs() / want < tol,
-                "P{p}: quantized {got} vs exact {want}"
-            );
-        }
-    }
-
-    #[test]
-    fn quantized_lognormal_uses_one_draw_per_sample() {
-        let q = QuantizedLogNormal::new(LogNormal::from_median_sigma(50.0, 1.0).unwrap());
-        let mut a = Prng::seed_from(9);
-        let mut b = Prng::seed_from(9);
-        for _ in 0..1_000 {
-            let _ = q.sample(&mut a);
-            let _ = b.next_f64();
-        }
-        // Both generators consumed the same number of draws, so they
-        // stay in lockstep.
-        assert_eq!(a.next_f64().to_bits(), b.next_f64().to_bits());
-    }
-
-    #[test]
-    fn quantized_lognormal_differs_from_box_muller() {
-        // The whole point of documenting the determinism contract: the
-        // table sampler is distribution-equivalent but NOT draw-for-draw
-        // compatible with the Box-Muller path.
-        let exact = LogNormal::from_median_sigma(50.0, 1.0).unwrap();
-        let q = QuantizedLogNormal::new(exact);
-        let x = q.sample(&mut Prng::seed_from(3));
-        let y = exact.sample(&mut Prng::seed_from(3));
-        assert_ne!(x.to_bits(), y.to_bits());
-    }
-
-    #[test]
-    fn quantized_lognormal_samples_stay_positive_and_finite() {
-        let q =
-            QuantizedLogNormal::with_cells(LogNormal::from_median_sigma(10.0, 2.5).unwrap(), 64);
-        let samples = sample_n(&q, 20_000, 33);
-        assert!(samples.iter().all(|&x| x.is_finite() && x > 0.0));
-        assert_eq!(q.mean(), q.source().mean());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 2 grid cells")]
-    fn quantized_lognormal_rejects_degenerate_tables() {
-        let _ = QuantizedLogNormal::with_cells(LogNormal::from_median_sigma(10.0, 1.0).unwrap(), 1);
     }
 
     #[test]

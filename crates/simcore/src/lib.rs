@@ -17,8 +17,8 @@
 //!   latencies spanning nanoseconds to minutes with bounded relative error.
 //! - [`stats`]: exact quantiles, streaming moments, and correlation
 //!   coefficients used by the characterization analyses.
-//! - [`streaming`]: constant-memory estimators (P² quantiles, reservoir
-//!   sampling) for monitoring-agent-style export.
+//! - [`renewal`]: trajectory-stored alternating-renewal processes, the one
+//!   model behind every episodic cause (congestion, failures, incidents).
 //!
 //! # Examples
 //!
@@ -42,9 +42,9 @@ pub mod alias;
 pub mod dist;
 pub mod event;
 pub mod hist;
+pub mod renewal;
 pub mod rng;
 pub mod stats;
-pub mod streaming;
 pub mod time;
 pub mod zipf;
 
@@ -58,9 +58,9 @@ pub mod prelude {
         },
         event::EventQueue,
         hist::LogHistogram,
+        renewal::{AlternatingRenewal, RenewalParams},
         rng::Prng,
         stats::{percentile, OnlineMoments},
-        streaming::{P2Quantile, Reservoir},
         time::{SimDuration, SimTime},
         zipf::Zipf,
     };
