@@ -4,13 +4,13 @@
 //! everything" entry point under `cargo bench`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use rpclens_bench::{produce, run_at, Artifact};
-use rpclens_fleet::driver::{FleetRun, SimScale};
+use rpclens_bench::{produce, Artifact};
+use rpclens_fleet::driver::{run_fleet, FleetConfig, FleetRun, SimScale};
 use std::sync::OnceLock;
 
 fn shared_run() -> &'static FleetRun {
     static RUN: OnceLock<FleetRun> = OnceLock::new();
-    RUN.get_or_init(|| run_at(SimScale::smoke()))
+    RUN.get_or_init(|| run_fleet(FleetConfig::at_scale(SimScale::smoke())))
 }
 
 fn bench_figures(c: &mut Criterion) {

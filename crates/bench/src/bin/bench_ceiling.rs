@@ -39,10 +39,8 @@
 //! shared-runner noise.
 
 use rpclens_bench::peak_rss_bytes;
-use rpclens_bench::run_configured;
 use rpclens_bench::scale_by_name;
-use rpclens_fleet::driver::SimScale;
-use rpclens_fleet::faults::FaultScenario;
+use rpclens_fleet::driver::{run_fleet, FleetConfig, SimScale};
 use rpclens_obs::json;
 
 /// The committed baseline, resolved at compile time relative to this
@@ -103,15 +101,18 @@ fn main() {
             _ => usage(),
         }
     }
+    let config = || {
+        let defaults = FleetConfig::at_scale(scale.clone().unwrap_or_else(SimScale::fleet));
+        FleetConfig {
+            shards: shards.unwrap_or(defaults.shards),
+            threads: threads.unwrap_or(defaults.threads),
+            ..defaults
+        }
+    };
     match mode.as_deref() {
         Some("gate") => gate(&baseline, runs.max(1)),
-        Some("rss") => rss(
-            &baseline,
-            scale.unwrap_or_else(SimScale::fleet),
-            shards,
-            threads,
-        ),
-        Some("trend") => trend(scale.unwrap_or_else(SimScale::fleet), shards, threads),
+        Some("rss") => rss(&baseline, config()),
+        Some("trend") => trend(config()),
         _ => usage(),
     }
 }
@@ -139,7 +140,11 @@ fn gate(baseline_path: &str, runs: usize) {
     let mut spans = 0u64;
     for i in 0..runs {
         let t0 = std::time::Instant::now();
-        let run = run_configured(SimScale::smoke(), Some(1), Some(1), FaultScenario::none());
+        let run = run_fleet(FleetConfig {
+            shards: 1,
+            threads: 1,
+            ..FleetConfig::at_scale(SimScale::smoke())
+        });
         let wall_ns = t0.elapsed().as_nanos() as f64;
         spans = run.total_spans;
         let ns_per_rpc = wall_ns / run.total_spans.max(1) as f64;
@@ -170,7 +175,7 @@ fn gate(baseline_path: &str, runs: usize) {
 
 /// One run at the given preset, gated on the committed peak-RSS ceiling
 /// when the baseline carries one for that preset.
-fn rss(baseline_path: &str, scale: SimScale, shards: Option<usize>, threads: Option<usize>) {
+fn rss(baseline_path: &str, config: FleetConfig) {
     let text = std::fs::read_to_string(baseline_path)
         .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
     let root =
@@ -178,16 +183,16 @@ fn rss(baseline_path: &str, scale: SimScale, shards: Option<usize>, threads: Opt
     let ceiling = root
         .get("ceiling")
         .expect("baseline has a `ceiling` section");
-    let key = format!("{}_peak_rss_mb", scale.name);
+    let key = format!("{}_peak_rss_mb", config.scale.name);
     let ceiling_mb = ceiling.get(&key).and_then(json::Json::as_f64);
     let tolerance = ceiling
         .get("rss_tolerance")
         .and_then(json::Json::as_f64)
         .unwrap_or(0.25);
 
-    let name = scale.name;
+    let name = config.scale.name;
     let t0 = std::time::Instant::now();
-    let run = run_configured(scale, shards, threads, FaultScenario::none());
+    let run = run_fleet(config);
     let secs = t0.elapsed().as_secs_f64();
     let Some(peak) = peak_rss_bytes() else {
         println!(
@@ -215,8 +220,8 @@ fn rss(baseline_path: &str, scale: SimScale, shards: Option<usize>, threads: Opt
             if peak_mb > limit {
                 eprintln!(
                     "FAIL: peak RSS regressed past the committed ceiling — bounded \
-                     aggregation memory is a tracked property (streaming window \
-                     flush, trace sampling); if the growth is intentional, update \
+                     memory is a tracked property (per-window counter rows, \
+                     trace sampling, profiler caps); if the growth is intentional, update \
                      `ceiling.{key}` in {baseline_path}"
                 );
                 std::process::exit(1);
@@ -234,11 +239,11 @@ fn rss(baseline_path: &str, scale: SimScale, shards: Option<usize>, threads: Opt
 }
 
 /// One run at the given preset, reported for the CI trend line.
-fn trend(scale: SimScale, shards: Option<usize>, threads: Option<usize>) {
-    let name = scale.name;
-    let roots = scale.roots;
+fn trend(config: FleetConfig) {
+    let name = config.scale.name;
+    let roots = config.scale.roots;
     let t0 = std::time::Instant::now();
-    let run = run_configured(scale, shards, threads, FaultScenario::none());
+    let run = run_fleet(config);
     let secs = t0.elapsed().as_secs_f64();
     let rss = peak_rss_bytes().map_or("n/a".to_string(), |b| {
         format!("{:.0} MB", b as f64 / (1024.0 * 1024.0))

@@ -49,9 +49,9 @@
 //! any check misses, so CI can gate on shape fidelity.
 
 use rpclens_bench::ablation::{render_retry_budget, run_retry_budget_ablation};
-use rpclens_bench::{produce, run_configured_opts, scale_by_name, Artifact};
+use rpclens_bench::{produce, scale_by_name, Artifact};
 use rpclens_core::figs::fig23;
-use rpclens_fleet::driver::SimScale;
+use rpclens_fleet::driver::{run_fleet, FleetConfig, SimScale};
 use rpclens_fleet::faults::FaultScenario;
 use rpclens_fleet::telemetry::{detector_bands, manifest_for_run, slo_findings};
 use rpclens_obs::detect::render_findings;
@@ -200,7 +200,13 @@ fn main() {
             scale.name, scale.total_methods, scale.roots, scale.seed, faults.name
         );
         let t0 = std::time::Instant::now();
-        let run = run_configured_opts(scale, shards, threads, faults, progress);
+        let defaults = FleetConfig::at_scale(scale).with_faults(faults);
+        let run = run_fleet(FleetConfig {
+            shards: shards.unwrap_or(defaults.shards),
+            threads: threads.unwrap_or(defaults.threads),
+            progress,
+            ..defaults
+        });
         eprintln!(
             "simulated {} spans in {} traces ({:.1}s)",
             run.total_spans,

@@ -7,8 +7,7 @@ pub mod wire;
 pub mod wiretrace;
 
 use rpclens_core::check::ExpectationSet;
-use rpclens_fleet::driver::{run_fleet, FleetConfig, FleetRun, SimScale};
-use rpclens_fleet::faults::FaultScenario;
+use rpclens_fleet::driver::{FleetRun, SimScale};
 use rpclens_fleet::growth::GrowthConfig;
 
 /// Every regenerable artifact.
@@ -278,68 +277,6 @@ pub fn peak_rss_bytes() -> Option<u64> {
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb * 1024)
-}
-
-/// Runs the fleet at a scale preset.
-pub fn run_at(scale: SimScale) -> FleetRun {
-    run_fleet(FleetConfig::at_scale(scale))
-}
-
-/// Runs the fleet at a scale preset with an explicit shard count.
-///
-/// `None` keeps the default (one shard per available core). Output is
-/// bit-identical regardless of the shard count.
-pub fn run_at_sharded(scale: SimScale, shards: Option<usize>) -> FleetRun {
-    run_at_sharded_faults(scale, shards, FaultScenario::none())
-}
-
-/// Runs the fleet at a scale preset with an explicit shard count and
-/// fault scenario. `FaultScenario::none()` reproduces [`run_at_sharded`]
-/// bit for bit; any other scenario is still shard-count-invariant.
-pub fn run_at_sharded_faults(
-    scale: SimScale,
-    shards: Option<usize>,
-    faults: FaultScenario,
-) -> FleetRun {
-    run_configured(scale, shards, None, faults)
-}
-
-/// Runs the fleet with every execution knob explicit: shard count,
-/// worker-pool thread count, and fault scenario.
-///
-/// `None` keeps the respective default (one shard and one thread per
-/// available core). Both knobs are pure wall-clock controls — output is
-/// bit-identical at any (shards, threads) combination, which
-/// `tests/pool_determinism.rs` pins against the golden digests.
-pub fn run_configured(
-    scale: SimScale,
-    shards: Option<usize>,
-    threads: Option<usize>,
-    faults: FaultScenario,
-) -> FleetRun {
-    run_configured_opts(scale, shards, threads, faults, false)
-}
-
-/// [`run_configured`] plus the progress switch: when `progress` is set
-/// the driver reports per-shard completion on stderr (roots/s, spans/s,
-/// wall clock). Progress output never feeds an artifact, so digests are
-/// unaffected.
-pub fn run_configured_opts(
-    scale: SimScale,
-    shards: Option<usize>,
-    threads: Option<usize>,
-    faults: FaultScenario,
-    progress: bool,
-) -> FleetRun {
-    let mut config = FleetConfig::at_scale(scale).with_faults(faults);
-    if let Some(shards) = shards {
-        config.shards = shards;
-    }
-    if let Some(threads) = threads {
-        config.threads = threads;
-    }
-    config.progress = progress;
-    run_fleet(config)
 }
 
 #[cfg(test)]

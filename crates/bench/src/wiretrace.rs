@@ -57,6 +57,7 @@ use rpclens_simcore::time::{SimDuration, SimTime};
 use rpclens_trace::collector::TraceStore;
 use rpclens_trace::span::{MethodId, ServiceId, SpanBuilder, TraceData};
 use rpclens_tsdb::metric::{Labels, MetricDescriptor, MetricValue};
+use rpclens_tsdb::query::QueryEngine;
 use rpclens_tsdb::store::TimeSeriesDb;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -727,32 +728,30 @@ fn analyse(recorder: &WireTraceRecorder) -> (Vec<Finding>, usize, TimeSeriesDb) 
             .expect("registered metric accepts counters");
         }
     }
-    // Reconstruct per-window rows from the streamed series (the same
-    // delta-of-cumulative walk `QueryEngine::rate` does).
-    let deltas = |name: &str| -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        if let Some(series) = db.series(name, &Labels::empty()) {
-            let mut prev = 0u64;
-            for (t, v) in series.points() {
-                if let Some(c) = v.as_counter() {
-                    out.push((t.as_nanos() / period.as_nanos().max(1), c - prev));
-                    prev = c;
-                }
-            }
-        }
-        out
+    // Reconstruct per-window rows from the streamed series. Every
+    // sample writes all six lanes, so they hold the same points.
+    let lane = |name: &str| -> Vec<(SimTime, u64)> {
+        db.series(name, &Labels::empty())
+            .map(QueryEngine::deltas)
+            .unwrap_or_default()
     };
-    let rpcs = deltas("wire/rpcs/count");
-    let errors: HashMap<u64, u64> = deltas("wire/errors/count").into_iter().collect();
-    let retries: HashMap<u64, u64> = deltas("wire/retransmissions/count").into_iter().collect();
+    let rpcs = lane("wire/rpcs/count");
+    let errors = lane("wire/errors/count");
+    let retries = lane("wire/retransmissions/count");
+    assert!(
+        errors.len() == rpcs.len() && retries.len() == rpcs.len(),
+        "wire lanes cover different windows"
+    );
     let windows: Vec<WindowSample> = rpcs
         .iter()
-        .map(|&(w, rpcs)| WindowSample {
-            window: w,
-            rpcs,
-            errors: errors.get(&w).copied().unwrap_or(0),
+        .zip(&errors)
+        .zip(&retries)
+        .map(|(((t, rpcs), (_, errors)), (_, retries))| WindowSample {
+            window: t.as_nanos() / period.as_nanos(),
+            rpcs: *rpcs,
+            errors: *errors,
             congested_wire: 0,
-            retries: retries.get(&w).copied().unwrap_or(0),
+            retries: *retries,
         })
         .collect();
     let mut findings = detect::error_budget_burn(&SloConfig::default(), &windows);

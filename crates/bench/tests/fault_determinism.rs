@@ -14,9 +14,8 @@
 //!    `crates/bench/FAULT_SMOKE_DIGEST`, the same value the CI
 //!    fault-smoke step greps for. Re-baseline both together, never one.
 
-use rpclens_bench::{run_at_sharded_faults, run_configured};
 use rpclens_core::figs::fig23;
-use rpclens_fleet::driver::{FleetRun, SimScale};
+use rpclens_fleet::driver::{run_fleet, FleetConfig, FleetRun, SimScale};
 use rpclens_fleet::faults::FaultScenario;
 use rpclens_fleet::telemetry::{manifest_for_run, slo_findings, DEFAULT_TAIL_TOLERANCE};
 use rpclens_obs::{Severity, SloConfig};
@@ -44,7 +43,10 @@ fn incident_smoke_digest() -> u64 {
 }
 
 fn smoke_run(faults: FaultScenario, shards: usize) -> FleetRun {
-    run_at_sharded_faults(SimScale::smoke(), Some(shards), faults)
+    run_fleet(FleetConfig {
+        shards,
+        ..FleetConfig::at_scale(SimScale::smoke()).with_faults(faults)
+    })
 }
 
 #[test]
@@ -117,12 +119,12 @@ fn incident_smoke_is_bit_identical_across_shards_and_threads() {
     let mut reference: Option<rpclens_obs::RunManifest> = None;
     for shards in [1usize, 4] {
         for threads in [1usize, 4] {
-            let run = run_configured(
-                SimScale::smoke(),
-                Some(shards),
-                Some(threads),
-                FaultScenario::incident_smoke(),
-            );
+            let run = run_fleet(FleetConfig {
+                shards,
+                threads,
+                ..FleetConfig::at_scale(SimScale::smoke())
+                    .with_faults(FaultScenario::incident_smoke())
+            });
             let manifest = manifest_for_run(&run);
             assert_eq!(
                 manifest.digest(),

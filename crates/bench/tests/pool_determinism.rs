@@ -5,18 +5,19 @@
 //! knob, so this file pins the full (shards, threads) matrix against
 //! both committed golden digests — the fault-free smoke manifest digest
 //! and the chaos-smoke digest in `crates/bench/FAULT_SMOKE_DIGEST` —
-//! and property-tests the order-restoring merge (`fleet::pool::OrderedFold`)
-//! directly: whatever order workers *complete* shards in, the fold is
-//! applied in shard-id order, so merged accumulators never depend on
-//! scheduling.
+//! plus the per-window counter rows the SLO detectors read (adjacent
+//! shards share boundary windows), and property-tests the
+//! order-restoring merge (`fleet::pool::OrderedFold`) directly: whatever
+//! order workers *complete* shards in, the fold is applied in shard-id
+//! order, so merged accumulators never depend on scheduling.
 
 use proptest::prelude::*;
-use rpclens_bench::run_configured;
-use rpclens_fleet::driver::SimScale;
+use rpclens_fleet::driver::{run_fleet, FleetConfig, FleetRun, SimScale, WINDOW_LANES};
 use rpclens_fleet::faults::FaultScenario;
 use rpclens_fleet::pool::OrderedFold;
-use rpclens_fleet::telemetry::manifest_for_run;
-use rpclens_obs::ShardCounters;
+use rpclens_fleet::telemetry::{manifest_for_run, window_samples};
+use rpclens_obs::{ShardCounters, WindowSample};
+use rpclens_tsdb::metric::Labels;
 
 /// Golden fault-free smoke digest; must match the value pinned in
 /// `telemetry_determinism.rs`.
@@ -30,19 +31,37 @@ fn fault_smoke_digest() -> u64 {
         .expect("FAULT_SMOKE_DIGEST holds one u64")
 }
 
+fn smoke_run(faults: FaultScenario, shards: usize, threads: usize) -> FleetRun {
+    run_fleet(FleetConfig {
+        shards,
+        threads,
+        ..FleetConfig::at_scale(SimScale::smoke()).with_faults(faults)
+    })
+}
+
+/// The run's TSDB holds exactly the four `driver/*` window lanes.
+fn assert_only_window_lanes(run: &FleetRun) {
+    assert_eq!(run.tsdb.num_series(), WINDOW_LANES.len());
+    for (name, _) in WINDOW_LANES {
+        assert!(
+            run.tsdb.series(name, &Labels::empty()).is_some(),
+            "missing {name}"
+        );
+    }
+}
+
 /// The acceptance matrix: every (shards, threads) combination in
-/// {1,4}×{1,4} must reproduce both golden digests bit for bit, and the
-/// manifest's runtime section must record the actual execution shape.
+/// {1,4}×{1,4} must reproduce both golden digests bit for bit and the
+/// 1×1 run's window rows, and the manifest's runtime section must
+/// record the actual execution shape.
 #[test]
 fn golden_digests_hold_across_the_shards_threads_matrix() {
+    // Window rows of the 1×1 runs (fault-free, chaos-smoke): the first
+    // matrix cell fills them, every later cell compares against them.
+    let mut reference: Option<(Vec<WindowSample>, Vec<WindowSample>)> = None;
     for shards in [1usize, 4] {
         for threads in [1usize, 4] {
-            let run = run_configured(
-                SimScale::smoke(),
-                Some(shards),
-                Some(threads),
-                FaultScenario::none(),
-            );
+            let run = smoke_run(FaultScenario::none(), shards, threads);
             let manifest = manifest_for_run(&run);
             assert_eq!(
                 manifest.digest(),
@@ -54,12 +73,7 @@ fn golden_digests_hold_across_the_shards_threads_matrix() {
             assert_eq!(manifest.runtime.shards, shards);
             assert_eq!(manifest.runtime.threads, threads.min(shards));
 
-            let faulted = run_configured(
-                SimScale::smoke(),
-                Some(shards),
-                Some(threads),
-                FaultScenario::chaos_smoke(),
-            );
+            let faulted = smoke_run(FaultScenario::chaos_smoke(), shards, threads);
             let faulted_manifest = manifest_for_run(&faulted);
             assert_eq!(
                 faulted_manifest.digest(),
@@ -74,6 +88,24 @@ fn golden_digests_hold_across_the_shards_threads_matrix() {
                     .scenario,
                 "chaos-smoke"
             );
+
+            assert_only_window_lanes(&run);
+            assert_only_window_lanes(&faulted);
+            let rows = (window_samples(&run), window_samples(&faulted));
+            match &reference {
+                None => {
+                    // 48 half-hour windows over the simulated day; the
+                    // 4-shard split cuts windows 17, 26 and 35 between
+                    // adjacent shards, whose halves must sum back.
+                    assert_eq!(rows.0.len(), 48);
+                    assert!(rows.1.iter().any(|w| w.retries > 0));
+                    reference = Some(rows);
+                }
+                Some(first) => assert_eq!(
+                    first, &rows,
+                    "window rows differ from 1x1 at shards={shards} threads={threads}"
+                ),
+            }
         }
     }
 }

@@ -27,7 +27,6 @@ use crate::conditions::{Environment, Unavailable};
 use crate::control::{admission_verdict, AdmissionVerdict};
 use crate::faults::FaultScenario;
 use crate::pool;
-use crate::streamagg;
 use crate::workload::{RootArrival, Workload};
 use rpclens_cluster::exogenous::ExogenousProfile;
 use rpclens_cluster::machine::{Machine, MachineConfig, MachineId};
@@ -36,6 +35,7 @@ use rpclens_cluster::site::DensePairMap;
 use rpclens_netsim::latency::{Network, NetworkConfig};
 use rpclens_netsim::topology::{ClusterId, Topology};
 use rpclens_obs::telemetry::{PhaseTimings, RunTelemetry, ShardCounters, ShardReport};
+use rpclens_obs::WindowSample;
 use rpclens_profiler::{CycleProfiler, ErrorAccounting};
 use rpclens_rpcstack::component::{LatencyBreakdown, LatencyComponent};
 use rpclens_rpcstack::cost::{CycleCategory, CycleCost, StackCostConfig, StackCostModel};
@@ -49,7 +49,7 @@ use rpclens_simcore::rng::Prng;
 use rpclens_simcore::time::{SimDuration, SimTime};
 use rpclens_trace::collector::{TraceCollector, TraceStore};
 use rpclens_trace::span::{MethodId, ServiceId, SpanBuilder, SpanRecord, TraceData, ROOT_PARENT};
-use rpclens_tsdb::metric::{Labels, MetricDescriptor, MetricValue};
+use rpclens_tsdb::metric::{Labels, MetricDescriptor};
 use rpclens_tsdb::store::TimeSeriesDb;
 use std::sync::Mutex as StdMutex;
 use std::time::Instant;
@@ -126,8 +126,8 @@ impl SimScale {
     /// 1,024 trace trees and the profiler keeps at most 256
     /// normalized-cycle samples per method (both pure retention
     /// decisions: every tree is still simulated and every cycle still
-    /// counted; see `docs/PERFORMANCE.md`). Aggregation state streams
-    /// through `crate::streamagg` one window at a time. The measured
+    /// counted; see `docs/PERFORMANCE.md`). Window counters are one
+    /// small row per 30-minute window per shard. The measured
     /// budget is documented in `docs/PERFORMANCE.md` and gated by
     /// `bench-ceiling rss` in CI.
     pub fn fleet() -> Self {
@@ -287,7 +287,8 @@ pub struct FleetRun {
     pub profiler: CycleProfiler,
     /// Error accounting.
     pub errors: ErrorAccounting,
-    /// Monitoring database (per-service counters, exogenous gauges).
+    /// Monitoring database: the per-window `driver/*` counter lanes
+    /// ([`WINDOW_LANES`]).
     pub tsdb: TimeSeriesDb,
     /// Per-method total simulated calls (including unsampled traces).
     pub method_calls: Vec<u64>,
@@ -327,6 +328,38 @@ impl FleetRun {
     }
 }
 
+/// A counter lane name paired with the [`WindowSample`] field it carries.
+pub type WindowLane = (&'static str, fn(&WindowSample) -> u64);
+
+/// The per-window counter lanes the driver writes to the TSDB. Every
+/// lane holds one cumulative point per window that saw a root.
+pub const WINDOW_LANES: [WindowLane; 4] = [
+    ("driver/rpcs/count", |row| row.rpcs),
+    ("driver/errors/count", |row| row.errors),
+    ("driver/wire/congested", |row| row.congested_wire),
+    ("driver/retries/count", |row| row.retries),
+];
+
+/// Adds `row` to the last row of the window-ascending `rows` when both
+/// cover the same window, and appends it otherwise.
+fn add_to_window(rows: &mut Vec<WindowSample>, row: WindowSample) {
+    match rows.last_mut() {
+        Some(last) if last.window == row.window => {
+            last.rpcs += row.rpcs;
+            last.errors += row.errors;
+            last.congested_wire += row.congested_wire;
+            last.retries += row.retries;
+        }
+        _ => {
+            debug_assert!(
+                rows.last().is_none_or(|last| last.window < row.window),
+                "window rows out of order"
+            );
+            rows.push(row);
+        }
+    }
+}
+
 /// Runs the fleet simulation.
 pub fn run_fleet(config: FleetConfig) -> FleetRun {
     Driver::new(config).run()
@@ -349,11 +382,6 @@ struct TraceCtx {
     retry_budget: Option<RetryBudget>,
     /// Retry attempts issued while expanding this trace.
     retries: u64,
-    /// Calls shed at a bounded admission queue while expanding this trace.
-    admission_shed: u64,
-    /// Calls abandoned at a bounded admission queue while expanding this
-    /// trace.
-    admission_abandoned: u64,
 }
 
 /// One call to place: everything `place_call`, `place_attempt` and
@@ -695,22 +723,6 @@ impl Driver {
         let shards = roots.len().div_ceil(chunk).max(1);
         let threads = self.config.threads.clamp(1, shards);
 
-        // Streaming window aggregation (`crate::streamagg`): the sink
-        // receives finalized windows while shards are still running, so
-        // no shard ever materializes the full `(service, window)` grid.
-        // `first_windows[j]` is the window of shard j's first root —
-        // non-decreasing in j because roots are in arrival order — and
-        // bounds which merged windows are final once shard j has folded.
-        let window = rpclens_tsdb::DEFAULT_SAMPLE_PERIOD;
-        let sink = streamagg::WindowSink::new(self.catalog.num_services(), window.as_nanos());
-        let first_windows: Vec<usize> = (0..shards)
-            .map(|j| {
-                roots
-                    .get(j * chunk)
-                    .map_or(0, |r| (r.at.as_nanos() / window.as_nanos()) as usize)
-            })
-            .collect();
-
         // Workers claim shard ids from a shared counter and stream each
         // completed shard into an order-restoring fold (`crate::pool`):
         // the accumulator absorbs shard i only after shards 0..i, so the
@@ -729,18 +741,9 @@ impl Driver {
             |id| {
                 let shard_start = Instant::now();
                 let mut shard = Shard::new(&self);
-                if id == 0 {
-                    // Shard 0 streams closed windows straight to the sink:
-                    // anything it closes mid-run is below every other
-                    // shard's first window, so it is already final. (Its
-                    // final *open* window stays in `closed` — shard 1 may
-                    // share it.)
-                    shard.live = Some(&sink);
-                }
                 let lo = id * chunk;
                 let hi = (lo + chunk).min(roots.len());
                 shard.run_roots(&roots[lo..hi], lo, &collector);
-                shard.seal();
                 {
                     let mut done = reports.lock().expect("report lock");
                     done.push(ShardReport {
@@ -773,20 +776,9 @@ impl Driver {
                 }
                 shard
             },
-            |acc, next, id| {
+            |acc, next, _id| {
                 let merge_start = Instant::now();
                 acc.absorb(next);
-                // Eager window flush: after shard `id` folds, every
-                // accumulated window below shard `id + 1`'s first window
-                // can never receive another contribution — stream it to
-                // the sink and drop it, so merged window state never
-                // accumulates across the run.
-                if let Some(&bound) = first_windows.get(id + 1) {
-                    let cut = acc.closed.partition_point(|cw| cw.w < bound);
-                    for cw in acc.closed.drain(..cut) {
-                        sink.push(&cw);
-                    }
-                }
                 *merge_ms.lock().expect("merge-time lock") +=
                     merge_start.elapsed().as_secs_f64() * 1e3;
             },
@@ -802,83 +794,27 @@ impl Driver {
             errors,
             method_calls,
             method_bytes,
-            closed,
+            windows,
             counters,
             total_spans,
             ..
         } = merged;
         debug_assert_eq!(counters.spans, total_spans);
 
-        // Final window flush: whatever the last fold could not prove
-        // final (at most the tail windows at or above the last shard's
-        // first window) drains now.
-        for cw in &closed {
-            sink.push(cw);
-        }
-
-        // Flush counters and representative exogenous gauges to the TSDB.
+        // Write the merged window rows out as cumulative counter lanes:
+        // the Monarch idiom the SLO detectors read back per window.
         let tsdb_start = Instant::now();
         let retention = SimDuration::from_hours(24 * 700);
-        let mut tsdb = TimeSeriesDb::new(window);
-        tsdb.register(MetricDescriptor::counter("rpc/server/count", retention))
-            .expect("fresh tsdb");
-        tsdb.register(MetricDescriptor::gauge(
-            "machine/cpu/utilization",
-            retention,
-        ))
-        .expect("fresh tsdb");
-        // Driver self-telemetry streams: live fleet metrics the
-        // observability plane's detectors read back per window.
-        tsdb.register(MetricDescriptor::counter("driver/rpcs/count", retention))
-            .expect("fresh tsdb");
-        tsdb.register(MetricDescriptor::counter("driver/errors/count", retention))
-            .expect("fresh tsdb");
-        tsdb.register(MetricDescriptor::counter(
-            "driver/wire/congested",
-            retention,
-        ))
-        .expect("fresh tsdb");
-        tsdb.register(MetricDescriptor::counter("driver/retries/count", retention))
-            .expect("fresh tsdb");
-        tsdb.register(MetricDescriptor::counter(
-            "driver/admission/shed",
-            retention,
-        ))
-        .expect("fresh tsdb");
-        tsdb.register(MetricDescriptor::counter(
-            "driver/admission/abandoned",
-            retention,
-        ))
-        .expect("fresh tsdb");
-        // Install the streamed counter series. The sink accumulated
-        // exactly the point streams the retired dense-grid scan produced
-        // — skip-zero per-service rows, aligned driver streams on every
-        // window with at least one call — as the `streamagg` equivalence
-        // proptest pins, so the resulting TSDB is byte-identical.
-        sink.install(&mut tsdb, |svc| {
-            self.catalog.service(ServiceId(svc)).name.clone()
-        })
-        .expect("registered");
-        for svc in self.catalog.services().iter().take(12) {
-            for site in svc.clusters.iter().take(4) {
-                if let Some(s) = self.sites.get(svc.id.0, site.0) {
-                    let labels = Labels::from_pairs([
-                        ("service", svc.name.clone()),
-                        ("cluster", format!("{}", site.0)),
-                    ]);
-                    let mut t = SimTime::ZERO;
-                    while t.as_nanos() < scale.duration.as_nanos() {
-                        tsdb.write(
-                            "machine/cpu/utilization",
-                            labels.clone(),
-                            t,
-                            MetricValue::Gauge(s.load.sample(t).cpu_util),
-                        )
-                        .expect("registered");
-                        t += window;
-                    }
-                }
-            }
+        let mut tsdb = TimeSeriesDb::new(rpclens_tsdb::DEFAULT_SAMPLE_PERIOD);
+        for (name, field) in WINDOW_LANES {
+            tsdb.register(MetricDescriptor::counter(name, retention))
+                .expect("fresh tsdb");
+            tsdb.write_cumulative(
+                name,
+                Labels::empty(),
+                windows.iter().map(|row| (row.window as usize, field(row))),
+            )
+            .expect("registered");
         }
         phases.record("tsdb", tsdb_start.elapsed().as_secs_f64() * 1e3);
 
@@ -923,18 +859,10 @@ struct Shard<'a> {
     errors: ErrorAccounting,
     method_calls: Vec<u64>,
     method_bytes: Vec<u64>,
-    /// Streaming window accumulator: the open window's dense per-service
-    /// column plus root-keyed scalar deltas, O(services) resident.
-    agg: streamagg::WindowAgg,
-    /// Windows this shard closed that are not yet known to be final:
-    /// ascending, sparse. Shard 0 streams its mid-run closures straight
-    /// to the sink, so this holds at most its final open window; other
-    /// shards buffer until the ordered fold proves their windows final.
-    closed: Vec<streamagg::ClosedWindow>,
-    /// The shared sink, present only on the shard allowed to stream
-    /// live (shard 0 — every window it closes mid-run precedes every
-    /// other shard's first window).
-    live: Option<&'a streamagg::WindowSink>,
+    /// One counter row per root window, window-ascending: every span,
+    /// error, congested wire traversal and retry of a root counts in the
+    /// root's window.
+    windows: Vec<WindowSample>,
     /// Fault, incident and control planes: seed-derived trajectories
     /// and controller timelines, identical in every shard (controllers
     /// never read shard-local counters).
@@ -964,9 +892,7 @@ impl<'a> Shard<'a> {
             errors: ErrorAccounting::new(),
             method_calls: vec![0; n_methods],
             method_bytes: vec![0; n_methods],
-            agg: streamagg::WindowAgg::new(world.catalog.num_services()),
-            closed: Vec::new(),
-            live: None,
+            windows: Vec::new(),
             env: Environment::new(
                 &world.config.faults,
                 world.config.scale.seed,
@@ -1016,8 +942,6 @@ impl<'a> Shard<'a> {
                     .filter(|_| self.world.config.retry_budget_enabled)
                     .map(|rs| RetryBudget::new(rs.budget_ratio, rs.budget_cap)),
                 retries: 0,
-                admission_shed: 0,
-                admission_abandoned: 0,
             };
             // Root deadline: log-uniform between the budget bounds —
             // the scenario-wide bounds in global mode (spanning
@@ -1058,27 +982,17 @@ impl<'a> Shard<'a> {
             self.counters
                 .root_latency_us
                 .record(finish.since(root.at).as_nanos() / 1_000);
-            // Window accounting for every span, sampled or not. All of a
-            // root's spans land in the *root's* window; roots arrive in
-            // time order, so crossing a window boundary closes the open
-            // window — final immediately for the live shard, buffered
-            // for the ordered fold otherwise.
-            let w = (root.at.as_nanos() / window.as_nanos()) as usize;
-            if let Some(cw) = self.agg.advance(w) {
-                match self.live {
-                    Some(sink) => sink.push(&cw),
-                    None => self.closed.push(cw),
-                }
-            }
-            for span in &ctx.spans {
-                self.agg.add_call(span.service.0);
-            }
-            self.agg.add_scalars(
-                ctx.errors,
-                ctx.congested_wire,
-                ctx.retries,
-                ctx.admission_shed,
-                ctx.admission_abandoned,
+            // Window accounting for every span, sampled or not: all of a
+            // root's counts land in the *root's* window.
+            add_to_window(
+                &mut self.windows,
+                WindowSample {
+                    window: root.at.as_nanos() / window.as_nanos(),
+                    rpcs: ctx.spans.len() as u64,
+                    errors: ctx.errors,
+                    congested_wire: ctx.congested_wire,
+                    retries: ctx.retries,
+                },
             );
             // Retention: sampling decides whether the spans are *kept*,
             // never whether they are simulated. A sampled trace copies
@@ -1093,20 +1007,8 @@ impl<'a> Shard<'a> {
         }
     }
 
-    /// Closes the final open window into the shard's closed-window log.
-    ///
-    /// Called once, after the shard's last root. Even the live shard
-    /// buffers its final window instead of streaming it: the next shard
-    /// in id order may have roots in the same window, and only the
-    /// ordered fold can coalesce the two halves.
-    fn seal(&mut self) {
-        if let Some(cw) = self.agg.finish() {
-            self.closed.push(cw);
-        }
-    }
-
     /// Folds `other` (the next shard in id order) into this one.
-    fn absorb(&mut self, mut other: Shard<'_>) {
+    fn absorb(&mut self, other: Shard<'_>) {
         self.store.merge(other.store);
         self.profiler.merge(other.profiler);
         self.errors.merge(&other.errors);
@@ -1116,7 +1018,10 @@ impl<'a> Shard<'a> {
         for (a, b) in self.method_bytes.iter_mut().zip(&other.method_bytes) {
             *a += b;
         }
-        streamagg::absorb_closed(&mut self.closed, std::mem::take(&mut other.closed));
+        // Adjacent shards can share one boundary window; it sums.
+        for row in other.windows {
+            add_to_window(&mut self.windows, row);
+        }
         self.counters.absorb(&other.counters);
         self.total_spans += other.total_spans;
     }
@@ -1449,13 +1354,11 @@ impl<'a> Shard<'a> {
                 AdmissionVerdict::Shed => {
                     self.counters.control.admission_shed += 1;
                     self.counters.resilience.load_sheds += 1;
-                    ctx.admission_shed += 1;
                     cluster_level = true;
                     Some(ErrorKind::NoResource)
                 }
                 AdmissionVerdict::Abandoned => {
                     self.counters.control.admission_abandoned += 1;
-                    ctx.admission_abandoned += 1;
                     Some(ErrorKind::Aborted)
                 }
             }
@@ -1803,16 +1706,14 @@ mod tests {
     #[test]
     fn tsdb_contains_service_counters() {
         let run = tiny_run();
-        let q = rpclens_tsdb::query::QueryEngine::new(&run.tsdb);
-        let all = q.select("rpc/server/count", &rpclens_tsdb::query::LabelFilter::any());
-        assert!(!all.is_empty(), "no counter series");
-        // Rates must be positive somewhere.
-        let has_rate = all.iter().any(|(_, s)| {
-            rpclens_tsdb::query::QueryEngine::rate(s)
-                .iter()
-                .any(|(_, r)| *r > 0.0)
-        });
-        assert!(has_rate);
+        let rpcs = run
+            .tsdb
+            .series("driver/rpcs/count", &Labels::empty())
+            .expect("rpc lane");
+        // 48 half-hour windows over the simulated day.
+        assert!(rpcs.len() >= 40, "only {} windows", rpcs.len());
+        let rates = rpclens_tsdb::query::QueryEngine::rate(rpcs);
+        assert!(rates.iter().any(|(_, r)| *r > 0.0));
     }
 
     #[test]

@@ -13,16 +13,11 @@
 //!   stack cost model, geographic network with congestion, analytic M/G/k
 //!   server queueing coupled to exogenous machine state, nested fan-out,
 //!   hedging, and error injection. Spans stream into the tracer, cycles
-//!   into the profiler, and counters into the TSDB.
+//!   into the profiler, and one counter row per window into the TSDB.
 //! - [`pool`]: the dependency-free worker pool the driver runs shards
 //!   on — a bounded set of threads claiming shard ids from a shared
 //!   counter, with an order-restoring streaming merge ([`pool::OrderedFold`])
 //!   so results stay bit-identical at any `--threads` value.
-//! - [`streamagg`]: bounded-memory streaming window aggregation — the
-//!   per-shard open-window accumulator and the shared sink that builds
-//!   the TSDB's cumulative counter series incrementally, so peak
-//!   aggregation state is O(services × 1 window) instead of
-//!   O(services × windows) per shard.
 //! - [`faults`]: the fault-injection plane — named failure scenarios
 //!   (machine churn, drains, WAN partitions, overload surges) plus the
 //!   client resilience configuration (deadlines, budgeted retries) the
@@ -58,7 +53,6 @@ pub mod growth;
 pub mod incident;
 pub mod pool;
 pub mod servable;
-pub mod streamagg;
 pub mod telemetry;
 pub mod workload;
 

@@ -80,11 +80,7 @@ impl<T> OrderedFold<T> {
     ///
     /// The first item (index 0) seeds the accumulator; each subsequent
     /// in-order item is merged with `fold(&mut acc, item, index)`, where
-    /// `index` is the id of the item being folded. The index lets the
-    /// fold make frontier decisions — the fleet driver uses it to flush
-    /// every aggregation window no later shard can touch the moment
-    /// shard `index` folds, which is what keeps merged window state from
-    /// accumulating across the whole run.
+    /// `index` is the id of the item being folded.
     ///
     /// # Panics
     /// Panics if `index` was already folded or is already parked — both

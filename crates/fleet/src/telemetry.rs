@@ -13,7 +13,7 @@
 //! counters the driver wrote in sorted window order.
 
 use crate::control::ControlPlane;
-use crate::driver::FleetRun;
+use crate::driver::{FleetRun, WINDOW_LANES};
 use crate::incident::IncidentPlane;
 use rpclens_obs::{
     error_budget_burn, metastable_overload, retry_storm, tail_regression, Finding,
@@ -22,7 +22,8 @@ use rpclens_obs::{
 };
 use rpclens_rpcstack::cost::CycleCategory;
 use rpclens_rpcstack::error::ErrorKind;
-use rpclens_tsdb::metric::{Labels, MetricValue};
+use rpclens_tsdb::metric::Labels;
+use rpclens_tsdb::query::QueryEngine;
 use std::collections::HashMap;
 
 /// Default fractional tolerance for tail-latency regression checks.
@@ -177,38 +178,35 @@ fn controller_rows(run: &FleetRun) -> Vec<(String, u64)> {
 }
 
 /// Reconstructs per-window [`WindowSample`] rows from the driver's
-/// cumulative `driver/*` TSDB streams. The driver writes all four
-/// streams on the same window set, so the join is point-by-point.
+/// cumulative `driver/*` lanes ([`WINDOW_LANES`]). The driver writes
+/// every lane on the same window set, so the lanes zip point by point.
 pub fn window_samples(run: &FleetRun) -> Vec<WindowSample> {
     let period = rpclens_tsdb::DEFAULT_SAMPLE_PERIOD.as_nanos();
-    let deltas = |metric: &str| -> HashMap<u64, u64> {
-        let mut out = HashMap::new();
-        if let Some(series) = run.tsdb.series(metric, &Labels::empty()) {
-            let mut prev = 0u64;
-            for (t, v) in series.points() {
-                if let MetricValue::Counter(c) = v {
-                    out.insert(t.as_nanos() / period, c.saturating_sub(prev));
-                    prev = *c;
-                }
-            }
-        }
-        out
-    };
-    let rpcs = deltas("driver/rpcs/count");
-    let errors = deltas("driver/errors/count");
-    let congested = deltas("driver/wire/congested");
-    let retries = deltas("driver/retries/count");
-    let mut windows: Vec<u64> = rpcs.keys().copied().collect();
-    windows.sort_unstable();
-    windows
-        .into_iter()
-        .map(|w| WindowSample {
-            window: w,
-            rpcs: rpcs.get(&w).copied().unwrap_or(0),
-            errors: errors.get(&w).copied().unwrap_or(0),
-            congested_wire: congested.get(&w).copied().unwrap_or(0),
-            retries: retries.get(&w).copied().unwrap_or(0),
-        })
+    let [rpcs, errors, congested, retries] = WINDOW_LANES.map(|(name, _)| {
+        run.tsdb
+            .series(name, &Labels::empty())
+            .map(QueryEngine::deltas)
+            .unwrap_or_default()
+    });
+    assert!(
+        [&errors, &congested, &retries]
+            .iter()
+            .all(|lane| lane.len() == rpcs.len()),
+        "driver lanes cover different windows"
+    );
+    rpcs.iter()
+        .zip(&errors)
+        .zip(&congested)
+        .zip(&retries)
+        .map(
+            |((((t, rpcs), (_, errors)), (_, congested)), (_, retries))| WindowSample {
+                window: t.as_nanos() / period,
+                rpcs: *rpcs,
+                errors: *errors,
+                congested_wire: *congested,
+                retries: *retries,
+            },
+        )
         .collect()
 }
 

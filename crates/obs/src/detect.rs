@@ -44,7 +44,7 @@ impl Default for SloConfig {
 }
 
 /// One aggregation window of driver counters.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WindowSample {
     /// Window index (aligned simulated time / window length).
     pub window: u64,

@@ -7,10 +7,10 @@
 //!
 //! - [`metric`]: metric kinds (counter, gauge, distribution), label sets,
 //!   and descriptors with retention policies.
-//! - [`store`]: the time-series store with aligned sampling windows,
-//!   retention enforcement, and downsampling.
-//! - [`query`]: selection by name/label, rate computation for counters,
-//!   alignment, and grouped aggregation.
+//! - [`store`]: the time-series store with aligned sampling windows and
+//!   retention enforcement.
+//! - [`query`]: selection by name/label, and rates and per-window deltas
+//!   of counters.
 
 pub mod metric;
 pub mod query;

@@ -1,9 +1,8 @@
-//! Query layer: selection, counter rates, and grouped aggregation.
+//! Query layer: selection, counter rates and per-window deltas.
 
 use crate::metric::{Labels, MetricValue};
 use crate::store::{Series, TimeSeriesDb};
 use rpclens_simcore::time::SimTime;
-use std::collections::BTreeMap;
 
 /// A label predicate for selecting series.
 #[derive(Debug, Clone, Default)]
@@ -74,6 +73,24 @@ impl<'a> QueryEngine<'a> {
         out
     }
 
+    /// Converts a cumulative counter series back to per-point deltas:
+    /// each point's reading less the previous one (the first point's
+    /// less zero). Counter resets (decreases) yield a zero delta, as in
+    /// [`QueryEngine::rate`].
+    pub fn deltas(series: &Series) -> Vec<(SimTime, u64)> {
+        let mut prev = 0u64;
+        series
+            .points()
+            .iter()
+            .filter_map(|(t, v)| {
+                let c = v.as_counter()?;
+                let delta = c.saturating_sub(prev);
+                prev = c;
+                Some((*t, delta))
+            })
+            .collect()
+    }
+
     /// Extracts gauge values as `(time, value)` pairs.
     pub fn gauges(series: &Series) -> Vec<(SimTime, f64)> {
         series
@@ -81,30 +98,6 @@ impl<'a> QueryEngine<'a> {
             .iter()
             .filter_map(|(t, v)| v.as_gauge().map(|g| (*t, g)))
             .collect()
-    }
-
-    /// Groups selected series by one label key and sums gauge values per
-    /// timestamp within each group.
-    pub fn group_sum(
-        &self,
-        metric: &str,
-        filter: &LabelFilter,
-        group_key: &str,
-    ) -> BTreeMap<String, BTreeMap<SimTime, f64>> {
-        let mut out: BTreeMap<String, BTreeMap<SimTime, f64>> = BTreeMap::new();
-        for (labels, series) in self.select(metric, filter) {
-            let group = labels.get(group_key).unwrap_or("<none>").to_string();
-            let entry = out.entry(group).or_default();
-            for (t, v) in series.points() {
-                let x = match v {
-                    MetricValue::Gauge(g) => *g,
-                    MetricValue::Counter(c) => *c as f64,
-                    MetricValue::Distribution(h) => h.mean().unwrap_or(0.0),
-                };
-                *entry.entry(*t).or_insert(0.0) += x;
-            }
-        }
-        out
     }
 }
 
@@ -209,24 +202,27 @@ mod tests {
     }
 
     #[test]
-    fn group_sum_aggregates_across_series() {
-        let d = db_with_counters();
-        let q = QueryEngine::new(&d);
-        let grouped = q.group_sum("util", &LabelFilter::any(), "service");
-        assert_eq!(grouped.len(), 1);
-        let disk = &grouped["disk"];
-        // Both clusters contribute 0.1*i at each timestamp.
-        assert!((disk[&mins(30)] - 0.2).abs() < 1e-12);
-        assert!((disk[&mins(90)] - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn group_sum_with_missing_key_buckets_to_none() {
-        let d = db_with_counters();
-        let q = QueryEngine::new(&d);
-        let grouped = q.group_sum("util", &LabelFilter::any(), "nonexistent");
-        assert_eq!(grouped.len(), 1);
-        assert!(grouped.contains_key("<none>"));
+    fn deltas_undo_the_cumulative_sum() {
+        let mut d = TimeSeriesDb::new(SimDuration::from_mins(30));
+        d.register(MetricDescriptor::counter("c", SimDuration::from_hours(10)))
+            .unwrap();
+        d.write_cumulative("c", Labels::empty(), [(0, 4), (1, 0), (3, 9)])
+            .unwrap();
+        let s = d.series("c", &Labels::empty()).unwrap();
+        assert_eq!(
+            QueryEngine::deltas(s),
+            vec![(mins(0), 4), (mins(30), 0), (mins(90), 9)]
+        );
+        // A reset reads as a zero delta; the walk restarts from it.
+        d.write("c", Labels::empty(), mins(120), MetricValue::Counter(2))
+            .unwrap();
+        d.write("c", Labels::empty(), mins(150), MetricValue::Counter(5))
+            .unwrap();
+        let s = d.series("c", &Labels::empty()).unwrap();
+        assert_eq!(
+            &QueryEngine::deltas(s)[3..],
+            [(mins(120), 0), (mins(150), 3)]
+        );
     }
 
     #[test]

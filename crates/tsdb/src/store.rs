@@ -16,24 +16,6 @@ pub struct Series {
 }
 
 impl Series {
-    /// Builds a series from an already time-ordered point vector.
-    ///
-    /// This is the wholesale counterpart to streaming points in one at a
-    /// time: the fleet driver's streaming window sink accumulates each
-    /// cumulative series as a plain `Vec` while shards run, then hands
-    /// the finished vector over without re-pushing every point.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if the points are not strictly ascending in time.
-    pub fn from_points(points: Vec<(SimTime, MetricValue)>) -> Self {
-        debug_assert!(
-            points.windows(2).all(|p| p[0].0 < p[1].0),
-            "points must be strictly ascending in time"
-        );
-        Series { points }
-    }
-
     /// The points, oldest first.
     pub fn points(&self) -> &[(SimTime, MetricValue)] {
         &self.points
@@ -171,18 +153,14 @@ impl TimeSeriesDb {
 
     /// Streams one cumulative counter series from per-window deltas.
     ///
-    /// The driver's end-of-run flush writes its window grids as
-    /// cumulative counters (the Monarch idiom `QueryEngine::rate`
-    /// expects): point *k* carries the running sum of all deltas up to
-    /// and including window *k*. Going through [`TimeSeriesDb::write`]
-    /// costs a metric lookup and a label clone per point; this helper
-    /// resolves the series once and streams every `(window_index,
-    /// delta)` pair into it. Point times are `window_index *
-    /// sample_period` — aligned by construction — and the pairs must
-    /// arrive in ascending window order, which an index scan over a
-    /// dense delta grid produces naturally. Pairs with a zero delta
-    /// still emit a point (callers that want skip-zero semantics filter
-    /// before streaming). An empty iterator writes nothing and does not
+    /// Point *k* carries the running sum of all deltas up to and
+    /// including window *k* — the Monarch idiom `QueryEngine::rate` and
+    /// `QueryEngine::deltas` read back. Unlike per-point
+    /// [`TimeSeriesDb::write`] calls, this resolves the series once and
+    /// streams every `(window_index, delta)` pair into it. Point times are
+    /// `window_index * sample_period`, aligned by construction, and the
+    /// pairs must arrive in ascending window order. A zero delta still
+    /// emits a point. An empty iterator writes nothing and does not
     /// create the series.
     ///
     /// # Errors
@@ -225,52 +203,6 @@ impl TimeSeriesDb {
         Ok(())
     }
 
-    /// Installs a fully built series under `(name, labels)`.
-    ///
-    /// The streaming flush path builds each cumulative series' point
-    /// vector incrementally while shards run, then installs the finished
-    /// vector here — one map insertion per series instead of per-point
-    /// entry lookups. Retention is enforced once at the newest point,
-    /// which for a monotone time sequence drains exactly what per-point
-    /// enforcement would (the [`TimeSeriesDb::write_cumulative`] rule).
-    /// Installing an empty series is a no-op and does not create the
-    /// series, matching `write_cumulative` on an empty iterator.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the metric is unregistered, any point's kind
-    /// does not match the descriptor, or the series already exists —
-    /// installation is whole-series replacement-free by design; merging
-    /// belongs to [`TimeSeriesDb::merge`].
-    pub fn install_series(
-        &mut self,
-        name: &str,
-        labels: Labels,
-        mut series: Series,
-    ) -> Result<(), String> {
-        let desc = self
-            .metrics
-            .get(name)
-            .ok_or_else(|| format!("metric {name} not registered"))?;
-        if let Some((_, v)) = series.points.iter().find(|(_, v)| v.kind() != desc.kind) {
-            return Err(format!(
-                "metric {name} is {:?}, got {:?}",
-                desc.kind,
-                v.kind()
-            ));
-        }
-        let Some(&(newest, _)) = series.points.last() else {
-            return Ok(());
-        };
-        series.enforce_retention(newest, desc.retention);
-        let key = (name.to_string(), labels);
-        if self.series.contains_key(&key) {
-            return Err(format!("series {name}{} already exists", key.1));
-        }
-        self.series.insert(key, series);
-        Ok(())
-    }
-
     /// Reads one series.
     pub fn series(&self, name: &str, labels: &Labels) -> Option<&Series> {
         self.series.get(&(name.to_string(), labels.clone()))
@@ -292,145 +224,6 @@ impl TimeSeriesDb {
     pub fn num_series(&self) -> usize {
         self.series.len()
     }
-
-    /// Merges another database into this one (the shard-fold operation).
-    ///
-    /// Metric registrations are unioned; registering the same name with a
-    /// different descriptor is an error, as in [`TimeSeriesDb::register`].
-    /// Series with the same `(metric, labels)` key have their points
-    /// merge-sorted by timestamp. Where both sides hold a point in the
-    /// same window, the values combine by kind:
-    ///
-    /// - **Counter**: summed — each shard observed a disjoint share of
-    ///   the events, so cumulative readings add;
-    /// - **Distribution**: histogram-merged, which is exact;
-    /// - **Gauge**: `other`'s value wins (last-write-wins, matching the
-    ///   single-db overwrite rule). Shard-partitioned gauge writes should
-    ///   be disjoint or identical across shards; the fleet driver instead
-    ///   computes gauges post-merge from merged exact state.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on conflicting metric registration or on sample
-    /// period mismatch; `self` is left unchanged in that case.
-    pub fn merge(&mut self, other: TimeSeriesDb) -> Result<(), String> {
-        if self.sample_period != other.sample_period {
-            return Err(format!(
-                "sample period mismatch: {} vs {}",
-                self.sample_period, other.sample_period
-            ));
-        }
-        for desc in other.metrics.values() {
-            if let Some(existing) = self.metrics.get(&desc.name) {
-                if existing != desc {
-                    return Err(format!(
-                        "metric {} already registered differently",
-                        desc.name
-                    ));
-                }
-            }
-        }
-        for desc in other.metrics.into_values() {
-            self.metrics.entry(desc.name.clone()).or_insert(desc);
-        }
-        for (key, incoming) in other.series {
-            match self.series.entry(key) {
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(incoming);
-                }
-                std::collections::hash_map::Entry::Occupied(mut slot) => {
-                    let existing = std::mem::take(slot.get_mut());
-                    slot.get_mut().points = merge_points(existing.points, incoming.points);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Downsamples a series' gauge values to a coarser window by
-    /// averaging; counters take the last value of each window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is smaller than the sampling period.
-    pub fn downsample(&self, series: &Series, window: SimDuration) -> Vec<(SimTime, f64)> {
-        assert!(
-            window.as_nanos() >= self.sample_period.as_nanos(),
-            "downsample window smaller than sample period"
-        );
-        let mut out: Vec<(SimTime, f64)> = Vec::new();
-        let mut bucket_start: Option<SimTime> = None;
-        let mut acc = 0.0;
-        let mut n = 0u64;
-        let mut last_counter = 0.0;
-        for (t, v) in series.points() {
-            let aligned = t.align_down(window);
-            if bucket_start != Some(aligned) {
-                if let Some(b) = bucket_start {
-                    out.push((b, if n > 0 { acc / n as f64 } else { last_counter }));
-                }
-                bucket_start = Some(aligned);
-                acc = 0.0;
-                n = 0;
-            }
-            match v {
-                MetricValue::Gauge(g) => {
-                    acc += g;
-                    n += 1;
-                }
-                MetricValue::Counter(c) => {
-                    last_counter = *c as f64;
-                }
-                MetricValue::Distribution(h) => {
-                    if let Some(m) = h.mean() {
-                        acc += m;
-                        n += 1;
-                    }
-                }
-            }
-        }
-        if let Some(b) = bucket_start {
-            out.push((b, if n > 0 { acc / n as f64 } else { last_counter }));
-        }
-        out
-    }
-}
-
-/// Merge-sorts two time-ordered point vectors, combining same-window
-/// values by kind (counters sum, distributions merge, gauges take `b`).
-fn merge_points(
-    a: Vec<(SimTime, MetricValue)>,
-    b: Vec<(SimTime, MetricValue)>,
-) -> Vec<(SimTime, MetricValue)> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let mut ai = a.into_iter().peekable();
-    let mut bi = b.into_iter().peekable();
-    while let (Some((ta, _)), Some((tb, _))) = (ai.peek(), bi.peek()) {
-        match ta.cmp(tb) {
-            std::cmp::Ordering::Less => out.push(ai.next().expect("peeked")),
-            std::cmp::Ordering::Greater => out.push(bi.next().expect("peeked")),
-            std::cmp::Ordering::Equal => {
-                let (t, va) = ai.next().expect("peeked");
-                let (_, vb) = bi.next().expect("peeked");
-                let combined = match (va, vb) {
-                    (MetricValue::Counter(x), MetricValue::Counter(y)) => {
-                        MetricValue::Counter(x + y)
-                    }
-                    (MetricValue::Distribution(mut h), MetricValue::Distribution(g)) => {
-                        h.merge(&g);
-                        MetricValue::Distribution(h)
-                    }
-                    // Gauges (and any kind mismatch, which registration
-                    // rules already exclude): last write wins.
-                    (_, vb) => vb,
-                };
-                out.push((t, combined));
-            }
-        }
-    }
-    out.extend(ai);
-    out.extend(bi);
-    out
 }
 
 #[cfg(test)]
@@ -550,91 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn install_series_matches_write_cumulative() {
-        let retention = SimDuration::from_hours(24);
-        let deltas: Vec<u64> = vec![3, 0, 7, 11];
-        let period_ns = SimDuration::from_mins(30).as_nanos();
-        let mut streamed = db();
-        streamed
-            .register(MetricDescriptor::counter("c", retention))
-            .unwrap();
-        streamed
-            .write_cumulative(
-                "c",
-                Labels::empty(),
-                deltas.iter().enumerate().map(|(w, &d)| (w, d)),
-            )
-            .unwrap();
-        let mut installed = db();
-        installed
-            .register(MetricDescriptor::counter("c", retention))
-            .unwrap();
-        let mut cum = 0;
-        let points: Vec<(SimTime, MetricValue)> = deltas
-            .iter()
-            .enumerate()
-            .map(|(w, &d)| {
-                cum += d;
-                (
-                    SimTime::from_nanos(w as u64 * period_ns),
-                    MetricValue::Counter(cum),
-                )
-            })
-            .collect();
-        installed
-            .install_series("c", Labels::empty(), Series::from_points(points))
-            .unwrap();
-        let a = streamed.series("c", &Labels::empty()).unwrap();
-        let b = installed.series("c", &Labels::empty()).unwrap();
-        assert_eq!(a.len(), b.len());
-        for (pa, pb) in a.points().iter().zip(b.points()) {
-            assert_eq!(pa.0, pb.0);
-            assert_eq!(pa.1.as_counter(), pb.1.as_counter());
-        }
-    }
-
-    #[test]
-    fn install_series_enforces_retention_and_rejects_misuse() {
-        let mut d = db();
-        d.register(MetricDescriptor::counter("c", SimDuration::from_hours(2)))
-            .unwrap();
-        // Unregistered metric and kind mismatch both fail.
-        assert!(d
-            .install_series(
-                "nope",
-                Labels::empty(),
-                Series::from_points(vec![(mins(0), MetricValue::Counter(1))]),
-            )
-            .is_err());
-        assert!(d
-            .install_series(
-                "c",
-                Labels::empty(),
-                Series::from_points(vec![(mins(0), MetricValue::Gauge(1.0))]),
-            )
-            .is_err());
-        // Empty install is a no-op that creates nothing.
-        d.install_series("c", Labels::empty(), Series::default())
-            .unwrap();
-        assert!(d.series("c", &Labels::empty()).is_none());
-        // Retention is enforced at the newest point: with 2h retention
-        // and points every 30 minutes out to t=270min, points before
-        // t=150min are dropped.
-        let points: Vec<(SimTime, MetricValue)> = (0..10u64)
-            .map(|i| (mins(i * 30), MetricValue::Counter(i + 1)))
-            .collect();
-        d.install_series("c", Labels::empty(), Series::from_points(points.clone()))
-            .unwrap();
-        let s = d.series("c", &Labels::empty()).unwrap();
-        assert!(s.points().iter().all(|(t, _)| *t >= mins(150)));
-        assert_eq!(s.len(), 5);
-        // Installing over an existing series is rejected.
-        assert!(d
-            .install_series("c", Labels::empty(), Series::from_points(points))
-            .is_err());
-    }
-
-    #[test]
     fn unregistered_or_mismatched_writes_fail() {
         let mut d = db();
         assert!(d
@@ -739,144 +447,5 @@ mod tests {
         let got = s.points()[0].1.as_distribution().unwrap();
         assert_eq!(got.count(), 3);
         assert_eq!(got.mean(), Some(200.0));
-    }
-
-    #[test]
-    fn merge_unions_registrations_and_interleaves_series() {
-        let mut a = db();
-        let mut b = db();
-        for d in [&mut a, &mut b] {
-            d.register(MetricDescriptor::counter(
-                "rpcs",
-                SimDuration::from_hours(24),
-            ))
-            .unwrap();
-            d.register(MetricDescriptor::gauge("cpu", SimDuration::from_hours(24)))
-                .unwrap();
-        }
-        b.register(MetricDescriptor::gauge("mem", SimDuration::from_hours(24)))
-            .unwrap();
-        // Counters in the same window sum; disjoint windows interleave.
-        a.write("rpcs", Labels::empty(), mins(0), MetricValue::Counter(10))
-            .unwrap();
-        a.write("rpcs", Labels::empty(), mins(60), MetricValue::Counter(25))
-            .unwrap();
-        b.write("rpcs", Labels::empty(), mins(0), MetricValue::Counter(7))
-            .unwrap();
-        b.write("rpcs", Labels::empty(), mins(30), MetricValue::Counter(12))
-            .unwrap();
-        b.write("cpu", Labels::empty(), mins(0), MetricValue::Gauge(0.25))
-            .unwrap();
-        b.write("mem", Labels::empty(), mins(0), MetricValue::Gauge(0.5))
-            .unwrap();
-        a.merge(b).unwrap();
-        let rpcs = a.series("rpcs", &Labels::empty()).unwrap();
-        let readings: Vec<(SimTime, Option<u64>)> = rpcs
-            .points()
-            .iter()
-            .map(|(t, v)| (*t, v.as_counter()))
-            .collect();
-        assert_eq!(
-            readings,
-            vec![
-                (mins(0), Some(17)),
-                (mins(30), Some(12)),
-                (mins(60), Some(25)),
-            ]
-        );
-        assert!(a.descriptor("mem").is_some());
-        assert_eq!(
-            a.series("cpu", &Labels::empty())
-                .unwrap()
-                .latest()
-                .unwrap()
-                .1
-                .as_gauge(),
-            Some(0.25)
-        );
-    }
-
-    #[test]
-    fn merge_rejects_conflicting_registration_or_period() {
-        let mut a = db();
-        let mut b = db();
-        a.register(MetricDescriptor::gauge("m", SimDuration::from_hours(1)))
-            .unwrap();
-        b.register(MetricDescriptor::counter("m", SimDuration::from_hours(1)))
-            .unwrap();
-        assert!(a.merge(b).is_err());
-        let c = TimeSeriesDb::new(SimDuration::from_mins(5));
-        assert!(a.merge(c).is_err());
-    }
-
-    #[test]
-    fn merge_of_distributions_is_exact() {
-        let mut a = db();
-        let mut b = db();
-        for d in [&mut a, &mut b] {
-            d.register(MetricDescriptor::distribution(
-                "lat",
-                SimDuration::from_hours(24),
-            ))
-            .unwrap();
-        }
-        let mut ha = LogHistogram::new();
-        let mut hb = LogHistogram::new();
-        for v in 0..100u64 {
-            if v % 2 == 0 {
-                ha.record(v * 11);
-            } else {
-                hb.record(v * 11);
-            }
-        }
-        a.write(
-            "lat",
-            Labels::empty(),
-            mins(0),
-            MetricValue::Distribution(ha),
-        )
-        .unwrap();
-        b.write(
-            "lat",
-            Labels::empty(),
-            mins(0),
-            MetricValue::Distribution(hb),
-        )
-        .unwrap();
-        a.merge(b).unwrap();
-        let merged = a.series("lat", &Labels::empty()).unwrap().points()[0]
-            .1
-            .as_distribution()
-            .unwrap()
-            .clone();
-        let mut single = LogHistogram::new();
-        for v in 0..100u64 {
-            single.record(v * 11);
-        }
-        assert_eq!(merged.count(), single.count());
-        assert_eq!(merged.sum(), single.sum());
-        assert_eq!(merged.cdf_points(), single.cdf_points());
-    }
-
-    #[test]
-    fn downsample_averages_gauges() {
-        let mut d = db();
-        d.register(MetricDescriptor::gauge("g", SimDuration::from_hours(48)))
-            .unwrap();
-        for i in 0..8u64 {
-            d.write(
-                "g",
-                Labels::empty(),
-                mins(i * 30),
-                MetricValue::Gauge(i as f64),
-            )
-            .unwrap();
-        }
-        let s = d.series("g", &Labels::empty()).unwrap().clone();
-        let coarse = d.downsample(&s, SimDuration::from_hours(2));
-        // 8 points at 30-minute cadence = 2 buckets of 4.
-        assert_eq!(coarse.len(), 2);
-        assert_eq!(coarse[0].1, 1.5);
-        assert_eq!(coarse[1].1, 5.5);
     }
 }

@@ -33,7 +33,10 @@ fn every_substrate_sees_traffic() {
     // Error accounting.
     assert!(run.errors.total_errors() > 0);
     // Monitoring database.
-    assert!(run.tsdb.num_series() > 10);
+    assert!(run
+        .tsdb
+        .series("driver/rpcs/count", &Labels::empty())
+        .is_some());
     // Deployment.
     assert!(!run.sites.is_empty());
 }
@@ -122,14 +125,13 @@ fn method_ids_are_dense_and_consistent() {
 #[test]
 fn tsdb_counters_cover_the_simulated_day() {
     let run = shared();
-    let q = QueryEngine::new(&run.tsdb);
-    let series = q.select("rpc/server/count", &LabelFilter::any());
-    assert!(!series.is_empty());
-    let total_windows: usize = series.iter().map(|(_, s)| s.len()).sum();
-    // 48 half-hour windows per day; popular services fill most of them.
-    let max_windows = series.iter().map(|(_, s)| s.len()).max().expect("series");
-    assert!(max_windows >= 40, "only {max_windows} windows");
-    assert!(total_windows > 100);
+    let rpcs = run
+        .tsdb
+        .series("driver/rpcs/count", &Labels::empty())
+        .expect("rpc lane");
+    // 48 half-hour windows per day; roots arrive in most of them.
+    assert!(rpcs.len() >= 40, "only {} windows", rpcs.len());
+    assert!(QueryEngine::rate(rpcs).iter().any(|(_, r)| *r > 0.0));
 }
 
 #[test]
