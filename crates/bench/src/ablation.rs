@@ -306,7 +306,7 @@ pub fn run_ablation(ablation: Ablation, scale: &SimScale) -> AblationResult {
         Ablation::Congestion => {
             let on = run_fleet(config(scale));
             let mut cfg = config(scale);
-            cfg.net.congestion_enabled = false;
+            cfg.congestion_enabled = false;
             let off = run_fleet(cfg);
             // Here the "mechanism" is congestion itself: with it on, the
             // tail is worse, so improvement() < 1 documents its cost.

@@ -56,9 +56,7 @@ use rpclens_simcore::rng::Prng;
 use rpclens_simcore::time::{SimDuration, SimTime};
 use rpclens_trace::collector::TraceStore;
 use rpclens_trace::span::{MethodId, ServiceId, SpanBuilder, TraceData};
-use rpclens_tsdb::metric::{Labels, MetricDescriptor, MetricValue};
-use rpclens_tsdb::query::QueryEngine;
-use rpclens_tsdb::store::TimeSeriesDb;
+use rpclens_tsdb::store::{Series, TimeSeriesDb};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -664,8 +662,6 @@ pub struct TraceBenchReport {
     /// Findings from the error-budget-burn and tail-regression
     /// detectors over the `wire/*` streams.
     pub findings: Vec<Finding>,
-    /// Number of `wire/*` series streamed into the tsdb.
-    pub tsdb_series: usize,
 }
 
 fn quantiles_from_us(mut us: Vec<u64>) -> LatencyQuantiles {
@@ -692,52 +688,33 @@ fn quantiles_from_us(mut us: Vec<u64>) -> LatencyQuantiles {
 /// A `wire/*` metric name paired with its [`WireCounters`] accessor.
 type WireMetric = (&'static str, fn(&WireCounters) -> u64);
 
-/// The `wire/*` metric names streamed into the tsdb.
-const WIRE_METRICS: [WireMetric; 6] = [
+/// The `wire/*` lanes streamed into the tsdb: the rpcs, errors and
+/// retries of each [`WindowSample`] the detectors read.
+const WIRE_METRICS: [WireMetric; 3] = [
     ("wire/rpcs/count", |c| c.roots),
-    ("wire/spans/count", |c| c.spans),
     ("wire/errors/count", |c| c.errors),
     ("wire/retransmissions/count", |c| c.retransmissions),
-    ("wire/stale_replies/count", |c| c.stale_replies),
-    ("wire/dedup_hits/count", |c| c.dedup_hits),
 ];
 
 /// Streams the recorder's cumulative counter samples into a fresh tsdb
 /// as `wire/*` series and runs the standing detectors over them,
 /// exactly as the fleet telemetry path would.
-fn analyse(recorder: &WireTraceRecorder) -> (Vec<Finding>, usize, TimeSeriesDb) {
+fn analyse(recorder: &WireTraceRecorder) -> Vec<Finding> {
     let total_ns = recorder.samples.last().map(|s| s.at_ns).unwrap_or(0).max(1);
     // 16 windows over the run, tick-aligned so virtual timestamps land
     // deterministically.
     let period = SimDuration::from_nanos(((total_ns / 16).max(TICK_NS) / TICK_NS) * TICK_NS);
     let mut db = TimeSeriesDb::new(period);
-    let retention = SimDuration::from_nanos(u64::MAX / 2);
-    for (name, _) in WIRE_METRICS {
-        db.register(MetricDescriptor::counter(name, retention))
-            .expect("fresh db registers cleanly");
-    }
     for sample in &recorder.samples {
         let at = SimTime::from_nanos(sample.at_ns);
         for (name, get) in WIRE_METRICS {
-            db.write(
-                name,
-                Labels::empty(),
-                at,
-                MetricValue::Counter(get(&sample.counters)),
-            )
-            .expect("registered metric accepts counters");
+            db.write(name, at, get(&sample.counters));
         }
     }
     // Reconstruct per-window rows from the streamed series. Every
-    // sample writes all six lanes, so they hold the same points.
-    let lane = |name: &str| -> Vec<(SimTime, u64)> {
-        db.series(name, &Labels::empty())
-            .map(QueryEngine::deltas)
-            .unwrap_or_default()
-    };
-    let rpcs = lane("wire/rpcs/count");
-    let errors = lane("wire/errors/count");
-    let retries = lane("wire/retransmissions/count");
+    // sample writes all three lanes, so they hold the same points.
+    let [rpcs, errors, retries] =
+        WIRE_METRICS.map(|(name, _)| db.series(name).map(Series::deltas).unwrap_or_default());
     assert!(
         errors.len() == rpcs.len() && retries.len() == rpcs.len(),
         "wire lanes cover different windows"
@@ -764,7 +741,7 @@ fn analyse(recorder: &WireTraceRecorder) -> (Vec<Finding>, usize, TimeSeriesDb) 
     if matches!(recorder.mode, ClockMode::Virtual) {
         findings.extend(detect::tail_regression(&measured, &modeled, 0.25));
     }
-    (findings, db.num_series(), db)
+    findings
 }
 
 /// Runs the traced multi-hop bench over in-memory links with the
@@ -902,7 +879,7 @@ fn finish_report(
         .map_err(|_| ())
         .expect("all hop handles dropped")
         .into_inner();
-    let (findings, tsdb_series, _db) = analyse(&recorder);
+    let findings = analyse(&recorder);
     let export = rpclens_trace::export::export(&recorder.store);
     let digest = fnv1a(&export);
     Ok(TraceBenchReport {
@@ -915,7 +892,6 @@ fn finish_report(
         measured: quantiles_from_us(recorder.rtts_us),
         modeled: quantiles_from_us(recorder.modeled_rtts_us),
         findings,
-        tsdb_series,
     })
 }
 
@@ -1077,13 +1053,12 @@ pub fn trace_summary_text(report: &TraceBenchReport) -> String {
     .unwrap();
     writeln!(
         out,
-        "  rtt us: p50 {} p99 {} max {} (modeled p50 {} p99 {}); {} wire/* series",
+        "  rtt us: p50 {} p99 {} max {} (modeled p50 {} p99 {})",
         report.measured.p50_us,
         report.measured.p99_us,
         report.measured.max_us,
         report.modeled.p50_us,
         report.modeled.p99_us,
-        report.tsdb_series
     )
     .unwrap();
     if report.findings.is_empty() {
@@ -1205,7 +1180,6 @@ mod tests {
             "unexpected findings: {:?}",
             report.findings
         );
-        assert!(report.tsdb_series >= 6);
         assert!(report.measured.p50_us > 0);
     }
 

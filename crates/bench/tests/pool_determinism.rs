@@ -17,7 +17,6 @@ use rpclens_fleet::faults::FaultScenario;
 use rpclens_fleet::pool::OrderedFold;
 use rpclens_fleet::telemetry::{manifest_for_run, window_samples};
 use rpclens_obs::{ShardCounters, WindowSample};
-use rpclens_tsdb::metric::Labels;
 
 /// Golden fault-free smoke digest; must match the value pinned in
 /// `telemetry_determinism.rs`.
@@ -43,10 +42,7 @@ fn smoke_run(faults: FaultScenario, shards: usize, threads: usize) -> FleetRun {
 fn assert_only_window_lanes(run: &FleetRun) {
     assert_eq!(run.tsdb.num_series(), WINDOW_LANES.len());
     for (name, _) in WINDOW_LANES {
-        assert!(
-            run.tsdb.series(name, &Labels::empty()).is_some(),
-            "missing {name}"
-        );
+        assert!(run.tsdb.series(name).is_some(), "missing {name}");
     }
 }
 
@@ -128,7 +124,7 @@ fn shard_item(i: usize) -> (ShardCounters, Vec<u64>) {
     (c, vec![i64 * 3, i64 * 3 + 1, i64 * 3 + 2])
 }
 
-fn fold_items(acc: &mut (ShardCounters, Vec<u64>), next: (ShardCounters, Vec<u64>), _id: usize) {
+fn fold_items(acc: &mut (ShardCounters, Vec<u64>), next: (ShardCounters, Vec<u64>)) {
     acc.0.absorb(&next.0);
     acc.1.extend(next.1);
 }

@@ -7,8 +7,6 @@ use crate::check::ExpectationSet;
 use crate::render::TextTable;
 use rpclens_fleet::growth::{GrowthConfig, GrowthModel};
 use rpclens_simcore::time::SimDuration;
-use rpclens_tsdb::metric::Labels;
-use rpclens_tsdb::query::QueryEngine;
 use rpclens_tsdb::store::TimeSeriesDb;
 
 /// The computed figure.
@@ -29,14 +27,8 @@ pub fn compute(config: &GrowthConfig) -> Fig01 {
     let model = GrowthModel::new(config.clone());
     let mut db = TimeSeriesDb::new(SimDuration::from_hours(24));
     model.populate(&mut db);
-    let rpc = db
-        .series("fleet/rpc/total", &Labels::empty())
-        .expect("populated");
-    let cycles = db
-        .series("fleet/cpu/cycles", &Labels::empty())
-        .expect("populated");
-    let rpc_rates = QueryEngine::rate(rpc);
-    let cycle_rates = QueryEngine::rate(cycles);
+    let rpc_rates = db.series("fleet/rpc/total").expect("populated").rate();
+    let cycle_rates = db.series("fleet/cpu/cycles").expect("populated").rate();
     let mut series = Vec::with_capacity(rpc_rates.len());
     let mut base = None;
     for (i, ((_, r), (_, c))) in rpc_rates.iter().zip(cycle_rates.iter()).enumerate() {

@@ -17,7 +17,7 @@ use crate::render::{fmt_secs, TextTable};
 use rpclens_fleet::driver::FleetRun;
 use rpclens_netsim::latency::Network;
 use rpclens_netsim::topology::{ClusterId, PathClass};
-use rpclens_rpcstack::cost::MessageClass;
+use rpclens_rpcstack::cost::{MessageClass, StackCostConfig, StackCostModel};
 use rpclens_simcore::prelude::*;
 use rpclens_simcore::stats::{percentile, sorted_finite};
 
@@ -59,7 +59,7 @@ pub fn compute(run: &FleetRun) -> Fig19 {
         .find(|e| e.server == "Spanner")
         .expect("Spanner is in Table 1");
     let method = run.catalog.method(entry.method).clone();
-    let cost = rpclens_rpcstack::cost::StackCostModel::new(run.config.cost);
+    let cost = StackCostModel::new(StackCostConfig::default());
     let class_spec = MessageClass::structured();
     let mut rng = Prng::seed_from(run.config.scale.seed ^ 0x19);
     let mut rows = Vec::new();
@@ -74,7 +74,7 @@ pub fn compute(run: &FleetRun) -> Fig19 {
         // network changes no sampled value.
         let mut network = Network::new(
             run.topology.clone(),
-            run.config.net.clone(),
+            run.config.network(),
             run.config.scale.seed ^ 0xF19,
         );
         // The row the paper plots: the client reads a specific shard, and

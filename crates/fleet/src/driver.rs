@@ -49,7 +49,6 @@ use rpclens_simcore::rng::Prng;
 use rpclens_simcore::time::{SimDuration, SimTime};
 use rpclens_trace::collector::{TraceCollector, TraceStore};
 use rpclens_trace::span::{MethodId, ServiceId, SpanBuilder, SpanRecord, TraceData, ROOT_PARENT};
-use rpclens_tsdb::metric::{Labels, MetricDescriptor};
 use rpclens_tsdb::store::TimeSeriesDb;
 use std::sync::Mutex as StdMutex;
 use std::time::Instant;
@@ -148,30 +147,27 @@ impl SimScale {
     }
 }
 
+/// Hard cap on spans per trace (keeps pathological bursts bounded).
+const MAX_TRACE_SPANS: usize = 4_000;
+
+/// Hard cap on call depth.
+const MAX_DEPTH: u32 = 12;
+
 /// Full driver configuration.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Scale preset.
     pub scale: SimScale,
-    /// Stack cycle-cost coefficients.
-    pub cost: StackCostConfig,
-    /// Network constants.
-    pub net: NetworkConfig,
-    /// Hard cap on spans per trace (keeps pathological bursts bounded).
-    pub max_trace_spans: usize,
-    /// Hard cap on call depth.
-    pub max_depth: u32,
-    /// Error injection profile. With a fault scenario active this should
-    /// be the *residual* profile (semantic classes only) — the mechanical
-    /// classes (`Unavailable`, `NoResource`, `DeadlineExceeded`) are then
-    /// produced causally by the fault plane. [`FleetConfig::with_faults`]
-    /// pairs the two automatically.
-    pub errors: ErrorProfile,
     /// Fault scenario: failure episode sources plus the client resilience
     /// response (deadlines, budgeted retries with failover). The default
     /// [`FaultScenario::none`] leaves the driver's draw sequence
-    /// byte-identical to a build without the fault plane.
+    /// byte-identical to a build without the fault plane. The error
+    /// injection profile follows from it
+    /// ([`FaultScenario::error_profile`]).
     pub faults: FaultScenario,
+    /// Whether network paths carry congestion state (disable for
+    /// ablations: pure wire + transmission latency).
+    pub congestion_enabled: bool,
     /// Whether clients hedge slow requests (disable for ablations).
     pub hedging_enabled: bool,
     /// Whether the per-trace [`RetryBudget`] token bucket gates retries
@@ -217,12 +213,8 @@ impl FleetConfig {
     pub fn at_scale(scale: SimScale) -> Self {
         FleetConfig {
             scale,
-            cost: StackCostConfig::default(),
-            net: NetworkConfig::default(),
-            max_trace_spans: 4_000,
-            max_depth: 12,
-            errors: ErrorProfile::fleet_default(),
             faults: FaultScenario::none(),
+            congestion_enabled: true,
             hedging_enabled: true,
             retry_budget_enabled: true,
             reserved_cores_enabled: true,
@@ -232,14 +224,18 @@ impl FleetConfig {
         }
     }
 
-    /// The same configuration under a fault scenario, with the error
-    /// profile switched to the scenario's matching profile (residual
-    /// semantic classes when faults are causal, the full static fleet
-    /// profile under `none`).
+    /// The same configuration under a fault scenario.
     pub fn with_faults(mut self, scenario: FaultScenario) -> Self {
-        self.errors = scenario.error_profile();
         self.faults = scenario;
         self
+    }
+
+    /// The network constants every [`Network`] of the run is built with.
+    pub fn network(&self) -> NetworkConfig {
+        NetworkConfig {
+            congestion_enabled: self.congestion_enabled,
+            ..NetworkConfig::default()
+        }
     }
 }
 
@@ -445,6 +441,10 @@ struct Driver {
     catalog: Catalog,
     topology: Topology,
     cost: StackCostModel,
+    /// Error injection profile: residual semantic classes when the
+    /// scenario produces the mechanical ones causally, the full static
+    /// fleet profile under `none`.
+    errors: ErrorProfile,
     soft_queue: SoftQueue,
     sites: DensePairMap<ServiceSite>,
     /// Precomputed per-service placement state for `choose_cluster`.
@@ -491,7 +491,7 @@ impl Driver {
             },
             &topology,
         );
-        let cost = StackCostModel::new(config.cost);
+        let cost = StackCostModel::new(StackCostConfig::default());
         let master_rng = Prng::seed_from(seed).stream(0xD21_4E12);
 
         // Build deployment sites with per-cluster load diversity: each
@@ -564,7 +564,7 @@ impl Driver {
         // softmax over negative RTT is time-invariant, so the per-call
         // work reduces to one row scan. A probe network supplies the
         // same `rtt_estimate` the per-call path used.
-        let probe_net = Network::new(topology.clone(), config.net.clone(), seed);
+        let probe_net = Network::new(topology.clone(), config.network(), seed);
         let n_clusters = topology.num_clusters();
         let mut placement = Vec::with_capacity(catalog.num_services());
         for svc in catalog.services() {
@@ -641,6 +641,7 @@ impl Driver {
             });
 
         Driver {
+            errors: config.faults.error_profile(),
             config,
             catalog,
             topology,
@@ -776,7 +777,7 @@ impl Driver {
                 }
                 shard
             },
-            |acc, next, _id| {
+            |acc, next| {
                 let merge_start = Instant::now();
                 acc.absorb(next);
                 *merge_ms.lock().expect("merge-time lock") +=
@@ -796,25 +797,21 @@ impl Driver {
             method_bytes,
             windows,
             counters,
-            total_spans,
             ..
         } = merged;
-        debug_assert_eq!(counters.spans, total_spans);
 
         // Write the merged window rows out as cumulative counter lanes:
         // the Monarch idiom the SLO detectors read back per window.
         let tsdb_start = Instant::now();
-        let retention = SimDuration::from_hours(24 * 700);
-        let mut tsdb = TimeSeriesDb::new(rpclens_tsdb::DEFAULT_SAMPLE_PERIOD);
+        let period = rpclens_tsdb::DEFAULT_SAMPLE_PERIOD;
+        let mut tsdb = TimeSeriesDb::new(period);
         for (name, field) in WINDOW_LANES {
-            tsdb.register(MetricDescriptor::counter(name, retention))
-                .expect("fresh tsdb");
-            tsdb.write_cumulative(
-                name,
-                Labels::empty(),
-                windows.iter().map(|row| (row.window as usize, field(row))),
-            )
-            .expect("registered");
+            let mut reading = 0;
+            for row in &windows {
+                reading += field(row);
+                let at = SimTime::from_nanos(row.window * period.as_nanos());
+                tsdb.write(name, at, reading);
+            }
         }
         phases.record("tsdb", tsdb_start.elapsed().as_secs_f64() * 1e3);
 
@@ -836,7 +833,7 @@ impl Driver {
             method_calls,
             method_bytes,
             sites: self.sites,
-            total_spans,
+            total_spans: telemetry.counters.spans,
             telemetry,
             config: self.config,
         }
@@ -873,7 +870,6 @@ struct Shard<'a> {
     arena: Vec<SpanRecord>,
     /// Deterministic self-telemetry counters.
     counters: ShardCounters,
-    total_spans: u64,
 }
 
 impl<'a> Shard<'a> {
@@ -883,7 +879,7 @@ impl<'a> Shard<'a> {
             world,
             network: Network::new(
                 world.topology.clone(),
-                world.config.net.clone(),
+                world.config.network(),
                 world.config.scale.seed,
             ),
             store: TraceStore::new(),
@@ -900,7 +896,6 @@ impl<'a> Shard<'a> {
             ),
             arena: Vec::new(),
             counters: ShardCounters::new(),
-            total_spans: 0,
         }
     }
 
@@ -929,7 +924,7 @@ impl<'a> Shard<'a> {
             let mut ctx = TraceCtx {
                 spans: std::mem::take(&mut self.arena),
                 root_start: root.at,
-                budget: self.world.config.max_trace_spans,
+                budget: MAX_TRACE_SPANS,
                 rng: self.world.master_rng.substream(seq as u64),
                 seq: seq as u64,
                 errors: 0,
@@ -1023,7 +1018,6 @@ impl<'a> Shard<'a> {
             add_to_window(&mut self.windows, row);
         }
         self.counters.absorb(&other.counters);
-        self.total_spans += other.total_spans;
     }
 
     /// Places a call: runs one attempt (primary + optional hedge) and,
@@ -1183,7 +1177,6 @@ impl<'a> Shard<'a> {
             };
         }
         ctx.budget -= 1;
-        self.total_spans += 1;
         self.counters.spans += 1;
         self.counters.max_depth = self.counters.max_depth.max(u64::from(depth));
 
@@ -1350,7 +1343,7 @@ impl<'a> Shard<'a> {
         } else if let Some(spec) = env.admission {
             self.counters.control.admission_offered += 1;
             match admission_verdict(&spec, queue_wait) {
-                AdmissionVerdict::Admitted => world.config.errors.draw(&mut ctx.rng),
+                AdmissionVerdict::Admitted => world.errors.draw(&mut ctx.rng),
                 AdmissionVerdict::Shed => {
                     self.counters.control.admission_shed += 1;
                     self.counters.resilience.load_sheds += 1;
@@ -1367,7 +1360,7 @@ impl<'a> Shard<'a> {
             cluster_level = true;
             Some(ErrorKind::NoResource)
         } else {
-            world.config.errors.draw(&mut ctx.rng)
+            world.errors.draw(&mut ctx.rng)
         };
         if injected.is_some() {
             self.counters.errors_injected += 1;
@@ -1399,7 +1392,7 @@ impl<'a> Shard<'a> {
                 None => skip_children = true,
             }
         }
-        if injected.is_none() && !fast && !skip_children && depth < world.config.max_depth {
+        if injected.is_none() && !fast && !skip_children && depth < MAX_DEPTH {
             for edge in world.catalog.edges(method) {
                 if !ctx.rng.chance(edge.prob) {
                     continue;
@@ -1706,14 +1699,10 @@ mod tests {
     #[test]
     fn tsdb_contains_service_counters() {
         let run = tiny_run();
-        let rpcs = run
-            .tsdb
-            .series("driver/rpcs/count", &Labels::empty())
-            .expect("rpc lane");
+        let rpcs = run.tsdb.series("driver/rpcs/count").expect("rpc lane");
         // 48 half-hour windows over the simulated day.
         assert!(rpcs.len() >= 40, "only {} windows", rpcs.len());
-        let rates = rpclens_tsdb::query::QueryEngine::rate(rpcs);
-        assert!(rates.iter().any(|(_, r)| *r > 0.0));
+        assert!(rpcs.rate().iter().any(|(_, r)| *r > 0.0));
     }
 
     #[test]

@@ -10,7 +10,6 @@
 
 use rpclens_simcore::rng::SplitMix64;
 use rpclens_simcore::time::{SimDuration, SimTime};
-use rpclens_tsdb::metric::{Labels, MetricDescriptor, MetricValue};
 use rpclens_tsdb::store::TimeSeriesDb;
 
 /// Growth model parameters.
@@ -91,16 +90,7 @@ impl GrowthModel {
 
     /// Writes daily counters into a TSDB (cumulative counts, as a real
     /// metric pipeline exports them).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the metrics are already registered differently.
     pub fn populate(&self, db: &mut TimeSeriesDb) {
-        let retention = SimDuration::from_hours(24 * 700);
-        db.register(MetricDescriptor::counter("fleet/rpc/total", retention))
-            .expect("fresh metric");
-        db.register(MetricDescriptor::counter("fleet/cpu/cycles", retention))
-            .expect("fresh metric");
         let day = SimDuration::from_hours(24);
         let mut rpc_total = 0u64;
         let mut cycle_total = 0u64;
@@ -108,21 +98,9 @@ impl GrowthModel {
             rpc_total = rpc_total.saturating_add((self.rps(d) * 86_400.0) as u64);
             cycle_total = cycle_total.saturating_add((self.cps(d) * 86_400.0 / 1e6) as u64);
             let at = SimTime::ZERO + SimDuration::from_nanos(d as u64 * day.as_nanos());
-            db.write(
-                "fleet/rpc/total",
-                Labels::empty(),
-                at,
-                MetricValue::Counter(rpc_total),
-            )
-            .expect("registered");
+            db.write("fleet/rpc/total", at, rpc_total);
             // Cycles stored in mega-cycles to stay inside u64.
-            db.write(
-                "fleet/cpu/cycles",
-                Labels::empty(),
-                at,
-                MetricValue::Counter(cycle_total),
-            )
-            .expect("registered");
+            db.write("fleet/cpu/cycles", at, cycle_total);
         }
     }
 
@@ -197,16 +175,9 @@ mod tests {
         });
         let mut db = TimeSeriesDb::new(SimDuration::from_hours(24));
         m.populate(&mut db);
-        let series = db
-            .series("fleet/rpc/total", &Labels::empty())
-            .expect("series exists");
+        let series = db.series("fleet/rpc/total").expect("series exists");
         assert_eq!(series.len(), 30);
-        let counters: Vec<u64> = series
-            .points()
-            .iter()
-            .map(|(_, v)| v.as_counter().unwrap())
-            .collect();
-        assert!(counters.windows(2).all(|w| w[0] < w[1]));
+        assert!(series.points().windows(2).all(|w| w[0].1 < w[1].1));
     }
 
     #[test]
@@ -219,8 +190,7 @@ mod tests {
         });
         let mut db = TimeSeriesDb::new(SimDuration::from_hours(24));
         m.populate(&mut db);
-        let series = db.series("fleet/rpc/total", &Labels::empty()).unwrap();
-        let rates = rpclens_tsdb::query::QueryEngine::rate(series);
+        let rates = db.series("fleet/rpc/total").unwrap().rate();
         for (i, (_, r)) in rates.iter().enumerate() {
             let expected = m.rps(i as u32 + 1);
             assert!(

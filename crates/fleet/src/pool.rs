@@ -79,13 +79,12 @@ impl<T> OrderedFold<T> {
     /// Offers item `index`, folding every item that is now unblocked.
     ///
     /// The first item (index 0) seeds the accumulator; each subsequent
-    /// in-order item is merged with `fold(&mut acc, item, index)`, where
-    /// `index` is the id of the item being folded.
+    /// in-order item is merged with `fold(&mut acc, item)`.
     ///
     /// # Panics
     /// Panics if `index` was already folded or is already parked — both
     /// indicate a duplicate claim, which the pool can never produce.
-    pub fn push(&mut self, index: usize, item: T, mut fold: impl FnMut(&mut T, T, usize)) {
+    pub fn push(&mut self, index: usize, item: T, mut fold: impl FnMut(&mut T, T)) {
         assert!(
             index >= self.next && !self.parked.contains_key(&index),
             "duplicate shard index {index} pushed to OrderedFold"
@@ -97,7 +96,7 @@ impl<T> OrderedFold<T> {
                     debug_assert_eq!(self.next, 0);
                     self.acc = Some(item);
                 }
-                Some(acc) => fold(acc, item, self.next),
+                Some(acc) => fold(acc, item),
             }
             self.next += 1;
         }
@@ -134,7 +133,7 @@ impl<T> OrderedFold<T> {
 ///
 /// - `work(shard_id)` builds and runs one shard; it is called at most
 ///   once per id, from whichever worker claims the id first.
-/// - `fold(acc, next, id)` merges completed shard `id` into the
+/// - `fold(acc, next)` merges the next completed shard into the
 ///   accumulator; calls are strictly in shard-id order (item 0 seeds
 ///   the accumulator). The fold runs under a mutex on the worker that
 ///   closed the gap — cheap relative to simulation, and it lets shard
@@ -150,7 +149,7 @@ pub fn run_shards<T: Send>(
     n_shards: usize,
     threads: usize,
     work: impl Fn(usize) -> T + Sync,
-    fold: impl Fn(&mut T, T, usize) + Sync,
+    fold: impl Fn(&mut T, T) + Sync,
 ) -> T {
     assert!(n_shards > 0, "run_shards needs at least one shard");
     let threads = threads.clamp(1, n_shards);
@@ -197,11 +196,11 @@ mod tests {
         // Push 3,2,1,0: everything parks until 0 arrives, then the whole
         // chain folds at once, in index order.
         for i in (1..4).rev() {
-            f.push(i, vec![i], |a: &mut Vec<usize>, b, _| a.extend(b));
+            f.push(i, vec![i], |a: &mut Vec<usize>, b| a.extend(b));
             assert_eq!(f.folded(), 0);
         }
         assert_eq!(f.parked(), 3);
-        f.push(0, vec![0], |a, b, _| a.extend(b));
+        f.push(0, vec![0], |a, b| a.extend(b));
         assert_eq!(f.folded(), 4);
         assert_eq!(f.finish(), vec![0, 1, 2, 3]);
     }
@@ -209,7 +208,7 @@ mod tests {
     #[test]
     fn ordered_fold_interleaved() {
         let mut f = OrderedFold::new();
-        let fold = |a: &mut String, b: String, _: usize| a.push_str(&b);
+        let fold = |a: &mut String, b: String| a.push_str(&b);
         f.push(1, "b".to_string(), fold);
         f.push(0, "a".to_string(), fold);
         assert_eq!(f.folded(), 2);
@@ -219,31 +218,18 @@ mod tests {
     }
 
     #[test]
-    fn ordered_fold_reports_folded_index() {
-        // The fold sees the id of the item being merged, not the push
-        // order: push 2,1,0 and the fold still observes ids 1 then 2.
-        let mut seen = Vec::new();
-        let mut f = OrderedFold::new();
-        f.push(2, (), |_, _, id| seen.push(id));
-        f.push(1, (), |_, _, id| seen.push(id));
-        f.push(0, (), |_, _, id| seen.push(id));
-        f.finish();
-        assert_eq!(seen, vec![1, 2]);
-    }
-
-    #[test]
     #[should_panic(expected = "duplicate shard index")]
     fn ordered_fold_rejects_duplicates() {
         let mut f = OrderedFold::new();
-        f.push(0, 1u64, |a, b, _| *a += b);
-        f.push(0, 2u64, |a, b, _| *a += b);
+        f.push(0, 1u64, |a, b| *a += b);
+        f.push(0, 2u64, |a, b| *a += b);
     }
 
     #[test]
     #[should_panic(expected = "unfolded items parked")]
     fn ordered_fold_rejects_gaps() {
         let mut f = OrderedFold::new();
-        f.push(1, 1u64, |a, b, _| *a += b);
+        f.push(1, 1u64, |a, b| *a += b);
         f.finish();
     }
 
@@ -252,12 +238,7 @@ mod tests {
         // Order-sensitive fold (string concat) so any ordering bug shows.
         let expect: String = (0..23).map(|i| format!("[{i}]")).collect();
         for threads in [1usize, 2, 4, 8, 23, 64] {
-            let got = run_shards(
-                23,
-                threads,
-                |id| format!("[{id}]"),
-                |a, b, _| a.push_str(&b),
-            );
+            let got = run_shards(23, threads, |id| format!("[{id}]"), |a, b| a.push_str(&b));
             assert_eq!(got, expect, "threads={threads}");
         }
     }
@@ -273,7 +254,7 @@ mod tests {
                 assert_eq!(std::thread::current().id(), caller);
                 id as u64
             },
-            |a, b, _| *a += b,
+            |a, b| *a += b,
         );
         assert_eq!(got, 6);
     }

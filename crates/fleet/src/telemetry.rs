@@ -22,8 +22,7 @@ use rpclens_obs::{
 };
 use rpclens_rpcstack::cost::CycleCategory;
 use rpclens_rpcstack::error::ErrorKind;
-use rpclens_tsdb::metric::Labels;
-use rpclens_tsdb::query::QueryEngine;
+use rpclens_tsdb::store::Series;
 use std::collections::HashMap;
 
 /// Default fractional tolerance for tail-latency regression checks.
@@ -184,8 +183,8 @@ pub fn window_samples(run: &FleetRun) -> Vec<WindowSample> {
     let period = rpclens_tsdb::DEFAULT_SAMPLE_PERIOD.as_nanos();
     let [rpcs, errors, congested, retries] = WINDOW_LANES.map(|(name, _)| {
         run.tsdb
-            .series(name, &Labels::empty())
-            .map(QueryEngine::deltas)
+            .series(name)
+            .map(Series::deltas)
             .unwrap_or_default()
     });
     assert!(

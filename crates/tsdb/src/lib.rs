@@ -1,28 +1,21 @@
-//! An in-memory time-series monitoring database (Monarch-like).
+//! An in-memory time-series database for cumulative counters
+//! (Monarch-like).
 //!
-//! The paper's longitudinal results (Fig. 1's 700-day growth curve,
-//! Fig. 18's 24-hour covariation) come from a monitoring database that
-//! samples application-exported metrics on a fixed cadence with per-metric
-//! retention. This crate implements that substrate:
+//! The paper reads Monarch for counters: Fig. 1's 700-day growth curve
+//! is a rate query over cumulative RPC and cycle counters. This crate
+//! keeps exactly that substrate:
 //!
-//! - [`metric`]: metric kinds (counter, gauge, distribution), label sets,
-//!   and descriptors with retention policies.
-//! - [`store`]: the time-series store with aligned sampling windows and
-//!   retention enforcement.
-//! - [`query`]: selection by name/label, and rates and per-window deltas
-//!   of counters.
+//! - [`store`]: one series of cumulative counter readings per metric
+//!   name, each reading aligned down to the sampling window (the last
+//!   write in a window wins).
+//! - [`query`]: per-second rates and per-window deltas of a series.
 
-pub mod metric;
 pub mod query;
 pub mod store;
 
-/// Convenience re-exports of the most commonly used tsdb types.
+/// Convenience re-exports of the tsdb types.
 pub mod tsdb_prelude {
-    pub use crate::{
-        metric::{Labels, MetricDescriptor, MetricKind, MetricValue},
-        query::{LabelFilter, QueryEngine},
-        store::{Series, TimeSeriesDb},
-    };
+    pub use crate::store::{Series, TimeSeriesDb};
 }
 
 /// The default sampling cadence used fleet-wide (the paper's metrics are

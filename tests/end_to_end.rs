@@ -33,10 +33,7 @@ fn every_substrate_sees_traffic() {
     // Error accounting.
     assert!(run.errors.total_errors() > 0);
     // Monitoring database.
-    assert!(run
-        .tsdb
-        .series("driver/rpcs/count", &Labels::empty())
-        .is_some());
+    assert!(run.tsdb.series("driver/rpcs/count").is_some());
     // Deployment.
     assert!(!run.sites.is_empty());
 }
@@ -125,13 +122,10 @@ fn method_ids_are_dense_and_consistent() {
 #[test]
 fn tsdb_counters_cover_the_simulated_day() {
     let run = shared();
-    let rpcs = run
-        .tsdb
-        .series("driver/rpcs/count", &Labels::empty())
-        .expect("rpc lane");
+    let rpcs = run.tsdb.series("driver/rpcs/count").expect("rpc lane");
     // 48 half-hour windows per day; roots arrive in most of them.
     assert!(rpcs.len() >= 40, "only {} windows", rpcs.len());
-    assert!(QueryEngine::rate(rpcs).iter().any(|(_, r)| *r > 0.0));
+    assert!(rpcs.rate().iter().any(|(_, r)| *r > 0.0));
 }
 
 #[test]

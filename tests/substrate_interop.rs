@@ -55,11 +55,6 @@ fn tracer_tsdb_profiler_compose_by_hand() {
     let mut profiler = CycleProfiler::new();
     let mut errors = ErrorAccounting::new();
     let mut db = TimeSeriesDb::new(SimDuration::from_mins(30));
-    db.register(MetricDescriptor::counter(
-        "demo/rpcs",
-        SimDuration::from_hours(48),
-    ))
-    .expect("fresh");
 
     let mut counter = 0u64;
     for trace_id in 0..1_000u64 {
@@ -83,11 +78,9 @@ fn tracer_tsdb_profiler_compose_by_hand() {
         }
         db.write(
             "demo/rpcs",
-            Labels::empty(),
             SimTime::ZERO + SimDuration::from_secs(trace_id * 60),
-            MetricValue::Counter(counter),
-        )
-        .expect("registered");
+            counter,
+        );
     }
 
     // ~1/4 of traces sampled.
@@ -99,10 +92,8 @@ fn tracer_tsdb_profiler_compose_by_hand() {
     assert!(profiler.total_cycles() > 0);
     assert!(profiler.tax_fraction() > 0.0 && profiler.tax_fraction() < 0.1);
     // The TSDB can answer a rate query over the synthetic counter.
-    let q = QueryEngine::new(&db);
-    let series = q.select("demo/rpcs", &LabelFilter::any());
-    assert_eq!(series.len(), 1);
-    let rates = QueryEngine::rate(series[0].1);
+    assert_eq!(db.num_series(), 1);
+    let rates = db.series("demo/rpcs").expect("written").rate();
     assert!(!rates.is_empty());
     assert!(rates.iter().all(|(_, r)| *r > 0.0));
 }
