@@ -24,7 +24,7 @@
 //! deltas (loopback UDP vs the modeled datacenter TCP stack).
 
 use rpclens_fleet::catalog::{Catalog, CatalogConfig};
-use rpclens_fleet::servable::{ServableMethod, ServableTable};
+use rpclens_fleet::servable::ServableTable;
 use rpclens_netsim::topology::Topology;
 use rpclens_obs::json::Json;
 use rpclens_rpcstack::cost::{MessageClass, StackCostConfig, StackCostModel};
@@ -34,7 +34,6 @@ use rpclens_rpcwire::payload;
 use rpclens_rpcwire::server::{Handler, Semantics, WireServer};
 use rpclens_rpcwire::transport::{MemLink, UdpServerSocket, UdpTransport};
 use rpclens_simcore::rng::Prng;
-use rpclens_trace::span::MethodId;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -67,8 +66,8 @@ impl Default for WireBenchConfig {
 /// method's size model, deterministically per `(client, request)` so
 /// re-execution under at-least-once reproduces the same reply.
 pub struct CatalogHandler {
-    table: Arc<ServableTable>,
-    seed: u64,
+    pub(crate) table: Arc<ServableTable>,
+    pub(crate) seed: u64,
     body: Vec<u8>,
 }
 
@@ -81,17 +80,11 @@ impl CatalogHandler {
             body: Vec::new(),
         }
     }
-
-    fn method(&self, wire_id: u64) -> Option<&ServableMethod> {
-        u32::try_from(wire_id)
-            .ok()
-            .and_then(|id| self.table.get(MethodId(id)))
-    }
 }
 
 impl Handler for CatalogHandler {
     fn handle(&mut self, request: &Request) -> (Status, Vec<u8>) {
-        let Some(method) = self.method(request.method) else {
+        let Some(method) = self.table.by_wire_id(request.method) else {
             return (Status::NoSuchMethod, Vec::new());
         };
         let mut rng = Prng::seed_from(self.seed ^ request.client_id)
@@ -103,7 +96,9 @@ impl Handler for CatalogHandler {
     }
 
     fn compress_response(&self, method: u64) -> bool {
-        self.method(method).is_some_and(|m| m.class.compressed)
+        self.table
+            .by_wire_id(method)
+            .is_some_and(|m| m.class.compressed)
     }
 }
 

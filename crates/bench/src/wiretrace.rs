@@ -38,9 +38,9 @@
 //! measurement — virtual mode validates the *pipeline*, UDP mode
 //! measures the *wire*.
 
-use rpclens_fleet::catalog::{Catalog, CatalogConfig};
-use rpclens_fleet::servable::{ServableMethod, ServableTable};
-use rpclens_netsim::topology::{ClusterId, Topology};
+use crate::wire::CatalogHandler;
+use rpclens_fleet::servable::ServableTable;
+use rpclens_netsim::topology::ClusterId;
 use rpclens_obs::detect::{self, Finding, SloConfig, WindowSample};
 use rpclens_obs::manifest::{fnv1a, LatencyQuantiles};
 use rpclens_rpcstack::component::{LatencyBreakdown, LatencyComponent};
@@ -99,43 +99,20 @@ impl Default for TraceBenchConfig {
     }
 }
 
-/// Per-method identity the recorder needs beyond [`ServableTable`]:
-/// message class for pricing and the owning service for span records.
-struct MethodMeta {
-    classes: Vec<MessageClass>,
-    services: Vec<ServiceId>,
+/// The servable table of a traced run's catalog.
+fn servable_table(config: &TraceBenchConfig) -> Arc<ServableTable> {
+    Arc::new(crate::wire::build_table(&crate::wire::WireBenchConfig {
+        seed: config.seed,
+        total_methods: config.total_methods,
+        ..Default::default()
+    }))
 }
 
-impl MethodMeta {
-    fn class_of(&self, method: u64) -> MessageClass {
-        self.classes
-            .get(method as usize)
-            .copied()
-            .unwrap_or_else(MessageClass::structured)
-    }
-
-    fn service_of(&self, method: u64) -> ServiceId {
-        self.services
-            .get(method as usize)
-            .copied()
-            .unwrap_or(ServiceId(0))
-    }
-}
-
-/// Builds the servable table plus recorder metadata from one catalog.
-fn build_catalog(config: &TraceBenchConfig) -> (ServableTable, MethodMeta) {
-    let topology = Topology::default_world(config.seed);
-    let catalog = Catalog::generate(
-        &CatalogConfig {
-            total_methods: config.total_methods,
-            seed: config.seed,
-        },
-        &topology,
-    );
-    let table = ServableTable::from_catalog(&catalog);
-    let services = catalog.methods().iter().map(|m| m.service).collect();
-    let classes = table.methods().iter().map(|m| m.class).collect();
-    (table, MethodMeta { classes, services })
+/// The message class the recorder prices a method's payloads with.
+fn class_of(table: &ServableTable, method: u64) -> MessageClass {
+    table
+        .by_wire_id(method)
+        .map_or_else(MessageClass::structured, |m| m.class)
 }
 
 /// How the recorder assigns time (see the module docs).
@@ -190,7 +167,7 @@ struct CounterSample {
 /// `Rc<RefCell<WireTraceRecorder>>` (which implements [`SpanSink`]).
 pub struct WireTraceRecorder {
     model: StackCostModel,
-    meta: MethodMeta,
+    table: Arc<ServableTable>,
     mode: ClockMode,
     now_ns: u64,
     /// In-flight spans keyed by `(trace_id, span_id)`.
@@ -213,10 +190,10 @@ pub struct WireTraceRecorder {
 }
 
 impl WireTraceRecorder {
-    fn new(meta: MethodMeta, mode: ClockMode) -> WireTraceRecorder {
+    fn new(table: Arc<ServableTable>, mode: ClockMode) -> WireTraceRecorder {
         WireTraceRecorder {
             model: StackCostModel::new(StackCostConfig::default()),
-            meta,
+            table,
             mode,
             now_ns: 0,
             open: HashMap::new(),
@@ -337,7 +314,9 @@ impl WireTraceRecorder {
         let depth = open.ctx.depth as u16;
         let mut builder = SpanBuilder::new(
             MethodId(open.method as u32),
-            self.meta.service_of(open.method),
+            self.table
+                .by_wire_id(open.method)
+                .map_or(ServiceId(0), |m| m.service),
             ClusterId(depth),
             ClusterId(depth + 1),
         )
@@ -404,7 +383,7 @@ impl SpanSink for WireTraceRecorder {
             return;
         };
         let key = (ctx.trace_id, ctx.span_id);
-        let class = self.meta.class_of(event.method);
+        let class = class_of(&self.table, event.method);
         let req_send = self
             .model
             .sender_component_ns(event.raw_bytes as u64, class);
@@ -523,12 +502,11 @@ struct NextHop {
     server: WireServer<MemLink, HopHandler, SharedRecorder>,
 }
 
-/// A hop's handler: serves the catalog like `wire::CatalogHandler` and,
-/// below the last hop, re-propagates the trace context into `fanout`
-/// nested calls per request.
+/// A hop's handler: serves the catalog through a wrapped
+/// [`CatalogHandler`] and, below the last hop, re-propagates the trace
+/// context into `fanout` nested calls per request.
 pub struct HopHandler {
-    table: Arc<ServableTable>,
-    seed: u64,
+    catalog: CatalogHandler,
     depth: u32,
     fanout: u32,
     next: Option<Box<NextHop>>,
@@ -537,21 +515,15 @@ pub struct HopHandler {
 }
 
 impl HopHandler {
-    fn method(&self, wire_id: u64) -> Option<&ServableMethod> {
-        u32::try_from(wire_id)
-            .ok()
-            .and_then(|id| self.table.get(MethodId(id)))
-    }
-
     /// Issues one nested, traced call on the next hop and drives it to
     /// completion (the link is lossless; the poll loop mirrors
     /// `wire::run_over_memlink`).
     fn call_next(&mut self, ctx: &TraceContext, request_id_salt: u64) -> Result<(), WireError> {
         let next = self.next.as_mut().expect("call_next below the last hop");
-        let mut rng = Prng::seed_from(self.seed ^ u64::from(self.depth))
+        let mut rng = Prng::seed_from(self.catalog.seed ^ u64::from(self.depth))
             .stream(0xFA_0001)
             .substream(request_id_salt);
-        let method = self.table.sample_root(&mut rng);
+        let method = self.catalog.table.sample_root(&mut rng);
         let len = payload::sample_wire_len(&method.req_size, &mut rng);
         payload::fill_body(&mut rng, len, &mut self.body);
         let child_ctx = ctx.child(self.recorder.borrow_mut().next_span_id());
@@ -579,7 +551,7 @@ impl HopHandler {
 
 impl Handler for HopHandler {
     fn handle(&mut self, request: &Request) -> (Status, Vec<u8>) {
-        if self.method(request.method).is_none() {
+        if self.catalog.table.by_wire_id(request.method).is_none() {
             return (Status::NoSuchMethod, Vec::new());
         }
         if self.next.is_some() {
@@ -592,17 +564,11 @@ impl Handler for HopHandler {
                 }
             }
         }
-        let mut rng = Prng::seed_from(self.seed ^ request.client_id)
-            .stream(request.method)
-            .substream(request.request_id);
-        let method = self.method(request.method).expect("checked above");
-        let resp_len = payload::sample_wire_len(&method.resp_size, &mut rng);
-        payload::fill_body(&mut rng, resp_len, &mut self.body);
-        (Status::Ok, std::mem::take(&mut self.body))
+        self.catalog.handle(request)
     }
 
     fn compress_response(&self, method: u64) -> bool {
-        self.method(method).is_some_and(|m| m.class.compressed)
+        self.catalog.compress_response(method)
     }
 }
 
@@ -630,8 +596,7 @@ fn build_hop(
         None
     };
     let handler = HopHandler {
-        table: table.clone(),
-        seed: config.seed,
+        catalog: CatalogHandler::new(table.clone(), config.seed),
         depth,
         fanout: config.fanout,
         next,
@@ -748,10 +713,9 @@ fn analyse(recorder: &WireTraceRecorder) -> Vec<Finding> {
 /// virtual clock: the full capture is a pure function of the config.
 pub fn run_traced_memlink(config: &TraceBenchConfig) -> Result<TraceBenchReport, WireError> {
     assert!(config.hops >= 1, "need at least one hop");
-    let (table, meta) = build_catalog(config);
-    let table = Arc::new(table);
+    let table = servable_table(config);
     let recorder: SharedRecorder = Rc::new(RefCell::new(WireTraceRecorder::new(
-        meta,
+        table.clone(),
         ClockMode::Virtual,
     )));
     let (client_end, server_end) = MemLink::pair();
@@ -806,10 +770,9 @@ pub fn run_traced_memlink(config: &TraceBenchConfig) -> Result<TraceBenchReport,
 /// timings (`hops` and `fanout` are ignored — the UDP server cannot
 /// share the single-threaded recorder).
 pub fn run_traced_udp(config: &TraceBenchConfig) -> Result<TraceBenchReport, WireError> {
-    let (table, meta) = build_catalog(config);
-    let table = Arc::new(table);
+    let table = servable_table(config);
     let recorder: SharedRecorder = Rc::new(RefCell::new(WireTraceRecorder::new(
-        meta,
+        table.clone(),
         ClockMode::Wall(Instant::now()),
     )));
     let server_socket = UdpServerSocket::bind("127.0.0.1:0").map_err(WireError::Io)?;
@@ -820,7 +783,7 @@ pub fn run_traced_udp(config: &TraceBenchConfig) -> Result<TraceBenchReport, Wir
         let stop = stop.clone();
         let seed = config.seed;
         std::thread::spawn(move || {
-            let handler = crate::wire::CatalogHandler::new(table, seed);
+            let handler = CatalogHandler::new(table, seed);
             let mut server = WireServer::new(server_socket, handler, Semantics::AtMostOnce);
             server
                 .serve(Duration::from_millis(5), |_| stop.load(Ordering::Relaxed))
@@ -961,13 +924,13 @@ pub fn method_delta_text(store: &TraceStore, seed: u64, total_methods: usize) ->
         total_methods,
         ..TraceBenchConfig::default()
     };
-    let (_table, meta) = build_catalog(&config);
+    let table = servable_table(&config);
     let model = StackCostModel::new(StackCostConfig::default());
     // method → (count, measured ns sum, modeled ns sum)
     let mut rows: HashMap<u32, (u64, u64, u64)> = HashMap::new();
     for trace in store.traces() {
         for span in &trace.spans {
-            let class = meta.class_of(span.method.0 as u64);
+            let class = class_of(&table, span.method.0 as u64);
             let req = span.request_bytes as u64;
             let resp = span.response_bytes as u64;
             let s_req = model.sender_component_ns(req, class);

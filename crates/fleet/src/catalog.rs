@@ -55,10 +55,11 @@ pub struct ServiceSpec {
     pub clusters: Vec<ClusterId>,
     /// Whether the service holds reserved cores (KV-Store).
     pub reserved_cores: bool,
-    /// Whether payloads are compressed.
-    pub compressed: bool,
-    /// Whether payloads are encrypted (fleet default: yes).
-    pub encrypted: bool,
+    /// How the stack treats this service's payloads: compressed and
+    /// encrypted structured data by default; storage blocks arrive as
+    /// pre-compressed opaque blobs (cheap serialization, no RPC-level
+    /// compression benefit).
+    pub class: MessageClass,
     /// Workers per server pool.
     pub workers: u32,
     /// Probability a call must leave the client's cluster even when the
@@ -74,9 +75,6 @@ pub struct ServiceSpec {
     /// Multiplier on the per-site base utilization (queueing-heavy
     /// services like SSD cache and Video Metadata run hot, Fig. 14).
     pub util_bias: f64,
-    /// Whether payloads are opaque blobs (cheap serialization, no RPC-level
-    /// compression benefit; storage blocks arrive pre-compressed).
-    pub blob_payload: bool,
     /// Probability that a call must chase data to an arbitrary deployed
     /// cluster, however far (single-homed data). Poor-locality services
     /// are what give the slowest methods their WAN-scale network tails
@@ -85,52 +83,18 @@ pub struct ServiceSpec {
 }
 
 /// How many downstream calls an edge issues when it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum FanoutDist {
-    /// Always exactly `n` parallel calls.
-    Fixed(u32),
-    /// Bounded-Pareto parallel fan-out on `[1, max]` with tail index
-    /// `alpha` (partition/aggregate bursts).
-    Pareto {
-        /// Largest fan-out.
-        max: u32,
-        /// Tail index; smaller is burstier.
-        alpha: f64,
-    },
-}
-
-impl FanoutDist {
-    /// Samples a fan-out count (≥ 1).
-    pub fn sample(&self, rng: &mut Prng) -> u32 {
-        match *self {
-            FanoutDist::Fixed(n) => n.max(1),
-            FanoutDist::Pareto { max, alpha } => {
-                let max = max.max(1) as f64;
-                let u = rng.next_f64_open();
-                // Inverse-CDF of a bounded Pareto on [1, max].
-                let ha = max.powf(alpha);
-                let x = (1.0 - u * (1.0 - 1.0 / ha)).powf(-1.0 / alpha);
-                (x.min(max)) as u32
-            }
-        }
-    }
-}
-
-/// A [`FanoutDist`] with its inverse-CDF constants folded at catalog build
-/// time, so the hot loop performs one uniform draw, one multiply, and one
-/// `powf` instead of re-deriving `max^alpha` on every edge firing.
 ///
-/// The precomputed subexpressions (`1 - 1/max^alpha` and `-1/alpha`) take
-/// the same values the per-draw formula produces, so sampling is
-/// bit-identical to [`FanoutDist::sample`] for the same rng state — the
-/// determinism contract the golden-digest test pins down.
+/// Built through [`FanoutDist::fixed`] and [`FanoutDist::pareto`], which
+/// fold the inverse-CDF constants once, so a draw is one uniform, one
+/// multiply and one `powf`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FanoutSampler {
-    /// Always exactly `n` (already floored at 1) parallel calls.
+pub enum FanoutDist {
+    /// Always exactly `n` (≥ 1) parallel calls.
     Fixed(u32),
-    /// Bounded Pareto on `[1, max]` with the inverse CDF precomputed.
+    /// Bounded-Pareto parallel fan-out on `[1, max]` (partition/aggregate
+    /// bursts), with the inverse CDF precomputed.
     Pareto {
-        /// `max(max, 1)` as a float (the clamp ceiling).
+        /// Largest fan-out, as a float (the clamp ceiling).
         max: f64,
         /// `1 - 1 / max^alpha` (the uniform-draw coefficient).
         coef: f64,
@@ -139,30 +103,30 @@ pub enum FanoutSampler {
     },
 }
 
-impl FanoutSampler {
-    /// Precomputes the sampler for one fan-out distribution.
-    pub fn from_dist(dist: FanoutDist) -> Self {
-        match dist {
-            FanoutDist::Fixed(n) => FanoutSampler::Fixed(n.max(1)),
-            FanoutDist::Pareto { max, alpha } => {
-                let max = max.max(1) as f64;
-                let ha = max.powf(alpha);
-                FanoutSampler::Pareto {
-                    max,
-                    coef: 1.0 - 1.0 / ha,
-                    neg_inv_alpha: -1.0 / alpha,
-                }
-            }
+impl FanoutDist {
+    /// Exactly `n` parallel calls, floored at 1.
+    pub fn fixed(n: u32) -> Self {
+        FanoutDist::Fixed(n.max(1))
+    }
+
+    /// Bounded Pareto on `[1, max]` with tail index `alpha`; smaller
+    /// `alpha` is burstier.
+    pub fn pareto(max: u32, alpha: f64) -> Self {
+        let max = max.max(1) as f64;
+        let ha = max.powf(alpha);
+        FanoutDist::Pareto {
+            max,
+            coef: 1.0 - 1.0 / ha,
+            neg_inv_alpha: -1.0 / alpha,
         }
     }
 
-    /// Samples a fan-out count (≥ 1); bit-identical to the source
-    /// [`FanoutDist::sample`].
+    /// Samples a fan-out count (≥ 1).
     #[inline]
     pub fn sample(&self, rng: &mut Prng) -> u32 {
         match *self {
-            FanoutSampler::Fixed(n) => n,
-            FanoutSampler::Pareto {
+            FanoutDist::Fixed(n) => n,
+            FanoutDist::Pareto {
                 max,
                 coef,
                 neg_inv_alpha,
@@ -188,20 +152,6 @@ pub struct CallEdge {
     /// partition/aggregate) or fires and forgets (write-behind, cache
     /// fill). Async children still consume resources and appear in
     /// traces, but do not extend the parent's application time.
-    pub blocking: bool,
-}
-
-/// One call edge as stored in the catalog's shared CSR edge table: the
-/// construction-time [`CallEdge`] with its fan-out sampler precomputed.
-#[derive(Debug, Clone, Copy)]
-pub struct EdgeHot {
-    /// The method invoked downstream.
-    pub target: MethodId,
-    /// Probability the edge fires on a given invocation.
-    pub prob: f64,
-    /// Precomputed parallel fan-out sampler.
-    pub fanout: FanoutSampler,
-    /// Whether the caller blocks on the child (see [`CallEdge`]).
     pub blocking: bool,
 }
 
@@ -245,113 +195,32 @@ pub const MIN_PAYLOAD: f64 = 64.0;
 /// Upper payload clamp.
 pub const MAX_PAYLOAD: f64 = 4.0 * 1024.0 * 1024.0;
 
-/// Shared sampling kernels: [`MethodSpec`] (the cold, name-carrying spec)
-/// and [`MethodHot`] (the `Copy` hot header the driver reads per span) must
-/// draw identically, so both delegate here.
-#[inline]
-fn sample_compute_impl(
-    compute: &LogNormal,
-    fast_compute: &LogNormal,
-    fast_path_prob: f64,
-    rng: &mut Prng,
-) -> (SimDuration, bool) {
-    if rng.chance(fast_path_prob) {
-        (SimDuration::from_secs_f64(fast_compute.sample(rng)), true)
-    } else {
-        (SimDuration::from_secs_f64(compute.sample(rng)), false)
-    }
-}
-
-#[inline]
-fn sample_payload_bytes_impl(size: &LogNormal, rng: &mut Prng) -> u64 {
-    size.sample(rng).clamp(MIN_PAYLOAD, MAX_PAYLOAD) as u64
-}
-
 impl MethodSpec {
     /// Samples the CPU work of one invocation; returns `(work, fast)`
     /// where `fast` means the fast path fired (no children).
-    pub fn sample_compute(&self, rng: &mut Prng) -> (SimDuration, bool) {
-        sample_compute_impl(&self.compute, &self.fast_compute, self.fast_path_prob, rng)
-    }
-
-    /// Samples a request payload size in bytes.
-    pub fn sample_request_bytes(&self, rng: &mut Prng) -> u64 {
-        sample_payload_bytes_impl(&self.req_size, rng)
-    }
-
-    /// Samples a response payload size in bytes.
-    pub fn sample_response_bytes(&self, rng: &mut Prng) -> u64 {
-        sample_payload_bytes_impl(&self.resp_size, rng)
-    }
-}
-
-/// The per-method hot header: everything `simulate_call` reads on every
-/// span, packed into one `Copy` struct so the driver borrows it from the
-/// catalog instead of cloning the `String`- and `Vec`-carrying
-/// [`MethodSpec`]. The outgoing edges live in the catalog's shared CSR
-/// edge table, addressed by the `[edge_start, edge_end)` range.
-#[derive(Debug, Clone, Copy)]
-pub struct MethodHot {
-    /// Owning service.
-    pub service: ServiceId,
-    /// Main-path CPU work sampler (seconds).
-    pub compute: LogNormal,
-    /// Probability of the fast path.
-    pub fast_path_prob: f64,
-    /// Fast-path CPU work sampler (seconds).
-    pub fast_compute: LogNormal,
-    /// Request payload size sampler (bytes).
-    pub req_size: LogNormal,
-    /// Response payload size sampler (bytes).
-    pub resp_size: LogNormal,
-    /// Hedging policy.
-    pub hedge: HedgePolicy,
-    /// Per-invocation CPU draw sampler (see [`MethodSpec::cpu_work`]).
-    pub cpu_work: LogNormal,
-    /// Start of this method's slice in the shared edge table.
-    edge_start: u32,
-    /// End of this method's slice in the shared edge table.
-    edge_end: u32,
-}
-
-impl MethodHot {
-    /// Samples the CPU work of one invocation; returns `(work, fast)`.
-    /// Bit-identical to [`MethodSpec::sample_compute`].
     #[inline]
     pub fn sample_compute(&self, rng: &mut Prng) -> (SimDuration, bool) {
-        sample_compute_impl(&self.compute, &self.fast_compute, self.fast_path_prob, rng)
+        if rng.chance(self.fast_path_prob) {
+            (
+                SimDuration::from_secs_f64(self.fast_compute.sample(rng)),
+                true,
+            )
+        } else {
+            (SimDuration::from_secs_f64(self.compute.sample(rng)), false)
+        }
     }
 
     /// Samples a request payload size in bytes.
     #[inline]
     pub fn sample_request_bytes(&self, rng: &mut Prng) -> u64 {
-        sample_payload_bytes_impl(&self.req_size, rng)
+        self.req_size.sample(rng).clamp(MIN_PAYLOAD, MAX_PAYLOAD) as u64
     }
 
     /// Samples a response payload size in bytes.
     #[inline]
     pub fn sample_response_bytes(&self, rng: &mut Prng) -> u64 {
-        sample_payload_bytes_impl(&self.resp_size, rng)
+        self.resp_size.sample(rng).clamp(MIN_PAYLOAD, MAX_PAYLOAD) as u64
     }
-}
-
-/// The per-service hot header mirrored from [`ServiceSpec`]: the flags and
-/// probabilities `simulate_call` needs, with the payload handling already
-/// folded into a [`MessageClass`].
-#[derive(Debug, Clone, Copy)]
-pub struct ServiceHot {
-    /// How the stack treats this service's payloads.
-    pub class: MessageClass,
-    /// Whether payloads are compressed (wire-byte computation).
-    pub compressed: bool,
-    /// Whether the service holds reserved cores.
-    pub reserved_cores: bool,
-    /// Probability a call leaves the client's cluster despite local
-    /// deployment.
-    pub remote_call_prob: f64,
-    /// Probability a call chases single-homed data to an arbitrary
-    /// deployed cluster.
-    pub data_miss_prob: f64,
 }
 
 /// Catalog generation parameters.
@@ -374,22 +243,19 @@ impl Default for CatalogConfig {
 
 /// The full catalog: services, methods, and the Table 1 pinned entries.
 ///
-/// Alongside the cold specs, the catalog interns the hot-path view built
-/// once at generation time: `Copy` per-method and per-service headers plus
-/// one flat CSR edge table shared by all methods. The driver's inner loop
-/// reads only these — no clones, no per-span allocation.
+/// Call edges live in one flat compressed-sparse-row table shared by all
+/// methods, so the driver's inner loop borrows a method's edges as a
+/// slice.
 #[derive(Debug, Clone)]
 pub struct Catalog {
     services: Vec<ServiceSpec>,
     methods: Vec<MethodSpec>,
     table1: Vec<Table1Entry>,
-    /// Per-method hot headers, indexed by `MethodId`.
-    hot: Vec<MethodHot>,
-    /// Per-service hot headers, indexed by `ServiceId`.
-    service_hot: Vec<ServiceHot>,
-    /// Flat edge table; each method owns the `[edge_start, edge_end)`
-    /// slice recorded in its hot header.
-    edge_table: Vec<EdgeHot>,
+    /// Flat edge table; method `i` owns
+    /// `edge_table[edge_offsets[i]..edge_offsets[i + 1]]`.
+    edge_table: Vec<CallEdge>,
+    /// CSR row offsets, one more than there are methods.
+    edge_offsets: Vec<u32>,
 }
 
 /// One row of the paper's Table 1.
@@ -462,26 +328,6 @@ impl Catalog {
         &self.methods[id.0 as usize]
     }
 
-    /// The hot header of a method.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    #[inline]
-    pub fn hot(&self, id: MethodId) -> &MethodHot {
-        &self.hot[id.0 as usize]
-    }
-
-    /// The hot header of a service.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is out of range.
-    #[inline]
-    pub fn service_hot(&self, id: ServiceId) -> ServiceHot {
-        self.service_hot[id.0 as usize]
-    }
-
     /// The outgoing call edges of a method (a slice of the shared edge
     /// table).
     ///
@@ -489,9 +335,9 @@ impl Catalog {
     ///
     /// Panics if the id is out of range.
     #[inline]
-    pub fn edges(&self, id: MethodId) -> &[EdgeHot] {
-        let h = &self.hot[id.0 as usize];
-        &self.edge_table[h.edge_start as usize..h.edge_end as usize]
+    pub fn edges(&self, id: MethodId) -> &[CallEdge] {
+        let i = id.0 as usize;
+        &self.edge_table[self.edge_offsets[i] as usize..self.edge_offsets[i + 1] as usize]
     }
 
     /// Looks up a service by name.
@@ -560,20 +406,16 @@ impl<'a> Builder<'a> {
     ) -> ServiceId {
         let id = ServiceId(self.services.len() as u16);
         let clusters = self.pick_clusters(clusters);
-        let (reserved, compressed, remote_prob, skew, bg_service, bg_scv) = match category {
-            ServiceCategory::Storage => {
-                (false, true, 0.10, 0.05, SimDuration::from_micros(400), 4.0)
-            }
+        let (reserved, remote_prob, skew, bg_service, bg_scv) = match category {
+            ServiceCategory::Storage => (false, 0.10, 0.05, SimDuration::from_micros(400), 4.0),
             ServiceCategory::ComputeIntensive => {
-                (false, true, 0.05, 0.30, SimDuration::from_millis(5), 6.0)
+                (false, 0.05, 0.30, SimDuration::from_millis(5), 6.0)
             }
             ServiceCategory::LatencySensitive => {
-                (true, true, 0.02, 0.25, SimDuration::from_micros(100), 2.0)
+                (true, 0.02, 0.25, SimDuration::from_micros(100), 2.0)
             }
-            ServiceCategory::Frontend => {
-                (false, true, 0.08, 0.05, SimDuration::from_millis(1), 4.0)
-            }
-            ServiceCategory::Infra => (false, true, 0.10, 0.08, SimDuration::from_millis(2), 5.0),
+            ServiceCategory::Frontend => (false, 0.08, 0.05, SimDuration::from_millis(1), 4.0),
+            ServiceCategory::Infra => (false, 0.10, 0.08, SimDuration::from_millis(2), 5.0),
         };
         self.services.push(ServiceSpec {
             id,
@@ -582,15 +424,13 @@ impl<'a> Builder<'a> {
             tier,
             clusters,
             reserved_cores: reserved,
-            compressed,
-            encrypted: true,
+            class: MessageClass::structured(),
             workers,
             remote_call_prob: remote_prob,
             machine_skew: skew,
             background_service: bg_service,
             background_scv: bg_scv,
             util_bias: 1.0,
-            blob_payload: false,
             data_miss_prob: 0.0015,
         });
         id
@@ -603,9 +443,7 @@ impl<'a> Builder<'a> {
 
     /// Marks a service's payloads as pre-compressed opaque blobs.
     fn blob_payloads(&mut self, service: ServiceId) {
-        let svc = &mut self.services[service.0 as usize];
-        svc.blob_payload = true;
-        svc.compressed = false;
+        self.services[service.0 as usize].class = MessageClass::blob();
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -713,7 +551,7 @@ impl<'a> Builder<'a> {
     }
 
     fn build(mut self) -> Catalog {
-        let burst = |max, alpha| FanoutDist::Pareto { max, alpha };
+        let burst = FanoutDist::pareto;
 
         // ---- Tier 3: the storage layer ----------------------------------
         let network_disk = self.add_service("NetworkDisk", ServiceCategory::Storage, 3, 26, 24);
@@ -1033,7 +871,7 @@ impl<'a> Builder<'a> {
         // ---- The pinned call chains of Table 1 ---------------------------
         // Recommendation -> KV-Store -> Bigtable -> Network Disk.
         self.link_services(reco, kv_store, 0.9, burst(24, 0.9));
-        self.link_services_mode(kv_store, bigtable, 0.25, FanoutDist::Fixed(1), false);
+        self.link_services_mode(kv_store, bigtable, 0.25, FanoutDist::fixed(1), false);
         self.link_services(bigtable, network_disk, 0.8, burst(8, 0.9));
         // BigQuery -> SSD cache (streaming lookups) and the disk.
         self.link_services(bigquery, ssd_cache, 0.9, burst(32, 0.8));
@@ -1050,8 +888,8 @@ impl<'a> Builder<'a> {
         // servers, which is what gives even "leaf" storage methods a
         // heavy descendant tail (Fig. 4) and makes Network Disk methods
         // the fleet's most-called RPCs.
-        self.link_services(network_disk, network_disk, 0.35, FanoutDist::Fixed(2));
-        self.link_services_mode(ssd_cache, network_disk, 0.20, FanoutDist::Fixed(1), false);
+        self.link_services(network_disk, network_disk, 0.35, FanoutDist::fixed(2));
+        self.link_services_mode(ssd_cache, network_disk, 0.20, FanoutDist::fixed(1), false);
         // F1 -> F1 (one self-hop, per Table 1) and Spanner underneath.
         self.link_services(f1, f1, 0.25, burst(12, 0.9));
         self.link_services(f1, spanner, 0.5, burst(8, 1.0));
@@ -1059,7 +897,7 @@ impl<'a> Builder<'a> {
         self.link_services(web_frontend, kv_store, 0.6, burst(16, 0.9));
         self.link_services(web_frontend, f1, 0.25, burst(4, 1.1));
         self.link_services(web_frontend, bigtable, 0.4, burst(12, 0.9));
-        self.link_services(web_frontend, lock_service, 0.1, FanoutDist::Fixed(1));
+        self.link_services(web_frontend, lock_service, 0.1, FanoutDist::fixed(1));
 
         self.table1 = vec![
             Table1Entry {
@@ -1144,9 +982,7 @@ impl<'a> Builder<'a> {
         self.finish()
     }
 
-    /// Interns the hot-path view: flattens the per-method edge lists into
-    /// one CSR table (with fan-out samplers precomputed) and mirrors the
-    /// per-method / per-service hot headers out of the cold specs.
+    /// Flattens the per-method edge lists into the catalog's CSR table.
     fn finish(self) -> Catalog {
         let Builder {
             services,
@@ -1155,50 +991,19 @@ impl<'a> Builder<'a> {
             table1,
             ..
         } = self;
-        let mut edge_table = Vec::with_capacity(edges.iter().map(Vec::len).sum());
-        let mut hot = Vec::with_capacity(methods.len());
-        for (m, m_edges) in methods.iter().zip(&edges) {
-            let edge_start = edge_table.len() as u32;
-            edge_table.extend(m_edges.iter().map(|e| EdgeHot {
-                target: e.target,
-                prob: e.prob,
-                fanout: FanoutSampler::from_dist(e.fanout),
-                blocking: e.blocking,
-            }));
-            hot.push(MethodHot {
-                service: m.service,
-                compute: m.compute,
-                fast_path_prob: m.fast_path_prob,
-                fast_compute: m.fast_compute,
-                req_size: m.req_size,
-                resp_size: m.resp_size,
-                hedge: m.hedge,
-                cpu_work: m.cpu_work,
-                edge_start,
-                edge_end: edge_table.len() as u32,
-            });
-        }
-        let service_hot = services
-            .iter()
-            .map(|s| ServiceHot {
-                class: MessageClass {
-                    compressed: s.compressed,
-                    encrypted: s.encrypted,
-                    blob: s.blob_payload,
-                },
-                compressed: s.compressed,
-                reserved_cores: s.reserved_cores,
-                remote_call_prob: s.remote_call_prob,
-                data_miss_prob: s.data_miss_prob,
-            })
+        let mut end = 0u32;
+        let edge_offsets = std::iter::once(0)
+            .chain(edges.iter().map(|m_edges| {
+                end += m_edges.len() as u32;
+                end
+            }))
             .collect();
         Catalog {
             services,
             methods,
             table1,
-            hot,
-            service_hot,
-            edge_table,
+            edge_table: edges.concat(),
+            edge_offsets,
         }
     }
 
@@ -1305,7 +1110,7 @@ impl<'a> Builder<'a> {
                 self.edges[i].push(CallEdge {
                     target,
                     prob: 0.30 + self.rng.next_f64() * 0.15,
-                    fanout: FanoutDist::Pareto { max: 40, alpha },
+                    fanout: FanoutDist::pareto(40, alpha),
                     blocking: true,
                 });
                 continue;
@@ -1323,7 +1128,7 @@ impl<'a> Builder<'a> {
                 self.edges[i].push(CallEdge {
                     target,
                     prob: 0.4 + self.rng.next_f64() * 0.6,
-                    fanout: FanoutDist::Pareto { max, alpha },
+                    fanout: FanoutDist::pareto(max, alpha),
                     blocking: true,
                 });
             }
@@ -1401,9 +1206,21 @@ mod tests {
     #[test]
     fn edges_only_point_to_equal_or_deeper_tiers() {
         let c = catalog(1000);
+        // The per-method slices walk the shared edge table exactly once.
+        let total: usize = c.methods().iter().map(|m| c.edges(m.id).len()).sum();
+        assert!(total > 0, "catalog has no edges at all");
+        assert_eq!(total, c.edge_table.len());
+        let mut rng = Prng::seed_from(3);
         for m in c.methods() {
             let src_tier = c.service(m.service).tier;
             for e in c.edges(m.id) {
+                assert!(
+                    e.prob > 0.0 && e.prob <= 1.0,
+                    "{} edge prob {}",
+                    m.name,
+                    e.prob
+                );
+                assert!(e.fanout.sample(&mut rng) >= 1);
                 let dst_tier = c.service(c.method(e.target).service).tier;
                 assert!(
                     dst_tier >= src_tier,
@@ -1505,10 +1322,7 @@ mod tests {
     #[test]
     fn fanout_dists_sample_in_bounds() {
         let mut rng = Prng::seed_from(9);
-        let f = FanoutDist::Pareto {
-            max: 48,
-            alpha: 0.8,
-        };
+        let f = FanoutDist::pareto(48, 0.8);
         let mut saw_big = false;
         for _ in 0..10_000 {
             let k = f.sample(&mut rng);
@@ -1518,75 +1332,8 @@ mod tests {
             }
         }
         assert!(saw_big, "heavy-tail fanout never sampled large");
-        assert_eq!(FanoutDist::Fixed(3).sample(&mut rng), 3);
-    }
-
-    #[test]
-    fn fanout_sampler_is_bit_identical_to_dist() {
-        // The precomputed sampler must reproduce FanoutDist::sample
-        // exactly — same draws from the same rng state — or the
-        // golden-digest determinism contract breaks.
-        let dists = [
-            FanoutDist::Fixed(1),
-            FanoutDist::Fixed(7),
-            FanoutDist::Fixed(0), // floored to 1
-            FanoutDist::Pareto {
-                max: 48,
-                alpha: 0.8,
-            },
-            FanoutDist::Pareto { max: 8, alpha: 1.3 },
-            FanoutDist::Pareto {
-                max: 64,
-                alpha: 1.05,
-            },
-        ];
-        for (i, d) in dists.into_iter().enumerate() {
-            let s = FanoutSampler::from_dist(d);
-            let mut rng_a = Prng::seed_from(100 + i as u64);
-            let mut rng_b = Prng::seed_from(100 + i as u64);
-            for _ in 0..20_000 {
-                assert_eq!(d.sample(&mut rng_a), s.sample(&mut rng_b), "{d:?}");
-            }
-            // The streams consumed identically.
-            assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "{d:?}");
-        }
-    }
-
-    #[test]
-    fn hot_headers_mirror_the_cold_specs() {
-        let c = catalog(500);
-        for m in c.methods() {
-            let h = c.hot(m.id);
-            assert_eq!(h.service, m.service);
-            assert_eq!(h.fast_path_prob, m.fast_path_prob);
-            assert_eq!(h.hedge, m.hedge);
-            // The samplers are the same distributions: equal medians.
-            assert_eq!(h.compute.median(), m.compute.median());
-            assert_eq!(h.req_size.median(), m.req_size.median());
-            assert_eq!(h.resp_size.median(), m.resp_size.median());
-            assert_eq!(h.cpu_work.median(), m.cpu_work.median());
-        }
-        for s in c.services() {
-            let h = c.service_hot(s.id);
-            assert_eq!(h.compressed, s.compressed);
-            assert_eq!(h.reserved_cores, s.reserved_cores);
-            assert_eq!(h.remote_call_prob, s.remote_call_prob);
-            assert_eq!(h.data_miss_prob, s.data_miss_prob);
-            assert_eq!(h.class.compressed, s.compressed);
-            assert_eq!(h.class.encrypted, s.encrypted);
-            assert_eq!(h.class.blob, s.blob_payload);
-        }
-        // Every edge-table slice is consistent: concatenating the
-        // per-method slices walks the whole table exactly once.
-        let total: usize = c.methods().iter().map(|m| c.edges(m.id).len()).sum();
-        assert!(total > 0, "catalog has no edges at all");
-        let mut rng = Prng::seed_from(3);
-        for m in c.methods().iter().take(100) {
-            for e in c.edges(m.id) {
-                assert!((e.prob > 0.0) && (e.prob <= 1.0));
-                assert!(e.fanout.sample(&mut rng) >= 1);
-            }
-        }
+        assert_eq!(FanoutDist::fixed(3).sample(&mut rng), 3);
+        assert_eq!(FanoutDist::fixed(0).sample(&mut rng), 1);
     }
 
     #[test]

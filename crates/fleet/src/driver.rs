@@ -22,7 +22,7 @@
 //! stored in full; cycles flow to the profiler and errors to the error
 //! accounting.
 
-use crate::catalog::{Catalog, CatalogConfig, ServiceCategory, ServiceHot};
+use crate::catalog::{Catalog, CatalogConfig, ServiceCategory, ServiceSpec};
 use crate::conditions::{Environment, Unavailable};
 use crate::control::{admission_verdict, AdmissionVerdict};
 use crate::faults::FaultScenario;
@@ -671,20 +671,19 @@ impl Driver {
     /// rows); draw-for-draw identical to computing the weights inline.
     fn choose_cluster(
         &self,
-        service: ServiceId,
-        deployed: &[ClusterId],
+        service: &ServiceSpec,
         client: ClusterId,
-        sh: &ServiceHot,
         rng: &mut Prng,
     ) -> ClusterId {
-        let placement = &self.placement[service.0 as usize];
+        let deployed = &service.clusters;
+        let placement = &self.placement[service.id.0 as usize];
         let local = placement.deployed_mask >> client.0 & 1 == 1;
-        if local && !rng.chance(sh.remote_call_prob) {
+        if local && !rng.chance(service.remote_call_prob) {
             return client;
         }
         // A fraction of locality misses land wherever the data lives,
         // however far (Fig. 19's intercontinental clients).
-        if rng.chance(sh.data_miss_prob) {
+        if rng.chance(service.data_miss_prob) {
             return deployed[rng.index(deployed.len())];
         }
         // Softmax over negative RTT (the production balancer's
@@ -957,7 +956,7 @@ impl<'a> Shard<'a> {
             };
             let client_util =
                 self.world.client_profiles[root.client_cluster.0 as usize].cpu_util_at(root.at);
-            let entry_service = self.world.catalog.hot(root.method).service;
+            let entry_service = self.world.catalog.method(root.method).service;
             let finish = self.place_call(
                 &mut ctx,
                 Call {
@@ -1089,7 +1088,7 @@ impl<'a> Shard<'a> {
     /// eligible leaf methods. Reports the winner's finish, error and
     /// placement so the retry loop can back off and fail over.
     fn place_attempt(&mut self, ctx: &mut TraceCtx, call: Call) -> SimResult {
-        let hedge = self.world.catalog.hot(call.method).hedge;
+        let hedge = self.world.catalog.method(call.method).hedge;
         let primary = self.simulate_call(ctx, call);
         let Some(primary_idx) = primary.span else {
             return primary;
@@ -1181,17 +1180,17 @@ impl<'a> Shard<'a> {
         self.counters.max_depth = self.counters.max_depth.max(u64::from(depth));
 
         // Borrow the immutable world through its own lifetime so the
-        // hot header, edge slice, and site borrows stay live across the
+        // method, service, edge-slice and site borrows stay live across the
         // `&mut self` recursion below — no clones needed anywhere.
         let world = self.world;
-        let hot = world.catalog.hot(method);
-        let sh = world.catalog.service_hot(hot.service);
+        let spec = world.catalog.method(method);
+        let service = world.catalog.service(spec.service);
         self.method_calls[method.0 as usize] += 1;
 
         // Reserve the span slot so parents precede children.
         let span_idx = ctx.spans.len() as u32;
         ctx.spans
-            .push(SpanBuilder::new(method, hot.service, client_cluster, client_cluster).build());
+            .push(SpanBuilder::new(method, spec.service, client_cluster, client_cluster).build());
 
         let mut t = start;
         let mut breakdown = LatencyBreakdown::new();
@@ -1203,8 +1202,8 @@ impl<'a> Shard<'a> {
 
         // 2. Request stack processing (client serialize + server parse,
         // pipelined).
-        let class = sh.class;
-        let req_bytes = hot.sample_request_bytes(&mut ctx.rng);
+        let class = service.class;
+        let req_bytes = spec.sample_request_bytes(&mut ctx.rng);
         let req_proc = world.cost.stack_latency(req_bytes, class, 1.0);
         breakdown.set(LatencyComponent::RequestProcessing, req_proc);
         t += req_proc;
@@ -1213,9 +1212,8 @@ impl<'a> Shard<'a> {
         // retry steers away from the failed placement (load-balancer
         // failover); `avoid` is only ever `Some` when a retry scenario is
         // active, so the fault-free draw sequence is unchanged.
-        let deployed = &world.catalog.service(hot.service).clusters;
-        let mut server_cluster =
-            world.choose_cluster(hot.service, deployed, client_cluster, &sh, &mut ctx.rng);
+        let deployed = &service.clusters;
+        let mut server_cluster = world.choose_cluster(service, client_cluster, &mut ctx.rng);
         if let Some(av) = avoid {
             if av.cluster_level && deployed.len() > 1 {
                 if let Some(pos) = deployed.iter().position(|&c| c == av.cluster) {
@@ -1248,7 +1246,7 @@ impl<'a> Shard<'a> {
                 self.counters.control.lb_shifts += 1;
             }
         }
-        let site = world.site(hot.service, server_cluster);
+        let site = world.site(spec.service, server_cluster);
         let mut mi = ctx.rng.index(site.machines.len());
         if let Some(av) = avoid {
             if !av.cluster_level
@@ -1274,14 +1272,14 @@ impl<'a> Shard<'a> {
             &world.topology,
             client_cluster,
             server_cluster,
-            hot.service,
+            spec.service,
             mi,
             t,
         );
         let mut cluster_level = env.unavailable == Some(Unavailable::Cluster);
 
         // 4. Request network wire.
-        let wire_req = world.cost.wire_bytes(req_bytes, sh.compressed);
+        let wire_req = world.cost.wire_bytes(req_bytes, class.compressed);
         let (req_net, req_congested) = self.network.one_way_latency_observed(
             client_cluster,
             server_cluster,
@@ -1307,7 +1305,7 @@ impl<'a> Shard<'a> {
         let speed = machine.config().speed;
         // Reserved-core pools are isolated from the machine's ambient
         // load; only a residual coupling remains.
-        let reserved = sh.reserved_cores && world.config.reserved_cores_enabled;
+        let reserved = service.reserved_cores && world.config.reserved_cores_enabled;
         let mut pool_util = if reserved { util * 0.25 } else { util };
         // An overload surge inflates the pool's ambient utilization,
         // clamped below saturation so the M/G/k wait stays finite. A
@@ -1368,7 +1366,7 @@ impl<'a> Shard<'a> {
         }
 
         // 7. Handler compute.
-        let (nominal, fast) = hot.sample_compute(&mut ctx.rng);
+        let (nominal, fast) = spec.sample_compute(&mut ctx.rng);
         let nominal = match injected {
             Some(kind) => nominal.mul_f64(ErrorProfile::work_fraction(kind)),
             None => nominal,
@@ -1406,7 +1404,7 @@ impl<'a> Shard<'a> {
                         ctx,
                         Call {
                             method: edge.target,
-                            client_service: hot.service,
+                            client_service: spec.service,
                             client_cluster: server_cluster,
                             client_util: util,
                             parent: span_idx,
@@ -1429,7 +1427,7 @@ impl<'a> Shard<'a> {
         let mut t = children_end;
 
         // 9. Response path.
-        let resp_bytes = hot.sample_response_bytes(&mut ctx.rng);
+        let resp_bytes = spec.sample_response_bytes(&mut ctx.rng);
         // Reserved-core services run dedicated network threads, so their
         // send queues do not track the machine's overall utilization.
         let send_util = if reserved { util * 0.3 } else { util };
@@ -1439,7 +1437,7 @@ impl<'a> Shard<'a> {
         let resp_proc = world.cost.stack_latency(resp_bytes, class, slowdown);
         breakdown.set(LatencyComponent::ResponseProcessing, resp_proc);
         t += resp_proc;
-        let wire_resp = world.cost.wire_bytes(resp_bytes, sh.compressed);
+        let wire_resp = world.cost.wire_bytes(resp_bytes, class.compressed);
         let (resp_net, resp_congested) = self.network.one_way_latency_observed(
             server_cluster,
             client_cluster,
@@ -1477,7 +1475,7 @@ impl<'a> Shard<'a> {
         // This split is why storage services move most of the fleet's
         // bytes yet burn few of its cycles (Fig. 8).
         let mut cost = CycleCost::new();
-        let cpu_secs = hot.cpu_work.sample(&mut ctx.rng)
+        let cpu_secs = spec.cpu_work.sample(&mut ctx.rng)
             * match injected {
                 Some(kind) => ErrorProfile::work_fraction(kind),
                 None => 1.0,
@@ -1489,7 +1487,7 @@ impl<'a> Shard<'a> {
         cost.merge(&world.cost.receiver_cost(req_bytes, class));
         cost.merge(&world.cost.sender_cost(resp_bytes, class));
         self.profiler.record(
-            hot.service.0,
+            spec.service.0,
             method.0,
             &cost,
             speed,
@@ -1508,7 +1506,7 @@ impl<'a> Shard<'a> {
         }
 
         // 12. Finalize the span record.
-        let mut builder = SpanBuilder::new(method, hot.service, client_cluster, server_cluster)
+        let mut builder = SpanBuilder::new(method, spec.service, client_cluster, server_cluster)
             .parent(parent)
             .start_offset(start.since(ctx.root_start))
             .breakdown(breakdown)

@@ -13,13 +13,15 @@ use rpclens_rpcstack::cost::MessageClass;
 use rpclens_simcore::alias::AliasTable;
 use rpclens_simcore::dist::LogNormal;
 use rpclens_simcore::rng::Prng;
-use rpclens_trace::span::MethodId;
+use rpclens_trace::span::{MethodId, ServiceId};
 
 /// One servable method: everything a wire server or load generator needs.
 #[derive(Debug, Clone)]
 pub struct ServableMethod {
     /// Catalog method id (the wire's `method_id`).
     pub method: MethodId,
+    /// Owning service.
+    pub service: ServiceId,
     /// Qualified `service/method` name.
     pub name: String,
     /// How the stack treats this method's payloads.
@@ -58,8 +60,9 @@ impl ServableTable {
                 .map(|row| row.category);
             methods.push(ServableMethod {
                 method: spec.id,
+                service: spec.service,
                 name: format!("{}/{}", service.name, spec.name),
-                class: catalog.service_hot(spec.service).class,
+                class: service.class,
                 req_size: spec.req_size,
                 resp_size: spec.resp_size,
                 root_weight: spec.root_weight,
@@ -99,6 +102,14 @@ impl ServableTable {
             Some(m) if m.method == method => Some(m),
             _ => self.methods.iter().find(|m| m.method == method),
         }
+    }
+
+    /// Looks up a method by the wire's `method_id` (a [`MethodId`]
+    /// widened to `u64`).
+    pub fn by_wire_id(&self, wire_id: u64) -> Option<&ServableMethod> {
+        u32::try_from(wire_id)
+            .ok()
+            .and_then(|id| self.get(MethodId(id)))
     }
 
     /// Samples a root method with the workload generator's root-RPC mix.

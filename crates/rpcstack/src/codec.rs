@@ -89,6 +89,8 @@ pub enum DecodeError {
     },
     /// The declared payload length exceeds the remaining input.
     BadLength,
+    /// A decoded field holds a value outside its domain.
+    BadField,
 }
 
 impl std::fmt::Display for DecodeError {
@@ -105,6 +107,7 @@ impl std::fmt::Display for DecodeError {
                 )
             }
             DecodeError::BadLength => write!(f, "payload length exceeds input"),
+            DecodeError::BadField => write!(f, "field value out of range"),
         }
     }
 }

@@ -101,11 +101,6 @@ impl<T: Transport> FaultyTransport<T> {
         self.stats
     }
 
-    /// The wrapped transport.
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-
     /// Delivers a datagram held for reordering, if any. Without this a
     /// held datagram only goes out after the *next* send — which is the
     /// point of reordering, but tests may want a clean flush at the end.

@@ -170,11 +170,6 @@ impl<S: ServerTransport, H: Handler, K: SpanSink> WireServer<S, H, K> {
         }
     }
 
-    /// The handler (e.g. for a traced handler's captured state).
-    pub fn handler_mut(&mut self) -> &mut H {
-        &mut self.handler
-    }
-
     /// Counters so far.
     pub fn stats(&self) -> ServerStats {
         self.stats

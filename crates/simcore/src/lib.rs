@@ -15,8 +15,8 @@
 //! - [`zipf`]: Zipf-distributed integer sampling.
 //! - [`hist`]: a log-bucketed high-dynamic-range histogram for recording
 //!   latencies spanning nanoseconds to minutes with bounded relative error.
-//! - [`stats`]: exact quantiles, streaming moments, and correlation
-//!   coefficients used by the characterization analyses.
+//! - [`stats`]: exact quantiles and correlation coefficients used by the
+//!   characterization analyses.
 //! - [`renewal`]: trajectory-stored alternating-renewal processes, the one
 //!   model behind every episodic cause (congestion, failures, incidents).
 //!
@@ -60,7 +60,7 @@ pub mod prelude {
         hist::LogHistogram,
         renewal::{AlternatingRenewal, RenewalParams},
         rng::Prng,
-        stats::{percentile, OnlineMoments},
+        stats::percentile,
         time::{SimDuration, SimTime},
         zipf::Zipf,
     };

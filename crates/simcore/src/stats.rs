@@ -1,4 +1,4 @@
-//! Exact quantiles, streaming moments, and correlation measures.
+//! Exact quantiles and correlation measures.
 //!
 //! The characterization analyses mostly operate on per-method sample
 //! vectors extracted from the trace store, so they use *exact* order
@@ -104,170 +104,6 @@ impl QuantileSummary {
     }
 }
 
-/// Streaming mean/variance via Welford's algorithm.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct OnlineMoments {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl OnlineMoments {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Mean of observations, or `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.mean)
-    }
-
-    /// Population variance, or `None` if empty.
-    pub fn variance(&self) -> Option<f64> {
-        (self.n > 0).then(|| self.m2 / self.n as f64)
-    }
-
-    /// Population standard deviation, or `None` if empty.
-    pub fn std_dev(&self) -> Option<f64> {
-        self.variance().map(f64::sqrt)
-    }
-
-    /// Merges another accumulator into this one (Chan's parallel update).
-    pub fn merge(&mut self, other: &OnlineMoments) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        *self = OnlineMoments { n, mean, m2 };
-    }
-}
-
-/// A mergeable streaming summary: count, sum, min, max, mean, variance.
-///
-/// This is the per-shard accumulator for parallel fleet runs: each worker
-/// pushes its own observations, and the coordinator folds the shard
-/// accumulators together with [`StreamingStats::merge`] in shard order.
-/// Count, sum, min, and max merge exactly; mean and variance merge via
-/// Chan's parallel update (numerically stable, but — like any floating
-/// point reduction — the last few bits can differ from a single-pass
-/// computation, so anything that must be bit-identical across shard
-/// counts should be recomputed from merged exact state instead).
-#[derive(Debug, Clone, Copy)]
-pub struct StreamingStats {
-    moments: OnlineMoments,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Default for StreamingStats {
-    /// The empty accumulator stores the fold identities (`min = +inf`,
-    /// `max = -inf`, `sum = 0`), which is what lets [`StreamingStats::push`]
-    /// and [`StreamingStats::merge`] update the extremes unconditionally.
-    /// The identities never escape: `min()`/`max()` gate on the count.
-    fn default() -> Self {
-        StreamingStats {
-            moments: OnlineMoments::default(),
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-}
-
-impl StreamingStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one observation; non-finite values are ignored.
-    pub fn push(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        // No first-observation branch: the empty extremes are the fold
-        // identities, so `min`/`max` fold unconditionally (cmov, not a
-        // data-dependent jump).
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-        self.sum += x;
-        self.moments.push(x);
-    }
-
-    /// Number of (finite) observations.
-    pub fn count(&self) -> u64 {
-        self.moments.count()
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Smallest observation, or `None` if empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count() > 0).then_some(self.min)
-    }
-
-    /// Largest observation, or `None` if empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count() > 0).then_some(self.max)
-    }
-
-    /// Mean of observations, or `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        self.moments.mean()
-    }
-
-    /// Population variance, or `None` if empty.
-    pub fn variance(&self) -> Option<f64> {
-        self.moments.variance()
-    }
-
-    /// Population standard deviation, or `None` if empty.
-    pub fn std_dev(&self) -> Option<f64> {
-        self.moments.std_dev()
-    }
-
-    /// Merges another accumulator into this one.
-    ///
-    /// Branchless at this level: the extremes and the sum fold
-    /// unconditionally because the empty accumulator holds the fold
-    /// identities (`+inf`/`-inf`/`0`). Only the moments update keeps its
-    /// empty-side guards, inside [`OnlineMoments::merge`] — those
-    /// preserve the exact bit patterns of the seeded-copy path, and in
-    /// shard folds both sides are always non-empty so the guards are
-    /// perfectly predicted.
-    pub fn merge(&mut self, other: &StreamingStats) {
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.sum += other.sum;
-        self.moments.merge(&other.moments);
-    }
-}
-
 /// Pearson correlation coefficient of two equal-length slices, or `None` if
 /// fewer than two points or either side has zero variance.
 pub fn pearson(x: &[f64], y: &[f64]) -> Option<f64> {
@@ -367,39 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn online_moments_match_direct_computation() {
-        let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut m = OnlineMoments::new();
-        for &x in &data {
-            m.push(x);
-        }
-        assert_eq!(m.count(), 8);
-        assert!((m.mean().unwrap() - 5.0).abs() < 1e-12);
-        assert!((m.variance().unwrap() - 4.0).abs() < 1e-12);
-        assert!((m.std_dev().unwrap() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn online_moments_merge_equals_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineMoments::new();
-        let mut left = OnlineMoments::new();
-        let mut right = OnlineMoments::new();
-        for (i, &x) in data.iter().enumerate() {
-            whole.push(x);
-            if i < 37 {
-                left.push(x);
-            } else {
-                right.push(x);
-            }
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean().unwrap() - whole.mean().unwrap()).abs() < 1e-9);
-        assert!((left.variance().unwrap() - whole.variance().unwrap()).abs() < 1e-9);
-    }
-
-    #[test]
     fn pearson_detects_perfect_linearity() {
         let x: Vec<f64> = (0..50).map(|i| i as f64).collect();
         let y: Vec<f64> = x.iter().map(|v| 3.0 * v + 2.0).collect();
@@ -429,38 +232,6 @@ mod tests {
         assert_eq!(r, vec![1.0, 2.5, 2.5, 4.0]);
     }
 
-    #[test]
-    fn streaming_stats_merge_with_empty_is_identity() {
-        // The guard-free merge leans on the empty accumulator's identity
-        // extremes; merging an empty side in either direction must leave
-        // the populated accumulator's public view untouched.
-        let mut s = StreamingStats::new();
-        for x in [3.0, -1.5, 7.25] {
-            s.push(x);
-        }
-        let mut merged = s;
-        merged.merge(&StreamingStats::new());
-        assert_eq!(merged.count(), s.count());
-        assert_eq!(merged.sum(), s.sum());
-        assert_eq!(merged.min(), s.min());
-        assert_eq!(merged.max(), s.max());
-        assert_eq!(merged.mean(), s.mean());
-        assert_eq!(merged.variance(), s.variance());
-        let mut seeded = StreamingStats::new();
-        seeded.merge(&s);
-        assert_eq!(seeded.count(), s.count());
-        assert_eq!(seeded.min(), s.min());
-        assert_eq!(seeded.max(), s.max());
-        assert_eq!(seeded.mean(), s.mean());
-        assert_eq!(seeded.variance(), s.variance());
-        // Two empties stay empty (and keep yielding None).
-        let mut e = StreamingStats::new();
-        e.merge(&StreamingStats::new());
-        assert_eq!(e.count(), 0);
-        assert_eq!(e.min(), None);
-        assert_eq!(e.max(), None);
-    }
-
     proptest! {
         #[test]
         fn percentile_is_monotone_in_q(
@@ -473,36 +244,6 @@ mod tests {
             let a = percentile(&values, lo).unwrap();
             let b = percentile(&values, hi).unwrap();
             prop_assert!(a <= b + 1e-9);
-        }
-
-        #[test]
-        fn streaming_stats_sharded_merge_equals_single_pass(
-            values in proptest::collection::vec(-1e6f64..1e6, 1..200),
-            shards in 1usize..8,
-        ) {
-            let mut single = StreamingStats::new();
-            for &x in &values {
-                single.push(x);
-            }
-            // Partition into contiguous chunks as the fleet driver does,
-            // then fold shard accumulators in order.
-            let chunk = values.len().div_ceil(shards);
-            let mut merged = StreamingStats::new();
-            for part in values.chunks(chunk) {
-                let mut local = StreamingStats::new();
-                for &x in part {
-                    local.push(x);
-                }
-                merged.merge(&local);
-            }
-            prop_assert_eq!(merged.count(), single.count());
-            prop_assert_eq!(merged.min(), single.min());
-            prop_assert_eq!(merged.max(), single.max());
-            prop_assert!((merged.sum() - single.sum()).abs() <= 1e-6 * single.sum().abs().max(1.0));
-            let (ms, ss) = (merged.mean().unwrap(), single.mean().unwrap());
-            prop_assert!((ms - ss).abs() <= 1e-9 * ss.abs().max(1.0), "{} vs {}", ms, ss);
-            let (mv, sv) = (merged.variance().unwrap(), single.variance().unwrap());
-            prop_assert!((mv - sv).abs() <= 1e-6 * sv.abs().max(1.0), "{} vs {}", mv, sv);
         }
 
         #[test]

@@ -7,9 +7,7 @@
 //! traces and maintains a per-method index for the query layer.
 
 use crate::span::{MethodId, TraceData};
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Head-based sampling decision maker.
 #[derive(Debug, Clone)]
@@ -133,43 +131,6 @@ impl TraceStore {
     }
 }
 
-/// A thread-safe collector handle for concurrent simulation shards.
-///
-/// Worker threads collect into their own [`TraceStore`]s and merge here,
-/// or append traces directly; either way contention stays off the hot
-/// path.
-#[derive(Debug, Clone, Default)]
-pub struct SharedTraceStore {
-    inner: Arc<Mutex<TraceStore>>,
-}
-
-impl SharedTraceStore {
-    /// Creates an empty shared store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends one trace.
-    pub fn add(&self, trace: TraceData) {
-        self.inner.lock().add(trace);
-    }
-
-    /// Merges an entire local store.
-    pub fn merge(&self, local: TraceStore) {
-        self.inner.lock().merge(local);
-    }
-
-    /// Extracts the inner store, leaving an empty one.
-    pub fn take(&self) -> TraceStore {
-        std::mem::take(&mut *self.inner.lock())
-    }
-
-    /// Total spans currently stored.
-    pub fn total_spans(&self) -> usize {
-        self.inner.lock().total_spans()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,26 +229,5 @@ mod tests {
         for (a, b) in merged.traces().iter().zip(single.traces()) {
             assert_eq!(a.spans.len(), b.spans.len());
         }
-    }
-
-    #[test]
-    fn shared_store_merges_from_threads() {
-        let shared = SharedTraceStore::new();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let shared = shared.clone();
-                s.spawn(move || {
-                    let mut local = TraceStore::new();
-                    for _ in 0..25 {
-                        local.add(trace_with_methods(&[1, 2]));
-                    }
-                    shared.merge(local);
-                });
-            }
-        });
-        assert_eq!(shared.total_spans(), 4 * 25 * 2);
-        let store = shared.take();
-        assert_eq!(store.len(), 100);
-        assert_eq!(shared.total_spans(), 0);
     }
 }

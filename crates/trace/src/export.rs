@@ -18,7 +18,7 @@
 //! ```
 
 use crate::collector::TraceStore;
-use crate::span::{MethodId, ServiceId, SpanBuilder, SpanRecord, TraceData};
+use crate::span::{MethodId, ServiceId, SpanBuilder, SpanRecord, TraceData, ROOT_PARENT};
 use bytes::{Buf, BufMut, BytesMut};
 use rpclens_netsim::topology::ClusterId;
 use rpclens_rpcstack::codec::{crc32, get_varint, put_varint, DecodeError};
@@ -30,6 +30,9 @@ use rpclens_simcore::time::SimTime;
 pub const MAGIC: &[u8; 4] = b"RLTR";
 /// Export format version.
 pub const VERSION: u8 = 1;
+
+/// Encoded size of one span: 4+2+4+2+2+4 + 36 + 4+4+4 + 1+1.
+const SPAN_BYTES: usize = 68;
 
 fn error_to_byte(e: Option<ErrorKind>) -> u8 {
     match e {
@@ -47,7 +50,7 @@ fn byte_to_error(b: u8) -> Result<Option<ErrorKind>, DecodeError> {
     match b {
         0 => Ok(None),
         n if (n as usize) <= ErrorKind::ALL.len() => Ok(Some(ErrorKind::ALL[n as usize - 1])),
-        _ => Err(DecodeError::Truncated),
+        _ => Err(DecodeError::BadField),
     }
 }
 
@@ -89,21 +92,19 @@ pub fn export(store: &TraceStore) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns a [`DecodeError`] on truncation, bad magic/version, or a CRC
-/// mismatch.
-pub fn import(mut input: &[u8]) -> Result<TraceStore, DecodeError> {
-    let full = input;
-    if input.len() < 9 {
+/// Returns a [`DecodeError`] on truncation, bad magic/version, a CRC
+/// mismatch, a span count the input cannot hold ([`DecodeError::BadLength`]),
+/// or an out-of-range field: an unknown error byte, a span 0 that is not
+/// the root, or a parent that does not precede its child
+/// ([`DecodeError::BadField`]).
+pub fn import(full: &[u8]) -> Result<TraceStore, DecodeError> {
+    if full.len() < 9 {
         return Err(DecodeError::Truncated);
     }
     // Verify the trailer before parsing the body.
-    let body_len = full.len() - 4;
-    let expected = u32::from_be_bytes(
-        full[body_len..]
-            .try_into()
-            .map_err(|_| DecodeError::Truncated)?,
-    );
-    let actual = crc32(&full[..body_len]);
+    let (mut input, trailer) = full.split_at(full.len() - 4);
+    let expected = u32::from_be_bytes(trailer.try_into().map_err(|_| DecodeError::Truncated)?);
+    let actual = crc32(input);
     if expected != actual {
         return Err(DecodeError::BadChecksum { expected, actual });
     }
@@ -125,15 +126,20 @@ pub fn import(mut input: &[u8]) -> Result<TraceStore, DecodeError> {
         }
         let root_start = SimTime::from_nanos(input.get_u64());
         let span_count = get_varint(&mut input)?;
+        // Bound the allocation by what the input can actually hold.
+        if span_count > (input.remaining() / SPAN_BYTES) as u64 {
+            return Err(DecodeError::BadLength);
+        }
         let mut spans = Vec::with_capacity(span_count as usize);
-        for _ in 0..span_count {
-            // Fixed-size span body: 4+2+4+2+2+4 + 36 + 4+4+4 + 1+1 = 68.
-            if input.remaining() < 68 {
-                return Err(DecodeError::Truncated);
-            }
+        for i in 0..span_count {
             let method = MethodId(input.get_u32());
             let service = ServiceId(input.get_u16());
             let parent = input.get_u32();
+            // Span 0 must be the root (no index precedes it); every other
+            // span is a root or names an earlier parent.
+            if parent != ROOT_PARENT && u64::from(parent) >= i {
+                return Err(DecodeError::BadField);
+            }
             let client = ClusterId(input.get_u16());
             let server = ClusterId(input.get_u16());
             let start_ticks = input.get_u32();
@@ -270,18 +276,22 @@ mod tests {
         }
     }
 
+    /// Appends the CRC trailer `export` writes over `body`.
+    fn seal(mut body: Vec<u8>) -> Vec<u8> {
+        let crc = crc32(&body);
+        body.extend_from_slice(&crc.to_be_bytes());
+        body
+    }
+
     #[test]
     fn wrong_magic_and_version_rejected() {
         let store = random_store(4, 5);
         let reject_with = |mutate: fn(&mut Vec<u8>)| {
             let mut bytes = export(&store);
+            bytes.truncate(bytes.len() - 4);
             mutate(&mut bytes);
             // Re-seal the CRC so only the intended field is wrong.
-            let body = bytes.len() - 4;
-            let crc = crc32(&bytes[..body]);
-            let crc_bytes = crc.to_be_bytes();
-            bytes[body..].copy_from_slice(&crc_bytes);
-            import(&bytes)
+            import(&seal(bytes))
         };
         assert!(matches!(
             reject_with(|b| b[0] = b'X'),
@@ -300,5 +310,134 @@ mod tests {
         let bytes = export(&store);
         let per_span = bytes.len() as f64 / store.total_spans() as f64;
         assert!(per_span < 90.0, "{per_span:.1} bytes/span");
+    }
+
+    /// The header of a one-trace export whose trace declares `span_count`
+    /// spans; the caller appends span bodies and seals it.
+    fn one_trace_header(span_count: u64) -> Vec<u8> {
+        let mut buf = BytesMut::new();
+        buf.put_slice(MAGIC);
+        buf.put_u8(VERSION);
+        put_varint(&mut buf, 1);
+        buf.put_u64(0);
+        put_varint(&mut buf, span_count);
+        buf.to_vec()
+    }
+
+    #[test]
+    fn huge_span_count_is_rejected_before_allocating() {
+        // 24 bytes with a valid CRC declaring 2^40 spans: used to abort
+        // the process trying to reserve ~79 TB.
+        let bytes = seal(one_trace_header(1 << 40));
+        assert_eq!(bytes.len(), 24);
+        assert_eq!(import(&bytes).err(), Some(DecodeError::BadLength));
+    }
+
+    #[test]
+    fn span_trees_must_be_rooted_and_parent_first() {
+        let span = |parent: u32| {
+            let mut one = TraceStore::new();
+            one.add(TraceData::new(
+                SimTime::ZERO,
+                vec![
+                    SpanBuilder::new(MethodId(1), ServiceId(2), ClusterId(0), ClusterId(0)).build(),
+                ],
+            ));
+            // The single span body, with its parent field overwritten.
+            let bytes = export(&one);
+            let body_at = bytes.len() - 4 - SPAN_BYTES;
+            let mut body = bytes[body_at..bytes.len() - 4].to_vec();
+            body[6..10].copy_from_slice(&parent.to_be_bytes());
+            body
+        };
+        let build = |parents: &[u32]| {
+            let mut bytes = one_trace_header(parents.len() as u64);
+            for &p in parents {
+                bytes.extend(span(p));
+            }
+            import(&seal(bytes))
+        };
+        assert!(build(&[ROOT_PARENT, 0, 1, ROOT_PARENT]).is_ok());
+        // Span 0 pointing at itself: used to panic in debug builds.
+        assert_eq!(build(&[0]).err(), Some(DecodeError::BadField));
+        assert_eq!(build(&[ROOT_PARENT, 1]).err(), Some(DecodeError::BadField));
+        assert_eq!(
+            build(&[ROOT_PARENT, 0, 7]).err(),
+            Some(DecodeError::BadField)
+        );
+    }
+
+    /// Feeds `cases` mutated, truncated and re-sealed exports to `import`
+    /// and checks that it returns (never panics), and that everything it
+    /// accepts is a well-formed trace tree.
+    fn fuzz_import(seed: u64, cases: usize) {
+        let mut rng = Prng::seed_from(seed);
+        let bases: Vec<Vec<u8>> = (0..6)
+            .map(|i| {
+                let bytes = export(&random_store(seed ^ i, i as usize));
+                bytes[..bytes.len() - 4].to_vec()
+            })
+            .collect();
+        for case in 0..cases {
+            let mut body = rng.choose(&bases).clone();
+            for _ in 0..1 + rng.index(4) {
+                let at = rng.index(body.len() + 1);
+                match rng.index(7) {
+                    0 if at < body.len() => body[at] ^= 1 << rng.index(8),
+                    1 if at < body.len() => body[at] = *rng.choose(&[0x00, 0x01, 0x7F, 0x80, 0xFF]),
+                    2 => body.truncate(at),
+                    3 if at + 4 <= body.len() => {
+                        let random = rng.next_u64() as u32;
+                        let word = *rng.choose(&[0, 1, u32::MAX, random]);
+                        body[at..at + 4].copy_from_slice(&word.to_be_bytes());
+                    }
+                    4 => {
+                        let extra: Vec<u8> =
+                            (0..rng.index(80)).map(|_| rng.next_u64() as u8).collect();
+                        body.splice(at..at, extra);
+                    }
+                    5 => {
+                        let end = (at + rng.index(80)).min(body.len());
+                        body.drain(at..end);
+                    }
+                    _ => {
+                        // A varint of random width where a count lives: the
+                        // trace count, or the first trace's span count.
+                        let mut v = BytesMut::new();
+                        put_varint(&mut v, rng.next_u64() >> rng.index(64));
+                        let at = *rng.choose(&[5usize, 14]);
+                        if at <= body.len() {
+                            body.truncate(at);
+                            body.extend_from_slice(&v);
+                        }
+                    }
+                }
+            }
+            let input = if rng.chance(0.9) { seal(body) } else { body };
+            let result = std::panic::catch_unwind(|| import(&input));
+            match result {
+                Err(_) => panic!("import panicked on case {case} (seed {seed}): {input:02x?}"),
+                Ok(Err(_)) => {}
+                Ok(Ok(store)) => {
+                    for trace in store.traces() {
+                        assert!(trace.spans[0].is_root(), "case {case}");
+                        for (i, span) in trace.spans.iter().enumerate().skip(1) {
+                            assert!(span.is_root() || (span.parent as usize) < i, "case {case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fuzzed_exports_never_panic() {
+        fuzz_import(0xF022, 5_000);
+    }
+
+    #[test]
+    #[ignore = "long fuzz budget; run with --release -- --ignored"]
+    fn fuzzed_exports_never_panic_long() {
+        fuzz_import(0xF023, 500_000);
     }
 }
