@@ -10,7 +10,16 @@
 
 use rpclens_bench::{produce, Artifact};
 use rpclens_fleet::driver::{run_fleet, FleetConfig, FleetRun, SimScale};
+use rpclens_obs::manifest::fnv1a;
 use rpclens_simcore::time::SimDuration;
+
+/// Committed FNV-1a of every rendered artifact of one smoke run.
+fn figures_smoke_digest() -> u64 {
+    include_str!("../FIGURES_SMOKE_DIGEST")
+        .trim()
+        .parse()
+        .expect("FIGURES_SMOKE_DIGEST holds one u64")
+}
 
 fn run_with_shards(shards: usize) -> FleetRun {
     let scale = SimScale {
@@ -73,4 +82,26 @@ fn figures_are_bit_identical_at_any_shard_count() {
             );
         }
     }
+}
+
+/// The rendered deliverables themselves, pinned: a smoke run (seed 7)
+/// must render every artifact — text and check lines — exactly as the
+/// committed digest records. Analysis refactors that mean to change no
+/// output are held to this; re-baseline only with a changelog entry.
+#[test]
+fn smoke_figures_match_committed_digest() {
+    let run = run_fleet(FleetConfig::at_scale(SimScale::smoke()));
+    let mut rendered = Vec::new();
+    for artifact in Artifact::ALL {
+        let (text, checks) = produce(artifact, Some(&run));
+        rendered.extend_from_slice(text.as_bytes());
+        rendered.extend_from_slice(checks.to_string().as_bytes());
+    }
+    let digest = fnv1a(&rendered);
+    assert_eq!(
+        digest,
+        figures_smoke_digest(),
+        "rendered smoke figures drifted from crates/bench/FIGURES_SMOKE_DIGEST \
+         (got {digest})"
+    );
 }
