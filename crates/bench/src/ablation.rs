@@ -11,6 +11,8 @@
 //! - **reserved cores**: KV-Store's latency coupling to machine
 //!   utilization (§3.3.4: reserved cores sever the coupling).
 
+use rpclens_core::common::component_sum_secs;
+use rpclens_core::figs::fig17::SERVER_SIDE;
 use rpclens_fleet::driver::{run_fleet, FleetConfig, FleetRun, SimScale};
 use rpclens_fleet::faults::FaultScenario;
 use rpclens_rpcstack::component::LatencyComponent;
@@ -200,7 +202,8 @@ fn hedged_tail(run: &FleetRun) -> f64 {
         if !m.hedge.enabled {
             continue;
         }
-        if let Some(mut s) = query.latency_samples(&run.store, m.id) {
+        if let Some(mut s) = query.samples(&run.store, m.id, |_, s| s.total_latency().as_secs_f64())
+        {
             samples.append(&mut s);
         }
     }
@@ -248,23 +251,16 @@ fn kv_util_coupling(run: &FleetRun) -> f64 {
         .filter(|m| m.service == kv)
         .map(|m| m.id)
         .collect();
+    let ok = MethodQuery {
+        min_samples: 1,
+        ..MethodQuery::default()
+    };
     let mut pairs: Vec<(f64, f64)> = Vec::new();
     for m in methods {
-        run.store.for_each_span(m, |trace, span| {
-            if !span.is_ok() {
-                return;
-            }
+        ok.for_each(&run.store, m, |trace, span| {
             if let Some(site) = run.site(kv, span.server_cluster) {
                 let at = trace.root_start + span.start_offset();
-                let server_side = [
-                    LatencyComponent::ServerRecvQueue,
-                    LatencyComponent::ServerApplication,
-                    LatencyComponent::ServerSendQueue,
-                    LatencyComponent::ResponseProcessing,
-                ]
-                .iter()
-                .map(|&c| span.component(c).as_secs_f64())
-                .sum::<f64>();
+                let server_side = component_sum_secs(span, &SERVER_SIDE);
                 pairs.push((site.load.sample(at).cpu_util, server_side));
             }
         });

@@ -12,10 +12,12 @@ use rpclens_fleet::incident::IncidentPlane;
 use rpclens_netsim::topology::Topology;
 use rpclens_obs::RunManifest;
 use rpclens_rpcstack::component::LatencyComponent;
+use rpclens_simcore::stats::nearest_rank;
 use rpclens_simcore::time::SimDuration;
 use rpclens_trace::collector::TraceStore;
 use rpclens_trace::critical_path::CriticalPath;
 use rpclens_trace::query::MethodQuery;
+use rpclens_trace::span::{SpanRecord, TraceData};
 
 /// Resolves a latency component from a CLI spelling.
 ///
@@ -34,14 +36,6 @@ pub fn component_by_name(name: &str) -> Option<LatencyComponent> {
         .iter()
         .copied()
         .find(|&c| norm(c.label()) == want || norm(&format!("{c:?}")) == want)
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 fn fmt_us(secs: f64) -> String {
@@ -65,21 +59,15 @@ pub fn top_methods(
         ..MethodQuery::default()
     };
     let metric_label = component.map_or("total latency", |c| c.label());
+    let metric = |_: &TraceData, s: &SpanRecord| match component {
+        Some(c) => s.component(c).as_secs_f64(),
+        None => s.total_latency().as_secs_f64(),
+    };
     let mut rows: Vec<(u32, usize, f64, f64, f64)> = Vec::new();
-    for (method, count) in query.eligible_methods(store) {
-        let samples = match component {
-            Some(c) => query.component_samples(store, method, c),
-            None => query.latency_samples(store, method),
-        };
-        let Some(mut samples) = samples else { continue };
+    for (method, mut samples) in query.groups(store, metric) {
         samples.sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
-        rows.push((
-            method.0,
-            count,
-            percentile(&samples, 0.50),
-            percentile(&samples, 0.99),
-            *samples.last().expect("non-empty"),
-        ));
+        let at = |q| nearest_rank(&samples, q).expect("groups are non-empty");
+        rows.push((method.0, samples.len(), at(0.50), at(0.99), at(1.0)));
     }
     // Rank by P99 descending; method id breaks ties deterministically.
     rows.sort_by(|a, b| b.3.partial_cmp(&a.3).expect("finite").then(a.0.cmp(&b.0)));
@@ -399,6 +387,16 @@ mod tests {
         let s = store();
         let text = top_methods(&s, None, 5, 1_000);
         assert!(text.starts_with("Top 0 methods"), "{text}");
+    }
+
+    #[test]
+    fn top_methods_skips_error_only_methods_without_a_floor() {
+        let mut s = store();
+        let mut failed = span(3, None, 0, 100, 10);
+        failed.error = Some(rpclens_rpcstack::error::ErrorKind::Unavailable);
+        s.add(TraceData::new(SimTime::ZERO, vec![failed]));
+        let text = top_methods(&s, None, 5, 0);
+        assert!(text.starts_with("Top 2 methods"), "{text}");
     }
 
     #[test]

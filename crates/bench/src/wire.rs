@@ -34,6 +34,7 @@ use rpclens_rpcwire::payload;
 use rpclens_rpcwire::server::{Handler, Semantics, WireServer};
 use rpclens_rpcwire::transport::{MemLink, UdpServerSocket, UdpTransport};
 use rpclens_simcore::rng::Prng;
+use rpclens_simcore::stats::nearest_rank;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -392,14 +393,7 @@ impl Accumulator {
         self.report.executed = executed;
         self.report.dedup_hits = dedup_hits;
         self.rtts.sort_by(|a, b| a.total_cmp(b));
-        let pct = |p: f64| -> f64 {
-            if self.rtts.is_empty() {
-                0.0
-            } else {
-                let idx = ((self.rtts.len() as f64 - 1.0) * p).round() as usize;
-                self.rtts[idx]
-            }
-        };
+        let pct = |p: f64| nearest_rank(&self.rtts, p).unwrap_or(0.0);
         self.report.rtt_percentiles_ns = (pct(0.50), pct(0.95), pct(0.99));
         self.report
     }

@@ -53,6 +53,7 @@ use rpclens_rpcwire::server::{Handler, Semantics, WireServer};
 use rpclens_rpcwire::sink::{SpanEvent, SpanEventKind, SpanSink};
 use rpclens_rpcwire::transport::{MemLink, UdpServerSocket, UdpTransport};
 use rpclens_simcore::rng::Prng;
+use rpclens_simcore::stats::nearest_rank;
 use rpclens_simcore::time::{SimDuration, SimTime};
 use rpclens_trace::collector::TraceStore;
 use rpclens_trace::span::{MethodId, ServiceId, SpanBuilder, TraceData};
@@ -631,13 +632,7 @@ pub struct TraceBenchReport {
 
 fn quantiles_from_us(mut us: Vec<u64>) -> LatencyQuantiles {
     us.sort_unstable();
-    let pct = |p: f64| -> u64 {
-        if us.is_empty() {
-            0
-        } else {
-            us[((us.len() as f64 - 1.0) * p).round() as usize]
-        }
-    };
+    let pct = |p: f64| nearest_rank(&us, p).unwrap_or(0);
     LatencyQuantiles {
         count: us.len() as u64,
         sum_us: us.iter().map(|&v| v as u128).sum(),

@@ -32,16 +32,7 @@ impl MethodHeatmap {
     where
         F: Fn(&TraceData, &SpanRecord) -> f64,
     {
-        let mut rows = Vec::new();
-        for (method, _) in query.eligible_methods(&run.store) {
-            if let Some(samples) = query.samples(&run.store, method, &metric) {
-                if let Some(summary) = QuantileSummary::from_samples(samples) {
-                    rows.push(MethodRow { method, summary });
-                }
-            }
-        }
-        rows.sort_by(|a, b| a.summary.p50.partial_cmp(&b.summary.p50).expect("finite"));
-        MethodHeatmap { rows }
+        Self::from_groups(query.groups(&run.store, metric))
     }
 
     /// Builds a heatmap from precomputed per-method sample vectors.
@@ -52,15 +43,21 @@ impl MethodHeatmap {
     pub fn from_samples(samples: Vec<(MethodId, Vec<f64>)>, min_samples: usize) -> MethodHeatmap {
         let mut samples = samples;
         samples.sort_by_key(|(method, _)| *method);
-        let mut rows = Vec::new();
-        for (method, values) in samples {
-            if values.len() < min_samples {
-                continue;
-            }
-            if let Some(summary) = QuantileSummary::from_samples(values) {
-                rows.push(MethodRow { method, summary });
-            }
-        }
+        Self::from_groups(
+            samples
+                .into_iter()
+                .filter(|(_, values)| values.len() >= min_samples),
+        )
+    }
+
+    /// Summarises groups given in ascending method id, then stable-sorts
+    /// the rows by median.
+    fn from_groups(groups: impl Iterator<Item = (MethodId, Vec<f64>)>) -> MethodHeatmap {
+        let mut rows: Vec<MethodRow> = groups
+            .filter_map(|(method, values)| {
+                QuantileSummary::from_samples(values).map(|summary| MethodRow { method, summary })
+            })
+            .collect();
         rows.sort_by(|a, b| a.summary.p50.partial_cmp(&b.summary.p50).expect("finite"));
         MethodHeatmap { rows }
     }
@@ -117,22 +114,14 @@ pub fn component_sum_secs(span: &SpanRecord, components: &[LatencyComponent]) ->
         .sum()
 }
 
-/// The default per-method query used by the paper's analyses.
-pub fn paper_query() -> MethodQuery {
-    MethodQuery::default()
-}
-
-/// Collects `(total_latency_secs, span)` over all OK spans in the store.
-pub fn all_ok_spans(run: &FleetRun) -> Vec<(f64, &SpanRecord)> {
-    let mut out = Vec::new();
-    for trace in run.store.traces() {
-        for span in &trace.spans {
-            if span.is_ok() {
-                out.push((span.total_latency().as_secs_f64(), span));
-            }
-        }
+/// A span's completion time and its nine latency components, in seconds
+/// and lifecycle order.
+pub fn breakdown_row(span: &SpanRecord) -> (f64, [f64; 9]) {
+    let mut comps = [0.0f64; 9];
+    for (i, c) in LatencyComponent::ALL.iter().enumerate() {
+        comps[i] = span.component(*c).as_secs_f64();
     }
-    out
+    (span.total_latency().as_secs_f64(), comps)
 }
 
 #[cfg(test)]
@@ -175,7 +164,7 @@ mod tests {
     #[test]
     fn heatmap_is_sorted_by_median() {
         let run = shared();
-        let q = paper_query();
+        let q = MethodQuery::default();
         let hm = MethodHeatmap::build(run, &q, |_, s| s.total_latency().as_secs_f64());
         assert!(hm.len() > 30, "{} methods", hm.len());
         assert!(hm
@@ -187,7 +176,7 @@ mod tests {
     #[test]
     fn across_methods_matches_rows() {
         let run = shared();
-        let q = paper_query();
+        let q = MethodQuery::default();
         let hm = MethodHeatmap::build(run, &q, |_, s| s.total_latency().as_secs_f64());
         let medians = hm.across_methods(0.5);
         assert_eq!(medians.len(), hm.len());
@@ -216,14 +205,5 @@ mod tests {
             100,
         );
         assert!(hm.is_empty());
-    }
-
-    #[test]
-    fn all_ok_spans_excludes_errors() {
-        let run = shared();
-        let spans = all_ok_spans(run);
-        assert!(!spans.is_empty());
-        assert!(spans.iter().all(|(_, s)| s.is_ok()));
-        assert!((spans.len() as u64) < run.total_spans);
     }
 }

@@ -7,9 +7,10 @@
 //! seconds, with enormous within-method spread.
 
 use crate::check::ExpectationSet;
-use crate::common::{paper_query, MethodHeatmap};
+use crate::common::MethodHeatmap;
 use crate::render::{fmt_secs, sketch_cdf, TextTable};
 use rpclens_fleet::driver::FleetRun;
+use rpclens_trace::query::MethodQuery;
 
 /// The computed figure: the per-method latency heatmap.
 #[derive(Debug)]
@@ -20,7 +21,7 @@ pub struct Fig02 {
 
 /// Computes the figure from a fleet run.
 pub fn compute(run: &FleetRun) -> Fig02 {
-    let query = paper_query();
+    let query = MethodQuery::default();
     Fig02 {
         heatmap: MethodHeatmap::build(run, &query, |_, s| s.total_latency().as_secs_f64()),
     }

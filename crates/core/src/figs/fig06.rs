@@ -5,10 +5,11 @@
 //! ~11.8 KB and P99 ~196 KB — small bodies with a heavy tail.
 
 use crate::check::ExpectationSet;
-use crate::common::{paper_query, MethodHeatmap};
+use crate::common::MethodHeatmap;
 use crate::render::{fmt_bytes, sketch_cdf, TextTable};
 use rpclens_fleet::driver::FleetRun;
 use rpclens_simcore::stats::percentile;
+use rpclens_trace::query::MethodQuery;
 
 /// The computed figure.
 #[derive(Debug)]
@@ -21,7 +22,7 @@ pub struct Fig06 {
 
 /// Computes the figure.
 pub fn compute(run: &FleetRun) -> Fig06 {
-    let query = paper_query();
+    let query = MethodQuery::default();
     Fig06 {
         requests: MethodHeatmap::build(run, &query, |_, s| s.request_bytes as f64),
         responses: MethodHeatmap::build(run, &query, |_, s| s.response_bytes as f64),

@@ -6,9 +6,10 @@
 //! both ways.
 
 use crate::check::ExpectationSet;
-use crate::common::{paper_query, MethodHeatmap};
+use crate::common::MethodHeatmap;
 use crate::render::{sketch_cdf, TextTable};
 use rpclens_fleet::driver::FleetRun;
+use rpclens_trace::query::MethodQuery;
 
 /// The computed figure.
 #[derive(Debug)]
@@ -19,7 +20,7 @@ pub struct Fig07 {
 
 /// Computes the figure.
 pub fn compute(run: &FleetRun) -> Fig07 {
-    let query = paper_query();
+    let query = MethodQuery::default();
     Fig07 {
         heatmap: MethodHeatmap::build(run, &query, |_, s| {
             s.response_bytes as f64 / (s.request_bytes as f64).max(1.0)

@@ -5,10 +5,11 @@
 //! P90 is 96% — at the tail, entire RPCs are tax.
 
 use crate::check::ExpectationSet;
-use crate::common::{paper_query, MethodHeatmap};
+use crate::common::MethodHeatmap;
 use crate::render::{fmt_pct, sketch_cdf, TextTable};
 use rpclens_fleet::driver::FleetRun;
 use rpclens_simcore::stats::percentile;
+use rpclens_trace::query::MethodQuery;
 
 /// The computed figure.
 #[derive(Debug)]
@@ -19,7 +20,7 @@ pub struct Fig11 {
 
 /// Computes the figure.
 pub fn compute(run: &FleetRun) -> Fig11 {
-    let query = paper_query();
+    let query = MethodQuery::default();
     Fig11 {
         heatmap: MethodHeatmap::build(run, &query, |_, s| s.breakdown().tax_ratio().unwrap_or(0.0)),
     }

@@ -7,10 +7,11 @@
 //! congestion, not just distance.
 
 use crate::check::ExpectationSet;
-use crate::common::{component_sum_secs, paper_query, MethodHeatmap};
+use crate::common::{component_sum_secs, MethodHeatmap};
 use crate::render::{fmt_secs, sketch_cdf, TextTable};
 use rpclens_fleet::driver::FleetRun;
 use rpclens_rpcstack::component::LatencyComponent;
+use rpclens_trace::query::MethodQuery;
 
 /// Components included in this figure: wire + processing, both ways.
 pub const WIRE_AND_STACK: [LatencyComponent; 4] = [
@@ -29,7 +30,7 @@ pub struct Fig12 {
 
 /// Computes the figure.
 pub fn compute(run: &FleetRun) -> Fig12 {
-    let query = paper_query();
+    let query = MethodQuery::default();
     Fig12 {
         heatmap: MethodHeatmap::build(run, &query, |_, s| component_sum_secs(s, &WIRE_AND_STACK)),
     }
@@ -107,7 +108,7 @@ mod tests {
     #[test]
     fn wire_stack_is_below_total_latency() {
         let run = shared();
-        let query = paper_query();
+        let query = MethodQuery::default();
         let totals = MethodHeatmap::build(run, &query, |_, s| s.total_latency().as_secs_f64());
         let fig = compute(run);
         // Spot-check: for matching methods, the wire+stack median never

@@ -10,6 +10,7 @@
 //! and P95 latency is 1.86–10.6x the median.
 
 use crate::check::ExpectationSet;
+use crate::common::breakdown_row;
 use crate::render::{fmt_secs, TextTable};
 use rpclens_fleet::driver::FleetRun;
 use rpclens_rpcstack::component::{LatencyComponent, TaxGroup};
@@ -65,20 +66,10 @@ pub fn compute(run: &FleetRun) -> Fig14 {
     };
     let mut services = Vec::new();
     for entry in run.catalog.table1() {
-        let mut rows: Vec<(f64, [f64; 9])> = Vec::new();
-        run.store.for_each_span(entry.method, |_, span| {
-            if !query.accepts(span) {
-                return;
-            }
-            let mut comps = [0.0f64; 9];
-            for (i, c) in LatencyComponent::ALL.iter().enumerate() {
-                comps[i] = span.component(*c).as_secs_f64();
-            }
-            rows.push((span.total_latency().as_secs_f64(), comps));
-        });
-        if rows.len() < 50 {
+        let Some(mut rows) = query.samples(&run.store, entry.method, |_, s| breakdown_row(s))
+        else {
             continue;
-        }
+        };
         rows.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
         let n = rows.len();
         let mut bins = Vec::new();

@@ -39,10 +39,8 @@ pub fn compute(run: &FleetRun) -> Fig15 {
     let mut rows = Vec::new();
     for entry in run.catalog.table1() {
         let mut breakdowns = Vec::new();
-        run.store.for_each_span(entry.method, |_, span| {
-            if query.accepts(span) {
-                breakdowns.push(span.breakdown());
-            }
+        query.for_each(&run.store, entry.method, |_, span| {
+            breakdowns.push(span.breakdown());
         });
         if let Some(result) = what_if_p95(&breakdowns) {
             rows.push(WhatIfRow {

@@ -5,6 +5,7 @@
 //! service on the same platform — exogenous cluster state is the cause.
 
 use crate::check::ExpectationSet;
+use crate::common::breakdown_row;
 use crate::render::{fmt_secs, TextTable};
 use rpclens_fleet::driver::FleetRun;
 use rpclens_netsim::topology::ClusterId;
@@ -53,18 +54,11 @@ pub fn compute(run: &FleetRun) -> Fig16 {
         // Group samples by server cluster.
         let mut by_cluster: std::collections::HashMap<ClusterId, Vec<(f64, [f64; 9])>> =
             std::collections::HashMap::new();
-        run.store.for_each_span(entry.method, |_, span| {
-            if !base.accepts(span) {
-                return;
-            }
-            let mut comps = [0.0f64; 9];
-            for (i, c) in LatencyComponent::ALL.iter().enumerate() {
-                comps[i] = span.component(*c).as_secs_f64();
-            }
+        base.for_each(&run.store, entry.method, |_, span| {
             by_cluster
                 .entry(span.server_cluster)
                 .or_default()
-                .push((span.total_latency().as_secs_f64(), comps));
+                .push(breakdown_row(span));
         });
         let mut clusters = Vec::new();
         for (cluster, mut rows) in by_cluster {

@@ -9,6 +9,7 @@
 //! responds mainly to CPI.
 
 use crate::check::ExpectationSet;
+use crate::common::component_sum_secs;
 use crate::render::TextTable;
 use rpclens_fleet::driver::FleetRun;
 use rpclens_rpcstack::component::LatencyComponent;
@@ -80,6 +81,15 @@ pub struct Fig17 {
     pub relations: Vec<Relation>,
 }
 
+/// The server-side components: receive queue, application, send queue
+/// and response processing.
+pub const SERVER_SIDE: [LatencyComponent; 4] = [
+    LatencyComponent::ServerRecvQueue,
+    LatencyComponent::ServerApplication,
+    LatencyComponent::ServerSendQueue,
+    LatencyComponent::ResponseProcessing,
+];
+
 /// The three services the paper picks (one per category).
 pub const SERVICES: [&str; 3] = ["Bigtable", "KV-Store", "Video Metadata"];
 
@@ -97,10 +107,7 @@ pub fn compute(run: &FleetRun) -> Fig17 {
         }
         // Collect (exo vars, total latency, server-side latency) samples.
         let mut samples: Vec<([f64; 4], f64, f64)> = Vec::new();
-        run.store.for_each_span(entry.method, |trace, span| {
-            if !query.accepts(span) {
-                return;
-            }
+        query.for_each(&run.store, entry.method, |trace, span| {
             let svc = run.catalog.method(span.method).service;
             let Some(site) = run.site(svc, span.server_cluster) else {
                 return;
@@ -108,15 +115,7 @@ pub fn compute(run: &FleetRun) -> Fig17 {
             // The serving instant of this span.
             let at = trace.root_start + span.start_offset();
             let vars = site.load.sample(at);
-            let server_side = [
-                LatencyComponent::ServerRecvQueue,
-                LatencyComponent::ServerApplication,
-                LatencyComponent::ServerSendQueue,
-                LatencyComponent::ResponseProcessing,
-            ]
-            .iter()
-            .map(|&c| span.component(c).as_secs_f64())
-            .sum::<f64>();
+            let server_side = component_sum_secs(span, &SERVER_SIDE);
             samples.push((
                 [
                     vars.cpu_util * 100.0,

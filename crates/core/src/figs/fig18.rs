@@ -60,10 +60,7 @@ fn timeline(run: &FleetRun, cluster: ClusterId) -> Option<ClusterTimeline> {
     // vastly larger sample counts; the median carries the same diurnal
     // signal at simulation scale without tail-estimator noise.
     let mut hours: Vec<Vec<f64>> = vec![Vec::new(); 24];
-    run.store.for_each_span(entry.method, |trace, span| {
-        if !query.accepts(span) {
-            return;
-        }
+    query.for_each(&run.store, entry.method, |trace, span| {
         let at = trace.root_start + span.start_offset();
         let hour = ((at.as_secs_f64() / 3600.0) as usize) % 24;
         hours[hour].push(span.total_latency().as_secs_f64());
@@ -121,17 +118,18 @@ pub fn compute(run: &FleetRun) -> Option<Fig18> {
         .table1()
         .iter()
         .find(|e| e.server == "Bigtable")?;
-    let svc = run.catalog.method(entry.method).service;
-    // Rank clusters by overall P95.
+    // Rank clusters by overall latency.
+    let ok = MethodQuery {
+        min_samples: 1,
+        ..MethodQuery::default()
+    };
     let mut per_cluster: std::collections::HashMap<ClusterId, Vec<f64>> =
         std::collections::HashMap::new();
-    run.store.for_each_span(entry.method, |_, span| {
-        if span.is_ok() {
-            per_cluster
-                .entry(span.server_cluster)
-                .or_default()
-                .push(span.total_latency().as_secs_f64());
-        }
+    ok.for_each(&run.store, entry.method, |_, span| {
+        per_cluster
+            .entry(span.server_cluster)
+            .or_default()
+            .push(span.total_latency().as_secs_f64());
     });
     let mut ranked: Vec<(ClusterId, f64)> = per_cluster
         .into_iter()
@@ -150,8 +148,6 @@ pub fn compute(run: &FleetRun) -> Option<Fig18> {
     }
     let fast = timeline(run, ranked.first().expect("non-empty").0)?;
     let slow = timeline(run, ranked.last().expect("non-empty").0)?;
-    // The slow cluster must also be deployed (site lookup succeeded).
-    let _ = svc;
     Some(Fig18 { fast, slow })
 }
 

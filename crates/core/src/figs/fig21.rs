@@ -8,10 +8,11 @@
 //! balancing hard (§4.2).
 
 use crate::check::ExpectationSet;
-use crate::common::{paper_query, MethodHeatmap};
+use crate::common::MethodHeatmap;
 use crate::render::{sketch_cdf, TextTable};
 use rpclens_fleet::driver::FleetRun;
-use rpclens_simcore::stats::spearman;
+use rpclens_simcore::stats::{percentile, sorted_finite, spearman};
+use rpclens_trace::query::MethodQuery;
 use rpclens_trace::span::MethodId;
 
 /// The computed figure.
@@ -36,20 +37,28 @@ pub fn compute(run: &FleetRun) -> Fig21 {
         .collect();
     let heatmap = MethodHeatmap::from_samples(samples, 100);
 
-    // Cross-method correlations against latency and size.
-    let query = paper_query();
-    let latency = MethodHeatmap::build(run, &query, |_, s| s.total_latency().as_secs_f64());
-    let sizes = MethodHeatmap::build(run, &query, |_, s| s.request_bytes as f64);
+    // Cross-method correlations against median latency and median
+    // request size, both from one walk of each method's spans.
+    let query = MethodQuery::default();
+    let medians: Vec<(MethodId, f64, f64)> = query
+        .groups(&run.store, |_, s| {
+            (s.total_latency().as_secs_f64(), s.request_bytes as f64)
+        })
+        .filter_map(|(method, pairs)| {
+            let (lat, sz): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
+            let lat = percentile(&sorted_finite(lat), 0.5)?;
+            let sz = percentile(&sorted_finite(sz), 0.5)?;
+            Some((method, lat, sz))
+        })
+        .collect();
     let mut cyc = Vec::new();
     let mut lat = Vec::new();
     let mut sz = Vec::new();
     for row in &heatmap.rows {
-        let l = latency.rows.iter().find(|r| r.method == row.method);
-        let s = sizes.rows.iter().find(|r| r.method == row.method);
-        if let (Some(l), Some(s)) = (l, s) {
+        if let Ok(i) = medians.binary_search_by_key(&row.method, |m| m.0) {
             cyc.push(row.summary.p50);
-            lat.push(l.summary.p50);
-            sz.push(s.summary.p50);
+            lat.push(medians[i].1);
+            sz.push(medians[i].2);
         }
     }
     Fig21 {

@@ -3,7 +3,7 @@
 //! Every table and figure in the paper's evaluation has a module under
 //! [`figs`] that (a) computes the figure's data from a completed
 //! [`rpclens_fleet::driver::FleetRun`] (or, for Fig. 1, from the growth
-//! model), (b) renders it as text/CSV, and (c) emits
+//! model), (b) renders it as text, and (c) emits
 //! [`check::Expectation`]s comparing the measured shape against the
 //! paper's published anchors.
 //!

@@ -1,4 +1,4 @@
-//! Text rendering for figures: aligned tables, CDF sketches, CSV export.
+//! Text rendering for figures: aligned tables and CDF sketches.
 
 use std::fmt::Write as _;
 
@@ -59,32 +59,6 @@ impl TextTable {
         out.push('\n');
         for row in &self.rows {
             line(row, &mut out);
-        }
-        out
-    }
-
-    /// Renders as CSV.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        out.push_str(
-            &self
-                .header
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
         }
         out
     }
@@ -171,15 +145,6 @@ mod tests {
     fn mismatched_row_panics() {
         let mut t = TextTable::new(&["a", "b"]);
         t.row(vec!["only-one".into()]);
-    }
-
-    #[test]
-    fn csv_escapes_commas_and_quotes() {
-        let mut t = TextTable::new(&["k", "v"]);
-        t.row(vec!["a,b".into(), "say \"hi\"".into()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"a,b\""));
-        assert!(csv.contains("\"say \"\"hi\"\"\""));
     }
 
     #[test]

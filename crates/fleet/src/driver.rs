@@ -1711,15 +1711,13 @@ mod tests {
         let q = MethodQuery::default();
         let mut wide = 0;
         let mut total = 0;
-        for (m, _) in q.eligible_methods(&run.store) {
-            if let Some(samples) = q.latency_samples(&run.store, m) {
-                let sorted = sorted_finite(samples);
-                let p01 = percentile(&sorted, 0.01).unwrap();
-                let p99 = percentile(&sorted, 0.99).unwrap();
-                total += 1;
-                if p99 / p01.max(1e-9) > 10.0 {
-                    wide += 1;
-                }
+        for (_, samples) in q.groups(&run.store, |_, s| s.total_latency().as_secs_f64()) {
+            let sorted = sorted_finite(samples);
+            let p01 = percentile(&sorted, 0.01).unwrap();
+            let p99 = percentile(&sorted, 0.99).unwrap();
+            total += 1;
+            if p99 / p01.max(1e-9) > 10.0 {
+                wide += 1;
             }
         }
         assert!(total >= 20, "only {total} eligible methods");

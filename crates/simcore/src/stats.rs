@@ -41,6 +41,25 @@ pub fn percentile(sorted: &[f64], q: f64) -> Option<f64> {
     Some(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
 }
 
+/// Returns the element of `sorted` at the rank nearest to
+/// `q * (len - 1)`, without interpolation, or `None` if the slice is
+/// empty. `q` must be in `[0, 1]`.
+///
+/// # Examples
+///
+/// ```
+/// use rpclens_simcore::stats::nearest_rank;
+///
+/// let v = [10u64, 20, 30, 40];
+/// assert_eq!(nearest_rank(&v, 0.5), Some(30));
+/// assert_eq!(nearest_rank(&v, 0.99), Some(40));
+/// assert_eq!(nearest_rank::<u64>(&[], 0.5), None);
+/// ```
+pub fn nearest_rank<T: Copy>(sorted: &[T], q: f64) -> Option<T> {
+    let last = sorted.len().checked_sub(1)?;
+    Some(sorted[(last as f64 * q).round() as usize])
+}
+
 /// Sorts a sample vector and returns it, dropping non-finite values.
 pub fn sorted_finite(mut values: Vec<f64>) -> Vec<f64> {
     values.retain(|v| v.is_finite());

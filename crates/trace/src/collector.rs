@@ -118,22 +118,12 @@ impl TraceStore {
             self.add(trace);
         }
     }
-
-    /// Visits every span of `method` with its containing trace.
-    pub fn for_each_span<F>(&self, method: MethodId, mut f: F)
-    where
-        F: FnMut(&TraceData, &crate::span::SpanRecord),
-    {
-        for &(t, s) in self.spans_of(method) {
-            let trace = &self.traces[t as usize];
-            f(trace, &trace.spans[s as usize]);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::query::MethodQuery;
     use crate::span::{ServiceId, SpanBuilder};
     use rpclens_netsim::topology::ClusterId;
     use rpclens_simcore::time::SimTime;
@@ -200,7 +190,7 @@ mod tests {
         let mut store = TraceStore::new();
         store.add(trace_with_methods(&[7, 7, 7]));
         let mut n = 0;
-        store.for_each_span(MethodId(7), |trace, span| {
+        MethodQuery::unfiltered().for_each(&store, MethodId(7), |trace, span| {
             assert_eq!(trace.len(), 3);
             assert_eq!(span.method, MethodId(7));
             n += 1;

@@ -7,12 +7,16 @@
 //! 2. Erroneous RPCs are excluded from latency distributions.
 //! 3. Some figures restrict to intra-cluster calls (client and server in
 //!    the same cluster).
+//!
+//! Every per-method analysis reads spans through [`MethodQuery::for_each`]
+//! (one filtered walk of one method) or [`MethodQuery::groups`] (one such
+//! walk per method, in ascending method id), so this module alone decides
+//! which spans an analysis sees.
 
 use crate::collector::TraceStore;
 use crate::span::{MethodId, SpanRecord, TraceData};
 use crate::tree::TreeStats;
 use rpclens_netsim::topology::ClusterId;
-use rpclens_rpcstack::component::LatencyComponent;
 use std::collections::HashMap;
 
 /// The paper's minimum sample count for per-method statistics.
@@ -27,7 +31,8 @@ pub struct MethodQuery {
     pub intra_cluster_only: bool,
     /// Keep only spans served from this cluster (for per-cluster views).
     pub server_cluster: Option<ClusterId>,
-    /// Minimum number of samples for a method to be reported.
+    /// Minimum number of samples for a method to be reported. A method
+    /// with no accepted span is never reported, even at 0.
     pub min_samples: usize,
 }
 
@@ -54,7 +59,7 @@ impl MethodQuery {
     }
 
     /// Whether a span passes this query's filters.
-    pub fn accepts(&self, span: &SpanRecord) -> bool {
+    fn accepts(&self, span: &SpanRecord) -> bool {
         if self.exclude_errors && !span.is_ok() {
             return false;
         }
@@ -69,53 +74,63 @@ impl MethodQuery {
         true
     }
 
-    /// Extracts a per-span metric for one method, or `None` if fewer than
-    /// `min_samples` spans pass the filters.
-    pub fn samples<F>(&self, store: &TraceStore, method: MethodId, f: F) -> Option<Vec<f64>>
+    /// Visits every span of `method` that passes the filters, with its
+    /// containing trace, in (trace, span) order. The sample-count gate
+    /// does not apply.
+    pub fn for_each<F>(&self, store: &TraceStore, method: MethodId, mut f: F)
     where
-        F: Fn(&TraceData, &SpanRecord) -> f64,
+        F: FnMut(&TraceData, &SpanRecord),
+    {
+        for &(t, s) in store.spans_of(method) {
+            let trace = &store.traces()[t as usize];
+            let span = &trace.spans[s as usize];
+            if self.accepts(span) {
+                f(trace, span);
+            }
+        }
+    }
+
+    /// Extracts a per-span metric for one method in (trace, span) order,
+    /// or `None` if fewer than `min_samples.max(1)` spans pass the
+    /// filters.
+    pub fn samples<T, F>(&self, store: &TraceStore, method: MethodId, metric: F) -> Option<Vec<T>>
+    where
+        F: Fn(&TraceData, &SpanRecord) -> T,
     {
         let mut out = Vec::new();
-        store.for_each_span(method, |trace, span| {
-            if self.accepts(span) {
-                out.push(f(trace, span));
-            }
-        });
-        (out.len() >= self.min_samples).then_some(out)
+        self.for_each(store, method, |trace, span| out.push(metric(trace, span)));
+        (out.len() >= self.min_samples.max(1)).then_some(out)
     }
 
-    /// Per-method completion-time samples in seconds.
-    pub fn latency_samples(&self, store: &TraceStore, method: MethodId) -> Option<Vec<f64>> {
-        self.samples(store, method, |_, s| s.total_latency().as_secs_f64())
-    }
-
-    /// Per-method samples of one latency component, in seconds.
-    pub fn component_samples(
+    /// Every method that passes the sample-count gate with its
+    /// [`samples`](Self::samples), lazily and in ascending method id.
+    ///
+    /// Each method's spans are walked once, and only one method's samples
+    /// are held at a time.
+    pub fn groups<'a, T, F>(
         &self,
-        store: &TraceStore,
-        method: MethodId,
-        c: LatencyComponent,
-    ) -> Option<Vec<f64>> {
-        self.samples(store, method, move |_, s| s.component(c).as_secs_f64())
+        store: &'a TraceStore,
+        metric: F,
+    ) -> impl Iterator<Item = (MethodId, Vec<T>)> + 'a
+    where
+        F: Fn(&TraceData, &SpanRecord) -> T + 'a,
+        T: 'a,
+    {
+        let query = *self;
+        let mut methods: Vec<MethodId> = store.methods().collect();
+        methods.sort_unstable();
+        methods
+            .into_iter()
+            .filter_map(move |m| query.samples(store, m, &metric).map(|v| (m, v)))
     }
 
     /// All methods that pass the sample-count filter, with their span
     /// counts, sorted by method id.
     pub fn eligible_methods(&self, store: &TraceStore) -> Vec<(MethodId, usize)> {
-        let mut out: Vec<(MethodId, usize)> = store
-            .methods()
-            .filter_map(|m| {
-                let mut n = 0usize;
-                store.for_each_span(m, |_, s| {
-                    if self.accepts(s) {
-                        n += 1;
-                    }
-                });
-                (n >= self.min_samples).then_some((m, n))
-            })
-            .collect();
-        out.sort_by_key(|(m, _)| *m);
-        out
+        // A `Vec<()>` never allocates: its length is the count.
+        self.groups(store, |_, _| ())
+            .map(|(m, unit)| (m, unit.len()))
+            .collect()
     }
 }
 
@@ -154,7 +169,7 @@ impl TreeShapeSamples {
 mod tests {
     use super::*;
     use crate::span::{ServiceId, SpanBuilder};
-    use rpclens_rpcstack::component::LatencyBreakdown;
+    use rpclens_rpcstack::component::{LatencyBreakdown, LatencyComponent};
     use rpclens_rpcstack::error::ErrorKind;
     use rpclens_simcore::time::{SimDuration, SimTime};
 
@@ -189,14 +204,18 @@ mod tests {
         store
     }
 
+    fn latency(_: &TraceData, s: &SpanRecord) -> f64 {
+        s.total_latency().as_secs_f64()
+    }
+
     #[test]
     fn errors_are_excluded_by_default() {
         let store = make_store();
         let q = MethodQuery::default();
-        let samples = q.latency_samples(&store, MethodId(1)).unwrap();
+        let samples = q.samples(&store, MethodId(1), latency).unwrap();
         assert_eq!(samples.len(), 135); // 150 minus 15 errors.
         let all = MethodQuery::unfiltered()
-            .latency_samples(&store, MethodId(1))
+            .samples(&store, MethodId(1), latency)
             .unwrap();
         assert_eq!(all.len(), 150);
     }
@@ -210,7 +229,7 @@ mod tests {
             min_samples: 1,
             ..MethodQuery::default()
         };
-        let samples = q.latency_samples(&store, MethodId(1)).unwrap();
+        let samples = q.samples(&store, MethodId(1), latency).unwrap();
         assert_eq!(samples.len(), 50); // Every third span is same-cluster.
     }
 
@@ -223,7 +242,7 @@ mod tests {
             min_samples: 1,
             ..MethodQuery::default()
         };
-        let samples = q.latency_samples(&store, MethodId(1)).unwrap();
+        let samples = q.samples(&store, MethodId(1), latency).unwrap();
         assert_eq!(samples.len(), 100);
     }
 
@@ -234,7 +253,7 @@ mod tests {
             min_samples: 1000,
             ..MethodQuery::default()
         };
-        assert!(q.latency_samples(&store, MethodId(1)).is_none());
+        assert!(q.samples(&store, MethodId(1), latency).is_none());
     }
 
     #[test]
@@ -242,7 +261,9 @@ mod tests {
         let store = make_store();
         let q = MethodQuery::default();
         let queue = q
-            .component_samples(&store, MethodId(1), LatencyComponent::ServerRecvQueue)
+            .samples(&store, MethodId(1), |_, s| {
+                s.component(LatencyComponent::ServerRecvQueue).as_secs_f64()
+            })
             .unwrap();
         assert!(queue.iter().all(|&s| (s - 10e-6).abs() < 1e-9));
     }
@@ -257,6 +278,53 @@ mod tests {
         assert_eq!(methods[0].1, 135);
         assert_eq!(methods[1].0, MethodId(2));
         assert_eq!(methods[1].1, 150);
+    }
+
+    #[test]
+    fn groups_match_samples_and_eligible_methods() {
+        let mut store = make_store();
+        // Method 3 has only an erroneous span; method 0 one good span.
+        let failed = SpanBuilder::new(MethodId(3), ServiceId(0), ClusterId(0), ClusterId(0))
+            .error(ErrorKind::Unavailable)
+            .build();
+        store.add(TraceData::new(SimTime::ZERO, vec![failed]));
+        let single = SpanBuilder::new(MethodId(0), ServiceId(0), ClusterId(0), ClusterId(0));
+        store.add(TraceData::new(SimTime::ZERO, vec![single.build()]));
+        let queries = [
+            MethodQuery::default(),
+            MethodQuery::unfiltered(),
+            MethodQuery {
+                min_samples: 0,
+                ..MethodQuery::default()
+            },
+            MethodQuery {
+                intra_cluster_only: true,
+                min_samples: 0,
+                ..MethodQuery::default()
+            },
+        ];
+        for q in queries {
+            let groups: Vec<_> = q.groups(&store, latency).collect();
+            let ids: Vec<MethodId> = groups.iter().map(|(m, _)| *m).collect();
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "{q:?}: {ids:?}");
+            let eligible = q.eligible_methods(&store);
+            assert_eq!(eligible.len(), groups.len(), "{q:?}");
+            for ((m, values), (em, n)) in groups.iter().zip(&eligible) {
+                assert!(!values.is_empty(), "{q:?}: empty group for {m:?}");
+                assert_eq!(m, em);
+                assert_eq!(values.len(), *n);
+                assert_eq!(Some(values), q.samples(&store, *m, latency).as_ref());
+            }
+        }
+        let floorless = MethodQuery {
+            min_samples: 0,
+            ..MethodQuery::default()
+        };
+        let ids: Vec<u32> = floorless
+            .groups(&store, latency)
+            .map(|(m, _)| m.0)
+            .collect();
+        assert_eq!(ids, vec![0, 1, 2]);
     }
 
     #[test]

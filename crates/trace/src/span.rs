@@ -274,11 +274,6 @@ impl TraceData {
     pub fn root(&self) -> &SpanRecord {
         &self.spans[0]
     }
-
-    /// The absolute start time of span `i`.
-    pub fn span_start(&self, i: usize) -> SimTime {
-        self.root_start + self.spans[i].start_offset()
-    }
 }
 
 #[cfg(test)]
@@ -373,7 +368,7 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t.root().method, MethodId(5));
         assert_eq!(
-            t.span_start(1),
+            t.root_start + t.spans[1].start_offset(),
             SimTime::from_nanos(1_000_000_000 + 500_000)
         );
     }

@@ -39,11 +39,9 @@ fn main() {
     };
     let mut breakdowns = Vec::new();
     let mut totals = Vec::new();
-    run.store.for_each_span(write, |_, span| {
-        if query.accepts(span) {
-            breakdowns.push(span.breakdown());
-            totals.push(span.total_latency().as_secs_f64());
-        }
+    query.for_each(&run.store, write, |_, span| {
+        breakdowns.push(span.breakdown());
+        totals.push(span.total_latency().as_secs_f64());
     });
     let sorted = sorted_finite(totals);
     println!(

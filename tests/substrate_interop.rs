@@ -7,7 +7,7 @@ use rpclens::profiler::{CycleProfiler, ErrorAccounting};
 use rpclens::rpcstack::component::{LatencyBreakdown, LatencyComponent};
 use rpclens::rpcstack::cost::{CycleCategory, CycleCost};
 use rpclens::trace::collector::{TraceCollector, TraceStore};
-use rpclens::trace::span::{SpanBuilder, TraceData};
+use rpclens::trace::span::{SpanBuilder, SpanRecord, TraceData};
 use rpclens::trace::tree::TreeStats;
 
 /// Builds a synthetic three-tier trace by hand: a frontend calling two
@@ -117,8 +117,9 @@ fn queries_respect_filters_on_hand_built_traces() {
         min_samples: 100,
         ..MethodQuery::default()
     };
+    let latency = |_: &TraceData, s: &SpanRecord| s.total_latency().as_secs_f64();
     let samples = q
-        .latency_samples(&store, MethodId(1))
+        .samples(&store, MethodId(1), latency)
         .expect("root method has 200 samples");
     assert_eq!(samples.len(), 200);
     // All hand-built spans are cross-cluster, so the intra-cluster filter
@@ -128,5 +129,5 @@ fn queries_respect_filters_on_hand_built_traces() {
         min_samples: 1,
         ..MethodQuery::default()
     };
-    assert!(intra.latency_samples(&store, MethodId(1)).is_none());
+    assert!(intra.samples(&store, MethodId(1), latency).is_none());
 }

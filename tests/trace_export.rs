@@ -5,6 +5,7 @@
 use rpclens::core::figs::{fig02, fig11};
 use rpclens::prelude::*;
 use rpclens::trace::export::{export, import};
+use rpclens::trace::span::{SpanRecord, TraceData};
 
 #[test]
 fn fleet_traces_roundtrip_and_reanalyse_identically() {
@@ -36,11 +37,13 @@ fn fleet_traces_roundtrip_and_reanalyse_identically() {
 
     // Analyses over the imported store match the originals exactly.
     let query = MethodQuery::default();
-    for (method, _) in query.eligible_methods(&run.store) {
-        let a = query.latency_samples(&run.store, method);
-        let b = query.latency_samples(&imported, method);
-        assert_eq!(a, b, "method {method:?} samples differ after roundtrip");
-    }
+    let latency = |_: &TraceData, s: &SpanRecord| s.total_latency().as_secs_f64();
+    assert!(
+        query
+            .groups(&run.store, latency)
+            .eq(query.groups(&imported, latency)),
+        "per-method samples differ after roundtrip"
+    );
     // Figure-level comparison via a run whose store is the imported one.
     let fig_a = fig02::compute(&run);
     let fig_b_rows = {
