@@ -12,9 +12,9 @@
 //! `bench` round-trips N catalog RPCs (UDP loopback by default, with the
 //! server on a thread), measures per-component costs, and writes a
 //! wire-validation JSON artifact comparing them against the analytical
-//! Fig. 9/20 cost models. It exits non-zero if any request is lost —
-//! at-least-once must never lose one. `serve` runs a standalone catalog
-//! server for cross-process experiments.
+//! Fig. 9/20 cost models. It writes the artifact, then exits non-zero
+//! if any request was lost — at-least-once must never lose one. `serve`
+//! runs a standalone catalog server for cross-process experiments.
 //!
 //! `--trace-out FILE` additionally runs a *traced* capture and writes
 //! the measured causal trees as a checksummed `trace::export` artifact

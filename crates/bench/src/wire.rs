@@ -28,15 +28,18 @@ use rpclens_fleet::servable::ServableTable;
 use rpclens_netsim::topology::Topology;
 use rpclens_obs::json::Json;
 use rpclens_rpcstack::cost::{MessageClass, StackCostConfig, StackCostModel};
-use rpclens_rpcwire::client::{RetryPolicy, WireClient};
-use rpclens_rpcwire::message::{self, Request, Status, WireError};
+use rpclens_rpcwire::client::{ClientStats, PendingCall, RetryPolicy, WireClient};
+use rpclens_rpcwire::message::{self, Request, Response, Status, TraceContext, WireError};
 use rpclens_rpcwire::payload;
-use rpclens_rpcwire::server::{Handler, Semantics, WireServer};
-use rpclens_rpcwire::transport::{MemLink, UdpServerSocket, UdpTransport};
+use rpclens_rpcwire::server::{Handler, Semantics, ServerStats, WireServer};
+use rpclens_rpcwire::sink::SpanSink;
+use rpclens_rpcwire::transport::{MemLink, Transport, UdpServerSocket, UdpTransport};
 use rpclens_simcore::rng::Prng;
 use rpclens_simcore::stats::nearest_rank;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Configuration for one validation run.
@@ -264,102 +267,253 @@ pub fn build_table(config: &WireBenchConfig) -> ServableTable {
     ServableTable::from_catalog(&catalog)
 }
 
+/// Client id of the root (hop-0) client; nested traced hops use
+/// `CLIENT_ID_BASE + depth`.
+pub(crate) const CLIENT_ID_BASE: u64 = 0xBE7C;
+
+/// The seed stream every run draws its root calls from.
+const WORKLOAD_STREAM: u64 = 0x317E;
+
 /// One prepared, per-stage-timed request.
-struct PreparedCall {
+pub(crate) struct PreparedCall {
     method_class: MessageClass,
     req_raw_len: u64,
     req_wire_len: u64,
     compress_ns: f64,
     encode_ns: f64,
-    datagram: bytes::Bytes,
 }
 
 fn elapsed_ns(since: Instant) -> f64 {
     since.elapsed().as_nanos() as f64
 }
 
-fn prepare_call(
+/// Where a started call completes: the server one client talks to,
+/// driven from the client's side. The two real sides are an in-process
+/// [`WireServer`] over a [`MemLink`] and a [`UdpServer`] thread; tests
+/// substitute fakes.
+pub(crate) trait ServerSide<T: Transport> {
+    /// Drives `pending` to its response or error.
+    fn complete<K: SpanSink>(
+        &mut self,
+        client: &mut WireClient<T, K>,
+        pending: &mut PendingCall,
+    ) -> Result<Response, WireError>;
+}
+
+impl<H: Handler, K: SpanSink> ServerSide<MemLink> for WireServer<MemLink, H, K> {
+    fn complete<C: SpanSink>(
+        &mut self,
+        client: &mut WireClient<MemLink, C>,
+        pending: &mut PendingCall,
+    ) -> Result<Response, WireError> {
+        loop {
+            self.poll().map_err(WireError::Io)?;
+            match client.try_complete(pending, Duration::ZERO)? {
+                Some(response) => return Ok(response),
+                // The link is lossless, so a missing reply means the
+                // serve/complete interleaving raced; just resend.
+                None => client.retransmit(pending)?,
+            }
+        }
+    }
+}
+
+/// A catalog server on its own thread behind a loopback
+/// [`UdpServerSocket`]; the client drives the retry policy with real
+/// timers. Dropping it stops and joins the thread.
+pub(crate) struct UdpServer {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    thread: Option<JoinHandle<ServerStats>>,
+}
+
+impl UdpServer {
+    /// Binds an ephemeral loopback port and starts serving `table`.
+    pub(crate) fn spawn(
+        table: Arc<ServableTable>,
+        seed: u64,
+        semantics: Semantics,
+    ) -> Result<UdpServer, WireError> {
+        let socket = UdpServerSocket::bind("127.0.0.1:0").map_err(WireError::Io)?;
+        let addr = socket.local_addr().map_err(WireError::Io)?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let thread = {
+            let stop = stop.clone();
+            std::thread::spawn(move || {
+                let mut server =
+                    WireServer::new(socket, CatalogHandler::new(table, seed), semantics);
+                server
+                    .serve(Duration::from_millis(5), |_| stop.load(Ordering::Relaxed))
+                    .expect("wire server failed");
+                server.stats()
+            })
+        };
+        Ok(UdpServer {
+            addr,
+            stop,
+            thread: Some(thread),
+        })
+    }
+
+    /// A client transport connected to this server.
+    pub(crate) fn connect(&self) -> Result<UdpTransport, WireError> {
+        UdpTransport::connect(self.addr).map_err(WireError::Io)
+    }
+
+    /// Stops the server and returns its counters.
+    pub(crate) fn join(mut self) -> ServerStats {
+        self.stop.store(true, Ordering::Relaxed);
+        let thread = self.thread.take().expect("joined once");
+        thread.join().expect("wire server thread panicked")
+    }
+}
+
+impl Drop for UdpServer {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Relaxed);
+        if let Some(thread) = self.thread.take() {
+            // A panic there already failed the run; the join only
+            // keeps the thread from outliving it.
+            let _ = thread.join();
+        }
+    }
+}
+
+impl ServerSide<UdpTransport> for UdpServer {
+    fn complete<K: SpanSink>(
+        &mut self,
+        client: &mut WireClient<UdpTransport, K>,
+        pending: &mut PendingCall,
+    ) -> Result<Response, WireError> {
+        client.drive(pending)
+    }
+}
+
+/// The call step every harness RPC goes through: draws a method, a
+/// request length and a body from `rng`, encodes and frames the request
+/// with each stage timed (carrying `trace` when given), and completes it
+/// through `server`. Returns the prepared call, the response and the
+/// RTT in nanoseconds.
+pub(crate) fn call<T: Transport, K: SpanSink, S: ServerSide<T>>(
+    client: &mut WireClient<T, K>,
+    server: &mut S,
     table: &ServableTable,
     rng: &mut Prng,
-    client_id: u64,
-    request_id: u64,
-    body_buf: &mut Vec<u8>,
-) -> PreparedCall {
+    trace: Option<TraceContext>,
+    body: &mut Vec<u8>,
+) -> Result<(PreparedCall, Response, f64), WireError> {
     let method = table.sample_root(rng);
+    let method_id = u64::from(method.method.0);
     let req_len = payload::sample_wire_len(&method.req_size, rng);
-    payload::fill_body(rng, req_len, body_buf);
+    payload::fill_body(rng, req_len, body);
+    let request_id = client.allocate_request_id();
 
     let compress_started = Instant::now();
-    let wire_body = message::encode_body(body_buf, method.class.compressed);
+    let wire_body = message::encode_body(body, method.class.compressed);
     let compress_ns = elapsed_ns(compress_started);
 
     let encode_started = Instant::now();
-    let payload_bytes = message::serialize_request(&wire_body);
+    let payload_bytes = message::serialize_request(&wire_body, trace.as_ref());
     let datagram = message::frame_request(
-        method.method.0 as u64,
-        client_id,
+        method_id,
+        client.client_id(),
         request_id,
         payload_bytes,
         wire_body.compressed,
+        trace.is_some(),
     );
     let encode_ns = elapsed_ns(encode_started);
 
-    PreparedCall {
+    let prepared = PreparedCall {
         method_class: method.class,
         req_raw_len: wire_body.raw_len as u64,
         req_wire_len: wire_body.bytes.len() as u64,
         compress_ns,
         encode_ns,
-        datagram,
+    };
+    let rtt_started = Instant::now();
+    let mut pending =
+        client.start_prepared(request_id, datagram, method_id, wire_body.raw_len, trace)?;
+    let response = server.complete(client, &mut pending)?;
+    Ok((prepared, response, elapsed_ns(rtt_started)))
+}
+
+/// The outcome policy for a [`call`]: `Some` on a response; `None` when
+/// the server answered with an error status (the call completed, and its
+/// span records the error) or the call timed out (it was lost, and the
+/// run goes on). Any other error aborts the run.
+pub(crate) fn settle<R>(outcome: Result<R, WireError>) -> Result<Option<R>, WireError> {
+    match outcome {
+        Ok(completed) => Ok(Some(completed)),
+        Err(WireError::Server(_) | WireError::TimedOut { .. }) => Ok(None),
+        Err(e) => Err(e),
     }
 }
 
-/// Accumulates one completed call into the report under construction.
-struct Accumulator {
+/// The runner: issues `requests` root calls drawn from the seed's
+/// workload stream, each carrying the context `begin_trace` supplies,
+/// and accumulates every call that completed.
+pub(crate) fn run_calls<T: Transport, K: SpanSink, S: ServerSide<T>>(
+    client: &mut WireClient<T, K>,
+    server: &mut S,
+    table: &ServableTable,
+    seed: u64,
+    requests: u32,
+    mut begin_trace: impl FnMut() -> Option<TraceContext>,
+) -> Result<Accumulator, WireError> {
+    let mut rng = Prng::seed_from(seed).stream(WORKLOAD_STREAM);
+    let mut acc = Accumulator::new();
+    let mut body = Vec::new();
+    for _ in 0..requests {
+        let trace = begin_trace();
+        let outcome = call(client, server, table, &mut rng, trace, &mut body);
+        if let Some((prepared, response, rtt_ns)) = settle(outcome)? {
+            acc.record(&prepared, &response, rtt_ns);
+        }
+    }
+    Ok(acc)
+}
+
+/// Sums over a run's completed calls.
+pub(crate) struct Accumulator {
     model: StackCostModel,
-    report: WireReport,
+    request_raw_bytes: u64,
+    request_wire_bytes: u64,
+    response_raw_bytes: u64,
+    response_wire_bytes: u64,
+    server_exec_ns: f64,
+    measured: ComponentSums,
+    modeled: ComponentSums,
     rtts: Vec<f64>,
 }
 
 impl Accumulator {
-    fn new(config: WireBenchConfig, transport: &'static str) -> Accumulator {
+    fn new() -> Accumulator {
         Accumulator {
             model: StackCostModel::new(StackCostConfig::default()),
-            report: WireReport {
-                config,
-                transport,
-                started: 0,
-                completed: 0,
-                lost: 0,
-                retransmissions: 0,
-                executed: 0,
-                dedup_hits: 0,
-                request_raw_bytes: 0,
-                request_wire_bytes: 0,
-                response_raw_bytes: 0,
-                response_wire_bytes: 0,
-                server_exec_ns: 0.0,
-                measured: ComponentSums::default(),
-                modeled: ComponentSums::default(),
-                rtt_percentiles_ns: (0.0, 0.0, 0.0),
-            },
+            request_raw_bytes: 0,
+            request_wire_bytes: 0,
+            response_raw_bytes: 0,
+            response_wire_bytes: 0,
+            server_exec_ns: 0.0,
+            measured: ComponentSums::default(),
+            modeled: ComponentSums::default(),
             rtts: Vec::new(),
         }
     }
 
-    fn record(&mut self, prepared: &PreparedCall, response: &message::Response, rtt_ns: f64) {
-        let r = &mut self.report;
-        r.request_raw_bytes += prepared.req_raw_len;
-        r.request_wire_bytes += prepared.req_wire_len;
-        r.response_raw_bytes += response.body.len() as u64;
-        r.response_wire_bytes += response.wire_body_len as u64;
+    fn record(&mut self, prepared: &PreparedCall, response: &Response, rtt_ns: f64) {
+        self.request_raw_bytes += prepared.req_raw_len;
+        self.request_wire_bytes += prepared.req_wire_len;
+        self.response_raw_bytes += response.body.len() as u64;
+        self.response_wire_bytes += response.wire_body_len as u64;
 
         let server_ns = (response.server_decode_ns + response.server_exec_ns) as f64;
-        r.measured.compress_ns += prepared.compress_ns;
-        r.measured.encode_ns += prepared.encode_ns;
-        r.measured.server_decode_ns += response.server_decode_ns as f64;
-        r.measured.transit_ns += (rtt_ns - server_ns).max(0.0);
-        r.server_exec_ns += response.server_exec_ns as f64;
+        self.measured.compress_ns += prepared.compress_ns;
+        self.measured.encode_ns += prepared.encode_ns;
+        self.measured.server_decode_ns += response.server_decode_ns as f64;
+        self.measured.transit_ns += (rtt_ns - server_ns).max(0.0);
+        self.server_exec_ns += response.server_exec_ns as f64;
         self.rtts.push(rtt_ns);
 
         // Modeled counterparts over the same raw payload byte counts.
@@ -371,31 +525,41 @@ impl Accumulator {
         let resp_bytes = response.body.len() as u64;
         let resp_send = self.model.sender_component_ns(resp_bytes, class);
         let resp_recv = self.model.receiver_component_ns(resp_bytes, class);
-        r.modeled.compress_ns += req_send.compress_ns;
-        r.modeled.encode_ns += req_send.serialize_ns + req_send.library_ns + req_send.alloc_ns;
-        r.modeled.server_decode_ns += req_recv.serialize_ns + req_recv.compress_ns;
-        r.modeled.transit_ns +=
+        let m = &mut self.modeled;
+        m.compress_ns += req_send.compress_ns;
+        m.encode_ns += req_send.serialize_ns + req_send.library_ns + req_send.alloc_ns;
+        m.server_decode_ns += req_recv.serialize_ns + req_recv.compress_ns;
+        m.transit_ns +=
             req_send.network_ns + req_recv.network_ns + resp_send.tax_ns + resp_recv.tax_ns;
     }
 
     fn finish(
         mut self,
-        started: u64,
-        completed: u64,
-        retransmissions: u64,
-        executed: u64,
-        dedup_hits: u64,
+        config: WireBenchConfig,
+        transport: &'static str,
+        client: ClientStats,
+        server: ServerStats,
     ) -> WireReport {
-        self.report.started = started;
-        self.report.completed = completed;
-        self.report.lost = started - completed;
-        self.report.retransmissions = retransmissions;
-        self.report.executed = executed;
-        self.report.dedup_hits = dedup_hits;
         self.rtts.sort_by(|a, b| a.total_cmp(b));
         let pct = |p: f64| nearest_rank(&self.rtts, p).unwrap_or(0.0);
-        self.report.rtt_percentiles_ns = (pct(0.50), pct(0.95), pct(0.99));
-        self.report
+        WireReport {
+            config,
+            transport,
+            started: client.calls,
+            completed: client.completed,
+            lost: client.calls - client.completed,
+            retransmissions: client.retransmissions,
+            executed: server.executed,
+            dedup_hits: server.dedup_hits,
+            request_raw_bytes: self.request_raw_bytes,
+            request_wire_bytes: self.request_wire_bytes,
+            response_raw_bytes: self.response_raw_bytes,
+            response_wire_bytes: self.response_wire_bytes,
+            server_exec_ns: self.server_exec_ns,
+            measured: self.measured,
+            modeled: self.modeled,
+            rtt_percentiles_ns: (pct(0.50), pct(0.95), pct(0.99)),
+        }
     }
 }
 
@@ -404,121 +568,47 @@ impl Accumulator {
 pub fn run_over_memlink(config: &WireBenchConfig) -> Result<WireReport, WireError> {
     let table = Arc::new(build_table(config));
     let (client_end, server_end) = MemLink::pair();
-    let mut server = WireServer::new(
-        server_end,
-        CatalogHandler::new(table.clone(), config.seed),
-        config.semantics,
+    let handler = CatalogHandler::new(table.clone(), config.seed);
+    let mut server = WireServer::new(server_end, handler, config.semantics);
+    let mut client = WireClient::new(
+        client_end,
+        CLIENT_ID_BASE,
+        RetryPolicy::default(),
+        config.seed,
     );
-    let mut client = WireClient::new(client_end, 0xBE7C, RetryPolicy::default(), config.seed);
-    let mut workload_rng = Prng::seed_from(config.seed).stream(0x317E);
-    let mut acc = Accumulator::new(*config, "memlink");
-    let mut body_buf = Vec::new();
-
-    for _ in 0..config.requests {
-        let request_id = client.allocate_request_id();
-        let prepared = prepare_call(
-            &table,
-            &mut workload_rng,
-            client.client_id(),
-            request_id,
-            &mut body_buf,
-        );
-        let rtt_started = Instant::now();
-        let mut pending = client.start_prepared(request_id, prepared.datagram.clone())?;
-        let response = loop {
-            server.poll().map_err(WireError::Io)?;
-            match client.try_complete(&pending, Duration::ZERO)? {
-                Some(resp) => break resp,
-                // The link is lossless, so a missing reply means the
-                // serve/complete interleaving raced; just resend.
-                None => client.retransmit(&mut pending)?,
-            }
-        };
-        let rtt_ns = elapsed_ns(rtt_started);
-        acc.record(&prepared, &response, rtt_ns);
-    }
-
-    let (cs, ss) = (client.stats(), server.stats());
-    Ok(acc.finish(
-        cs.calls,
-        cs.completed,
-        cs.retransmissions,
-        ss.executed,
-        ss.dedup_hits,
-    ))
+    let acc = run_calls(
+        &mut client,
+        &mut server,
+        &table,
+        config.seed,
+        config.requests,
+        || None,
+    )?;
+    Ok(acc.finish(*config, "memlink", client.stats(), server.stats()))
 }
 
 /// Runs the validation over real UDP loopback: the server on its own
-/// thread behind a `UdpServerSocket`, the client driving the retry policy
-/// with real timers.
+/// thread, the client driving the retry policy with real timers. Lost
+/// calls do not fail the run; the report counts them in `lost`.
 pub fn run_over_udp(config: &WireBenchConfig) -> Result<WireReport, WireError> {
     let table = Arc::new(build_table(config));
-    let server_socket = UdpServerSocket::bind("127.0.0.1:0").map_err(WireError::Io)?;
-    let server_addr = server_socket.local_addr().map_err(WireError::Io)?;
-    let stop = Arc::new(AtomicBool::new(false));
-
-    let server_thread = {
-        let table = table.clone();
-        let stop = stop.clone();
-        let seed = config.seed;
-        let semantics = config.semantics;
-        std::thread::spawn(move || {
-            let mut server =
-                WireServer::new(server_socket, CatalogHandler::new(table, seed), semantics);
-            server
-                .serve(Duration::from_millis(5), |_| stop.load(Ordering::Relaxed))
-                .expect("wire server failed");
-            server.stats()
-        })
-    };
-
-    let transport = UdpTransport::connect(server_addr).map_err(WireError::Io)?;
-    let mut client = WireClient::new(transport, 0xBE7C, RetryPolicy::default(), config.seed);
-    let mut workload_rng = Prng::seed_from(config.seed).stream(0x317E);
-    let mut acc = Accumulator::new(*config, "udp-loopback");
-    let mut body_buf = Vec::new();
-    let mut first_error = None;
-
-    for _ in 0..config.requests {
-        let request_id = client.allocate_request_id();
-        let prepared = prepare_call(
-            &table,
-            &mut workload_rng,
-            client.client_id(),
-            request_id,
-            &mut body_buf,
-        );
-        let rtt_started = Instant::now();
-        let mut pending = client.start_prepared(request_id, prepared.datagram.clone())?;
-        match client.drive(&mut pending) {
-            Ok(response) => {
-                let rtt_ns = elapsed_ns(rtt_started);
-                acc.record(&prepared, &response, rtt_ns);
-            }
-            Err(e) => {
-                // Keep going so the report still captures loss counts; the
-                // first error is surfaced alongside.
-                if first_error.is_none() {
-                    first_error = Some(e);
-                }
-            }
-        }
-    }
-
-    stop.store(true, Ordering::Relaxed);
-    let server_stats = server_thread.join().expect("server thread panicked");
-    let cs = client.stats();
-    let report = acc.finish(
-        cs.calls,
-        cs.completed,
-        cs.retransmissions,
-        server_stats.executed,
-        server_stats.dedup_hits,
+    let mut server = UdpServer::spawn(table.clone(), config.seed, config.semantics)?;
+    let mut client = WireClient::new(
+        server.connect()?,
+        CLIENT_ID_BASE,
+        RetryPolicy::default(),
+        config.seed,
     );
-    match first_error {
-        Some(e) if report.lost > 0 => Err(e),
-        _ => Ok(report),
-    }
+    let acc = run_calls(
+        &mut client,
+        &mut server,
+        &table,
+        config.seed,
+        config.requests,
+        || None,
+    )?;
+    let server_stats = server.join();
+    Ok(acc.finish(*config, "udp-loopback", client.stats(), server_stats))
 }
 
 /// Serves the catalog over UDP until the process is killed (the
@@ -674,6 +764,66 @@ mod tests {
         let rendered = wire_text(&parsed).unwrap();
         assert!(rendered.contains("compress"), "{rendered}");
         assert!(rendered.contains("ratio"), "{rendered}");
+    }
+
+    /// An in-process server side that reports the chosen calls (1-based)
+    /// as timed out without serving them, as a lossy wire would.
+    struct LosesCalls {
+        server: WireServer<MemLink, CatalogHandler>,
+        calls: u64,
+        lose: &'static [u64],
+    }
+
+    impl ServerSide<MemLink> for LosesCalls {
+        fn complete<K: SpanSink>(
+            &mut self,
+            client: &mut WireClient<MemLink, K>,
+            pending: &mut PendingCall,
+        ) -> Result<Response, WireError> {
+            self.calls += 1;
+            if self.lose.contains(&self.calls) {
+                return Err(WireError::TimedOut {
+                    attempts: pending.attempts,
+                });
+            }
+            self.server.complete(client, pending)
+        }
+    }
+
+    #[test]
+    fn lost_calls_are_reported_not_fatal() {
+        let config = small_config();
+        let table = Arc::new(build_table(&config));
+        let (client_end, server_end) = MemLink::pair();
+        let handler = CatalogHandler::new(table.clone(), config.seed);
+        let mut server = LosesCalls {
+            server: WireServer::new(server_end, handler, config.semantics),
+            calls: 0,
+            lose: &[3, 17, 50],
+        };
+        let mut client = WireClient::new(
+            client_end,
+            CLIENT_ID_BASE,
+            RetryPolicy::default(),
+            config.seed,
+        );
+        let acc = run_calls(
+            &mut client,
+            &mut server,
+            &table,
+            config.seed,
+            config.requests,
+            || None,
+        )
+        .expect("lost calls do not abort the run");
+        let report = acc.finish(config, "memlink", client.stats(), server.server.stats());
+        assert_eq!(report.started, 50);
+        assert_eq!(report.lost, 3);
+        assert_eq!(report.completed, 47);
+        let artifact = report.to_json();
+        let calls = artifact.get("calls").expect("calls section");
+        assert_eq!(calls.get("lost").and_then(Json::as_u64), Some(3));
+        assert_eq!(calls.get("completed").and_then(Json::as_u64), Some(47));
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! measurement — virtual mode validates the *pipeline*, UDP mode
 //! measures the *wire*.
 
-use crate::wire::CatalogHandler;
+use crate::wire::{self, run_calls, CatalogHandler, UdpServer, CLIENT_ID_BASE};
 use rpclens_fleet::servable::ServableTable;
 use rpclens_netsim::topology::ClusterId;
 use rpclens_obs::detect::{self, Finding, SloConfig, WindowSample};
@@ -48,10 +48,9 @@ use rpclens_rpcstack::cost::{MessageClass, StackCostConfig, StackCostModel};
 use rpclens_rpcstack::error::ErrorKind;
 use rpclens_rpcwire::client::{RetryPolicy, WireClient};
 use rpclens_rpcwire::message::{Request, Status, TraceContext, WireError};
-use rpclens_rpcwire::payload;
 use rpclens_rpcwire::server::{Handler, Semantics, WireServer};
 use rpclens_rpcwire::sink::{SpanEvent, SpanEventKind, SpanSink};
-use rpclens_rpcwire::transport::{MemLink, UdpServerSocket, UdpTransport};
+use rpclens_rpcwire::transport::MemLink;
 use rpclens_simcore::rng::Prng;
 use rpclens_simcore::stats::nearest_rank;
 use rpclens_simcore::time::{SimDuration, SimTime};
@@ -61,16 +60,12 @@ use rpclens_tsdb::store::{Series, TimeSeriesDb};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The span store's quantum; every virtual charge is a multiple so
 /// quantization into [`SpanBuilder`] is lossless.
 const TICK_NS: u64 = 100;
-
-/// Client id of the root (hop-0) client; nested hops use `BASE + depth`.
-const CLIENT_ID_BASE: u64 = 0xBE7C;
 
 /// Configuration for one traced run.
 #[derive(Debug, Clone, Copy)]
@@ -245,14 +240,20 @@ impl WireTraceRecorder {
         }
     }
 
-    /// Starts a fresh trace: hands out `(trace_id, root span id)`.
-    pub fn begin_trace(&mut self) -> (u64, u64) {
+    /// Starts a fresh trace: hands out its root call's context.
+    pub fn begin_trace(&mut self) -> TraceContext {
         self.trace_counter += 1;
         self.span_counter = 1;
         self.slots.clear();
         self.slot_of.clear();
         self.modeled_trace_ns = 0;
-        (self.trace_counter, 1)
+        TraceContext {
+            trace_id: self.trace_counter,
+            span_id: 1,
+            parent_span_id: 0,
+            sampled: true,
+            depth: 0,
+        }
     }
 
     /// Allocates the next span id within the current trace.
@@ -516,37 +517,23 @@ pub struct HopHandler {
 }
 
 impl HopHandler {
-    /// Issues one nested, traced call on the next hop and drives it to
-    /// completion (the link is lossless; the poll loop mirrors
-    /// `wire::run_over_memlink`).
+    /// Issues one nested, traced call on the next hop through the
+    /// in-process server side and settles it like a root call.
     fn call_next(&mut self, ctx: &TraceContext, request_id_salt: u64) -> Result<(), WireError> {
         let next = self.next.as_mut().expect("call_next below the last hop");
         let mut rng = Prng::seed_from(self.catalog.seed ^ u64::from(self.depth))
             .stream(0xFA_0001)
             .substream(request_id_salt);
-        let method = self.catalog.table.sample_root(&mut rng);
-        let len = payload::sample_wire_len(&method.req_size, &mut rng);
-        payload::fill_body(&mut rng, len, &mut self.body);
         let child_ctx = ctx.child(self.recorder.borrow_mut().next_span_id());
-        let body = std::mem::take(&mut self.body);
-        let mut pending = next.client.start_call_traced(
-            method.method.0 as u64,
-            &body,
-            method.class.compressed,
+        let outcome = wire::call(
+            &mut next.client,
+            &mut next.server,
+            &self.catalog.table,
+            &mut rng,
             Some(child_ctx),
-        )?;
-        self.body = body;
-        loop {
-            next.server.poll().map_err(WireError::Io)?;
-            match next.client.try_complete(&pending, Duration::ZERO) {
-                Ok(Some(_)) => return Ok(()),
-                Ok(None) => next.client.retransmit(&mut pending)?,
-                // Error statuses already closed the span with the error
-                // recorded; the parent proceeds.
-                Err(WireError::Server(_)) => return Ok(()),
-                Err(e) => return Err(e),
-            }
-        }
+            &mut self.body,
+        );
+        wire::settle(outcome).map(drop)
     }
 }
 
@@ -709,10 +696,7 @@ fn analyse(recorder: &WireTraceRecorder) -> Vec<Finding> {
 pub fn run_traced_memlink(config: &TraceBenchConfig) -> Result<TraceBenchReport, WireError> {
     assert!(config.hops >= 1, "need at least one hop");
     let table = servable_table(config);
-    let recorder: SharedRecorder = Rc::new(RefCell::new(WireTraceRecorder::new(
-        table.clone(),
-        ClockMode::Virtual,
-    )));
+    let recorder = new_recorder(&table, ClockMode::Virtual);
     let (client_end, server_end) = MemLink::pair();
     let mut server = build_hop(&table, &recorder, config, 0, server_end);
     let mut client = WireClient::new(
@@ -722,38 +706,14 @@ pub fn run_traced_memlink(config: &TraceBenchConfig) -> Result<TraceBenchReport,
         config.seed,
     )
     .with_span_sink(recorder.clone());
-    let mut workload_rng = Prng::seed_from(config.seed).stream(0x317E);
-    let mut body = Vec::new();
-
-    for _ in 0..config.requests {
-        let method = table.sample_root(&mut workload_rng);
-        let len = payload::sample_wire_len(&method.req_size, &mut workload_rng);
-        payload::fill_body(&mut workload_rng, len, &mut body);
-        let (trace_id, span_id) = recorder.borrow_mut().begin_trace();
-        let ctx = TraceContext {
-            trace_id,
-            span_id,
-            parent_span_id: 0,
-            sampled: true,
-            depth: 0,
-        };
-        let mut pending = client.start_call_traced(
-            method.method.0 as u64,
-            &body,
-            method.class.compressed,
-            Some(ctx),
-        )?;
-        loop {
-            server.poll().map_err(WireError::Io)?;
-            match client.try_complete(&pending, Duration::ZERO) {
-                Ok(Some(_)) => break,
-                Ok(None) => client.retransmit(&mut pending)?,
-                Err(WireError::Server(_)) => break,
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
+    run_calls(
+        &mut client,
+        &mut server,
+        &table,
+        config.seed,
+        config.requests,
+        || Some(recorder.borrow_mut().begin_trace()),
+    )?;
     // Release the hop chain's recorder handles before unwrapping.
     drop(client);
     drop(server);
@@ -766,66 +726,30 @@ pub fn run_traced_memlink(config: &TraceBenchConfig) -> Result<TraceBenchReport,
 /// share the single-threaded recorder).
 pub fn run_traced_udp(config: &TraceBenchConfig) -> Result<TraceBenchReport, WireError> {
     let table = servable_table(config);
-    let recorder: SharedRecorder = Rc::new(RefCell::new(WireTraceRecorder::new(
-        table.clone(),
-        ClockMode::Wall(Instant::now()),
-    )));
-    let server_socket = UdpServerSocket::bind("127.0.0.1:0").map_err(WireError::Io)?;
-    let server_addr = server_socket.local_addr().map_err(WireError::Io)?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let server_thread = {
-        let table = table.clone();
-        let stop = stop.clone();
-        let seed = config.seed;
-        std::thread::spawn(move || {
-            let handler = CatalogHandler::new(table, seed);
-            let mut server = WireServer::new(server_socket, handler, Semantics::AtMostOnce);
-            server
-                .serve(Duration::from_millis(5), |_| stop.load(Ordering::Relaxed))
-                .expect("wire server failed");
-        })
-    };
-
-    let transport = UdpTransport::connect(server_addr).map_err(WireError::Io)?;
+    let recorder = new_recorder(&table, ClockMode::Wall(Instant::now()));
+    let mut server = UdpServer::spawn(table.clone(), config.seed, Semantics::AtMostOnce)?;
     let mut client = WireClient::new(
-        transport,
+        server.connect()?,
         CLIENT_ID_BASE,
         RetryPolicy::default(),
         config.seed,
     )
     .with_span_sink(recorder.clone());
-    let mut workload_rng = Prng::seed_from(config.seed).stream(0x317E);
-    let mut body = Vec::new();
-    for _ in 0..config.requests {
-        let method = table.sample_root(&mut workload_rng);
-        let len = payload::sample_wire_len(&method.req_size, &mut workload_rng);
-        payload::fill_body(&mut workload_rng, len, &mut body);
-        let (trace_id, span_id) = recorder.borrow_mut().begin_trace();
-        let ctx = TraceContext {
-            trace_id,
-            span_id,
-            parent_span_id: 0,
-            sampled: true,
-            depth: 0,
-        };
-        let mut pending = client.start_call_traced(
-            method.method.0 as u64,
-            &body,
-            method.class.compressed,
-            Some(ctx),
-        )?;
-        match client.drive(&mut pending) {
-            Ok(_) | Err(WireError::Server(_)) => {}
-            // Lost calls under loopback churn: the span stays open and
-            // is dropped by the ClientTimeout event; keep going.
-            Err(WireError::TimedOut { .. }) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    stop.store(true, Ordering::Relaxed);
-    server_thread.join().expect("server thread panicked");
+    run_calls(
+        &mut client,
+        &mut server,
+        &table,
+        config.seed,
+        config.requests,
+        || Some(recorder.borrow_mut().begin_trace()),
+    )?;
+    server.join();
     drop(client);
     finish_report(config, "udp-loopback", recorder)
+}
+
+fn new_recorder(table: &Arc<ServableTable>, mode: ClockMode) -> SharedRecorder {
+    Rc::new(RefCell::new(WireTraceRecorder::new(table.clone(), mode)))
 }
 
 fn finish_report(
@@ -1157,6 +1081,28 @@ mod tests {
         let summary = trace_summary_text(&report);
         assert!(summary.contains("digest"));
         assert!(summary.contains("detectors: clean"));
+    }
+
+    #[test]
+    fn single_hop_capture_draws_the_untraced_runs_calls() {
+        let config = TraceBenchConfig {
+            hops: 1,
+            ..small_config()
+        };
+        let traced = run_traced_memlink(&config).unwrap();
+        let untraced = crate::wire::run_over_memlink(&crate::wire::WireBenchConfig {
+            requests: config.requests,
+            seed: config.seed,
+            total_methods: config.total_methods,
+            ..Default::default()
+        })
+        .unwrap();
+        let spans = || traced.store.traces().iter().flat_map(|t| t.spans.iter());
+        assert_eq!(spans().count(), config.requests as usize);
+        let request: u64 = spans().map(|s| u64::from(s.request_bytes)).sum();
+        let response: u64 = spans().map(|s| u64::from(s.response_bytes)).sum();
+        assert_eq!(request, untraced.request_raw_bytes);
+        assert_eq!(response, untraced.response_raw_bytes);
     }
 
     #[test]

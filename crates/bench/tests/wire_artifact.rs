@@ -5,8 +5,10 @@
 //! the non-gating CI job (`cargo test ... -- --ignored`).
 
 use rpclens_bench::wire::{run_over_memlink, run_over_udp, wire_text, WireBenchConfig};
+use rpclens_bench::wiretrace::{run_traced_udp, TraceBenchConfig};
 use rpclens_obs::json::{parse, Json};
 use rpclens_rpcwire::server::Semantics;
+use rpclens_trace::export::{export, import};
 
 fn config(semantics: Semantics) -> WireBenchConfig {
     WireBenchConfig {
@@ -92,4 +94,28 @@ fn udp_loopback_smoke_round_trips_without_loss() {
     assert_eq!(report.started, 1_000);
     assert_eq!(report.lost, 0, "at-least-once must never lose a request");
     assert!(report.measured.transit_ns > 0.0);
+}
+
+/// Real-socket traced smoke: every root becomes a single-span trace
+/// reconstructed from the wall clock, and the export round-trips.
+#[test]
+#[ignore = "needs UDP loopback sockets; run with --ignored"]
+fn traced_udp_loopback_smoke_captures_single_span_traces() {
+    let report = run_traced_udp(&TraceBenchConfig {
+        requests: 200,
+        seed: 3,
+        total_methods: 300,
+        ..TraceBenchConfig::default()
+    })
+    .unwrap();
+    assert_eq!(report.transport, "udp-loopback");
+    assert_eq!(report.store.len(), 200, "one trace per root call");
+    assert!(report.store.traces().iter().all(|t| t.len() == 1));
+    let imported = import(&report.export).unwrap();
+    assert_eq!(imported.len(), report.store.len());
+    assert_eq!(
+        export(&imported),
+        report.export,
+        "import/export is byte-stable"
+    );
 }

@@ -91,8 +91,7 @@ pub struct PendingCall {
     pub datagram: Bytes,
     /// Transmissions so far.
     pub attempts: u32,
-    /// The catalog method id (0 for externally framed calls that did
-    /// not declare one); carried so span events name the method.
+    /// The catalog method id, carried so span events name the method.
     pub method: u64,
     /// The trace context embedded in the datagram, if any.
     pub context: Option<TraceContext>,
@@ -181,8 +180,7 @@ impl<T: Transport, K: SpanSink> WireClient<T, K> {
         compress: bool,
         trace: Option<TraceContext>,
     ) -> Result<PendingCall, WireError> {
-        let request_id = self.next_request_id;
-        self.next_request_id += 1;
+        let request_id = self.allocate_request_id();
         let datagram = message::encode_request_traced(
             method,
             self.client_id,
@@ -191,45 +189,20 @@ impl<T: Transport, K: SpanSink> WireClient<T, K> {
             compress,
             trace.as_ref(),
         );
-        self.transport.send(&datagram)?;
-        self.stats.calls += 1;
-        let mut event = SpanEvent::new(
-            SpanEventKind::ClientSend,
-            method,
-            self.client_id,
-            request_id,
-        );
-        event.context = trace;
-        event.wire_bytes = datagram.len();
-        event.raw_bytes = body.len();
-        self.sink.record(&event);
-        Ok(PendingCall {
-            request_id,
-            datagram,
-            attempts: 1,
-            method,
-            context: trace,
-        })
+        self.start_prepared(request_id, datagram, method, body.len(), trace)
     }
 
-    /// Sends a pre-framed datagram as a new call (the validation harness
-    /// frames requests itself to time each encoding stage separately).
+    /// Sends a datagram the caller framed itself as a new call (the
+    /// validation harness frames requests to time each encoding stage).
+    /// The caller declares the method, the raw body length and the trace
+    /// context it framed in, so span events carry them (the client does
+    /// not re-decode its own frames).
     pub fn start_prepared(
         &mut self,
         request_id: u64,
         datagram: Bytes,
-    ) -> Result<PendingCall, WireError> {
-        self.start_prepared_traced(request_id, datagram, 0, None)
-    }
-
-    /// [`WireClient::start_prepared`] declaring the method and the trace
-    /// context the caller framed into the datagram, so span events carry
-    /// them (the client does not re-decode its own frames).
-    pub fn start_prepared_traced(
-        &mut self,
-        request_id: u64,
-        datagram: Bytes,
         method: u64,
+        raw_len: usize,
         trace: Option<TraceContext>,
     ) -> Result<PendingCall, WireError> {
         self.transport.send(&datagram)?;
@@ -242,6 +215,7 @@ impl<T: Transport, K: SpanSink> WireClient<T, K> {
         );
         event.context = trace;
         event.wire_bytes = datagram.len();
+        event.raw_bytes = raw_len;
         self.sink.record(&event);
         Ok(PendingCall {
             request_id,
@@ -343,18 +317,6 @@ impl<T: Transport, K: SpanSink> WireClient<T, K> {
                 }
             }
         }
-    }
-
-    /// The blocking convenience call: start, then alternate waiting and
-    /// retransmitting under the retry policy until a reply or exhaustion.
-    pub fn call(
-        &mut self,
-        method: u64,
-        body: &[u8],
-        compress: bool,
-    ) -> Result<Response, WireError> {
-        let mut pending = self.start_call(method, body, compress)?;
-        self.drive(&mut pending)
     }
 
     /// Drives a pending call to completion under the retry policy.
@@ -510,6 +472,39 @@ mod tests {
         }
         assert_eq!(client.sink.events[2].status, Some(Status::Ok));
         assert_eq!(client.sink.events[0].raw_bytes, 4);
+    }
+
+    #[test]
+    fn prepared_calls_report_the_same_send_event_as_framed_calls() {
+        use crate::sink::VecSink;
+        let ctx = TraceContext {
+            trace_id: 0x91,
+            span_id: 1,
+            parent_span_id: 0,
+            sampled: true,
+            depth: 0,
+        };
+        let body = b"prepared or framed, the same request";
+        let send_event = |prepared: bool| {
+            let (client_end, _server_end) = MemLink::pair();
+            let mut client = WireClient::new(client_end, 7, RetryPolicy::default(), 1)
+                .with_span_sink(VecSink::default());
+            if prepared {
+                let request_id = client.allocate_request_id();
+                let datagram =
+                    message::encode_request_traced(3, 7, request_id, body, true, Some(&ctx));
+                client
+                    .start_prepared(request_id, datagram, 3, body.len(), Some(ctx))
+                    .unwrap();
+            } else {
+                client.start_call_traced(3, body, true, Some(ctx)).unwrap();
+            }
+            client.sink.events[0]
+        };
+        let prepared = send_event(true);
+        assert_eq!(prepared, send_event(false));
+        assert_eq!(prepared.kind, SpanEventKind::ClientSend);
+        assert_eq!(prepared.raw_bytes, body.len());
     }
 
     #[test]

@@ -299,9 +299,9 @@ pub fn encode_body(body: &[u8], try_compress: bool) -> WireBody {
 
 /// Serializes a request envelope (everything but the frame) into payload
 /// bytes. With a context, prepends the versioned trace extension block;
-/// the caller must then frame with [`frame_request_traced`] so the
-/// `TRACED` flag matches the payload layout.
-pub fn serialize_request_traced(body: &WireBody, trace: Option<&TraceContext>) -> Bytes {
+/// the caller must then frame with [`frame_request`] and `traced` set so
+/// the `TRACED` flag matches the payload layout.
+pub fn serialize_request(body: &WireBody, trace: Option<&TraceContext>) -> Bytes {
     let mut payload = BytesMut::with_capacity(body.bytes.len() + 40);
     if let Some(ctx) = trace {
         ctx.encode_ext(&mut payload);
@@ -311,15 +311,9 @@ pub fn serialize_request_traced(body: &WireBody, trace: Option<&TraceContext>) -
     payload.freeze()
 }
 
-/// Serializes a request envelope (everything but the frame) into payload
-/// bytes.
-pub fn serialize_request(body: &WireBody) -> Bytes {
-    serialize_request_traced(body, None)
-}
-
 /// Frames a serialized request payload into the final datagram bytes,
 /// setting `TRACED` when the payload carries an extension block.
-pub fn frame_request_traced(
+pub fn frame_request(
     method: u64,
     client_id: u64,
     request_id: u64,
@@ -347,17 +341,6 @@ pub fn frame_request_traced(
     })
 }
 
-/// Frames a serialized request payload into the final datagram bytes.
-pub fn frame_request(
-    method: u64,
-    client_id: u64,
-    request_id: u64,
-    payload: Bytes,
-    compressed: bool,
-) -> Bytes {
-    frame_request_traced(method, client_id, request_id, payload, compressed, false)
-}
-
 /// Convenience: encode + serialize + frame a request, carrying a trace
 /// context when one is supplied.
 pub fn encode_request_traced(
@@ -369,8 +352,8 @@ pub fn encode_request_traced(
     trace: Option<&TraceContext>,
 ) -> Bytes {
     let wire_body = encode_body(body, try_compress);
-    let payload = serialize_request_traced(&wire_body, trace);
-    frame_request_traced(
+    let payload = serialize_request(&wire_body, trace);
+    frame_request(
         method,
         client_id,
         request_id,
@@ -658,7 +641,7 @@ mod tests {
         payload.extend_from_slice(&ext);
         put_varint(&mut payload, wire_body.raw_len as u64);
         payload.extend_from_slice(&wire_body.bytes);
-        let datagram = frame_request_traced(1, 2, 3, payload.freeze(), false, true);
+        let datagram = frame_request(1, 2, 3, payload.freeze(), false, true);
         match decode(&datagram).unwrap() {
             Message::Request(req) => {
                 let t = req.trace.expect("context decoded");

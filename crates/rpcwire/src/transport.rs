@@ -38,8 +38,8 @@ pub trait Transport {
 ///
 /// The socket is *connected* to its peer, so `send`/`recv` are
 /// point-to-point and datagrams from other sources are filtered by the
-/// kernel. The server side uses one `UdpTransport` per... no — the server
-/// uses [`UdpServerSocket`], which tracks per-datagram peer addresses.
+/// kernel. This is the client side; a server answers many peers, so it
+/// uses [`UdpServerSocket`], which tracks each datagram's peer address.
 #[derive(Debug)]
 pub struct UdpTransport {
     socket: UdpSocket,
@@ -220,11 +220,6 @@ impl MemLink {
                 outbox: ba,
             },
         )
-    }
-
-    /// Number of datagrams waiting to be received by this endpoint.
-    pub fn pending(&self) -> usize {
-        self.inbox.lock().unwrap().len()
     }
 }
 
