@@ -83,7 +83,7 @@ fn main() {
     let mut top = 20usize;
     let mut min_samples = 100usize;
     let mut trace: Option<usize> = None;
-    let mut seed = 42u64;
+    let mut seed: Option<u64> = None;
     let mut methods = 400usize;
     let mut faults: Option<&str> = None;
     let mut scale_name = "smoke";
@@ -112,9 +112,11 @@ fn main() {
                 );
             }
             "--seed" => {
-                seed = next_value(&mut iter, "--seed")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--seed needs an integer"));
+                seed = Some(
+                    next_value(&mut iter, "--seed")
+                        .parse()
+                        .unwrap_or_else(|_| fail("--seed needs an integer")),
+                );
             }
             "--methods" => {
                 methods = next_value(&mut iter, "--methods")
@@ -182,17 +184,21 @@ fn main() {
             println!();
             print!(
                 "{}",
-                rpclens_bench::wiretrace::method_delta_text(&store, seed, methods)
+                rpclens_bench::wiretrace::method_delta_text(&store, seed.unwrap_or(42), methods)
             );
         }
         "controllers" => {
             let Some(scenario) = faults else {
                 fail("controllers needs --faults PRESET (e.g. incident-smoke)")
             };
-            let Some(scale) = rpclens_bench::scale_by_name(scale_name) else {
+            let Some(mut scale) = rpclens_bench::scale_by_name(scale_name) else {
                 fail(&format!("unknown scale {scale_name}"))
             };
-            match inspect::controllers_text(scenario, seed, scale.duration) {
+            // As in `repro`: the scale's seed unless `--seed` overrides it.
+            if let Some(seed) = seed {
+                scale.seed = seed;
+            }
+            match inspect::controllers_text(scenario, &scale) {
                 Ok(text) => print!("{text}"),
                 Err(e) => fail(&e),
             }

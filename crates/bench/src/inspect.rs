@@ -6,14 +6,13 @@
 //! artifacts a previous `repro` run persisted (`--export-store`,
 //! `--telemetry`), so drilling down never re-runs the simulation.
 
-use rpclens_fleet::control::ControlPlane;
+use rpclens_fleet::conditions::Environment;
+use rpclens_fleet::driver::SimScale;
 use rpclens_fleet::faults::FaultScenario;
-use rpclens_fleet::incident::IncidentPlane;
 use rpclens_netsim::topology::Topology;
 use rpclens_obs::RunManifest;
 use rpclens_rpcstack::component::LatencyComponent;
 use rpclens_simcore::stats::nearest_rank;
-use rpclens_simcore::time::SimDuration;
 use rpclens_trace::collector::TraceStore;
 use rpclens_trace::critical_path::CriticalPath;
 use rpclens_trace::query::MethodQuery;
@@ -273,37 +272,27 @@ pub fn errors_text(manifest: &RunManifest) -> String {
     out
 }
 
-/// Renders the closed-loop controller timeline for a fault scenario:
-/// one line per aggregation window with the clusters holding
-/// autoscaled capacity and the degraded paths the load balancer avoids.
+/// Renders the closed-loop controller timeline for a fault scenario run
+/// at `scale` (its seed and duration): one line per aggregation window
+/// with the clusters holding autoscaled capacity and the degraded paths
+/// the load balancer avoids.
 ///
 /// Controller decisions are pure functions of `(seed, scenario)` — the
-/// same trajectories every fleet run at this seed executes — so the
+/// same trajectories every fleet run at this scale executes — so the
 /// timeline reconstructs exactly without re-simulating, the same way
 /// the manifest's controller rows do.
-pub fn controllers_text(
-    scenario: &str,
-    seed: u64,
-    duration: SimDuration,
-) -> Result<String, String> {
+pub fn controllers_text(scenario: &str, scale: &SimScale) -> Result<String, String> {
     let faults = FaultScenario::by_name(scenario)
         .ok_or_else(|| format!("unknown fault scenario {scenario}"))?;
-    let topology = Topology::default_world(seed);
-    let region_of: Vec<u16> = topology.clusters().map(|c| c.region.0).collect();
-    let Some(spec) = faults.control else {
+    if faults.control.is_none() {
         return Err(format!(
             "scenario `{}` has no control plane; closed-loop presets: incident-smoke",
             faults.name
         ));
-    };
-    let mut incidents = faults
-        .incidents
-        .and_then(|i| IncidentPlane::new(&i, seed, region_of));
-    let mut out = format!("scenario {} at seed {seed}\n", faults.name);
-    out.push_str(
-        &ControlPlane::new(spec, rpclens_tsdb::DEFAULT_SAMPLE_PERIOD)
-            .render_timeline(incidents.as_mut(), duration),
-    );
+    }
+    let topology = Topology::default_world(scale.seed);
+    let mut out = format!("scenario {} at seed {}\n", faults.name, scale.seed);
+    out.push_str(&Environment::new(&faults, scale.seed, &topology).render_timeline(scale.duration));
     Ok(out)
 }
 
@@ -480,8 +469,11 @@ mod tests {
 
     #[test]
     fn controllers_text_reconstructs_the_incident_smoke_timeline() {
-        let day = SimDuration::from_hours(24);
-        let text = controllers_text("incident-smoke", 42, day).expect("timeline");
+        let scale = SimScale {
+            seed: 42,
+            ..SimScale::smoke()
+        };
+        let text = controllers_text("incident-smoke", &scale).expect("timeline");
         assert!(
             text.contains("scenario incident-smoke at seed 42"),
             "{text}"
@@ -494,9 +486,9 @@ mod tests {
             "{text}"
         );
         // Open-loop presets have no control plane to render.
-        let err = controllers_text("incident-open-loop", 42, day).unwrap_err();
+        let err = controllers_text("incident-open-loop", &scale).unwrap_err();
         assert!(err.contains("no control plane"), "{err}");
-        assert!(controllers_text("nope", 42, day).is_err());
+        assert!(controllers_text("nope", &scale).is_err());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!    smoke manifest digest stays at its historical golden value at any
 //!    shard count (no new rng draws anywhere on the fault-free path).
 //! 2. A fault scenario is itself shard-count-invariant: episode
-//!    trajectories derive from `(seed, entity)` alone, so chaos-smoke
+//!    trajectories derive from `(seed, entity)` alone, so every preset
 //!    produces identical manifests — digest *and* robustness section —
 //!    at 1 and 4 shards.
 //! 3. The chaos-smoke digest matches the committed expectation in
@@ -68,32 +68,39 @@ fn faults_none_preserves_the_golden_digest() {
 
 #[test]
 fn chaos_smoke_is_bit_identical_across_shard_counts() {
-    let one = manifest_for_run(&smoke_run(FaultScenario::chaos_smoke(), 1));
-    let four = manifest_for_run(&smoke_run(FaultScenario::chaos_smoke(), 4));
-    // The digested deterministic section and the (undigested but still
-    // deterministic) robustness section must both match exactly.
-    assert_eq!(
-        one.digest(),
-        four.digest(),
-        "chaos-smoke deterministic sections diverge across shard counts"
-    );
-    assert_eq!(one.deterministic, four.deterministic);
-    assert_eq!(
-        one.robustness, four.robustness,
-        "chaos-smoke robustness sections diverge across shard counts"
-    );
-    // Faults actually fired: the scenario is not a silent no-op.
-    let r = one
-        .robustness
-        .as_ref()
-        .expect("chaos-smoke carries robustness");
-    assert_eq!(r.scenario, "chaos-smoke");
-    assert!(r.retries_issued > 0, "no retries executed");
-    assert!(r.failovers > 0, "no failovers executed");
-    assert!(r.causal_unavailable > 0, "no causal unavailability");
-    assert!(r.deadline_exceeded > 0, "no deadline expirations");
-    // And the scenario digest differs from the fault-free golden one.
-    assert_ne!(one.digest(), SMOKE_GOLDEN_DIGEST);
+    // Every preset, not only chaos-smoke: the digested deterministic
+    // section and the (undigested but still deterministic) robustness
+    // section must both match exactly at 1 and 4 shards.
+    for name in FaultScenario::PRESETS {
+        let faults = FaultScenario::by_name(name).expect("preset resolves");
+        let one = manifest_for_run(&smoke_run(faults, 1));
+        let four = manifest_for_run(&smoke_run(faults, 4));
+        assert_eq!(
+            one.digest(),
+            four.digest(),
+            "{name} deterministic sections diverge across shard counts"
+        );
+        assert_eq!(one.deterministic, four.deterministic, "{name}");
+        assert_eq!(
+            one.robustness, four.robustness,
+            "{name} robustness sections diverge across shard counts"
+        );
+        if name != "chaos-smoke" {
+            continue;
+        }
+        // Faults actually fired: the scenario is not a silent no-op.
+        let r = one
+            .robustness
+            .as_ref()
+            .expect("chaos-smoke carries robustness");
+        assert_eq!(r.scenario, "chaos-smoke");
+        assert!(r.retries_issued > 0, "no retries executed");
+        assert!(r.failovers > 0, "no failovers executed");
+        assert!(r.causal_unavailable > 0, "no causal unavailability");
+        assert!(r.deadline_exceeded > 0, "no deadline expirations");
+        // And the scenario digest differs from the fault-free golden one.
+        assert_ne!(one.digest(), SMOKE_GOLDEN_DIGEST);
+    }
 }
 
 #[test]
@@ -175,6 +182,50 @@ fn incident_smoke_is_bit_identical_across_shards_and_threads() {
         controller("admission_offered"),
         "bounded admission must conserve offered calls"
     );
+}
+
+#[test]
+fn inspect_controllers_renders_the_timeline_of_the_run_at_its_scale() {
+    // `rpclens-inspect controllers --scale smoke` without `--seed` must
+    // reconstruct the timeline of the run `repro --scale smoke` executes
+    // (the scale's own seed), so its capacity entries (`cNxF`, one per
+    // scaled cluster-window) count exactly the manifest's
+    // `autoscaler_scaled_windows`.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_rpclens-inspect"))
+        .args([
+            "controllers",
+            "--faults",
+            "incident-smoke",
+            "--scale",
+            "smoke",
+        ])
+        .output()
+        .expect("rpclens-inspect runs");
+    assert!(out.status.success(), "{out:?}");
+    let text = String::from_utf8(out.stdout).expect("utf-8 timeline");
+    let capacity_entries = text
+        .split(|c: char| c.is_whitespace() || c == '[' || c == ']')
+        .filter(|word| {
+            word.strip_prefix('c')
+                .and_then(|w| w.split_once('x'))
+                .is_some_and(|(cluster, factor)| {
+                    cluster.parse::<u16>().is_ok() && factor.parse::<f64>().is_ok()
+                })
+        })
+        .count() as u64;
+    let manifest = manifest_for_run(&smoke_run(FaultScenario::incident_smoke(), 1));
+    let scaled_windows = manifest
+        .robustness
+        .as_ref()
+        .and_then(|r| {
+            r.controllers
+                .iter()
+                .find(|(name, _)| name == "autoscaler_scaled_windows")
+        })
+        .expect("incident-smoke reports autoscaler activity")
+        .1;
+    assert!(scaled_windows > 0);
+    assert_eq!(capacity_entries, scaled_windows, "{text}");
 }
 
 #[test]

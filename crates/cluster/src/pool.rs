@@ -42,7 +42,6 @@ pub struct WorkerPool {
     busy_ns: u128,
     admitted: u64,
     total_queue_ns: u128,
-    max_backlog: SimDuration,
 }
 
 impl WorkerPool {
@@ -63,7 +62,6 @@ impl WorkerPool {
             busy_ns: 0,
             admitted: 0,
             total_queue_ns: 0,
-            max_backlog: SimDuration::ZERO,
         }
     }
 
@@ -78,19 +76,11 @@ impl WorkerPool {
         self.busy_ns += service.as_nanos() as u128;
         self.admitted += 1;
         self.total_queue_ns += queue_delay.as_nanos() as u128;
-        self.max_backlog = self.max_backlog.max(queue_delay);
         Admission {
             queue_delay,
             start,
             finish,
         }
-    }
-
-    /// How long a request arriving at `now` would wait, without admitting
-    /// it. Used by load balancers that probe queue depth.
-    pub fn backlog(&self, now: SimTime) -> SimDuration {
-        let Reverse(free) = *self.free_at.peek().expect("pool is never empty");
-        free.since(now)
     }
 
     /// Number of workers.
@@ -103,20 +93,10 @@ impl WorkerPool {
         self.admitted
     }
 
-    /// Total busy worker-time accumulated.
-    pub fn busy_time(&self) -> SimDuration {
-        SimDuration::from_nanos(self.busy_ns.min(u64::MAX as u128) as u64)
-    }
-
     /// Mean queueing delay over all admissions, or `None` if none.
     pub fn mean_queue_delay(&self) -> Option<SimDuration> {
         (self.admitted > 0)
             .then(|| SimDuration::from_nanos((self.total_queue_ns / self.admitted as u128) as u64))
-    }
-
-    /// The worst queueing delay seen.
-    pub fn max_queue_delay(&self) -> SimDuration {
-        self.max_backlog
     }
 
     /// Average utilization of the pool over `[0, horizon]`.
@@ -168,22 +148,10 @@ mod tests {
     }
 
     #[test]
-    fn backlog_probe_matches_next_admission() {
-        let mut p = WorkerPool::new(2);
-        p.admit(SimTime::ZERO, SimDuration::from_millis(5));
-        p.admit(SimTime::ZERO, SimDuration::from_millis(9));
-        let now = SimTime::from_nanos(1_000_000);
-        let predicted = p.backlog(now);
-        let actual = p.admit(now, SimDuration::from_millis(1)).queue_delay;
-        assert_eq!(predicted, actual);
-    }
-
-    #[test]
     fn utilization_and_busy_time_accumulate() {
         let mut p = WorkerPool::new(2);
         p.admit(SimTime::ZERO, SimDuration::from_secs(1));
         p.admit(SimTime::ZERO, SimDuration::from_secs(1));
-        assert_eq!(p.busy_time(), SimDuration::from_secs(2));
         assert!((p.utilization(SimDuration::from_secs(2)) - 0.5).abs() < 1e-12);
         assert_eq!(p.admitted(), 2);
     }
@@ -193,7 +161,6 @@ mod tests {
         let mut p = WorkerPool::new(1);
         p.admit(SimTime::ZERO, SimDuration::from_millis(10));
         p.admit(SimTime::ZERO, SimDuration::from_millis(10));
-        assert_eq!(p.max_queue_delay(), SimDuration::from_millis(10));
         assert_eq!(p.mean_queue_delay().unwrap(), SimDuration::from_millis(5));
     }
 

@@ -451,9 +451,6 @@ struct Driver {
     placement: Vec<SvcPlacement>,
     /// Ambient client-side load profile per cluster.
     client_profiles: Vec<ExogenousProfile>,
-    /// Region id of each cluster, indexed by cluster id — the incident
-    /// and control planes key their correlated trajectories on this.
-    region_of: Vec<u16>,
     /// Per-method root-deadline band `(lo_secs, hi/lo)` when the
     /// scenario uses per-family deadlines: `[q50 × lo_mult, q99 ×
     /// hi_mult]` of the method's own compute distribution, scaled by its
@@ -605,8 +602,6 @@ impl Driver {
             })
             .collect();
 
-        let region_of: Vec<u16> = topology.clusters().map(|c| c.region.0).collect();
-
         // Per-family deadline bands: a Storage read and a BigQuery scan
         // should not share one global log-uniform budget draw. Each
         // method's band comes from its *own* compute quantiles — callers
@@ -650,7 +645,6 @@ impl Driver {
             sites,
             placement,
             client_profiles,
-            region_of,
             deadline_bands,
             master_rng,
         }
@@ -859,8 +853,8 @@ struct Shard<'a> {
     /// error, congested wire traversal and retry of a root counts in the
     /// root's window.
     windows: Vec<WindowSample>,
-    /// Fault, incident and control planes: seed-derived trajectories
-    /// and controller timelines, identical in every shard (controllers
+    /// The fault plane: seed-derived fault and incident trajectories and
+    /// the controller timeline, identical in every shard (controllers
     /// never read shard-local counters).
     env: Environment,
     /// Reusable span buffer: every trace expands into this arena, so tree
@@ -891,7 +885,7 @@ impl<'a> Shard<'a> {
             env: Environment::new(
                 &world.config.faults,
                 world.config.scale.seed,
-                world.region_of.clone(),
+                &world.topology,
             ),
             arena: Vec::new(),
             counters: ShardCounters::new(),
@@ -1226,12 +1220,12 @@ impl<'a> Shard<'a> {
                 }
             }
         }
-        // Load-balancer weight shift: when the control plane flagged the
-        // chosen path as degraded at this window's boundary, the client
-        // re-picks among the remaining deployments — the same `Avoid`
-        // failover path a retry takes, but *before* the request is ever
-        // sent. Only an active controller draws, so scenarios without
-        // one keep their draw sequence.
+        // Load-balancer weight shift: when the weight-shift controller
+        // flagged the chosen path as degraded at this window's boundary,
+        // the client re-picks among the remaining deployments — the same
+        // `Avoid` failover path a retry takes, but *before* the request is
+        // ever sent. Only an active controller draws, so scenarios
+        // without one keep their draw sequence.
         if deployed.len() > 1
             && self
                 .env

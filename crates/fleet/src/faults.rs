@@ -1,30 +1,26 @@
-//! The fault-injection plane: named scenarios and the per-shard plane
-//! that answers "is this entity failed right now?".
+//! Fault scenarios: which failure sources strike, how hard, and how
+//! clients respond.
 //!
-//! A [`FaultScenario`] names which failure sources are active and how
-//! intense they are; [`FaultPlane`] materialises it as lazily-built
-//! [`AlternatingRenewal`] trajectories keyed by entity (machine, cluster,
-//! WAN cluster pair, or deployment site). Both halves are deterministic:
-//! entity eligibility and episode trajectories derive from the master
-//! seed via labelled [`Prng`] streams and never consume caller draws, so
-//! every simulation shard reconstructs identical failure timelines and
-//! fault-injected runs stay bit-identical at any shard count (the same
-//! contract `CongestionProcess` gives the network layer).
+//! A [`FaultScenario`] names its per-entity sources (machine crashes,
+//! cluster drains, WAN cluster-pair partitions, site overload surges),
+//! its correlated incidents ([`IncidentSpec`]: cluster drains surging
+//! their same-region neighbours, region-pair WAN cuts, regional overload
+//! fronts) and its controllers (`crate::control`). It is configuration
+//! only: `crate::conditions::Environment` materialises it as seed-derived
+//! episode trajectories and answers every question the driver and the
+//! run reports ask of it.
 //!
 //! The scenario also carries the *client-side response* to failures: the
 //! deadline-draw range and the retry/backoff/budget configuration the
 //! driver's resilience loop executes. See `docs/ROBUSTNESS.md`.
 
 use crate::control::{AdmissionSpec, AutoscalerSpec, ControlSpec};
-use crate::incident::IncidentSpec;
 use rpclens_netsim::congestion::CongestionParams;
 use rpclens_rpcstack::deadline::DeadlinePolicy;
 use rpclens_rpcstack::error::ErrorProfile;
 use rpclens_rpcstack::retry::BackoffPolicy;
-use rpclens_simcore::renewal::{AlternatingRenewal, RenewalParams};
-use rpclens_simcore::rng::Prng;
-use rpclens_simcore::time::{SimDuration, SimTime};
-use std::collections::HashMap;
+use rpclens_simcore::renewal::RenewalParams;
+use rpclens_simcore::time::SimDuration;
 
 /// One failure source: which fraction of entities it can strike, and the
 /// episode process governing each eligible entity.
@@ -82,6 +78,36 @@ pub struct OverloadSpec {
     pub shed_wait: SimDuration,
 }
 
+/// Shared cross-entity incident sources. Scopes are structural — the
+/// cluster's region membership decides who a drain displaces load onto
+/// and which cluster pairs one WAN cut severs — so a single episode draw
+/// fans out over many entities.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct IncidentSpec {
+    /// Whole-cluster drain incidents. While a cluster drains, its
+    /// same-region placement neighbours absorb the displaced traffic as
+    /// a utilization surge.
+    pub drain: Option<EpisodeSpec>,
+    /// Utilization multiplier on the same-region neighbours of a
+    /// draining cluster (the displaced load landing on them).
+    pub surge_factor: f64,
+    /// Region-pair WAN cuts: one episode degrades *every* cluster pair
+    /// spanning the two regions at once. Episodes alternate
+    /// blackout/brownout on their ordinal, like per-pair partitions.
+    pub wan_cut: Option<PartitionSpec>,
+    /// Regional overload fronts: one episode surges every deployment
+    /// site in the region, with load shedding past the spec's wait
+    /// threshold.
+    pub front: Option<OverloadSpec>,
+}
+
+impl IncidentSpec {
+    /// Whether any incident source is active.
+    pub fn strikes(&self) -> bool {
+        self.drain.is_some() || self.wan_cut.is_some() || self.front.is_some()
+    }
+}
+
 /// Deadline behaviour: roots draw a log-uniform deadline budget and
 /// children inherit the remainder per [`DeadlinePolicy`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -133,7 +159,7 @@ pub struct FaultScenario {
     pub deadlines: Option<DeadlineSpec>,
     /// Client retries with budget and failover.
     pub retry: Option<RetrySpec>,
-    /// Correlated cross-entity incidents (`crate::incident`): cluster
+    /// Correlated cross-entity incidents ([`IncidentSpec`]): cluster
     /// drains surging their placement neighbours, region-pair WAN cuts,
     /// regional overload fronts.
     pub incidents: Option<IncidentSpec>,
@@ -454,166 +480,17 @@ pub enum PartitionState {
     Blackout,
 }
 
-/// Stream labels separating the plane's generator domains from every
-/// other consumer of the master seed (the driver uses `0xD21_4E12`, sites
-/// use `0x5173_0000`, …). Each entity derives its eligibility gate and
-/// its trajectory from *different* labels so the gate draw never shifts
-/// the trajectory.
-const CRASH_LABEL: u64 = 0xFA17_0001;
-const DRAIN_LABEL: u64 = 0xFA17_0002;
-const PARTITION_LABEL: u64 = 0xFA17_0003;
-const OVERLOAD_LABEL: u64 = 0xFA17_0004;
-const GATE_LABEL: u64 = 0xFA17_00FF;
-
-/// Lazily built episode trajectories, keyed by `(generator domain,
-/// entity key)`. Shared by the fault and incident planes, whose domains
-/// are disjoint.
-#[derive(Debug)]
-pub(crate) struct Episodes {
-    seed: u64,
-    /// Ineligible entities are remembered as `None`, so the gate draw
-    /// happens exactly once per entity.
-    table: HashMap<(u64, u64), Option<AlternatingRenewal>>,
-}
-
-impl Episodes {
-    pub(crate) fn new(seed: u64) -> Self {
-        Episodes {
-            seed,
-            table: HashMap::new(),
-        }
-    }
-
-    /// Ordinal of the episode entity `key` of source `domain` is inside
-    /// at `now`, or `None` while it is healthy or ineligible. The first
-    /// query builds the entity from `(master seed, domain, key)` alone.
-    pub(crate) fn episode_at(
-        &mut self,
-        domain: u64,
-        key: u64,
-        spec: &EpisodeSpec,
-        now: SimTime,
-    ) -> Option<u64> {
-        let seed = self.seed;
-        self.table
-            .entry((domain, key))
-            .or_insert_with(|| {
-                let mut gate = Prng::seed_from(seed)
-                    .stream(GATE_LABEL ^ domain)
-                    .stream(key);
-                (gate.next_f64() < spec.eligible).then(|| {
-                    AlternatingRenewal::new(
-                        spec.params,
-                        Prng::seed_from(seed).stream(domain).stream(key),
-                    )
-                })
-            })
-            .as_mut()?
-            .episode_at(now)
-    }
-}
-
-impl PartitionState {
-    /// Classifies a partition episode on its ordinal's parity, so no
-    /// generator draw is spent on it: even episodes are blackouts, odd
-    /// ones brownouts.
-    pub(crate) fn from_episode(episode: Option<u64>) -> Self {
-        match episode {
-            Some(e) if e % 2 == 0 => PartitionState::Blackout,
-            Some(_) => PartitionState::Brownout,
-            None => PartitionState::Connected,
-        }
-    }
-}
-
-/// The per-shard materialisation of a [`FaultScenario`].
-///
-/// Episode processes are built lazily the first time an entity is
-/// queried; construction reads only `(master seed, entity key)`, so two
-/// planes over the same scenario and seed answer identically regardless
-/// of query order — the property the fault-determinism test pins.
-#[derive(Debug)]
-pub struct FaultPlane {
-    scenario: FaultScenario,
-    episodes: Episodes,
-}
-
-impl FaultPlane {
-    /// Materialises a scenario against the master seed. Returns `None`
-    /// when the scenario injects no causal faults, so the driver's hot
-    /// path can gate on plane presence alone.
-    pub fn new(scenario: &FaultScenario, seed: u64) -> Option<Self> {
-        scenario.injects_faults().then(|| FaultPlane {
-            scenario: *scenario,
-            episodes: Episodes::new(seed),
-        })
-    }
-
-    /// Whether the task of `service` on machine `machine` of `cluster` is
-    /// inside a crash/restart episode at `now`.
-    pub fn machine_crashed(
-        &mut self,
-        service: u16,
-        cluster: u16,
-        machine: usize,
-        now: SimTime,
-    ) -> bool {
-        let Some(spec) = self.scenario.machine_crash else {
-            return false;
-        };
-        let key = ((service as u64) << 24) | ((cluster as u64) << 8) | machine as u64;
-        self.episodes
-            .episode_at(CRASH_LABEL, key, &spec, now)
-            .is_some()
-    }
-
-    /// Whether `cluster` is being drained at `now`.
-    pub fn cluster_drained(&mut self, cluster: u16, now: SimTime) -> bool {
-        let Some(spec) = self.scenario.cluster_drain else {
-            return false;
-        };
-        self.episodes
-            .episode_at(DRAIN_LABEL, cluster as u64, &spec, now)
-            .is_some()
-    }
-
-    /// Connectivity of the (unordered) cluster pair `a`–`b` at `now`.
-    /// `wan` is the caller-computed path classification; non-WAN pairs
-    /// never partition.
-    pub fn partition_state(&mut self, a: u16, b: u16, wan: bool, now: SimTime) -> PartitionState {
-        let Some(spec) = self.scenario.wan_partition.filter(|_| wan && a != b) else {
-            return PartitionState::Connected;
-        };
-        let key = ((a.min(b) as u64) << 16) | a.max(b) as u64;
-        PartitionState::from_episode(self.episodes.episode_at(
-            PARTITION_LABEL,
-            key,
-            &spec.episodes,
-            now,
-        ))
-    }
-
-    /// Excess one-way latency a pair brownout adds per crossing.
-    pub fn brownout_excess(&self) -> SimDuration {
-        self.scenario
-            .wan_partition
-            .map_or(SimDuration::ZERO, |s| s.brownout_excess)
-    }
-
-    /// The utilization surge multiplier for the deployment site of
-    /// `service` in `cluster` at `now`, or `None` outside any surge.
-    pub fn overload_factor(&mut self, service: u16, cluster: u16, now: SimTime) -> Option<f64> {
-        let spec = self.scenario.overload?;
-        let key = ((service as u64) << 16) | cluster as u64;
-        self.episodes
-            .episode_at(OVERLOAD_LABEL, key, &spec.episodes, now)
-            .map(|_| spec.util_factor)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::conditions::{Conditions, Environment};
+    use rpclens_netsim::topology::{ClusterId, Topology};
+    use rpclens_simcore::time::SimTime;
+    use rpclens_trace::span::ServiceId;
+
+    fn environment(scenario: &FaultScenario) -> Environment {
+        Environment::new(scenario, 7, &Topology::default_world(7))
+    }
 
     #[test]
     fn presets_resolve_by_name() {
@@ -628,7 +505,14 @@ mod tests {
     fn none_scenario_has_no_plane_and_full_profile() {
         let none = FaultScenario::none();
         assert!(!none.injects_faults());
-        assert!(FaultPlane::new(&none, 7).is_none());
+        let topo = Topology::default_world(7);
+        let mut env = Environment::new(&none, 7, &topo);
+        for i in 0..1_000u64 {
+            let t = SimTime::from_nanos(i * 86_400_000_000);
+            let (client, server) = (ClusterId((i % 48) as u16), ClusterId((i * 7 % 48) as u16));
+            let c = env.conditions(&topo, client, server, ServiceId(3), 1, t);
+            assert_eq!(c, Conditions::default());
+        }
         assert_eq!(
             none.error_profile().rates(),
             ErrorProfile::fleet_default().rates()
@@ -651,8 +535,8 @@ mod tests {
     #[test]
     fn plane_answers_are_independent_of_query_order() {
         let scenario = FaultScenario::chaos_smoke();
-        let mut forward = FaultPlane::new(&scenario, 7).unwrap();
-        let mut backward = FaultPlane::new(&scenario, 7).unwrap();
+        let mut forward = environment(&scenario);
+        let mut backward = environment(&scenario);
         let instants: Vec<SimTime> = (0..2_000u64)
             .map(|i| SimTime::from_nanos(i * 43_000_000_000))
             .collect();
@@ -662,8 +546,8 @@ mod tests {
                 recorded.push((
                     forward.machine_crashed(entity, entity % 5, (entity % 3) as usize, t),
                     forward.cluster_drained(entity % 8, t),
-                    forward.partition_state(entity % 8, 40 + entity % 8, true, t),
-                    forward.overload_factor(entity, entity % 5, t),
+                    forward.pair_partition(entity % 8, 40 + entity % 8, true, t),
+                    forward.site_surge(entity, entity % 5, t),
                 ));
             }
         }
@@ -675,12 +559,12 @@ mod tests {
                 // Query in reversed entity order too: lazy construction
                 // must not depend on which entity was touched first.
                 assert_eq!(
-                    backward.overload_factor(entity, entity % 5, t),
+                    backward.site_surge(entity, entity % 5, t),
                     expect.3,
                     "overload at {t}"
                 );
                 assert_eq!(
-                    backward.partition_state(40 + entity % 8, entity % 8, true, t),
+                    backward.pair_partition(40 + entity % 8, entity % 8, true, t),
                     expect.2,
                     "partition at {t} (reversed pair)"
                 );
@@ -700,12 +584,12 @@ mod tests {
             eligible: 1.0,
             ..scenario.machine_crash.unwrap()
         });
-        let mut plane = FaultPlane::new(&scenario, 7).unwrap();
+        let mut env = environment(&scenario);
         // With eligibility 1.0 every machine eventually crashes.
         let mut saw_crash = 0;
         for m in 0..64u64 {
             for i in 0..2_000u64 {
-                if plane.machine_crashed(
+                if env.machine_crashed(
                     (m % 8) as u16,
                     (m / 8) as u16,
                     (m % 3) as usize,
@@ -723,9 +607,9 @@ mod tests {
             eligible: 1e-9,
             ..scenario.machine_crash.unwrap()
         });
-        let mut plane = FaultPlane::new(&scenario, 7).unwrap();
+        let mut env = environment(&scenario);
         for m in 0..64u64 {
-            assert!(!plane.machine_crashed(
+            assert!(!env.machine_crashed(
                 (m % 8) as u16,
                 (m / 8) as u16,
                 (m % 3) as usize,
@@ -736,31 +620,26 @@ mod tests {
 
     #[test]
     fn non_wan_pairs_never_partition() {
-        let scenario = FaultScenario::partition();
-        let mut plane = FaultPlane::new(&scenario, 7).unwrap();
+        let mut env = environment(&FaultScenario::partition());
         for i in 0..1_000u64 {
             let t = SimTime::from_nanos(i * 86_400_000_000);
             assert_eq!(
-                plane.partition_state(3, 4, false, t),
+                env.pair_partition(3, 4, false, t),
                 PartitionState::Connected
             );
-            assert_eq!(
-                plane.partition_state(5, 5, true, t),
-                PartitionState::Connected
-            );
+            assert_eq!(env.pair_partition(5, 5, true, t), PartitionState::Connected);
         }
     }
 
     #[test]
     fn partitions_include_both_blackouts_and_brownouts() {
-        let scenario = FaultScenario::partition();
-        let mut plane = FaultPlane::new(&scenario, 7).unwrap();
+        let mut env = environment(&FaultScenario::partition());
         let mut states = std::collections::BTreeSet::new();
         for a in 0..8u16 {
             for b in 40..48u16 {
                 for i in 0..5_000u64 {
                     let t = SimTime::from_nanos(i * 17_280_000_000);
-                    let s = plane.partition_state(a, b, true, t);
+                    let s = env.pair_partition(a, b, true, t);
                     states.insert(format!("{s:?}"));
                 }
             }

@@ -18,21 +18,19 @@
 //!   on — a bounded set of threads claiming shard ids from a shared
 //!   counter, with an order-restoring streaming merge ([`pool::OrderedFold`])
 //!   so results stay bit-identical at any `--threads` value.
-//! - [`faults`]: the fault-injection plane — named failure scenarios
-//!   (machine churn, drains, WAN partitions, overload surges) plus the
-//!   client resilience configuration (deadlines, budgeted retries) the
-//!   driver executes against them.
-//! - [`incident`]: the correlated-incident layer above [`faults`] —
-//!   shared cross-entity incidents (a drain surging its placement
-//!   neighbours, one WAN cut partitioning a whole region pair, an
-//!   overload front sweeping a region) materialized as deterministic
-//!   per-entity trajectories the fault plane composes with.
-//! - [`control`]: the closed-loop control plane — a deterministic
+//! - [`faults`]: named fault scenarios — per-entity failure sources
+//!   (machine churn, drains, WAN partitions, overload surges), correlated
+//!   incidents (a drain surging its placement neighbours, one WAN cut
+//!   partitioning a whole region pair, an overload front sweeping a
+//!   region), controllers, and the client resilience configuration
+//!   (deadlines, budgeted retries) the driver executes against them.
+//! - [`control`]: the closed-loop controllers — a deterministic
 //!   autoscaler, load-balancer weight shifts, and bounded admission
 //!   queues evaluated on window boundaries, identical on every shard.
-//! - [`conditions`]: the one environment lookup per call — composes the
-//!   fault, incident and control planes into the unavailability,
-//!   brownout, overload and shedding a call meets at its target.
+//! - [`conditions`]: the one seed-derived plane a scenario materialises
+//!   as — one episode table for every source, the controllers' state,
+//!   and one lookup per call for the unavailability, brownout, overload
+//!   and shedding the call meets at its target.
 //! - [`telemetry`]: adapters from a completed run to the `rpclens-obs`
 //!   observability plane — run manifests, per-window detector inputs,
 //!   and the end-of-run SLO report.
@@ -50,7 +48,6 @@ pub mod control;
 pub mod driver;
 pub mod faults;
 pub mod growth;
-pub mod incident;
 pub mod pool;
 pub mod servable;
 pub mod telemetry;
@@ -60,11 +57,11 @@ pub mod workload;
 pub mod fleet_prelude {
     pub use crate::{
         catalog::{Catalog, CatalogConfig, MethodSpec, ServiceCategory, ServiceSpec},
-        control::{ControlPlane, ControlSpec},
+        conditions::Environment,
+        control::ControlSpec,
         driver::{run_fleet, FleetConfig, FleetRun, SimScale},
-        faults::{FaultPlane, FaultScenario, PartitionState},
+        faults::{FaultScenario, IncidentSpec, PartitionState},
         growth::{GrowthConfig, GrowthModel},
-        incident::{IncidentPlane, IncidentSpec},
         telemetry::{manifest_for_run, slo_findings, window_samples},
         workload::Workload,
     };

@@ -127,11 +127,6 @@ impl ServableTable {
     pub fn is_empty(&self) -> bool {
         self.methods.is_empty()
     }
-
-    /// Number of root methods (positive root weight).
-    pub fn num_roots(&self) -> usize {
-        self.roots.len()
-    }
 }
 
 #[cfg(test)]
@@ -157,8 +152,8 @@ mod tests {
     fn table_covers_the_whole_catalog() {
         let t = table(7);
         assert_eq!(t.len(), 400);
-        assert!(t.num_roots() > 0);
-        assert!(t.num_roots() < t.len(), "not every method is a root");
+        assert!(!t.roots.is_empty());
+        assert!(t.roots.len() < t.len(), "not every method is a root");
         // Ids are unique and resolvable.
         for m in t.methods() {
             assert_eq!(t.get(m.method).unwrap().name, m.name);
@@ -190,7 +185,7 @@ mod tests {
         // The tier-1 hot methods carry 6x weight; the busiest sampled
         // method must out-draw the mean by a wide margin.
         let max = counts.values().copied().max().unwrap();
-        let mean = 20_000 / t.num_roots() as u32;
+        let mean = 20_000 / t.roots.len() as u32;
         assert!(max > mean * 3, "max {max}, mean {mean}");
     }
 

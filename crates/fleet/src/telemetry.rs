@@ -12,9 +12,8 @@
 //! fields), and window samples are reconstructed from cumulative
 //! counters the driver wrote in sorted window order.
 
-use crate::control::ControlPlane;
+use crate::conditions::Environment;
 use crate::driver::{FleetRun, WINDOW_LANES};
-use crate::incident::IncidentPlane;
 use rpclens_obs::{
     error_budget_burn, metastable_overload, retry_storm, tail_regression, Finding,
     OverloadDetectorConfig, RetryStormConfig, RobustnessSection, RunManifest, SloConfig,
@@ -118,10 +117,10 @@ pub fn manifest_for_run(run: &FleetRun) -> RunManifest {
     manifest
 }
 
-/// Region map of a run's topology, cluster-id indexed — the key the
-/// incident and control planes correlate on.
-fn region_map(run: &FleetRun) -> Vec<u16> {
-    run.topology.clusters().map(|c| c.region.0).collect()
+/// The run's fault plane, fresh: each whole-run report walks time in
+/// order on its own.
+fn environment(run: &FleetRun) -> Environment {
+    Environment::new(&run.config.faults, run.config.scale.seed, &run.topology)
 }
 
 /// Incident blast-radius rows for the manifest: entities struck and
@@ -130,17 +129,8 @@ fn region_map(run: &FleetRun) -> Vec<u16> {
 /// per-shard counter carries them (a counter would multiply by the
 /// shard count and break shard invariance).
 fn incident_rows(run: &FleetRun) -> Vec<(String, u64, u64)> {
-    let Some(spec) = run.config.faults.incidents else {
-        return Vec::new();
-    };
-    let Some(mut plane) = IncidentPlane::new(&spec, run.config.scale.seed, region_map(run)) else {
-        return Vec::new();
-    };
-    plane
-        .summary(
-            run.config.scale.duration,
-            rpclens_tsdb::DEFAULT_SAMPLE_PERIOD,
-        )
+    environment(run)
+        .incident_summary(run.config.scale.duration)
         .into_iter()
         .map(|row| (row.kind.to_string(), row.entities_struck, row.episodes))
         .collect()
@@ -150,17 +140,11 @@ fn incident_rows(run: &FleetRun) -> Vec<(String, u64, u64)> {
 /// reconstructed from the seed (shard-invariant by construction) plus
 /// the per-call admission and load-balancer event counters.
 fn controller_rows(run: &FleetRun) -> Vec<(String, u64)> {
-    let Some(spec) = run.config.faults.control else {
+    if run.config.faults.control.is_none() {
         return Vec::new();
-    };
-    let mut incidents = run
-        .config
-        .faults
-        .incidents
-        .and_then(|i| IncidentPlane::new(&i, run.config.scale.seed, region_map(run)));
+    }
     let (scaled_windows, peak_permille) =
-        ControlPlane::new(spec, rpclens_tsdb::DEFAULT_SAMPLE_PERIOD)
-            .autoscaler_activity(incidents.as_mut(), run.config.scale.duration);
+        environment(run).autoscaler_activity(run.config.scale.duration);
     let c = &run.telemetry.counters.control;
     vec![
         ("autoscaler_scaled_windows".to_string(), scaled_windows),

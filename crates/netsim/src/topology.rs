@@ -216,16 +216,6 @@ impl Topology {
         self.clusters.len()
     }
 
-    /// Number of datacenters.
-    pub fn num_datacenters(&self) -> usize {
-        self.datacenters.len()
-    }
-
-    /// Number of regions.
-    pub fn num_regions(&self) -> usize {
-        self.regions.len()
-    }
-
     /// Looks up a cluster.
     ///
     /// # Panics
@@ -339,8 +329,8 @@ mod tests {
     #[test]
     fn default_world_has_expected_shape() {
         let t = Topology::default_world(1);
-        assert_eq!(t.num_regions(), 6);
-        assert_eq!(t.num_datacenters(), 12);
+        assert_eq!(t.regions.len(), 6);
+        assert_eq!(t.datacenters.len(), 12);
         assert_eq!(t.num_clusters(), 48);
         assert_eq!(t.cluster_ids().len(), 48);
     }

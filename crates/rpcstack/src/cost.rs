@@ -381,26 +381,6 @@ impl StackCostModel {
     pub fn receiver_component_ns(&self, payload_bytes: u64, class: MessageClass) -> ComponentNanos {
         ComponentNanos::from_cost(self, &self.receiver_cost(payload_bytes, class))
     }
-
-    /// Convenience: the stack processing *time* for one message direction
-    /// with structured (non-blob) payloads.
-    pub fn processing_time(
-        &self,
-        payload_bytes: u64,
-        compressed: bool,
-        encrypted: bool,
-        slowdown: f64,
-    ) -> SimDuration {
-        self.stack_latency(
-            payload_bytes,
-            MessageClass {
-                compressed,
-                encrypted,
-                blob: false,
-            },
-            slowdown,
-        )
-    }
 }
 
 /// A modeled per-component time breakdown for one side of one message,
@@ -559,16 +539,6 @@ mod tests {
         assert_eq!(t, SimDuration::from_millis(1));
         let slow = m.cycles_to_time(3_000_000, 2.0);
         assert_eq!(slow, SimDuration::from_millis(2));
-    }
-
-    #[test]
-    fn processing_time_is_microseconds_for_small_messages() {
-        // Small-RPC stack time should be on the order of a few to tens of
-        // microseconds — the regime prior RPC-acceleration work targets.
-        let m = model();
-        let t = m.processing_time(128, false, true, 1.0);
-        let us = t.as_micros_f64();
-        assert!((1.0..50.0).contains(&us), "stack time {us} us");
     }
 
     #[test]

@@ -138,11 +138,6 @@ impl ErrorProfile {
         .expect("residual profile is valid")
     }
 
-    /// Total probability that an RPC draws an injected error.
-    pub fn total_rate(&self) -> f64 {
-        self.total
-    }
-
     /// Draws the error outcome for one RPC: `Some(kind)` or `None` for
     /// success.
     pub fn draw(&self, rng: &mut Prng) -> Option<ErrorKind> {
@@ -206,7 +201,7 @@ mod tests {
         let p = ErrorProfile::none();
         let mut rng = Prng::seed_from(1);
         assert!((0..10_000).all(|_| p.draw(&mut rng).is_none()));
-        assert_eq!(p.total_rate(), 0.0);
+        assert_eq!(p.total, 0.0);
     }
 
     #[test]
@@ -237,7 +232,7 @@ mod tests {
         // Injected errors are ~1.05%; hedging cancellations add the rest
         // toward the paper's 1.9% total.
         let p = ErrorProfile::fleet_default();
-        let r = p.total_rate();
+        let r = p.total;
         assert!((0.008..0.013).contains(&r), "rate {r}");
         // Entity-not-found is the largest injected class.
         let max = p

@@ -62,7 +62,6 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     next_seq: u64,
     now: SimTime,
-    popped: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -78,7 +77,6 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::new(),
             next_seq: 0,
             now: SimTime::ZERO,
-            popped: 0,
         }
     }
 
@@ -88,7 +86,6 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::with_capacity(cap),
             next_seq: 0,
             now: SimTime::ZERO,
-            popped: 0,
         }
     }
 
@@ -111,13 +108,7 @@ impl<E> EventQueue<E> {
         let s = self.heap.pop()?;
         debug_assert!(s.at >= self.now, "event queue time went backwards");
         self.now = s.at;
-        self.popped += 1;
         Some((s.at, s.event))
-    }
-
-    /// Returns the firing time of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
     }
 
     /// The current simulated instant (the firing time of the most recently
@@ -135,11 +126,6 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// Total number of events popped since creation.
-    pub fn events_processed(&self) -> u64 {
-        self.popped
-    }
 }
 
 #[cfg(test)]
@@ -156,7 +142,6 @@ mod tests {
         }
         let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec![10, 20, 30, 40, 50]);
-        assert_eq!(q.events_processed(), 5);
     }
 
     #[test]
@@ -180,16 +165,6 @@ mod tests {
         q.schedule(SimTime::from_nanos(10), "late");
         let (t, e) = q.pop().unwrap();
         assert_eq!((t.as_nanos(), e), (100, "late"));
-    }
-
-    #[test]
-    fn peek_does_not_advance() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(5), ());
-        assert_eq!(q.peek_time().unwrap().as_nanos(), 5);
-        assert_eq!(q.now(), SimTime::ZERO);
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
     }
 
     #[test]

@@ -208,18 +208,6 @@ impl LogHistogram {
             .filter(|(_, &c)| c > 0)
             .map(|(i, &c)| (bucket_midpoint(i), c))
     }
-
-    /// Extracts an approximate CDF as `(value, cumulative_fraction)` points,
-    /// one per non-empty bucket.
-    pub fn cdf_points(&self) -> Vec<(u64, f64)> {
-        let mut acc = 0u64;
-        self.iter_buckets()
-            .map(|(v, c)| {
-                acc += c;
-                (v, acc as f64 / self.count as f64)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -350,17 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn cdf_points_are_monotone_and_end_at_one() {
-        let mut h = LogHistogram::new();
-        for v in [1u64, 10, 100, 1000, 10_000] {
-            h.record_n(v, 10);
-        }
-        let cdf = h.cdf_points();
-        assert!(cdf.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 < w[1].1));
-        assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "quantile")]
     fn out_of_range_quantile_panics() {
         let mut h = LogHistogram::new();
@@ -422,13 +399,13 @@ mod tests {
             prop_assert_eq!(merged.sum(), h.sum());
             prop_assert_eq!(merged.min(), h.min());
             prop_assert_eq!(merged.max(), h.max());
-            prop_assert_eq!(merged.cdf_points(), h.cdf_points());
+            prop_assert!(merged.iter_buckets().eq(h.iter_buckets()));
             let mut seeded = LogHistogram::new();
             seeded.merge(&h);
             prop_assert_eq!(seeded.count(), h.count());
             prop_assert_eq!(seeded.min(), h.min());
             prop_assert_eq!(seeded.max(), h.max());
-            prop_assert_eq!(seeded.cdf_points(), h.cdf_points());
+            prop_assert!(seeded.iter_buckets().eq(h.iter_buckets()));
         }
 
         #[test]
@@ -473,7 +450,7 @@ mod tests {
             for q in [0.01, 0.25, 0.5, 0.75, 0.99] {
                 prop_assert_eq!(merged.quantile(q), single.quantile(q));
             }
-            prop_assert_eq!(merged.cdf_points(), single.cdf_points());
+            prop_assert!(merged.iter_buckets().eq(single.iter_buckets()));
         }
 
         #[test]

@@ -161,17 +161,6 @@ impl Prng {
         (m >> 64) as u64
     }
 
-    /// Returns a uniform integer in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty.
-    #[inline]
-    pub fn gen_range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range [{lo}, {hi})");
-        lo + self.next_below(hi - lo)
-    }
-
     /// Returns a uniform `usize` index in `[0, len)`.
     ///
     /// # Panics
@@ -326,15 +315,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn gen_range_stays_in_range(seed: u64, lo in 0u64..1000, span in 1u64..1000) {
-            let mut rng = Prng::seed_from(seed);
-            for _ in 0..100 {
-                let x = rng.gen_range(lo, lo + span);
-                prop_assert!(x >= lo && x < lo + span);
-            }
-        }
-
         #[test]
         fn substreams_are_distinct_and_derivation_is_repeatable(seed: u64) {
             let parent = Prng::seed_from(seed);
