@@ -1,5 +1,5 @@
-//! The parallel driver's tentpole guarantee: shard count must not change
-//! a single bit of any output.
+//! The parallel driver's central guarantee: neither shard count nor
+//! thread count may change a single bit of any output.
 //!
 //! A sharded run partitions the root workload across worker threads, each
 //! with its own network instance and accumulators, then folds the shards
@@ -9,6 +9,7 @@
 //! from a run is bit-identical no matter how many cores were used.
 
 use rpclens_bench::{produce, Artifact};
+use rpclens_core::figs::table2;
 use rpclens_fleet::driver::{run_fleet, FleetConfig, FleetRun, SimScale};
 use rpclens_obs::manifest::fnv1a;
 use rpclens_simcore::time::SimDuration;
@@ -38,7 +39,41 @@ fn run_with_shards(shards: usize) -> FleetRun {
 
 #[test]
 fn figures_are_bit_identical_at_any_shard_count() {
-    let base = run_with_shards(1);
+    let mut base = run_with_shards(1);
+
+    // The analysis reads `config.threads` too (Table 2's site sweep runs
+    // on that many pool workers), so its width must not show either.
+    base.config.threads = 1;
+    let serial: Vec<String> = Artifact::ALL
+        .iter()
+        .map(|&artifact| produce(artifact, Some(&base)).0)
+        .collect();
+    base.config.threads = 4;
+    for (artifact, text) in Artifact::ALL.into_iter().zip(&serial) {
+        let (at_four, _) = produce(artifact, Some(&base));
+        assert_eq!(
+            &at_four,
+            text,
+            "artifact {} differs at threads=4",
+            artifact.name()
+        );
+    }
+    assert!(
+        base.sites.len() > 64,
+        "the sweep must span several 64-site chunks"
+    );
+    let mut table2_bits = |threads| {
+        base.config.threads = threads;
+        table2::compute(&base)
+            .rows
+            .iter()
+            .map(|r| (r.min.to_bits(), r.max.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    let one = table2_bits(1);
+    assert_eq!(table2_bits(2), one, "table2 rows differ at threads=2");
+    assert_eq!(table2_bits(4), one, "table2 rows differ at threads=4");
+
     for shards in [2usize, 8] {
         let run = run_with_shards(shards);
 
@@ -71,12 +106,11 @@ fn figures_are_bit_identical_at_any_shard_count() {
 
         // Then the deliverables themselves: every rendered figure and
         // table, compared as exact text.
-        for artifact in Artifact::ALL {
-            let (a, _) = produce(artifact, Some(&base));
+        for (artifact, a) in Artifact::ALL.into_iter().zip(&serial) {
             let (b, _) = produce(artifact, Some(&run));
             assert_eq!(
                 a,
-                b,
+                &b,
                 "artifact {} differs at shards={shards}",
                 artifact.name()
             );

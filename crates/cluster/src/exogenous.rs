@@ -18,7 +18,7 @@ use rpclens_simcore::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// A snapshot of the four exogenous variables at one instant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ExogenousVars {
     /// CPU utilization in `[0, 1]`.
     pub cpu_util: f64,
@@ -63,73 +63,45 @@ impl ExogenousProfile {
         }
     }
 
-    /// A heavily loaded profile (the paper's "slow cluster").
-    pub fn busy(seed: u64) -> Self {
-        ExogenousProfile {
-            base_util: 0.62,
-            diurnal_amp: 0.2,
-            peak_hour: 14.0,
-            noise: 0.07,
-            mem_bw_peak_gbps: 120.0,
-            seed,
-        }
-    }
-
-    /// A lightly loaded profile (the paper's "fast cluster").
-    pub fn light(seed: u64) -> Self {
-        ExogenousProfile {
-            base_util: 0.3,
-            diurnal_amp: 0.12,
-            peak_hour: 14.0,
-            noise: 0.05,
-            mem_bw_peak_gbps: 120.0,
-            seed,
-        }
-    }
-
     /// Band-limited noise in `[-1, 1]`: hash noise per bucket, linearly
     /// interpolated between bucket centers.
     fn noise_at(&self, t: SimTime, stream: u64) -> f64 {
-        let bucket = t.as_nanos() / NOISE_BUCKET.as_nanos();
-        let frac = (t.as_nanos() % NOISE_BUCKET.as_nanos()) as f64 / NOISE_BUCKET.as_nanos() as f64;
+        let (bucket, frac) = bucket_of(t);
         let a = bucket_noise(self.seed, stream, bucket);
         let b = bucket_noise(self.seed, stream, bucket + 1);
-        a + (b - a) * frac
+        lerp(a, b, frac)
     }
 
-    /// Samples only the CPU utilization at instant `t`.
-    ///
-    /// Exactly the `cpu_util` field of [`ExogenousProfile::sample`] —
-    /// same operations in the same order, so the value is bit-identical —
-    /// without evaluating the three other variables. The fleet driver's
-    /// hot path uses this where it needs utilization alone (pool queueing
-    /// input, ambient client-side load), which skips two `powf`s and six
-    /// hashed noise lookups per call.
-    pub fn cpu_util_at(&self, t: SimTime) -> f64 {
+    /// CPU utilization at `t` given stream 1's noise at `t`: the one
+    /// formula behind [`ExogenousProfile::cpu_util_at`] and the
+    /// `cpu_util` field of every sample and window average.
+    #[inline(always)]
+    fn util_from(&self, t: SimTime, noise: f64) -> f64 {
         let hour = (t.as_secs_f64() / 3600.0) % 24.0;
         let diurnal = (std::f64::consts::TAU * (hour - self.peak_hour + 6.0) / 24.0).sin();
-        (self.base_util + self.diurnal_amp * diurnal + self.noise * self.noise_at(t, 1))
-            .clamp(0.02, 0.98)
+        (self.base_util + self.diurnal_amp * diurnal + self.noise * noise).clamp(0.02, 0.98)
     }
 
-    /// Samples the exogenous variables at instant `t`.
-    pub fn sample(&self, t: SimTime) -> ExogenousVars {
-        let cpu_util = self.cpu_util_at(t);
+    /// The four variables at `t` given the noise of streams 1–4 at `t`:
+    /// the one formula behind [`ExogenousProfile::sample`] and
+    /// [`ExogenousProfile::window_average`].
+    #[inline(always)]
+    fn vars_from(&self, t: SimTime, noise: [f64; 4]) -> ExogenousVars {
+        let cpu_util = self.util_from(t, noise[0]);
 
         // Memory bandwidth tracks utilization sublinearly with its own
         // noise component.
-        let mem_frac =
-            (0.25 + 0.75 * cpu_util.powf(0.8) + 0.08 * self.noise_at(t, 2)).clamp(0.05, 1.0);
+        let mem_frac = (0.25 + 0.75 * cpu_util.powf(0.8) + 0.08 * noise[1]).clamp(0.05, 1.0);
         let mem_bw_gbps = self.mem_bw_peak_gbps * mem_frac;
 
         // Long scheduler wakeups grow superlinearly with utilization: a
         // nearly idle machine rarely preempts, a saturated one often does.
         let long_wakeup_rate =
-            (0.001 + 0.02 * cpu_util.powi(3) + 0.002 * self.noise_at(t, 3).abs()).clamp(0.0, 0.15);
+            (0.001 + 0.02 * cpu_util.powi(3) + 0.002 * noise[2].abs()).clamp(0.0, 0.15);
 
         // CPI degrades with memory pressure and sharing (cache/BW
         // contention), per the coupling observed in Fig. 17.
-        let cpi = (0.85 + 0.35 * cpu_util + 0.25 * mem_frac + 0.04 * self.noise_at(t, 4)).max(0.7);
+        let cpi = (0.85 + 0.35 * cpu_util + 0.25 * mem_frac + 0.04 * noise[3]).max(0.7);
 
         ExogenousVars {
             cpu_util,
@@ -139,20 +111,52 @@ impl ExogenousProfile {
         }
     }
 
+    /// Samples only the CPU utilization at instant `t`.
+    ///
+    /// Exactly the `cpu_util` field of [`ExogenousProfile::sample`] (the
+    /// same formula on the same noise, so the value is bit-identical)
+    /// without evaluating the three other variables. The fleet driver's
+    /// hot path uses this where it needs utilization alone (pool queueing
+    /// input, ambient client-side load), which skips two `powf`s and six
+    /// hashed noise lookups per call.
+    pub fn cpu_util_at(&self, t: SimTime) -> f64 {
+        self.util_from(t, self.noise_at(t, 1))
+    }
+
+    /// Samples the exogenous variables at instant `t`.
+    pub fn sample(&self, t: SimTime) -> ExogenousVars {
+        self.vars_from(t, NOISE_STREAMS.map(|stream| self.noise_at(t, stream)))
+    }
+
     /// Averages the variables over a window (samples every minute), as the
     /// monitoring pipeline does when correlating with latency (Fig. 17
     /// aggregates over 30 minutes).
+    ///
+    /// The result is bit-identical to summing [`ExogenousProfile::sample`]
+    /// at `start + i` minutes for `i` in `0..max(window / 1 min, 1)` and
+    /// dividing by the count. Each stream's noise comes from a rolling
+    /// pair of bucket edges that advances when the sample crosses into the
+    /// next 5-minute bucket, so each `(stream, bucket)` value is drawn
+    /// once rather than twice per sample, and nothing is allocated.
+    /// Always inlined: a caller that reads one field (Fig. 22 reads
+    /// `cpu_util`) lets the compiler drop the other variables and their
+    /// noise streams from the loop.
+    #[inline(always)]
     pub fn window_average(&self, start: SimTime, window: SimDuration) -> ExogenousVars {
         let step = SimDuration::from_mins(1);
         let steps = (window.as_nanos() / step.as_nanos()).max(1);
-        let mut acc = ExogenousVars {
-            cpu_util: 0.0,
-            mem_bw_gbps: 0.0,
-            long_wakeup_rate: 0.0,
-            cpi: 0.0,
-        };
+        let edge = |bucket| NOISE_STREAMS.map(|stream| bucket_noise(self.seed, stream, bucket));
+        let (mut bucket, _) = bucket_of(start);
+        let (mut lo, mut hi) = (edge(bucket), edge(bucket + 1));
+        let mut acc = ExogenousVars::default();
         for i in 0..steps {
-            let v = self.sample(start + SimDuration::from_nanos(i * step.as_nanos()));
+            let t = start + SimDuration::from_nanos(i * step.as_nanos());
+            let (at, frac) = bucket_of(t);
+            while bucket < at {
+                bucket += 1;
+                (lo, hi) = (hi, edge(bucket + 1));
+            }
+            let v = self.vars_from(t, std::array::from_fn(|s| lerp(lo[s], hi[s], frac)));
             acc.cpu_util += v.cpu_util;
             acc.mem_bw_gbps += v.mem_bw_gbps;
             acc.long_wakeup_rate += v.long_wakeup_rate;
@@ -166,6 +170,23 @@ impl ExogenousProfile {
             cpi: acc.cpi / n,
         }
     }
+}
+
+/// The noise stream of each variable, in [`ExogenousVars`] field order.
+const NOISE_STREAMS: [u64; 4] = [1, 2, 3, 4];
+
+/// The noise bucket holding `t`, and `t`'s fraction of the way through it.
+#[inline(always)]
+fn bucket_of(t: SimTime) -> (u64, f64) {
+    let bucket = t.as_nanos() / NOISE_BUCKET.as_nanos();
+    let frac = (t.as_nanos() % NOISE_BUCKET.as_nanos()) as f64 / NOISE_BUCKET.as_nanos() as f64;
+    (bucket, frac)
+}
+
+/// Linear interpolation from `a` at `frac = 0` to `b` at `frac = 1`.
+#[inline(always)]
+fn lerp(a: f64, b: f64, frac: f64) -> f64 {
+    a + (b - a) * frac
 }
 
 /// Standard-normal-ish noise for a bucket: average of four uniforms,
@@ -185,6 +206,101 @@ fn bucket_noise(seed: u64, stream: u64, bucket: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A heavily loaded profile (the paper's "slow cluster").
+    fn busy(seed: u64) -> ExogenousProfile {
+        ExogenousProfile {
+            base_util: 0.62,
+            diurnal_amp: 0.2,
+            noise: 0.07,
+            ..ExogenousProfile::shared(seed)
+        }
+    }
+
+    /// A lightly loaded profile (the paper's "fast cluster").
+    fn light(seed: u64) -> ExogenousProfile {
+        ExogenousProfile {
+            base_util: 0.3,
+            diurnal_amp: 0.12,
+            noise: 0.05,
+            ..ExogenousProfile::shared(seed)
+        }
+    }
+
+    /// The reference window average: one full [`ExogenousProfile::sample`]
+    /// per minute, summed field by field in time order.
+    fn per_minute_average(
+        p: &ExogenousProfile,
+        start: SimTime,
+        window: SimDuration,
+    ) -> ExogenousVars {
+        let step = SimDuration::from_mins(1);
+        let steps = (window.as_nanos() / step.as_nanos()).max(1);
+        let mut acc = ExogenousVars {
+            cpu_util: 0.0,
+            mem_bw_gbps: 0.0,
+            long_wakeup_rate: 0.0,
+            cpi: 0.0,
+        };
+        for i in 0..steps {
+            let v = p.sample(start + SimDuration::from_nanos(i * step.as_nanos()));
+            acc.cpu_util += v.cpu_util;
+            acc.mem_bw_gbps += v.mem_bw_gbps;
+            acc.long_wakeup_rate += v.long_wakeup_rate;
+            acc.cpi += v.cpi;
+        }
+        let n = steps as f64;
+        ExogenousVars {
+            cpu_util: acc.cpu_util / n,
+            mem_bw_gbps: acc.mem_bw_gbps / n,
+            long_wakeup_rate: acc.long_wakeup_rate / n,
+            cpi: acc.cpi / n,
+        }
+    }
+
+    fn bits(v: ExogenousVars) -> [u64; 4] {
+        [v.cpu_util, v.mem_bw_gbps, v.long_wakeup_rate, v.cpi].map(f64::to_bits)
+    }
+
+    proptest! {
+        #[test]
+        fn window_average_is_bit_identical_to_the_per_minute_sample_sum(
+            seed in any::<u64>(),
+            base_util in 0.05f64..0.9,
+            diurnal_amp in 0.0f64..0.3,
+            peak_hour in 0.0f64..24.0,
+            noise in 0.0f64..0.2,
+            mem_bw_peak_gbps in 20.0f64..200.0,
+            offset_ns in 1u64..1_800_000_000_000,
+            later_day in 1u64..10_000,
+        ) {
+            let p = ExogenousProfile {
+                base_util,
+                diurnal_amp,
+                peak_hour,
+                noise,
+                mem_bw_peak_gbps,
+                seed,
+            };
+            let day_ns = SimDuration::from_hours(24).as_nanos();
+            // At 0; unaligned to the 5-minute bucket; up to 30 minutes
+            // before the 24 h wrap; far into a later day.
+            let starts = [0, offset_ns, day_ns - offset_ns, later_day * day_ns + offset_ns];
+            for start in starts.map(SimTime::from_nanos) {
+                for mins in [0, 1, 7, 30, 60, 1_440, 2_160] {
+                    let window = SimDuration::from_mins(mins);
+                    prop_assert_eq!(
+                        bits(p.window_average(start, window)),
+                        bits(per_minute_average(&p, start, window)),
+                        "start {:?}, window {} min",
+                        start,
+                        mins
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn samples_are_deterministic() {
@@ -196,7 +312,7 @@ mod tests {
     #[test]
     fn cpu_util_at_is_bit_identical_to_full_sample() {
         for seed in [1u64, 42, 9_999] {
-            let p = ExogenousProfile::busy(seed);
+            let p = busy(seed);
             for i in 0..2_000u64 {
                 let t = SimTime::from_nanos(i * 43_200_000_000 + 17);
                 assert_eq!(p.cpu_util_at(t).to_bits(), p.sample(t).cpu_util.to_bits());
@@ -220,7 +336,7 @@ mod tests {
 
     #[test]
     fn variables_stay_in_physical_ranges() {
-        let p = ExogenousProfile::busy(7);
+        let p = busy(7);
         for i in 0..2000 {
             let v = p.sample(SimTime::from_nanos(i * 43_000_000_000));
             assert!((0.0..=1.0).contains(&v.cpu_util), "{v:?}");
@@ -255,8 +371,8 @@ mod tests {
 
     #[test]
     fn busy_profile_is_busier_than_light() {
-        let busy = ExogenousProfile::busy(4);
-        let light = ExogenousProfile::light(4);
+        let busy = busy(4);
+        let light = light(4);
         let day = SimDuration::from_hours(24);
         let b = busy.window_average(SimTime::ZERO, day);
         let l = light.window_average(SimTime::ZERO, day);

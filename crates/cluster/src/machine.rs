@@ -46,7 +46,7 @@ impl Default for MachineConfig {
 /// A simulated machine.
 ///
 /// Machines hold no generator state of their own: every stochastic draw
-/// (currently only [`Machine::wakeup_latency`]) samples from a caller
+/// (currently only [`Machine::wakeup_latency_from`]) samples from a caller
 /// supplied [`Prng`]. This keeps a machine's behaviour a pure function of
 /// `(profile, t, caller randomness)`, which is what lets the fleet driver
 /// replay the same trace on any shard and get identical latencies.
@@ -86,24 +86,13 @@ impl Machine {
         self.profile.sample(t)
     }
 
-    /// The exogenous profile driving this machine.
-    pub fn profile(&self) -> &ExogenousProfile {
-        &self.profile
-    }
-
-    /// The multiplicative slowdown applied to compute at instant `t`.
+    /// The multiplicative slowdown applied to compute under the sampled
+    /// exogenous state `vars` (from [`Machine::exogenous`]).
     ///
     /// On shared machines this is the instantaneous CPI over the baseline
     /// CPI (contention raises CPI, which stretches every instruction). On
     /// reserved cores, contention from co-tenants is excluded; only a
     /// small chip-level CPI effect remains.
-    pub fn slowdown(&self, t: SimTime) -> f64 {
-        self.slowdown_from(&self.profile.sample(t))
-    }
-
-    /// [`Machine::slowdown`] computed from already-sampled exogenous
-    /// state, for callers that need several machine quantities at the
-    /// same instant and want to pay for one profile sample.
     pub fn slowdown_from(&self, vars: &ExogenousVars) -> f64 {
         if self.config.reserved_cores {
             // Reserved cores escape scheduling/bandwidth contention but
@@ -115,15 +104,8 @@ impl Machine {
         }
     }
 
-    /// Converts a nominal compute requirement into wall time at `t`.
-    ///
-    /// `nominal` is the duration the work would take on an unloaded
-    /// baseline machine.
-    pub fn execute(&self, nominal: SimDuration, t: SimTime) -> SimDuration {
-        nominal.mul_f64(self.slowdown(t) / self.config.speed)
-    }
-
-    /// Samples one scheduler wakeup latency at instant `t` from `rng`.
+    /// Samples one scheduler wakeup latency from `rng` under the sampled
+    /// exogenous state `vars` (from [`Machine::exogenous`]).
     ///
     /// Most wakeups are a few microseconds; with the machine's current
     /// long-wakeup probability the thread instead waits beyond
@@ -131,12 +113,6 @@ impl Machine {
     /// from the caller's generator (in the fleet driver, the per-trace
     /// stream) so that concurrent traces touching the same machine never
     /// perturb each other's samples.
-    pub fn wakeup_latency(&self, t: SimTime, rng: &mut Prng) -> SimDuration {
-        self.wakeup_latency_from(&self.profile.sample(t), rng)
-    }
-
-    /// [`Machine::wakeup_latency`] computed from already-sampled
-    /// exogenous state; identical draws from `rng`.
     pub fn wakeup_latency_from(&self, vars: &ExogenousVars, rng: &mut Prng) -> SimDuration {
         let long_rate = if self.config.reserved_cores {
             // Dedicated cores do not contend for runqueue slots.
@@ -162,6 +138,16 @@ impl Machine {
 mod tests {
     use super::*;
 
+    /// A heavily loaded profile (the paper's "slow cluster").
+    fn busy(seed: u64) -> ExogenousProfile {
+        ExogenousProfile {
+            base_util: 0.62,
+            diurnal_amp: 0.2,
+            noise: 0.07,
+            ..ExogenousProfile::shared(seed)
+        }
+    }
+
     fn machine(reserved: bool, profile: ExogenousProfile) -> Machine {
         Machine::new(
             MachineId(1),
@@ -173,50 +159,47 @@ mod tests {
         )
     }
 
-    #[test]
-    fn execute_scales_with_speed() {
-        let profile = ExogenousProfile::light(1);
-        let fast = Machine::new(
-            MachineId(0),
-            MachineConfig {
-                speed: 2.0,
-                ..MachineConfig::default()
-            },
-            profile,
-        );
-        let slow = Machine::new(MachineId(1), MachineConfig::default(), profile);
-        let t = SimTime::ZERO;
-        let nominal = SimDuration::from_millis(10);
-        let f = fast.execute(nominal, t);
-        let s = slow.execute(nominal, t);
-        assert!((s.as_secs_f64() / f.as_secs_f64() - 2.0).abs() < 1e-9);
+    fn slowdown(m: &Machine, t: SimTime) -> f64 {
+        m.slowdown_from(&m.exogenous(t))
+    }
+
+    fn wakeup(m: &Machine, t: SimTime, rng: &mut Prng) -> SimDuration {
+        m.wakeup_latency_from(&m.exogenous(t), rng)
     }
 
     #[test]
     fn busy_machines_run_slower() {
-        let busy = machine(false, ExogenousProfile::busy(2));
-        let light = machine(false, ExogenousProfile::light(2));
+        let busy = machine(false, busy(2));
+        let light = machine(
+            false,
+            ExogenousProfile {
+                base_util: 0.3,
+                diurnal_amp: 0.12,
+                noise: 0.05,
+                ..ExogenousProfile::shared(2)
+            },
+        );
         // Compare average slowdown across a day.
         let mut busy_sum = 0.0;
         let mut light_sum = 0.0;
         for i in 0..288 {
             let t = SimTime::ZERO + SimDuration::from_mins(i * 5);
-            busy_sum += busy.slowdown(t);
-            light_sum += light.slowdown(t);
+            busy_sum += slowdown(&busy, t);
+            light_sum += slowdown(&light, t);
         }
         assert!(busy_sum > light_sum * 1.05, "{busy_sum} vs {light_sum}");
     }
 
     #[test]
     fn reserved_cores_shrink_utilization_coupling() {
-        let profile = ExogenousProfile::busy(3);
+        let profile = busy(3);
         let shared = machine(false, profile);
         let reserved = machine(true, profile);
         // Variance of slowdown across the day should be much lower with
         // reserved cores.
         let collect = |m: &Machine| -> Vec<f64> {
             (0..288)
-                .map(|i| m.slowdown(SimTime::ZERO + SimDuration::from_mins(i * 5)))
+                .map(|i| slowdown(m, SimTime::ZERO + SimDuration::from_mins(i * 5)))
                 .collect()
         };
         let var = |v: &[f64]| {
@@ -230,13 +213,13 @@ mod tests {
 
     #[test]
     fn wakeup_latencies_have_long_tail_on_busy_machines() {
-        let busy = machine(false, ExogenousProfile::busy(4));
+        let busy = machine(false, busy(4));
         let mut rng = Prng::seed_from(4);
         let mut long = 0u32;
         let n = 50_000;
         for i in 0..n {
             let t = SimTime::ZERO + SimDuration::from_millis(i as u64);
-            if busy.wakeup_latency(t, &mut rng) >= LONG_WAKEUP_THRESHOLD {
+            if wakeup(&busy, t, &mut rng) >= LONG_WAKEUP_THRESHOLD {
                 long += 1;
             }
         }
@@ -247,13 +230,13 @@ mod tests {
 
     #[test]
     fn reserved_cores_avoid_long_wakeups() {
-        let shared = machine(false, ExogenousProfile::busy(5));
-        let reserved = machine(true, ExogenousProfile::busy(5));
+        let shared = machine(false, busy(5));
+        let reserved = machine(true, busy(5));
         let count_long = |m: &Machine, seed: u64| {
             let mut rng = Prng::seed_from(seed);
             (0..50_000u64)
                 .filter(|&i| {
-                    m.wakeup_latency(SimTime::ZERO + SimDuration::from_millis(i), &mut rng)
+                    wakeup(m, SimTime::ZERO + SimDuration::from_millis(i), &mut rng)
                         >= LONG_WAKEUP_THRESHOLD
                 })
                 .count()
@@ -268,7 +251,7 @@ mod tests {
         let m = machine(false, ExogenousProfile::shared(6));
         let mut rng = Prng::seed_from(6);
         for i in 0..10_000u64 {
-            let w = m.wakeup_latency(SimTime::ZERO + SimDuration::from_millis(i), &mut rng);
+            let w = wakeup(&m, SimTime::ZERO + SimDuration::from_millis(i), &mut rng);
             assert!(w < SimDuration::from_millis(20), "wakeup {w} implausible");
         }
     }
@@ -278,13 +261,13 @@ mod tests {
         // Two clones of the machine given identical caller rngs must
         // produce identical samples — the machine itself holds no
         // generator state.
-        let m1 = machine(false, ExogenousProfile::busy(7));
+        let m1 = machine(false, busy(7));
         let m2 = m1.clone();
         let mut r1 = Prng::seed_from(7);
         let mut r2 = Prng::seed_from(7);
         for i in 0..1_000u64 {
             let t = SimTime::ZERO + SimDuration::from_millis(i);
-            assert_eq!(m1.wakeup_latency(t, &mut r1), m2.wakeup_latency(t, &mut r2));
+            assert_eq!(wakeup(&m1, t, &mut r1), wakeup(&m2, t, &mut r2));
         }
     }
 }

@@ -66,14 +66,18 @@ pub fn compute(run: &FleetRun) -> Fig22 {
         if sites.is_empty() {
             continue;
         }
-        let mut per_cluster: Vec<f64> = sites
+        let day_util: Vec<f64> = sites
             .iter()
-            .map(|s| s.load.window_average(SimTime::ZERO, day).cpu_util / ALLOCATION)
+            .map(|s| s.load.window_average(SimTime::ZERO, day).cpu_util)
             .collect();
+        // Median cluster's machines, read before the sort reorders sites.
+        let median = sites.len() / 2;
+        let (median_site, base) = (sites[median], day_util[median]);
+        let mut per_cluster = day_util;
+        for u in &mut per_cluster {
+            *u /= ALLOCATION;
+        }
         per_cluster.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        // Median cluster's machines.
-        let median_site = sites[sites.len() / 2];
-        let base = median_site.load.window_average(SimTime::ZERO, day).cpu_util;
         let mut per_machine: Vec<f64> = median_site
             .machine_offsets
             .iter()

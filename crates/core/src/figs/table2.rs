@@ -2,7 +2,8 @@
 
 use crate::check::ExpectationSet;
 use crate::render::TextTable;
-use rpclens_fleet::driver::FleetRun;
+use rpclens_fleet::driver::{FleetRun, ServiceSite};
+use rpclens_fleet::pool::run_shards;
 use rpclens_simcore::time::{SimDuration, SimTime};
 
 /// One variable's definition and observed range.
@@ -25,18 +26,24 @@ pub struct Table2 {
     pub rows: Vec<VariableRow>,
 }
 
+/// Sites per work item of the parallel sweep: enough items for the
+/// pool's dynamic claiming to balance the workers, each still far
+/// costlier than one claim.
+const SITES_PER_CHUNK: usize = 64;
+
 /// Computes observed ranges across all deployment sites.
+///
+/// The sweep runs on the run's worker pool (`config.threads` wide) over
+/// contiguous chunks of sites, folded in chunk order. Min and max are
+/// exact, so the rows are bit-identical at any thread count.
 pub fn compute(run: &FleetRun) -> Table2 {
-    let day = SimDuration::from_hours(24);
-    let mut ranges = [[f64::MAX, f64::MIN]; 4];
-    for site in run.sites.values() {
-        let v = site.load.window_average(SimTime::ZERO, day);
-        let vals = [v.cpu_util * 100.0, v.mem_bw_gbps, v.long_wakeup_rate, v.cpi];
-        for (r, val) in ranges.iter_mut().zip(vals) {
-            r[0] = r[0].min(val);
-            r[1] = r[1].max(val);
-        }
-    }
+    let sites = run.sites.values().as_slice();
+    let ranges = run_shards(
+        sites.len().div_ceil(SITES_PER_CHUNK).max(1),
+        run.config.threads,
+        |i| day_ranges(sites.chunks(SITES_PER_CHUNK).nth(i).unwrap_or_default()),
+        widen,
+    );
     let defs = [
         ("CPU util", "% CPU utilized"),
         ("Memory BW", "Total memory bandwidth utilized (GB/s)"),
@@ -57,6 +64,29 @@ pub fn compute(run: &FleetRun) -> Table2 {
                 max: r[1],
             })
             .collect(),
+    }
+}
+
+/// Each variable's `[min, max]`, in [`Table2::rows`] order.
+type Ranges = [[f64; 2]; 4];
+
+/// The ranges of each variable's day average over `sites`.
+fn day_ranges(sites: &[ServiceSite]) -> Ranges {
+    let day = SimDuration::from_hours(24);
+    let mut ranges = [[f64::MAX, f64::MIN]; 4];
+    for site in sites {
+        let v = site.load.window_average(SimTime::ZERO, day);
+        let vals = [v.cpu_util * 100.0, v.mem_bw_gbps, v.long_wakeup_rate, v.cpi];
+        widen(&mut ranges, vals.map(|val| [val, val]));
+    }
+    ranges
+}
+
+/// Widens `acc` to cover `other`.
+fn widen(acc: &mut Ranges, other: Ranges) {
+    for (r, o) in acc.iter_mut().zip(other) {
+        r[0] = r[0].min(o[0]);
+        r[1] = r[1].max(o[1]);
     }
 }
 
