@@ -41,22 +41,26 @@ fn run_with_shards(shards: usize) -> FleetRun {
 fn figures_are_bit_identical_at_any_shard_count() {
     let mut base = run_with_shards(1);
 
-    // The analysis reads `config.threads` too (Table 2's site sweep runs
-    // on that many pool workers), so its width must not show either.
+    // The analysis reads `config.threads` too (the per-method passes and
+    // Table 2's site sweep run on that many pool workers), so its width
+    // must not show either. Two is the benchmark's width; three splits
+    // the chunks unevenly across the workers.
     base.config.threads = 1;
     let serial: Vec<String> = Artifact::ALL
         .iter()
         .map(|&artifact| produce(artifact, Some(&base)).0)
         .collect();
-    base.config.threads = 4;
-    for (artifact, text) in Artifact::ALL.into_iter().zip(&serial) {
-        let (at_four, _) = produce(artifact, Some(&base));
-        assert_eq!(
-            &at_four,
-            text,
-            "artifact {} differs at threads=4",
-            artifact.name()
-        );
+    for threads in [2, 3] {
+        base.config.threads = threads;
+        for (artifact, text) in Artifact::ALL.into_iter().zip(&serial) {
+            let (wide, _) = produce(artifact, Some(&base));
+            assert_eq!(
+                &wide,
+                text,
+                "artifact {} differs at threads={threads}",
+                artifact.name()
+            );
+        }
     }
     assert!(
         base.sites.len() > 64,
@@ -72,7 +76,7 @@ fn figures_are_bit_identical_at_any_shard_count() {
     };
     let one = table2_bits(1);
     assert_eq!(table2_bits(2), one, "table2 rows differ at threads=2");
-    assert_eq!(table2_bits(4), one, "table2 rows differ at threads=4");
+    assert_eq!(table2_bits(3), one, "table2 rows differ at threads=3");
 
     for shards in [2usize, 8] {
         let run = run_with_shards(shards);

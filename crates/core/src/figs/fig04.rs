@@ -5,11 +5,10 @@
 //! 1155 — call trees are bursty and heavy-tailed.
 
 use crate::check::ExpectationSet;
-use crate::common::MethodHeatmap;
+use crate::common::{tree_shape_heatmaps, MethodHeatmap};
 use crate::render::{sketch_cdf, TextTable};
 use rpclens_fleet::driver::FleetRun;
 use rpclens_simcore::stats::percentile;
-use rpclens_trace::query::{TreeShapeSamples, MIN_SAMPLES};
 
 /// The computed figure.
 #[derive(Debug)]
@@ -20,11 +19,8 @@ pub struct Fig04 {
 
 /// Computes per-method descendant counts from the trace store.
 pub fn compute(run: &FleetRun) -> Fig04 {
-    let shapes = TreeShapeSamples::compute(&run.store);
-    let samples: Vec<_> = shapes.descendants.into_iter().collect();
-    Fig04 {
-        heatmap: MethodHeatmap::from_samples(samples, MIN_SAMPLES),
-    }
+    let [heatmap] = tree_shape_heatmaps(run, [|stats, i| stats.descendants[i]]);
+    Fig04 { heatmap }
 }
 
 /// Renders the figure.

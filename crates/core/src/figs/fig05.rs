@@ -4,11 +4,10 @@
 //! percentile — trees are much wider than they are deep.
 
 use crate::check::ExpectationSet;
-use crate::common::MethodHeatmap;
+use crate::common::{tree_shape_heatmaps, MethodHeatmap};
 use crate::render::{sketch_cdf, TextTable};
 use rpclens_fleet::driver::FleetRun;
 use rpclens_simcore::stats::percentile;
-use rpclens_trace::query::{TreeShapeSamples, MIN_SAMPLES};
 
 /// The computed figure: ancestor and descendant heatmaps (the latter for
 /// the wider-than-deep comparison).
@@ -22,13 +21,16 @@ pub struct Fig05 {
 
 /// Computes the figure.
 pub fn compute(run: &FleetRun) -> Fig05 {
-    let shapes = TreeShapeSamples::compute(&run.store);
+    let [ancestors, descendants] = tree_shape_heatmaps(
+        run,
+        [
+            |stats, i| stats.ancestors[i],
+            |stats, i| stats.descendants[i],
+        ],
+    );
     Fig05 {
-        ancestors: MethodHeatmap::from_samples(shapes.ancestors.into_iter().collect(), MIN_SAMPLES),
-        descendants: MethodHeatmap::from_samples(
-            shapes.descendants.into_iter().collect(),
-            MIN_SAMPLES,
-        ),
+        ancestors,
+        descendants,
     }
 }
 

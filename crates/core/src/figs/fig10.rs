@@ -5,10 +5,11 @@
 //! P95-tail RPCs the tax share grows and skews toward the network.
 
 use crate::check::ExpectationSet;
+use crate::common::method_rows;
 use crate::render::{fmt_pct, TextTable};
 use rpclens_fleet::driver::FleetRun;
 use rpclens_rpcstack::component::TaxGroup;
-use rpclens_simcore::stats::{percentile, sorted_finite};
+use rpclens_simcore::stats::select_percentile;
 use rpclens_trace::query::MethodQuery;
 use rpclens_trace::span::{MethodId, SpanRecord};
 use std::collections::HashMap;
@@ -68,13 +69,14 @@ fn shares<'a, I: Iterator<Item = &'a SpanRecord>>(spans: I) -> TaxShares {
 /// analytics query — matching the paper's per-RPC framing.
 pub fn compute(run: &FleetRun) -> Fig10 {
     let secs = |s: &SpanRecord| s.total_latency().as_secs_f64();
-    let thresholds: HashMap<MethodId, f64> = MethodQuery::default()
-        .groups(&run.store, |_, s| secs(s))
-        .map(|(m, v)| {
-            let sv = sorted_finite(v);
-            (m, percentile(&sv, 0.95).expect("non-empty"))
-        })
-        .collect();
+    let thresholds: HashMap<MethodId, f64> = method_rows(
+        run,
+        &MethodQuery::default(),
+        |_, s| secs(s),
+        |m, mut v| Some((m, select_percentile(&mut v, 0.95).expect("non-empty"))),
+    )
+    .into_iter()
+    .collect();
     // Every OK span, in trace order.
     let ok = || {
         run.store
@@ -83,8 +85,7 @@ pub fn compute(run: &FleetRun) -> Fig10 {
             .flat_map(|t| &t.spans)
             .filter(|s| s.is_ok())
     };
-    let totals = sorted_finite(ok().map(secs).collect());
-    let p95 = percentile(&totals, 0.95).unwrap_or(f64::NAN);
+    let p95 = select_percentile(&mut ok().map(secs).collect::<Vec<_>>(), 0.95).unwrap_or(f64::NAN);
     let tail = ok().filter(|s| thresholds.get(&s.method).is_some_and(|&p| secs(s) > p));
     Fig10 {
         mean: shares(ok()),

@@ -8,10 +8,10 @@
 //! balancing hard (§4.2).
 
 use crate::check::ExpectationSet;
-use crate::common::MethodHeatmap;
+use crate::common::{method_rows, per_method, MethodHeatmap, MethodRow};
 use crate::render::{sketch_cdf, TextTable};
 use rpclens_fleet::driver::FleetRun;
-use rpclens_simcore::stats::{percentile, sorted_finite, spearman};
+use rpclens_simcore::stats::{select_percentile, spearman};
 use rpclens_trace::query::MethodQuery;
 use rpclens_trace::span::MethodId;
 
@@ -30,27 +30,29 @@ pub struct Fig21 {
 
 /// Computes the figure from the profiler's per-method samples.
 pub fn compute(run: &FleetRun) -> Fig21 {
-    let methods = run.profiler.methods_with_samples(100);
-    let samples: Vec<(MethodId, Vec<f64>)> = methods
-        .iter()
-        .map(|&m| (MethodId(m), run.profiler.method_samples(m)))
+    let methods: Vec<MethodId> = run
+        .profiler
+        .methods_with_samples(100)
+        .into_iter()
+        .map(MethodId)
         .collect();
-    let heatmap = MethodHeatmap::from_samples(samples, 100);
+    let heatmap = MethodHeatmap::from_rows(per_method(run, &methods, |m| {
+        MethodRow::new(m, run.profiler.method_samples(m.0))
+    }));
 
     // Cross-method correlations against median latency and median
     // request size, both from one walk of each method's spans.
-    let query = MethodQuery::default();
-    let medians: Vec<(MethodId, f64, f64)> = query
-        .groups(&run.store, |_, s| {
-            (s.total_latency().as_secs_f64(), s.request_bytes as f64)
-        })
-        .filter_map(|(method, pairs)| {
-            let (lat, sz): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
-            let lat = percentile(&sorted_finite(lat), 0.5)?;
-            let sz = percentile(&sorted_finite(sz), 0.5)?;
+    let medians: Vec<(MethodId, f64, f64)> = method_rows(
+        run,
+        &MethodQuery::default(),
+        |_, s| (s.total_latency().as_secs_f64(), s.request_bytes as f64),
+        |method, pairs| {
+            let (mut lat, mut sz): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
+            let lat = select_percentile(&mut lat, 0.5)?;
+            let sz = select_percentile(&mut sz, 0.5)?;
             Some((method, lat, sz))
-        })
-        .collect();
+        },
+    );
     let mut cyc = Vec::new();
     let mut lat = Vec::new();
     let mut sz = Vec::new();

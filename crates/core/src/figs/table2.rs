@@ -1,9 +1,9 @@
 //! Table 2: the exogenous variables and their observed fleet ranges.
 
 use crate::check::ExpectationSet;
+use crate::common::chunked_sweep;
 use crate::render::TextTable;
 use rpclens_fleet::driver::{FleetRun, ServiceSite};
-use rpclens_fleet::pool::run_shards;
 use rpclens_simcore::time::{SimDuration, SimTime};
 
 /// One variable's definition and observed range.
@@ -38,12 +38,7 @@ const SITES_PER_CHUNK: usize = 64;
 /// exact, so the rows are bit-identical at any thread count.
 pub fn compute(run: &FleetRun) -> Table2 {
     let sites = run.sites.values().as_slice();
-    let ranges = run_shards(
-        sites.len().div_ceil(SITES_PER_CHUNK).max(1),
-        run.config.threads,
-        |i| day_ranges(sites.chunks(SITES_PER_CHUNK).nth(i).unwrap_or_default()),
-        widen,
-    );
+    let ranges = chunked_sweep(run, sites, SITES_PER_CHUNK, day_ranges, widen);
     let defs = [
         ("CPU util", "% CPU utilized"),
         ("Memory BW", "Total memory bandwidth utilized (GB/s)"),

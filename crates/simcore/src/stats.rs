@@ -23,22 +23,68 @@
 /// assert_eq!(percentile(&v, 1.0), Some(4.0));
 /// ```
 pub fn percentile(sorted: &[f64], q: f64) -> Option<f64> {
-    assert!(
-        (0.0..=1.0).contains(&q),
-        "quantile must be in [0,1], got {q}"
-    );
     debug_assert!(
         sorted.windows(2).all(|w| w[0] <= w[1]),
         "input must be sorted"
     );
-    if sorted.is_empty() {
-        return None;
+    let (lo, hi, frac) = ranks_of(sorted.len(), q)?;
+    Some(interpolate(sorted[lo], sorted[hi], frac))
+}
+
+/// The `q`-quantile of the finite values in `values`, found by selection
+/// instead of a full sort; `None` if no value is finite.
+///
+/// Equal to `percentile(&sorted_finite(v), q)`, bit for bit unless the
+/// input holds both `-0.0` and `+0.0`. Reorders `values`: the finite
+/// values move to the front, and rank `lo` of them is selected in place.
+///
+/// # Panics
+///
+/// Panics if `q` is outside `[0, 1]`.
+///
+/// # Examples
+///
+/// ```
+/// use rpclens_simcore::stats::select_percentile;
+///
+/// let mut v = [4.0, f64::NAN, 1.0, 3.0, 2.0];
+/// assert_eq!(select_percentile(&mut v, 0.5), Some(2.5));
+/// assert_eq!(select_percentile(&mut [f64::INFINITY], 0.5), None);
+/// ```
+pub fn select_percentile(values: &mut [f64], q: f64) -> Option<f64> {
+    let mut finite = 0;
+    for i in 0..values.len() {
+        if values[i].is_finite() {
+            values.swap(finite, i);
+            finite += 1;
+        }
     }
-    let pos = q * (sorted.len() - 1) as f64;
+    let (lo, hi, frac) = ranks_of(finite, q)?;
+    let (_, &mut low, above) = values[..finite].select_nth_unstable_by(lo, f64::total_cmp);
+    let high = if hi == lo {
+        low
+    } else {
+        above.iter().copied().min_by(f64::total_cmp)?
+    };
+    Some(interpolate(low, high, frac))
+}
+
+/// The two closest ranks around the `q`-quantile of `len` sorted values
+/// and the weight of the upper one, or `None` if `len` is 0.
+fn ranks_of(len: usize, q: f64) -> Option<(usize, usize, f64)> {
+    assert!(
+        (0.0..=1.0).contains(&q),
+        "quantile must be in [0,1], got {q}"
+    );
+    let last = len.checked_sub(1)?;
+    let pos = q * last as f64;
     let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    Some(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
+    Some((lo, pos.ceil() as usize, pos - lo as f64))
+}
+
+/// Linear interpolation between two neighbouring order statistics.
+fn interpolate(low: f64, high: f64, frac: f64) -> f64 {
+    low + (high - low) * frac
 }
 
 /// Returns the element of `sorted` at the rank nearest to
@@ -197,6 +243,25 @@ mod tests {
     }
 
     #[test]
+    fn select_percentile_edges() {
+        assert_eq!(select_percentile(&mut [], 0.5), None);
+        assert_eq!(
+            select_percentile(&mut [f64::NAN, f64::NEG_INFINITY], 0.0),
+            None
+        );
+        for q in [0.0, 0.01, 0.5, 0.95, 0.99, 1.0] {
+            assert_eq!(select_percentile(&mut [7.5], q), Some(7.5));
+            assert_eq!(
+                select_percentile(&mut [f64::NAN, 7.5, f64::INFINITY], q),
+                Some(7.5)
+            );
+            assert_eq!(select_percentile(&mut [3.0; 5], q), Some(3.0));
+        }
+        let mut v = [50.0, 10.0, 40.0, 20.0, 30.0];
+        assert_eq!(select_percentile(&mut v, 0.875), Some(45.0));
+    }
+
+    #[test]
     fn sorted_finite_drops_nan_and_sorts() {
         let v = sorted_finite(vec![3.0, f64::NAN, 1.0, f64::INFINITY, 2.0]);
         assert_eq!(v, vec![1.0, 2.0, 3.0]);
@@ -263,6 +328,29 @@ mod tests {
             let a = percentile(&values, lo).unwrap();
             let b = percentile(&values, hi).unwrap();
             prop_assert!(a <= b + 1e-9);
+        }
+
+        #[test]
+        fn select_percentile_matches_the_sorted_path(
+            // Small integer values so duplicates are common; the special
+            // draws put NaN and infinities among them.
+            draws in proptest::collection::vec((0u8..12, -20i32..20), 1..200),
+        ) {
+            let mut values: Vec<f64> = draws
+                .iter()
+                .map(|&(kind, v)| match kind {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    2 => f64::NEG_INFINITY,
+                    _ => f64::from(v) * 0.25,
+                })
+                .collect();
+            let sorted = sorted_finite(values.clone());
+            for q in [0.0, 0.01, 0.5, 0.95, 0.99, 1.0] {
+                let expect = percentile(&sorted, q).map(f64::to_bits);
+                let got = select_percentile(&mut values, q).map(f64::to_bits);
+                prop_assert_eq!(got, expect, "q = {}", q);
+            }
         }
 
         #[test]

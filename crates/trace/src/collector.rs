@@ -94,9 +94,11 @@ impl TraceStore {
         self.total_spans
     }
 
-    /// The methods that appear in at least one span.
-    pub fn methods(&self) -> impl Iterator<Item = MethodId> + '_ {
-        self.by_method.keys().copied()
+    /// The methods that appear in at least one span, in ascending id.
+    pub fn methods(&self) -> Vec<MethodId> {
+        let mut methods: Vec<MethodId> = self.by_method.keys().copied().collect();
+        methods.sort_unstable();
+        methods
     }
 
     /// The `(trace, span)` locations of every span of `method`.
@@ -180,9 +182,7 @@ mod tests {
         assert_eq!(store.spans_of(MethodId(2)).len(), 3);
         assert_eq!(store.spans_of(MethodId(3)).len(), 1);
         assert_eq!(store.spans_of(MethodId(99)).len(), 0);
-        let mut methods: Vec<_> = store.methods().map(|m| m.0).collect();
-        methods.sort_unstable();
-        assert_eq!(methods, vec![1, 2, 3]);
+        assert_eq!(store.methods(), vec![MethodId(1), MethodId(2), MethodId(3)]);
     }
 
     #[test]

@@ -106,7 +106,10 @@ impl MethodQuery {
     /// [`samples`](Self::samples), lazily and in ascending method id.
     ///
     /// Each method's spans are walked once, and only one method's samples
-    /// are held at a time.
+    /// are held at a time. This is the serial form of the per-method
+    /// pass: the figures run the same [`samples`](Self::samples) walk per
+    /// method on the run's worker pool (`rpclens_core::common::method_rows`)
+    /// and get the same groups, in the same order.
     pub fn groups<'a, T, F>(
         &self,
         store: &'a TraceStore,
@@ -117,9 +120,8 @@ impl MethodQuery {
         T: 'a,
     {
         let query = *self;
-        let mut methods: Vec<MethodId> = store.methods().collect();
-        methods.sort_unstable();
-        methods
+        store
+            .methods()
             .into_iter()
             .filter_map(move |m| query.samples(store, m, &metric).map(|v| (m, v)))
     }
@@ -135,7 +137,11 @@ impl MethodQuery {
 }
 
 /// Per-method tree-shape samples (descendants and ancestors), computed
-/// over whole traces in one pass.
+/// over whole traces in one serial pass.
+///
+/// Figs. 4 and 5 build the same per-method samples on the run's worker
+/// pool (`rpclens_core::common::tree_shape_heatmaps`); this form is the
+/// reference that pass is tested against.
 #[derive(Debug, Default)]
 pub struct TreeShapeSamples {
     /// Descendant counts per method.
