@@ -1,10 +1,9 @@
-//! `bench-ceiling` — the gating per-RPC cost check, the gating peak-RSS
-//! check, and the non-gating `fleet` trend line.
+//! `bench-ceiling` — the gating per-RPC cost check and the gating
+//! peak-RSS check.
 //!
 //! ```text
-//! bench-ceiling gate  [--baseline PATH] [--runs N]
-//! bench-ceiling rss   [--baseline PATH] [--scale fleet|paper|default] [--threads N] [--shards N]
-//! bench-ceiling trend [--scale fleet|paper|default] [--threads N] [--shards N]
+//! bench-ceiling gate [--baseline PATH] [--runs N]
+//! bench-ceiling rss  [--baseline PATH] [--scale fleet|paper|default] [--threads N] [--shards N]
 //! ```
 //!
 //! **`gate`** runs the `smoke` preset sequentially (1 shard, 1 thread)
@@ -16,15 +15,17 @@
 //! inflated by `ceiling.regression_tolerance`). The ceiling is
 //! deliberately generous — it catches order-of-magnitude regressions
 //! (an accidental allocation or hash probe back on the hot path), while
-//! honest between-machine variance stays inside the tolerance. Update
-//! the ceiling together with the `current` results when a PR
-//! intentionally changes driver cost.
+//! honest between-machine variance stays inside the tolerance. When a
+//! change intentionally moves driver cost, re-measure with perfbench
+//! (`perfbench/run.py`) and move the ceiling in the same change.
 //!
 //! **`rss`** runs one preset (default `fleet`) once and reads the
 //! process peak RSS (`VmHWM`) afterwards. When the baseline carries a
 //! `ceiling.{scale}_peak_rss_mb` entry for the measured preset, the
 //! check gates: it exits non-zero past the ceiling inflated by
-//! `ceiling.rss_tolerance`. RSS ceilings exist because the streaming
+//! `ceiling.rss_tolerance`. The report line also carries the wall
+//! clock, roots/sec and simulated spans, so CI logs keep a fleet-scale
+//! throughput trend next to the gate. RSS ceilings exist because the streaming
 //! window aggregation made fleet-scale peak memory a load-bearing
 //! property — a dense per-shard `(service, window)` grid sneaking back
 //! in shows up here long before it OOMs a runner. The high-water mark
@@ -32,11 +33,9 @@
 //! invokes the binary fresh, never after another in-process workload.
 //! Presets without a committed ceiling report and exit zero.
 //!
-//! **`trend`** runs one preset (default `fleet`) at the default
-//! execution shape, prints wall clock, roots/sec, peak RSS, and the
-//! thread count, and always exits zero: it exists so CI logs accumulate
-//! wall-clock and memory trend lines at fleet scale without gating on
-//! shared-runner noise.
+//! `BENCH_driver.json`'s `baseline` and `current` sections are frozen
+//! records of the retired `cargo bench` driver benchmark; this binary
+//! reads only `ceiling`.
 
 use rpclens_bench::peak_rss_bytes;
 use rpclens_bench::scale_by_name;
@@ -49,9 +48,8 @@ const DEFAULT_BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_drive
 
 fn usage() -> ! {
     eprintln!(
-        "usage: bench-ceiling gate  [--baseline PATH] [--runs N]\n\
-         \x20      bench-ceiling rss   [--baseline PATH] [--scale NAME] [--threads N] [--shards N]\n\
-         \x20      bench-ceiling trend [--scale NAME] [--threads N] [--shards N]"
+        "usage: bench-ceiling gate [--baseline PATH] [--runs N]\n\
+         \x20      bench-ceiling rss  [--baseline PATH] [--scale NAME] [--threads N] [--shards N]"
     );
     std::process::exit(2);
 }
@@ -67,7 +65,7 @@ fn main() {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "gate" | "rss" | "trend" if mode.is_none() => mode = Some(arg.clone()),
+            "gate" | "rss" if mode.is_none() => mode = Some(arg.clone()),
             "--baseline" => {
                 let Some(path) = iter.next() else { usage() };
                 baseline = path.clone();
@@ -112,7 +110,6 @@ fn main() {
     match mode.as_deref() {
         Some("gate") => gate(&baseline, runs.max(1)),
         Some("rss") => rss(&baseline, config()),
-        Some("trend") => trend(config()),
         _ => usage(),
     }
 }
@@ -165,8 +162,8 @@ fn gate(baseline_path: &str, runs: usize) {
     if best_ns_per_rpc > limit {
         eprintln!(
             "FAIL: per-RPC cost regressed past the committed ceiling; if the \
-             regression is intentional, update `ceiling` in {baseline_path} \
-             alongside the `current` results"
+             regression is intentional, measure it with perfbench and update \
+             `ceiling` in {baseline_path} in the same change"
         );
         std::process::exit(1);
     }
@@ -190,15 +187,17 @@ fn rss(baseline_path: &str, config: FleetConfig) {
         .and_then(json::Json::as_f64)
         .unwrap_or(0.25);
 
-    let name = config.scale.name;
     let t0 = std::time::Instant::now();
     let run = run_fleet(config);
     let secs = t0.elapsed().as_secs_f64();
+    let measured = format!(
+        "scale={} wall={secs:.1}s roots/sec={:.0} spans={}",
+        run.config.scale.name,
+        run.config.scale.roots as f64 / secs,
+        run.total_spans
+    );
     let Some(peak) = peak_rss_bytes() else {
-        println!(
-            "bench-ceiling rss: scale={name} wall={secs:.1}s — peak RSS unavailable \
-             on this platform, skipping"
-        );
+        println!("bench-ceiling rss: {measured} — peak RSS unavailable on this platform, skipping");
         return;
     };
     let peak_mb = peak as f64 / (1024.0 * 1024.0);
@@ -206,10 +205,9 @@ fn rss(baseline_path: &str, config: FleetConfig) {
         Some(limit_mb) => {
             let limit = limit_mb * (1.0 + tolerance);
             println!(
-                "bench-ceiling rss: scale={} wall={:.1}s peak_rss={:.0} MB, \
+                "bench-ceiling rss: {} peak_rss={:.0} MB, \
                  ceiling {:.0} +{:.0}% = {:.0} MB (shards={} threads={})",
-                name,
-                secs,
+                measured,
                 peak_mb,
                 limit_mb,
                 tolerance * 100.0,
@@ -230,33 +228,9 @@ fn rss(baseline_path: &str, config: FleetConfig) {
         }
         None => {
             println!(
-                "bench-ceiling rss: scale={} wall={:.1}s peak_rss={:.0} MB \
-                 (no `ceiling.{}` committed; non-gating)",
-                name, secs, peak_mb, key
+                "bench-ceiling rss: {measured} peak_rss={peak_mb:.0} MB \
+                 (no `ceiling.{key}` committed; non-gating)"
             );
         }
     }
-}
-
-/// One run at the given preset, reported for the CI trend line.
-fn trend(config: FleetConfig) {
-    let name = config.scale.name;
-    let roots = config.scale.roots;
-    let t0 = std::time::Instant::now();
-    let run = run_fleet(config);
-    let secs = t0.elapsed().as_secs_f64();
-    let rss = peak_rss_bytes().map_or("n/a".to_string(), |b| {
-        format!("{:.0} MB", b as f64 / (1024.0 * 1024.0))
-    });
-    println!(
-        "bench-ceiling trend: scale={} wall={:.1}s roots/sec={:.0} spans={} \
-         peak_rss={} shards={} threads={} (non-gating)",
-        name,
-        secs,
-        roots as f64 / secs,
-        run.total_spans,
-        rss,
-        run.telemetry.shards_used,
-        run.telemetry.threads_used,
-    );
 }

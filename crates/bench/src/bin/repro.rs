@@ -247,11 +247,12 @@ fn main() {
         println!("{}", render_findings(&findings));
         // The default chaos scenario must still reconcile with the
         // Fig. 23 taxonomy: the causal variant of the checks gates every
-        // such invocation, artifact or not. Stress presets (`partition`,
-        // `overload-collapse`) intentionally deviate and are exempt.
-        if faults.reconciles_taxonomy() {
-            let fig = fig23::compute(run);
-            let causal = fig23::causal_checks(&fig);
+        // such invocation, artifact or not. When Fig. 23 is requested,
+        // `produce` runs those checks with the figure; otherwise they
+        // run here. Stress presets (`partition`, `overload-collapse`)
+        // intentionally deviate and are exempt.
+        if faults.reconciles_taxonomy() && !artifacts.contains(&Artifact::Fig23) {
+            let causal = fig23::causal_checks(&fig23::compute(run));
             println!("{causal}");
             total += causal.items.len();
             passed += causal.passed();
@@ -262,21 +263,7 @@ fn main() {
         std::fs::create_dir_all(dir).expect("create output directory");
     }
     for artifact in artifacts {
-        // Under a causal fault scenario the static Fig. 23 bands no
-        // longer apply; the reconciliation variant replaces them for the
-        // default chaos preset, and stress presets render the figure
-        // without expectations (their taxonomies deviate by design).
-        let (text, checks) = if artifact == Artifact::Fig23 && faults.name != "none" {
-            let fig = fig23::compute(run.as_ref().expect("fig23 needs a fleet run"));
-            let checks = if faults.reconciles_taxonomy() {
-                fig23::causal_checks(&fig)
-            } else {
-                rpclens_core::check::ExpectationSet::new()
-            };
-            (fig23::render(&fig), checks)
-        } else {
-            produce(artifact, run.as_ref())
-        };
+        let (text, checks) = produce(artifact, run.as_ref());
         if let Some(dir) = &out_dir {
             let path = dir.join(format!("{}.txt", artifact.name()));
             std::fs::write(

@@ -233,8 +233,20 @@ pub fn produce(artifact: Artifact, run: Option<&FleetRun>) -> (String, Expectati
                     (f::fig22::render(&fig), f::fig22::checks(&fig))
                 }
                 Artifact::Fig23 => {
+                    // The static bands hold only without faults. Under
+                    // chaos-smoke the causal reconciliation checks replace
+                    // them; the stress presets deviate from the taxonomy
+                    // by design, so their figure carries no checks.
+                    let faults = &run.config.faults;
                     let fig = f::fig23::compute(run);
-                    (f::fig23::render(&fig), f::fig23::checks(&fig))
+                    let checks = if faults.name == "none" {
+                        f::fig23::checks(&fig)
+                    } else if faults.reconciles_taxonomy() {
+                        f::fig23::causal_checks(&fig)
+                    } else {
+                        ExpectationSet::new()
+                    };
+                    (f::fig23::render(&fig), checks)
                 }
                 Artifact::Table1 => (f::table1::render(run), f::table1::checks(run)),
                 Artifact::Table2 => {

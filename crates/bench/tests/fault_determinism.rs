@@ -261,6 +261,38 @@ fn chaos_smoke_reconciles_with_fig23() {
 }
 
 #[test]
+fn repro_counts_each_causal_fig23_check_once() {
+    // Under chaos-smoke the causal Fig. 23 checks gate every `repro` run:
+    // with the figure when Fig. 23 is requested, as a standalone block
+    // when it is not. Either way each check is printed and counted once.
+    let fig = fig23::compute(&smoke_run(FaultScenario::chaos_smoke(), 1));
+    let ids: Vec<String> = fig23::causal_checks(&fig)
+        .items
+        .into_iter()
+        .map(|check| check.id)
+        .collect();
+    assert_eq!(ids.len(), 5);
+    for artifact in ["fig23", "fig2"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args([artifact, "--scale", "smoke", "--faults", "chaos-smoke"])
+            .output()
+            .expect("repro runs");
+        let text = String::from_utf8(out.stdout).expect("utf-8 output");
+        for id in &ids {
+            assert_eq!(
+                text.matches(id.as_str()).count(),
+                1,
+                "{artifact}: {id}\n{text}"
+            );
+        }
+        if artifact == "fig23" {
+            assert!(out.status.success(), "{text}");
+            assert!(text.contains("TOTAL: 5/5 "), "{text}");
+        }
+    }
+}
+
+#[test]
 fn overload_collapse_storm_is_clamped_by_the_retry_budget() {
     let run = smoke_run(FaultScenario::overload_collapse(), 1);
     let manifest = manifest_for_run(&run);

@@ -56,11 +56,9 @@ impl<T> DensePairMap<T> {
         map
     }
 
-    /// The slot of a key, if present. Slots are stable and index
-    /// [`DensePairMap::by_index`]; resolve once, then use the slot for
-    /// repeated access.
+    /// The slot of a key in `values`, if present.
     #[inline]
-    pub fn index_of(&self, major: u16, minor: u16) -> Option<u32> {
+    fn index_of(&self, major: u16, minor: u16) -> Option<u32> {
         let cell = major as usize * self.minor_dim + minor as usize;
         match self.index.get(cell) {
             Some(&slot) if slot != 0 => Some(slot - 1),
@@ -73,16 +71,6 @@ impl<T> DensePairMap<T> {
     pub fn get(&self, major: u16, minor: u16) -> Option<&T> {
         self.index_of(major, minor)
             .map(|s| &self.values[s as usize])
-    }
-
-    /// The value at a slot returned by [`DensePairMap::index_of`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is out of range.
-    #[inline]
-    pub fn by_index(&self, slot: u32) -> &T {
-        &self.values[slot as usize]
     }
 
     /// All values, in insertion order.
@@ -117,7 +105,7 @@ mod tests {
         assert_eq!(m.get(3, 0), Some(&"c"));
         assert_eq!(m.get(2, 2), None);
         let slot = m.index_of(1, 2).unwrap();
-        assert_eq!(*m.by_index(slot), "b");
+        assert_eq!(m.values[slot as usize], "b");
         assert_eq!(m.index_of(0, 1), None);
     }
 

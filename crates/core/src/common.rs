@@ -353,6 +353,15 @@ mod tests {
             .collect()
     }
 
+    /// Every span of every method with at least one.
+    fn unfiltered() -> MethodQuery {
+        MethodQuery {
+            exclude_errors: false,
+            min_samples: 1,
+            ..MethodQuery::default()
+        }
+    }
+
     fn latency_secs(_: &TraceData, s: &SpanRecord) -> f64 {
         s.total_latency().as_secs_f64()
     }
@@ -362,7 +371,7 @@ mod tests {
         let mut run = small_run();
         let queries = [
             MethodQuery::default(),
-            MethodQuery::unfiltered(),
+            unfiltered(),
             MethodQuery {
                 intra_cluster_only: true,
                 min_samples: 0,
@@ -399,7 +408,7 @@ mod tests {
         run.store = TraceStore::new();
         for threads in [1, 2, 3, 8] {
             run.config.threads = threads;
-            for q in [MethodQuery::default(), MethodQuery::unfiltered()] {
+            for q in [MethodQuery::default(), unfiltered()] {
                 assert_eq!(pass(&run, &q), serial(&run, &q), "threads={threads}");
                 assert!(pass(&run, &q).is_empty());
             }

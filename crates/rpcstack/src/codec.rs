@@ -2,10 +2,10 @@
 //!
 //! A small, self-describing framing: fixed magic/version, LEB128 varints
 //! for variable-size fields, and a CRC32 trailer over the entire frame.
-//! The simulator mostly reasons about *sizes*, but the codec is real — the
-//! fleet driver round-trips every traced request header through it, and
-//! the serialization microbenchmarks (Fig. 20's serialization tax) measure
-//! this code.
+//! The simulator mostly reasons about *sizes*, but the codec is real:
+//! `rpclens-rpcwire` carries every datagram in one of these frames, and
+//! its executed serialization cost is what the wire validation compares
+//! with Fig. 20's modeled serialization tax.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
@@ -22,8 +22,6 @@ pub struct Flags(pub u8);
 impl Flags {
     /// Payload is compressed.
     pub const COMPRESSED: u8 = 0b0000_0001;
-    /// Payload is encrypted.
-    pub const ENCRYPTED: u8 = 0b0000_0010;
     /// Frame is a response (vs. a request).
     pub const RESPONSE: u8 = 0b0000_0100;
     /// Frame carries an error status instead of a payload result.
@@ -187,7 +185,12 @@ pub fn decode_frame(mut input: &[u8]) -> Result<RpcFrame, DecodeError> {
     let parent_span_id = input.get_u64();
     let deadline_ns = get_varint(&mut input)?;
     let payload_len = get_varint(&mut input)? as usize;
-    if input.len() < payload_len + 4 {
+    // The payload and the 4-byte trailer must fit in what is left. The
+    // sum is checked: a declared length near `usize::MAX` must not wrap.
+    if payload_len
+        .checked_add(4)
+        .is_none_or(|needed| input.len() < needed)
+    {
         return Err(DecodeError::BadLength);
     }
     let payload = Bytes::copy_from_slice(&input[..payload_len]);
@@ -239,6 +242,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rpclens_simcore::rng::Prng;
 
     fn frame(payload: &[u8]) -> RpcFrame {
         RpcFrame {
@@ -334,11 +338,139 @@ mod tests {
 
     #[test]
     fn flags_set_and_test() {
-        let f = Flags::default().with(Flags::ENCRYPTED).with(Flags::ERROR);
-        assert!(f.contains(Flags::ENCRYPTED));
+        let f = Flags::default().with(Flags::TRACED).with(Flags::ERROR);
+        assert!(f.contains(Flags::TRACED));
         assert!(f.contains(Flags::ERROR));
         assert!(!f.contains(Flags::COMPRESSED));
         assert!(!f.contains(Flags::RESPONSE));
+    }
+
+    /// A frame without its CRC trailer, with the offset of its
+    /// payload-length varint.
+    fn unsealed(frame: &RpcFrame) -> (Vec<u8>, usize) {
+        let payload = &frame.payload;
+        let encoded = encode_frame(frame);
+        let body = encoded[..encoded.len() - 4].to_vec();
+        let mut len_varint = BytesMut::new();
+        put_varint(&mut len_varint, payload.len() as u64);
+        let len_at = body.len() - payload.len() - len_varint.len();
+        (body, len_at)
+    }
+
+    /// Appends the CRC32 trailer over `body`.
+    fn seal(mut body: Vec<u8>) -> Vec<u8> {
+        let crc = crc32(&body);
+        body.extend_from_slice(&crc.to_be_bytes());
+        body
+    }
+
+    #[test]
+    fn max_payload_length_is_rejected_without_overflow() {
+        // A 48-byte datagram declaring a u64::MAX-byte payload: the
+        // length check used to overflow (a panic in debug builds, a
+        // wrapped sum and an out-of-range slice in release).
+        let small = RpcFrame {
+            header: RpcHeader {
+                method_id: 1,
+                trace_id: 2,
+                span_id: 3,
+                parent_span_id: 0,
+                deadline_ns: 0,
+                flags: Flags::default(),
+            },
+            payload: Bytes::copy_from_slice(b"data"),
+        };
+        let (body, len_at) = unsealed(&small);
+        let mut bytes = body[..len_at].to_vec();
+        bytes.extend_from_slice(&[0xFF; 9]);
+        bytes.push(0x01);
+        bytes.extend_from_slice(&body[len_at + 1..]);
+        let bytes = seal(bytes);
+        assert_eq!(bytes.len(), 48);
+        assert_eq!(decode_frame(&bytes), Err(DecodeError::BadLength));
+    }
+
+    /// Feeds `cases` mutated, truncated and re-sealed frames to
+    /// `decode_frame` and checks that it returns (never panics), and that
+    /// an accepted frame's payload fits in the input it came from.
+    fn fuzz_decode_frame(seed: u64, cases: usize) {
+        let mut rng = Prng::seed_from(seed);
+        let bases: Vec<(Vec<u8>, usize)> = [0usize, 1, 17, 127, 128, 1500]
+            .iter()
+            .map(|&len| {
+                let payload: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                unsealed(&frame(&payload))
+            })
+            .collect();
+        for case in 0..cases {
+            let (base, len_at) = rng.choose(&bases);
+            let mut body = base.clone();
+            for _ in 0..1 + rng.index(4) {
+                let at = rng.index(body.len() + 1);
+                match rng.index(7) {
+                    0 if at < body.len() => body[at] ^= 1 << rng.index(8),
+                    1 if at < body.len() => body[at] = *rng.choose(&[0x00, 0x01, 0x7F, 0x80, 0xFF]),
+                    2 => body.truncate(at),
+                    3 if at + 8 <= body.len() => {
+                        let random = rng.next_u64();
+                        let word = *rng.choose(&[0, 1, u64::MAX, random]);
+                        body[at..at + 8].copy_from_slice(&word.to_be_bytes());
+                    }
+                    4 => {
+                        let extra: Vec<u8> =
+                            (0..rng.index(40)).map(|_| rng.next_u64() as u8).collect();
+                        body.splice(at..at, extra);
+                    }
+                    5 => {
+                        let end = (at + rng.index(40)).min(body.len());
+                        body.drain(at..end);
+                    }
+                    _ if *len_at < body.len() => {
+                        // A varint of random width, or one at the top of
+                        // the range, in place of the payload length; the
+                        // rest of the frame is kept.
+                        let mut rest = &body[*len_at..];
+                        let _ = get_varint(&mut rest);
+                        let rest = rest.to_vec();
+                        let len = if rng.chance(0.25) {
+                            u64::MAX - rng.index(8) as u64
+                        } else {
+                            rng.next_u64() >> rng.index(64)
+                        };
+                        let mut v = BytesMut::new();
+                        put_varint(&mut v, len);
+                        body.truncate(*len_at);
+                        body.extend_from_slice(&v);
+                        body.extend_from_slice(&rest);
+                    }
+                    _ => {}
+                }
+            }
+            let input = if rng.chance(0.9) { seal(body) } else { body };
+            match std::panic::catch_unwind(|| decode_frame(&input)) {
+                Err(_) => {
+                    panic!("decode_frame panicked on case {case} (seed {seed}): {input:02x?}")
+                }
+                Ok(Err(_)) => {}
+                Ok(Ok(decoded)) => assert!(
+                    decoded.payload.len() + 4 <= input.len(),
+                    "case {case}: {}-byte payload from {} bytes",
+                    decoded.payload.len(),
+                    input.len()
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn fuzzed_frames_never_panic() {
+        fuzz_decode_frame(0xC0DE, 5_000);
+    }
+
+    #[test]
+    #[ignore = "long fuzz budget; run with --release -- --ignored"]
+    fn fuzzed_frames_never_panic_long() {
+        fuzz_decode_frame(0xC0DF, 500_000);
     }
 
     #[test]

@@ -329,19 +329,6 @@ impl StackCostModel {
         cost
     }
 
-    /// Total cycles both sides spend moving one message (sender plus
-    /// receiver).
-    pub fn message_cost(&self, payload_bytes: u64, compressed: bool, encrypted: bool) -> CycleCost {
-        let class = MessageClass {
-            compressed,
-            encrypted,
-            blob: false,
-        };
-        let mut cost = self.sender_cost(payload_bytes, class);
-        cost.merge(&self.receiver_cost(payload_bytes, class));
-        cost
-    }
-
     /// Converts cycles to wall time on a machine running at `slowdown`
     /// times the baseline clock (1.0 = baseline).
     pub fn cycles_to_time(&self, cycles: u64, slowdown: f64) -> SimDuration {
@@ -429,6 +416,19 @@ mod tests {
         StackCostModel::new(StackCostConfig::default())
     }
 
+    /// Cycles both endpoints spend moving one message (sender plus
+    /// receiver).
+    fn both_sides(m: &StackCostModel, bytes: u64, compressed: bool, encrypted: bool) -> CycleCost {
+        let class = MessageClass {
+            compressed,
+            encrypted,
+            blob: false,
+        };
+        let mut cost = m.sender_cost(bytes, class);
+        cost.merge(&m.receiver_cost(bytes, class));
+        cost
+    }
+
     #[test]
     fn component_nanos_sum_to_the_tax() {
         let m = model();
@@ -475,16 +475,16 @@ mod tests {
     #[test]
     fn cost_grows_with_size() {
         let m = model();
-        let small = m.message_cost(64, false, false).total();
-        let large = m.message_cost(64 * 1024, false, false).total();
+        let small = both_sides(&m, 64, false, false).total();
+        let large = both_sides(&m, 64 * 1024, false, false).total();
         assert!(large > small * 3, "small {small}, large {large}");
     }
 
     #[test]
     fn compression_adds_cycles_but_shrinks_wire_bytes() {
         let m = model();
-        let plain = m.message_cost(32 * 1024, false, false);
-        let compressed = m.message_cost(32 * 1024, true, false);
+        let plain = both_sides(&m, 32 * 1024, false, false);
+        let compressed = both_sides(&m, 32 * 1024, true, false);
         assert!(compressed.get(CycleCategory::Compression) > 0);
         assert_eq!(plain.get(CycleCategory::Compression), 0);
         assert!(m.wire_bytes(32 * 1024, true) < m.wire_bytes(32 * 1024, false));
@@ -495,8 +495,8 @@ mod tests {
     #[test]
     fn encryption_charges_per_wire_byte() {
         let m = model();
-        let plain = m.message_cost(4096, false, false);
-        let enc = m.message_cost(4096, false, true);
+        let plain = both_sides(&m, 4096, false, false);
+        let enc = both_sides(&m, 4096, false, true);
         assert_eq!(plain.get(CycleCategory::Encryption), 0);
         assert!(enc.get(CycleCategory::Encryption) >= 4096);
     }
@@ -506,7 +506,7 @@ mod tests {
         // The fleet's biggest tax component is compression (Fig. 20b);
         // for a typical compressed KB-scale message it should dominate.
         let m = model();
-        let c = m.message_cost(16 * 1024, true, true);
+        let c = both_sides(&m, 16 * 1024, true, true);
         assert!(c.get(CycleCategory::Compression) > c.get(CycleCategory::Serialization));
         assert!(c.get(CycleCategory::Compression) > c.get(CycleCategory::Networking));
     }
@@ -523,8 +523,8 @@ mod tests {
     #[test]
     fn merge_accumulates() {
         let m = model();
-        let a = m.message_cost(100, true, true);
-        let b = m.message_cost(200, false, false);
+        let a = both_sides(&m, 100, true, true);
+        let b = both_sides(&m, 200, false, false);
         let mut merged = a;
         merged.merge(&b);
         for (cat, cycles) in merged.iter() {
@@ -544,13 +544,9 @@ mod tests {
     #[test]
     fn packetization_steps_at_mtu_boundaries() {
         let m = model();
-        let one = m
-            .message_cost(500, false, false)
-            .get(CycleCategory::Networking);
-        let two = m
-            .message_cost(2000, false, false)
-            .get(CycleCategory::Networking);
-        // message_cost counts both endpoints, so one extra packet costs
+        let one = both_sides(&m, 500, false, false).get(CycleCategory::Networking);
+        let two = both_sides(&m, 2000, false, false).get(CycleCategory::Networking);
+        // both_sides counts both endpoints, so one extra packet costs
         // one per-packet charge on each side.
         assert_eq!(
             two - one,
@@ -565,7 +561,7 @@ mod tests {
             let m = model();
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
             prop_assert!(
-                m.message_cost(lo, true, true).total() <= m.message_cost(hi, true, true).total()
+                both_sides(&m, lo, true, true).total() <= both_sides(&m, hi, true, true).total()
             );
             prop_assert!(m.wire_bytes(lo, true) <= m.wire_bytes(hi, true));
         }

@@ -129,7 +129,10 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
 /// Decompresses a stream produced by [`compress`] into exactly
 /// `expected_len` bytes.
 pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>, CompressError> {
-    let mut out = Vec::with_capacity(expected_len);
+    // A 2-byte match token carries at most MAX_MATCH bytes, so no stream
+    // decompresses past `input.len() / 2 * MAX_MATCH`; a larger declared
+    // length is never reserved up front.
+    let mut out = Vec::with_capacity(expected_len.min(input.len() / 2 * MAX_MATCH));
     let mut i = 0usize;
     while i < input.len() {
         let flags = input[i];

@@ -63,17 +63,16 @@ pub fn fill_body(rng: &mut Prng, len: usize, out: &mut Vec<u8>) {
     }
 }
 
-/// Convenience: a fresh body vector.
-pub fn make_body(rng: &mut Prng, len: usize) -> Vec<u8> {
-    let mut out = Vec::new();
-    fill_body(rng, len, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compress;
+
+    fn make_body(rng: &mut Prng, len: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        fill_body(rng, len, &mut out);
+        out
+    }
 
     #[test]
     fn bodies_are_deterministic_per_seed() {

@@ -110,10 +110,6 @@ impl DedupCache {
         self.map.insert(key, reply);
         evicted
     }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
 }
 
 /// The wire server. See the module docs for the semantics contract.
@@ -173,11 +169,6 @@ impl<S: ServerTransport, H: Handler, K: SpanSink> WireServer<S, H, K> {
     /// Counters so far.
     pub fn stats(&self) -> ServerStats {
         self.stats
-    }
-
-    /// Current dedup-cache occupancy.
-    pub fn dedup_len(&self) -> usize {
-        self.dedup.len()
     }
 
     /// The underlying transport (e.g. to read a bound address).
@@ -467,7 +458,7 @@ mod tests {
                 .unwrap();
         }
         server.poll().unwrap();
-        assert_eq!(server.dedup_len(), 4);
+        assert_eq!(server.dedup.map.len(), 4);
         assert_eq!(server.stats().evictions, 6);
         // An evicted request re-executes (the cost of a bounded cache)...
         client.send(&encode_request(1, 10, 0, b"x", false)).unwrap();

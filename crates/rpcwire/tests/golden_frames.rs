@@ -21,7 +21,8 @@ fn golden_datagrams() -> Vec<(&'static str, Vec<u8>)> {
     // Compressible request: generator-made body (mixed runs / copies /
     // entropy), exercises the LZ path end to end.
     let mut rng = Prng::seed_from(42).stream(7);
-    let body = payload::make_body(&mut rng, 256);
+    let mut body = Vec::new();
+    payload::fill_body(&mut rng, 256, &mut body);
     let compressed_request = message::encode_request(17, 0x00C0_FFEE, 1, &body, true);
 
     // Incompressible request: a strictly increasing ramp has no 3-byte

@@ -1,10 +1,9 @@
-//! Deterministic discrete-event simulation core for the `rpclens` workspace.
+//! Deterministic simulation core for the `rpclens` workspace.
 //!
 //! This crate provides the substrate every other crate builds on:
 //!
 //! - [`time`]: nanosecond-resolution simulated time ([`time::SimTime`],
 //!   [`time::SimDuration`]).
-//! - [`event`]: a time-ordered, FIFO-stable event queue ([`event::EventQueue`]).
 //! - [`rng`]: a deterministic, splittable pseudo-random number generator
 //!   ([`rng::Prng`]) so that every simulation run is exactly reproducible from
 //!   a single master seed, independent of platform or thread interleaving.
@@ -40,7 +39,6 @@
 
 pub mod alias;
 pub mod dist;
-pub mod event;
 pub mod hist;
 pub mod renewal;
 pub mod rng;
@@ -56,7 +54,6 @@ pub mod prelude {
             BoundedPareto, Constant, Exponential, LogNormal, Mixture, Pareto, Sample, Shifted,
             Uniform, Weibull,
         },
-        event::EventQueue,
         hist::LogHistogram,
         renewal::{AlternatingRenewal, RenewalParams},
         rng::Prng,

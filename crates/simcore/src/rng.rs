@@ -46,8 +46,8 @@ impl SplitMix64 {
 
 /// A deterministic xoshiro256** PRNG with convenience sampling methods.
 ///
-/// Cloning a `Prng` duplicates its stream; use [`Prng::split`] or
-/// [`Prng::stream`] to derive *independent* sub-streams instead.
+/// Cloning a `Prng` duplicates its stream; use [`Prng::stream`] or
+/// [`Prng::substream`] to derive *independent* sub-streams instead.
 #[derive(Debug, Clone)]
 pub struct Prng {
     s: [u64; 4],
@@ -87,12 +87,6 @@ impl Prng {
             *slot = sm.next_u64();
         }
         Prng { s }
-    }
-
-    /// Splits off an independent child generator, advancing this one.
-    pub fn split(&mut self) -> Prng {
-        let label = self.next_u64();
-        self.stream(label)
     }
 
     /// Derives the `index`-th counter-based sub-stream.
@@ -335,7 +329,7 @@ mod tests {
         #[test]
         fn split_children_are_independent_of_consumption_order(seed: u64) {
             // Deriving stream(k) must not depend on how much the parent has
-            // been used when using `stream` (as opposed to `split`).
+            // been used.
             let parent = Prng::seed_from(seed);
             let mut c1 = parent.stream(5);
             let mut throwaway = parent.clone();

@@ -190,7 +190,11 @@ mod tests {
         let mut store = TraceStore::new();
         store.add(trace_with_methods(&[7, 7, 7]));
         let mut n = 0;
-        MethodQuery::unfiltered().for_each(&store, MethodId(7), |trace, span| {
+        let everything = MethodQuery {
+            exclude_errors: false,
+            ..MethodQuery::default()
+        };
+        everything.for_each(&store, MethodId(7), |trace, span| {
             assert_eq!(trace.len(), 3);
             assert_eq!(span.method, MethodId(7));
             n += 1;

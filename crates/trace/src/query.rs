@@ -48,16 +48,6 @@ impl Default for MethodQuery {
 }
 
 impl MethodQuery {
-    /// A query that keeps everything (for error accounting).
-    pub fn unfiltered() -> Self {
-        MethodQuery {
-            exclude_errors: false,
-            intra_cluster_only: false,
-            server_cluster: None,
-            min_samples: 1,
-        }
-    }
-
     /// Whether a span passes this query's filters.
     fn accepts(&self, span: &SpanRecord) -> bool {
         if self.exclude_errors && !span.is_ok() {
@@ -220,9 +210,12 @@ mod tests {
         let q = MethodQuery::default();
         let samples = q.samples(&store, MethodId(1), latency).unwrap();
         assert_eq!(samples.len(), 135); // 150 minus 15 errors.
-        let all = MethodQuery::unfiltered()
-            .samples(&store, MethodId(1), latency)
-            .unwrap();
+        let all = MethodQuery {
+            exclude_errors: false,
+            ..q
+        }
+        .samples(&store, MethodId(1), latency)
+        .unwrap();
         assert_eq!(all.len(), 150);
     }
 
@@ -298,7 +291,11 @@ mod tests {
         store.add(TraceData::new(SimTime::ZERO, vec![single.build()]));
         let queries = [
             MethodQuery::default(),
-            MethodQuery::unfiltered(),
+            MethodQuery {
+                exclude_errors: false,
+                min_samples: 1,
+                ..MethodQuery::default()
+            },
             MethodQuery {
                 min_samples: 0,
                 ..MethodQuery::default()
