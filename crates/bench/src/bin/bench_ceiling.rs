@@ -9,7 +9,9 @@
 //! **`gate`** runs the `smoke` preset sequentially (1 shard, 1 thread)
 //! `N` times (default 3), takes the *best* wall clock — best-of-N is
 //! far more noise-robust on shared CI runners than the mean — and
-//! converts it to nanoseconds per simulated RPC (span). It exits
+//! converts it to nanoseconds per simulated RPC (span). Its report line
+//! also carries every run's ns/RPC with their median and max, pass or
+//! fail, so a log tells a noise burst from a regression. It exits
 //! non-zero if that exceeds the committed ceiling in
 //! `crates/bench/BENCH_driver.json` (`ceiling.smoke_ns_per_rpc`
 //! inflated by `ceiling.regression_tolerance`). The ceiling is
@@ -41,6 +43,7 @@ use rpclens_bench::peak_rss_bytes;
 use rpclens_bench::scale_by_name;
 use rpclens_fleet::driver::{run_fleet, FleetConfig, SimScale};
 use rpclens_obs::json;
+use rpclens_simcore::stats::percentile;
 
 /// The committed baseline, resolved at compile time relative to this
 /// crate; `--baseline PATH` overrides it.
@@ -133,7 +136,7 @@ fn gate(baseline_path: &str, runs: usize) {
         .expect("ceiling.regression_tolerance");
     let limit = ceiling_ns * (1.0 + tolerance);
 
-    let mut best_ns_per_rpc = f64::INFINITY;
+    let mut per_run = Vec::with_capacity(runs);
     let mut spans = 0u64;
     for i in 0..runs {
         let t0 = std::time::Instant::now();
@@ -152,12 +155,21 @@ fn gate(baseline_path: &str, runs: usize) {
             ns_per_rpc,
             run.total_spans
         );
-        best_ns_per_rpc = best_ns_per_rpc.min(ns_per_rpc);
+        per_run.push(ns_per_rpc);
     }
+    // Every run, not only the best, so a log tells a noise burst (a
+    // wide spread) from a regression (every run high).
+    let all: Vec<String> = per_run.iter().map(|ns| format!("{ns:.0}")).collect();
+    per_run.sort_by(f64::total_cmp);
+    let best_ns_per_rpc = per_run[0];
     println!(
         "bench-ceiling: best {best_ns_per_rpc:.0} ns/RPC ({spans} RPCs/run), \
-         ceiling {ceiling_ns:.0} +{:.0}% = {limit:.0} ns/RPC",
-        tolerance * 100.0
+         ceiling {ceiling_ns:.0} +{:.0}% = {limit:.0} ns/RPC; \
+         median {:.0}, max {:.0} over {runs} runs [{}]",
+        tolerance * 100.0,
+        percentile(&per_run, 0.5).expect("at least one run"),
+        per_run[runs - 1],
+        all.join(" "),
     );
     if best_ns_per_rpc > limit {
         eprintln!(

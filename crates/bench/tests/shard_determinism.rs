@@ -41,19 +41,21 @@ fn run_with_shards(shards: usize) -> FleetRun {
 fn figures_are_bit_identical_at_any_shard_count() {
     let mut base = run_with_shards(1);
 
-    // The analysis reads `config.threads` too (the per-method passes and
-    // Table 2's site sweep run on that many pool workers), so its width
-    // must not show either. Two is the benchmark's width; three splits
-    // the chunks unevenly across the workers.
+    // The analysis reads `config.threads` too (the per-method summary
+    // table and Table 2's site sweep run on that many pool workers), so
+    // its width must not show either. Two is the benchmark's width;
+    // three splits the chunks unevenly across the workers. The table is
+    // built once per run, so each width gets a fresh run.
     base.config.threads = 1;
     let serial: Vec<String> = Artifact::ALL
         .iter()
         .map(|&artifact| produce(artifact, Some(&base)).0)
         .collect();
     for threads in [2, 3] {
-        base.config.threads = threads;
+        let mut wide_run = run_with_shards(1);
+        wide_run.config.threads = threads;
         for (artifact, text) in Artifact::ALL.into_iter().zip(&serial) {
-            let (wide, _) = produce(artifact, Some(&base));
+            let (wide, _) = produce(artifact, Some(&wide_run));
             assert_eq!(
                 &wide,
                 text,
@@ -119,6 +121,28 @@ fn figures_are_bit_identical_at_any_shard_count() {
                 artifact.name()
             );
         }
+    }
+}
+
+/// The per-method figures share one summary table per run, built by
+/// whichever artifact asks first; no artifact's text may depend on which
+/// one that was.
+#[test]
+fn figures_do_not_depend_on_artifact_order() {
+    let forward = run_with_shards(1);
+    let in_order: Vec<String> = Artifact::ALL
+        .iter()
+        .map(|&artifact| produce(artifact, Some(&forward)).0)
+        .collect();
+    let backward = run_with_shards(1);
+    for (artifact, text) in Artifact::ALL.into_iter().zip(&in_order).rev() {
+        let (reversed, _) = produce(artifact, Some(&backward));
+        assert_eq!(
+            &reversed,
+            text,
+            "artifact {} differs when the artifacts run in reverse order",
+            artifact.name()
+        );
     }
 }
 

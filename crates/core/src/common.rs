@@ -3,17 +3,23 @@
 //! Per-method reductions run on the run's worker pool: [`chunked_sweep`]
 //! splits a slice into contiguous chunks, reduces each on
 //! `fleet::pool::run_shards` with `run.config.threads` workers and folds
-//! the results in chunk order. [`per_method`] and [`method_rows`] use it
-//! to reduce each method independently and concatenate the rows in
-//! ascending method id, exactly as [`MethodQuery::groups`] yields them,
-//! so every per-method result is the same at any width.
+//! the results in chunk order. [`per_method`] uses it to reduce each
+//! method independently and keep the rows in method order, so every
+//! per-method result is the same at any width.
+//!
+//! The per-method figures read one table per run ([`summaries`]): every
+//! [`Column`] they summarise, built in one walk of each method's spans
+//! the first time a figure asks for it.
 
+use crate::figs::fig12::WIRE_AND_STACK;
+use crate::figs::fig13::QUEUES;
 use rpclens_fleet::driver::FleetRun;
 use rpclens_fleet::pool::run_shards;
 use rpclens_rpcstack::component::LatencyComponent;
 use rpclens_simcore::stats::{percentile, sorted_finite, QuantileSummary};
 use rpclens_trace::query::{MethodQuery, MIN_SAMPLES};
-use rpclens_trace::span::{MethodId, SpanRecord, TraceData};
+use rpclens_trace::span::{MethodId, SpanRecord};
+use rpclens_trace::summary::{MethodRow, MethodTable};
 use rpclens_trace::tree::TreeStats;
 use serde::{Deserialize, Serialize};
 
@@ -73,45 +79,160 @@ pub fn per_method<R: Send>(
     )
 }
 
-/// The per-method pass: every method of the store that passes `query`
-/// with its [`MethodQuery::samples`] of `metric`, reduced by `reduce` on
-/// the run's worker pool. Rows come out in ascending method id; the
-/// groups `reduce` sees are exactly those [`MethodQuery::groups`]
-/// yields.
-pub fn method_rows<T, R>(
-    run: &FleetRun,
-    query: &MethodQuery,
-    metric: impl Fn(&TraceData, &SpanRecord) -> T + Sync,
-    reduce: impl Fn(MethodId, Vec<T>) -> Option<R> + Sync,
-) -> Vec<R>
-where
-    R: Send,
-{
-    per_method(run, &run.store.methods(), |m| {
-        query
-            .samples(&run.store, m, &metric)
-            .and_then(|values| reduce(m, values))
-    })
+/// A column of the run's per-method summary table.
+///
+/// The span columns summarise each method's spans under
+/// `MethodQuery::default()` (errors excluded, at least [`MIN_SAMPLES`]
+/// of them); the tree-shape columns summarise every retained span of
+/// each method with at least [`MIN_SAMPLES`], errors included.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Column {
+    /// Completion time, seconds (Figs. 2 and 3, Fig. 10's P95s, Fig.
+    /// 21's medians).
+    Latency,
+    /// Request size, bytes (Fig. 6, Fig. 21's medians, Table 1).
+    RequestBytes,
+    /// Response size, bytes (Fig. 6, Table 1).
+    ResponseBytes,
+    /// Response/request size ratio (Fig. 7).
+    ResponseRatio,
+    /// Latency tax over completion time (Fig. 11).
+    TaxRatio,
+    /// Wire plus processing latency, seconds (Fig. 12).
+    WireAndStack,
+    /// Queueing latency, seconds (Fig. 13).
+    Queues,
+    /// Ancestors per span (Fig. 5).
+    Ancestors,
+    /// Descendants per span (Figs. 4 and 5).
+    Descendants,
 }
 
-/// One row of a per-method "heatmap": the method and its metric quantiles.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct MethodRow {
-    /// The method.
-    pub method: MethodId,
-    /// Quantiles of the metric for this method.
-    pub summary: QuantileSummary,
+/// The number of columns.
+const COLUMNS: usize = Column::Descendants as usize + 1;
+
+/// The number of span columns: those before [`Column::Ancestors`].
+const SPAN_COLUMNS: usize = Column::Ancestors as usize;
+
+/// One span's values of every span column, in [`Column`] order.
+fn span_values(span: &SpanRecord) -> [f64; SPAN_COLUMNS] {
+    [
+        span.total_latency().as_secs_f64(),
+        span.request_bytes as f64,
+        span.response_bytes as f64,
+        span.response_bytes as f64 / (span.request_bytes as f64).max(1.0),
+        span.breakdown().tax_ratio().unwrap_or(0.0),
+        component_sum_secs(span, &WIRE_AND_STACK),
+        component_sum_secs(span, &QUEUES),
+    ]
 }
 
-impl MethodRow {
-    /// Summarises one method's samples, or `None` if none is finite.
-    pub fn new(method: MethodId, values: Vec<f64>) -> Option<MethodRow> {
-        QuantileSummary::from_samples(values).map(|summary| MethodRow { method, summary })
+/// The run's per-method summary table, built on the first call for the
+/// run's current store and shared by every later one.
+pub(crate) fn summaries(run: &FleetRun) -> &MethodTable {
+    run.store.method_table(|| build_summaries(run))
+}
+
+/// The rows of one column, in ascending method id.
+pub(crate) fn column(run: &FleetRun, c: Column) -> &[MethodRow] {
+    summaries(run).column(c as usize)
+}
+
+/// One method's summary in one column, if the method has one.
+pub(crate) fn summary(run: &FleetRun, c: Column, method: MethodId) -> Option<&QuantileSummary> {
+    summaries(run).get(c as usize, method)
+}
+
+/// One column as a heatmap, sorted by median.
+pub(crate) fn heatmap(run: &FleetRun, c: Column) -> MethodHeatmap {
+    MethodHeatmap::from_rows(column(run, c).to_vec())
+}
+
+/// Builds the summary table on the run's worker pool: one walk of each
+/// method's accepted spans pushes every span column at once, then one
+/// tree-shape pass fills the two count columns.
+fn build_summaries(run: &FleetRun) -> MethodTable {
+    #[cfg(test)]
+    BUILDS.with(|b| b.set(b.get() + 1));
+    let store = &run.store;
+    let methods = store.methods();
+    let query = MethodQuery::default();
+    let mut columns = vec![Vec::new(); COLUMNS];
+    let rows = per_method(run, &methods, |m| {
+        let values = query.columns(store, m, |_, s| span_values(s))?;
+        Some(values.map(|v| MethodRow::new(m, v)))
+    });
+    for row in rows {
+        for (column, row) in columns.iter_mut().zip(row) {
+            column.extend(row);
+        }
     }
+    let [ancestors, descendants] = tree_shape_rows(run, &methods);
+    columns[Column::Ancestors as usize] = ancestors;
+    columns[Column::Descendants as usize] = descendants;
+    MethodTable::new(columns)
 }
 
-/// A per-method heatmap, sorted by the median of the metric — the layout
-/// every per-method figure in the paper uses.
+#[cfg(test)]
+thread_local! {
+    /// Tables built on this thread, so a test can count them.
+    static BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Per-method rows of per-span call-tree counts, ancestors and then
+/// descendants, over every retained span (errors included) of each of
+/// `methods` with at least [`MIN_SAMPLES`] spans.
+///
+/// Each trace's [`TreeStats`] is computed once, on the run's worker pool,
+/// into one flat table of both counts in (trace, span) order; one
+/// per-method pass then reads it through the store's span index.
+fn tree_shape_rows(run: &FleetRun, methods: &[MethodId]) -> [Vec<MethodRow>; 2] {
+    let traces = run.store.traces();
+    let table: Vec<[u32; 2]> = chunked_sweep(
+        run,
+        traces,
+        TRACES_PER_CHUNK,
+        |chunk| {
+            let mut out = Vec::new();
+            for trace in chunk {
+                let stats = TreeStats::compute(trace);
+                out.extend(
+                    (0..trace.spans.len()).map(|i| [stats.ancestors[i], stats.descendants[i]]),
+                );
+            }
+            out
+        },
+        |table: &mut Vec<[u32; 2]>, more| table.extend(more),
+    );
+    // Where each trace's spans start in the table.
+    let mut first = Vec::with_capacity(traces.len());
+    let mut at = 0;
+    for trace in traces {
+        first.push(at);
+        at += trace.spans.len();
+    }
+    let rows = per_method(run, methods, |m| {
+        let spans = run.store.spans_of(m);
+        (spans.len() >= MIN_SAMPLES).then(|| {
+            [0, 1].map(|k| {
+                let values = spans
+                    .iter()
+                    .map(|&(t, s)| f64::from(table[first[t as usize] + s as usize][k]))
+                    .collect();
+                MethodRow::new(m, values).expect("counts are finite")
+            })
+        })
+    });
+    let mut columns = [Vec::new(), Vec::new()];
+    for [ancestors, descendants] in rows {
+        columns[0].push(ancestors);
+        columns[1].push(descendants);
+    }
+    columns
+}
+
+/// A per-method "heatmap": the rows of one column sorted by median — the
+/// layout every per-method figure in the paper uses.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct MethodHeatmap {
     /// Rows in ascending median order.
@@ -119,17 +240,6 @@ pub struct MethodHeatmap {
 }
 
 impl MethodHeatmap {
-    /// Builds a heatmap from per-method samples produced by `metric`, on
-    /// the run's worker pool ([`method_rows`]).
-    ///
-    /// Methods failing the query's sample-count gate are skipped.
-    pub fn build<F>(run: &FleetRun, query: &MethodQuery, metric: F) -> MethodHeatmap
-    where
-        F: Fn(&TraceData, &SpanRecord) -> f64 + Sync,
-    {
-        Self::from_rows(method_rows(run, query, metric, MethodRow::new))
-    }
-
     /// Orders rows given in ascending method id by median (a stable sort,
     /// so methods with equal medians stay in id order).
     pub fn from_rows(mut rows: Vec<MethodRow>) -> MethodHeatmap {
@@ -181,55 +291,6 @@ impl MethodHeatmap {
     }
 }
 
-/// Per-method heatmaps of per-span call-tree counts (Figs. 4 and 5), one
-/// for each of `counts`, over every retained span (errors included) of
-/// each method with at least [`MIN_SAMPLES`] spans.
-///
-/// Each trace's [`TreeStats`] is computed once, on the run's worker pool,
-/// and the requested counts are kept in one flat table in (trace, span)
-/// order; one per-method pass per count then reads it through the
-/// store's span index.
-pub fn tree_shape_heatmaps<const N: usize>(
-    run: &FleetRun,
-    counts: [fn(&TreeStats, usize) -> u32; N],
-) -> [MethodHeatmap; N] {
-    let traces = run.store.traces();
-    let table: Vec<[u32; N]> = chunked_sweep(
-        run,
-        traces,
-        TRACES_PER_CHUNK,
-        |chunk| {
-            let mut out = Vec::new();
-            for trace in chunk {
-                let stats = TreeStats::compute(trace);
-                out.extend((0..trace.spans.len()).map(|i| counts.map(|count| count(&stats, i))));
-            }
-            out
-        },
-        |table: &mut Vec<[u32; N]>, more| table.extend(more),
-    );
-    // Where each trace's spans start in the table.
-    let mut first = Vec::with_capacity(traces.len());
-    let mut at = 0;
-    for trace in traces {
-        first.push(at);
-        at += trace.spans.len();
-    }
-    let methods = run.store.methods();
-    std::array::from_fn(|k| {
-        MethodHeatmap::from_rows(per_method(run, &methods, |m| {
-            let spans = run.store.spans_of(m);
-            (spans.len() >= MIN_SAMPLES).then(|| {
-                let values = spans
-                    .iter()
-                    .map(|&(t, s)| f64::from(table[first[t as usize] + s as usize][k]))
-                    .collect();
-                MethodRow::new(m, values).expect("counts are finite")
-            })
-        }))
-    })
-}
-
 /// Sums a group of latency components for a span, in seconds.
 pub fn component_sum_secs(span: &SpanRecord, components: &[LatencyComponent]) -> f64 {
     components
@@ -279,22 +340,16 @@ pub(crate) mod testrun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use common_tests::*;
+    use crate::figs;
     use rpclens_fleet::driver::{run_fleet, FleetConfig, SimScale};
     use rpclens_simcore::time::SimDuration;
     use rpclens_trace::collector::TraceStore;
     use rpclens_trace::query::TreeShapeSamples;
-    use std::collections::HashMap;
-
-    mod common_tests {
-        pub use super::super::testrun::shared;
-    }
+    use testrun::shared;
 
     #[test]
     fn heatmap_is_sorted_by_median() {
-        let run = shared();
-        let q = MethodQuery::default();
-        let hm = MethodHeatmap::build(run, &q, |_, s| s.total_latency().as_secs_f64());
+        let hm = heatmap(shared(), Column::Latency);
         assert!(hm.len() > 30, "{} methods", hm.len());
         assert!(hm
             .rows
@@ -304,9 +359,7 @@ mod tests {
 
     #[test]
     fn across_methods_matches_rows() {
-        let run = shared();
-        let q = MethodQuery::default();
-        let hm = MethodHeatmap::build(run, &q, |_, s| s.total_latency().as_secs_f64());
+        let hm = heatmap(shared(), Column::Latency);
         let medians = hm.across_methods(0.5);
         assert_eq!(medians.len(), hm.len());
         // Sorted output.
@@ -324,9 +377,9 @@ mod tests {
         assert_eq!(hm.fraction_where(0.5, |v| v > 0.0), 1.0);
     }
 
-    /// A run small enough to rebuild per test, owned so its width can be
-    /// changed.
-    fn small_run() -> FleetRun {
+    /// A run small enough to rebuild per test, owned so its width and
+    /// store can be changed.
+    fn small_run(seed: u64) -> FleetRun {
         let scale = SimScale {
             name: "common-test",
             total_methods: 320,
@@ -334,133 +387,168 @@ mod tests {
             duration: SimDuration::from_hours(24),
             trace_sample_rate: 1,
             profiler_sample_cap: 10_000,
-            seed: 23,
+            seed,
         };
         run_fleet(FleetConfig::at_scale(scale))
     }
 
-    /// The per-method pass's groups, keyed and ordered as `groups` yields
-    /// them, with latencies compared bit for bit.
-    fn pass(run: &FleetRun, q: &MethodQuery) -> Vec<(MethodId, Vec<u64>)> {
-        method_rows(run, q, latency_secs, |m, v| {
-            Some((m, v.iter().map(|x| x.to_bits()).collect()))
-        })
-    }
+    /// A column's rows with every summary field as bits.
+    type Bits = Vec<(MethodId, usize, [u64; 7])>;
 
-    fn serial(run: &FleetRun, q: &MethodQuery) -> Vec<(MethodId, Vec<u64>)> {
-        q.groups(&run.store, latency_secs)
-            .map(|(m, v)| (m, v.iter().map(|x| x.to_bits()).collect()))
+    fn bits(rows: &[MethodRow]) -> Bits {
+        rows.iter()
+            .map(|r| {
+                let s = &r.summary;
+                let q = [s.p01, s.p10, s.p50, s.p90, s.p95, s.p99, s.mean];
+                (r.method, s.count, q.map(f64::to_bits))
+            })
             .collect()
     }
 
-    /// Every span of every method with at least one.
-    fn unfiltered() -> MethodQuery {
-        MethodQuery {
-            exclude_errors: false,
-            min_samples: 1,
-            ..MethodQuery::default()
-        }
+    fn table_bits(table: &MethodTable) -> Vec<Bits> {
+        (0..COLUMNS).map(|k| bits(table.column(k))).collect()
     }
 
-    fn latency_secs(_: &TraceData, s: &SpanRecord) -> f64 {
-        s.total_latency().as_secs_f64()
+    /// The span columns built serially from `MethodQuery::groups`, each
+    /// summarised by `QuantileSummary`.
+    fn serial_span_columns(store: &TraceStore) -> Vec<Bits> {
+        (0..SPAN_COLUMNS)
+            .map(|k| {
+                let rows: Vec<MethodRow> = MethodQuery::default()
+                    .groups(store, |_, s| span_values(s)[k])
+                    .filter_map(|(m, v)| MethodRow::new(m, v))
+                    .collect();
+                bits(&rows)
+            })
+            .collect()
+    }
+
+    /// The tree-shape columns built serially from `TreeShapeSamples`.
+    fn serial_tree_shapes(store: &TraceStore) -> Vec<Bits> {
+        let shapes = TreeShapeSamples::compute(store);
+        [&shapes.ancestors, &shapes.descendants]
+            .map(|samples| {
+                let mut methods: Vec<MethodId> = samples.keys().copied().collect();
+                methods.sort_unstable();
+                let rows: Vec<MethodRow> = methods
+                    .into_iter()
+                    .filter(|m| samples[m].len() >= MIN_SAMPLES)
+                    .filter_map(|m| MethodRow::new(m, samples[&m].clone()))
+                    .collect();
+                bits(&rows)
+            })
+            .to_vec()
+    }
+
+    fn serial_table(store: &TraceStore) -> Vec<Bits> {
+        let mut columns = serial_span_columns(store);
+        columns.extend(serial_tree_shapes(store));
+        columns
     }
 
     #[test]
-    fn method_rows_match_serial_groups_at_any_width() {
-        let mut run = small_run();
-        let queries = [
-            MethodQuery::default(),
-            unfiltered(),
-            MethodQuery {
-                intra_cluster_only: true,
-                min_samples: 0,
-                ..MethodQuery::default()
-            },
-        ];
-        for q in queries {
-            let expect = serial(&run, &q);
+    fn summary_columns_match_serial_groups_at_any_width() {
+        let mut run = small_run(23);
+        let expect = serial_span_columns(&run.store);
+        for (k, rows) in expect.iter().enumerate() {
             assert!(
-                expect.len() > 2 * METHODS_PER_CHUNK,
-                "{q:?}: {} groups span too few chunks",
-                expect.len()
+                rows.len() > 2 * METHODS_PER_CHUNK,
+                "column {k}: {} rows span too few chunks",
+                rows.len()
             );
-            for threads in [1, 2, 3, 8] {
-                run.config.threads = threads;
-                assert_eq!(pass(&run, &q), expect, "{q:?} at threads={threads}");
-            }
         }
-    }
-
-    #[test]
-    fn method_rows_skip_methods_below_the_gate() {
-        let mut run = small_run();
-        let gated = MethodQuery {
-            min_samples: usize::MAX,
-            ..MethodQuery::default()
-        };
         for threads in [1, 2, 3, 8] {
             run.config.threads = threads;
-            assert!(pass(&run, &gated).is_empty(), "threads={threads}");
-            assert!(MethodHeatmap::build(&run, &gated, latency_secs).is_empty());
-        }
-        // An empty store is one empty chunk, not a pool with no work.
-        run.store = TraceStore::new();
-        for threads in [1, 2, 3, 8] {
-            run.config.threads = threads;
-            for q in [MethodQuery::default(), unfiltered()] {
-                assert_eq!(pass(&run, &q), serial(&run, &q), "threads={threads}");
-                assert!(pass(&run, &q).is_empty());
-            }
-            let [shapes] = tree_shape_heatmaps(&run, [|stats, i| stats.descendants[i]]);
-            assert!(shapes.is_empty());
+            let got = table_bits(&build_summaries(&run));
+            assert_eq!(got[..SPAN_COLUMNS], expect[..], "threads={threads}");
         }
     }
 
     #[test]
     fn tree_shapes_match_the_serial_samples() {
-        let mut run = small_run();
-        let serial = TreeShapeSamples::compute(&run.store);
-        let heatmap = |samples: &HashMap<MethodId, Vec<f64>>| {
-            let mut methods: Vec<MethodId> = samples.keys().copied().collect();
-            methods.sort_unstable();
-            MethodHeatmap::from_rows(
-                methods
-                    .into_iter()
-                    .filter(|m| samples[m].len() >= MIN_SAMPLES)
-                    .filter_map(|m| MethodRow::new(m, samples[&m].clone()))
-                    .collect(),
-            )
-        };
-        let bits = |hm: &MethodHeatmap| -> Vec<(MethodId, usize, [u64; 7])> {
-            hm.rows
-                .iter()
-                .map(|r| {
-                    let s = &r.summary;
-                    let q = [s.p01, s.p10, s.p50, s.p90, s.p95, s.p99, s.mean];
-                    (r.method, s.count, q.map(f64::to_bits))
-                })
-                .collect()
-        };
-        let expect = [heatmap(&serial.ancestors), heatmap(&serial.descendants)].map(|hm| bits(&hm));
+        let mut run = small_run(23);
+        let expect = serial_tree_shapes(&run.store);
         assert!(expect[0].len() > 2 * METHODS_PER_CHUNK);
         assert!(run.store.len() > 2 * TRACES_PER_CHUNK);
         for threads in [1, 2, 3, 8] {
             run.config.threads = threads;
-            let got = tree_shape_heatmaps(
-                &run,
-                [
-                    |stats, i| stats.ancestors[i],
-                    |stats, i| stats.descendants[i],
-                ],
-            );
-            assert_eq!(got.map(|hm| bits(&hm)), expect, "threads={threads}");
+            let got = table_bits(&build_summaries(&run));
+            assert_eq!(got[SPAN_COLUMNS..], expect[..], "threads={threads}");
         }
     }
 
     #[test]
+    fn summaries_skip_methods_below_the_gate() {
+        let mut run = small_run(23);
+        let table = build_summaries(&run);
+        let mut below = 0;
+        for m in run.store.methods() {
+            let mut accepted = 0;
+            MethodQuery::default().for_each(&run.store, m, |_, _| accepted += 1);
+            let retained = run.store.spans_of(m).len();
+            below += usize::from(accepted < MIN_SAMPLES);
+            for k in 0..SPAN_COLUMNS {
+                let row = table.get(k, m);
+                assert_eq!(row.is_some(), accepted >= MIN_SAMPLES, "{m:?} column {k}");
+                assert!(row.is_none_or(|s| s.count == accepted), "{m:?} column {k}");
+            }
+            for k in [Column::Ancestors, Column::Descendants] {
+                let row = table.get(k as usize, m);
+                assert_eq!(
+                    row.map(|s| s.count),
+                    (retained >= MIN_SAMPLES).then_some(retained)
+                );
+            }
+        }
+        assert!(below > 0, "some method must fall below the gate");
+        // An empty store is one empty chunk, not a pool with no work.
+        run.store = TraceStore::new();
+        for threads in [1, 2, 3, 8] {
+            run.config.threads = threads;
+            let empty = build_summaries(&run);
+            assert!((0..COLUMNS).all(|k| empty.column(k).is_empty()));
+        }
+    }
+
+    #[test]
+    fn summaries_are_built_once_per_run() {
+        let run = small_run(23);
+        BUILDS.with(|b| b.set(0));
+        let first: *const MethodTable = summaries(&run);
+        // Every reader of the table, in reverse artifact order.
+        figs::table1::checks(&run);
+        figs::table1::render(&run);
+        figs::fig21::compute(&run);
+        figs::fig13::compute(&run);
+        figs::fig12::compute(&run);
+        figs::fig11::compute(&run);
+        figs::fig10::compute(&run);
+        figs::fig07::compute(&run);
+        figs::fig06::compute(&run);
+        figs::fig05::compute(&run);
+        figs::fig04::compute(&run);
+        figs::fig03::compute(&run);
+        figs::fig02::compute(&run);
+        assert!(std::ptr::eq(first, summaries(&run)));
+        assert_eq!(BUILDS.with(|b| b.get()), 1);
+    }
+
+    #[test]
+    fn summaries_follow_a_replaced_store() {
+        let mut run = small_run(23);
+        let mut other = small_run(29);
+        let before = table_bits(summaries(&run));
+        run.store = std::mem::take(&mut other.store);
+        let after = table_bits(summaries(&run));
+        assert_ne!(after, before, "the two seeds must give different tables");
+        assert_eq!(after, serial_table(&run.store));
+        run.store = TraceStore::new();
+        assert!(column(&run, Column::Latency).is_empty());
+    }
+
+    #[test]
     fn chunked_sweep_folds_in_chunk_order() {
-        let mut run = small_run();
+        let mut run = small_run(23);
         let items: Vec<usize> = (0..100).collect();
         for threads in [1, 2, 3, 8] {
             run.config.threads = threads;

@@ -7,10 +7,9 @@
 //! seconds, with enormous within-method spread.
 
 use crate::check::ExpectationSet;
-use crate::common::MethodHeatmap;
+use crate::common::{heatmap, Column, MethodHeatmap};
 use crate::render::{fmt_secs, sketch_cdf, TextTable};
 use rpclens_fleet::driver::FleetRun;
-use rpclens_trace::query::MethodQuery;
 
 /// The computed figure: the per-method latency heatmap.
 #[derive(Debug)]
@@ -21,9 +20,8 @@ pub struct Fig02 {
 
 /// Computes the figure from a fleet run.
 pub fn compute(run: &FleetRun) -> Fig02 {
-    let query = MethodQuery::default();
     Fig02 {
-        heatmap: MethodHeatmap::build(run, &query, |_, s| s.total_latency().as_secs_f64()),
+        heatmap: heatmap(run, Column::Latency),
     }
 }
 

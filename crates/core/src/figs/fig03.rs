@@ -6,10 +6,9 @@
 //! 1.1% of calls but 89% of total RPC time.
 
 use crate::check::ExpectationSet;
-use crate::common::MethodHeatmap;
+use crate::common::{heatmap, Column};
 use crate::render::{fmt_pct, TextTable};
 use rpclens_fleet::driver::FleetRun;
-use rpclens_trace::query::MethodQuery;
 use rpclens_trace::span::MethodId;
 
 /// The computed figure.
@@ -39,8 +38,7 @@ pub struct Fig03 {
 
 /// Computes the figure.
 pub fn compute(run: &FleetRun) -> Fig03 {
-    let query = MethodQuery::default();
-    let heatmap = MethodHeatmap::build(run, &query, |_, s| s.total_latency().as_secs_f64());
+    let heatmap = heatmap(run, Column::Latency);
     let total_calls: u64 = run.method_calls.iter().sum();
 
     let by_latency: Vec<(MethodId, u64, f64)> = heatmap

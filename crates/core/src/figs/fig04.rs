@@ -5,7 +5,7 @@
 //! 1155 — call trees are bursty and heavy-tailed.
 
 use crate::check::ExpectationSet;
-use crate::common::{tree_shape_heatmaps, MethodHeatmap};
+use crate::common::{heatmap, Column, MethodHeatmap};
 use crate::render::{sketch_cdf, TextTable};
 use rpclens_fleet::driver::FleetRun;
 use rpclens_simcore::stats::percentile;
@@ -19,8 +19,9 @@ pub struct Fig04 {
 
 /// Computes per-method descendant counts from the trace store.
 pub fn compute(run: &FleetRun) -> Fig04 {
-    let [heatmap] = tree_shape_heatmaps(run, [|stats, i| stats.descendants[i]]);
-    Fig04 { heatmap }
+    Fig04 {
+        heatmap: heatmap(run, Column::Descendants),
+    }
 }
 
 /// Renders the figure.

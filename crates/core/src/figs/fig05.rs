@@ -4,7 +4,7 @@
 //! percentile — trees are much wider than they are deep.
 
 use crate::check::ExpectationSet;
-use crate::common::{tree_shape_heatmaps, MethodHeatmap};
+use crate::common::{heatmap, Column, MethodHeatmap};
 use crate::render::{sketch_cdf, TextTable};
 use rpclens_fleet::driver::FleetRun;
 use rpclens_simcore::stats::percentile;
@@ -21,16 +21,9 @@ pub struct Fig05 {
 
 /// Computes the figure.
 pub fn compute(run: &FleetRun) -> Fig05 {
-    let [ancestors, descendants] = tree_shape_heatmaps(
-        run,
-        [
-            |stats, i| stats.ancestors[i],
-            |stats, i| stats.descendants[i],
-        ],
-    );
     Fig05 {
-        ancestors,
-        descendants,
+        ancestors: heatmap(run, Column::Ancestors),
+        descendants: heatmap(run, Column::Descendants),
     }
 }
 

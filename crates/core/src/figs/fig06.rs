@@ -5,11 +5,10 @@
 //! ~11.8 KB and P99 ~196 KB — small bodies with a heavy tail.
 
 use crate::check::ExpectationSet;
-use crate::common::MethodHeatmap;
+use crate::common::{heatmap, Column, MethodHeatmap};
 use crate::render::{fmt_bytes, sketch_cdf, TextTable};
 use rpclens_fleet::driver::FleetRun;
 use rpclens_simcore::stats::percentile;
-use rpclens_trace::query::MethodQuery;
 
 /// The computed figure.
 #[derive(Debug)]
@@ -22,10 +21,9 @@ pub struct Fig06 {
 
 /// Computes the figure.
 pub fn compute(run: &FleetRun) -> Fig06 {
-    let query = MethodQuery::default();
     Fig06 {
-        requests: MethodHeatmap::build(run, &query, |_, s| s.request_bytes as f64),
-        responses: MethodHeatmap::build(run, &query, |_, s| s.response_bytes as f64),
+        requests: heatmap(run, Column::RequestBytes),
+        responses: heatmap(run, Column::ResponseBytes),
     }
 }
 

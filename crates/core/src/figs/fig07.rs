@@ -6,10 +6,9 @@
 //! both ways.
 
 use crate::check::ExpectationSet;
-use crate::common::MethodHeatmap;
+use crate::common::{heatmap, Column, MethodHeatmap};
 use crate::render::{sketch_cdf, TextTable};
 use rpclens_fleet::driver::FleetRun;
-use rpclens_trace::query::MethodQuery;
 
 /// The computed figure.
 #[derive(Debug)]
@@ -20,11 +19,8 @@ pub struct Fig07 {
 
 /// Computes the figure.
 pub fn compute(run: &FleetRun) -> Fig07 {
-    let query = MethodQuery::default();
     Fig07 {
-        heatmap: MethodHeatmap::build(run, &query, |_, s| {
-            s.response_bytes as f64 / (s.request_bytes as f64).max(1.0)
-        }),
+        heatmap: heatmap(run, Column::ResponseRatio),
     }
 }
 

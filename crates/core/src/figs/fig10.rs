@@ -5,12 +5,11 @@
 //! P95-tail RPCs the tax share grows and skews toward the network.
 
 use crate::check::ExpectationSet;
-use crate::common::method_rows;
+use crate::common::{column, Column};
 use crate::render::{fmt_pct, TextTable};
 use rpclens_fleet::driver::FleetRun;
 use rpclens_rpcstack::component::TaxGroup;
 use rpclens_simcore::stats::select_percentile;
-use rpclens_trace::query::MethodQuery;
 use rpclens_trace::span::{MethodId, SpanRecord};
 use std::collections::HashMap;
 
@@ -69,14 +68,10 @@ fn shares<'a, I: Iterator<Item = &'a SpanRecord>>(spans: I) -> TaxShares {
 /// analytics query — matching the paper's per-RPC framing.
 pub fn compute(run: &FleetRun) -> Fig10 {
     let secs = |s: &SpanRecord| s.total_latency().as_secs_f64();
-    let thresholds: HashMap<MethodId, f64> = method_rows(
-        run,
-        &MethodQuery::default(),
-        |_, s| secs(s),
-        |m, mut v| Some((m, select_percentile(&mut v, 0.95).expect("non-empty"))),
-    )
-    .into_iter()
-    .collect();
+    let thresholds: HashMap<MethodId, f64> = column(run, Column::Latency)
+        .iter()
+        .map(|r| (r.method, r.summary.p95))
+        .collect();
     // Every OK span, in trace order.
     let ok = || {
         run.store

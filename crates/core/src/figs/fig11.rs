@@ -5,11 +5,10 @@
 //! P90 is 96% — at the tail, entire RPCs are tax.
 
 use crate::check::ExpectationSet;
-use crate::common::MethodHeatmap;
+use crate::common::{heatmap, Column, MethodHeatmap};
 use crate::render::{fmt_pct, sketch_cdf, TextTable};
 use rpclens_fleet::driver::FleetRun;
 use rpclens_simcore::stats::percentile;
-use rpclens_trace::query::MethodQuery;
 
 /// The computed figure.
 #[derive(Debug)]
@@ -20,9 +19,8 @@ pub struct Fig11 {
 
 /// Computes the figure.
 pub fn compute(run: &FleetRun) -> Fig11 {
-    let query = MethodQuery::default();
     Fig11 {
-        heatmap: MethodHeatmap::build(run, &query, |_, s| s.breakdown().tax_ratio().unwrap_or(0.0)),
+        heatmap: heatmap(run, Column::TaxRatio),
     }
 }
 

@@ -7,11 +7,10 @@
 //! congestion, not just distance.
 
 use crate::check::ExpectationSet;
-use crate::common::{component_sum_secs, MethodHeatmap};
+use crate::common::{heatmap, Column, MethodHeatmap};
 use crate::render::{fmt_secs, sketch_cdf, TextTable};
 use rpclens_fleet::driver::FleetRun;
 use rpclens_rpcstack::component::LatencyComponent;
-use rpclens_trace::query::MethodQuery;
 
 /// Components included in this figure: wire + processing, both ways.
 pub const WIRE_AND_STACK: [LatencyComponent; 4] = [
@@ -30,9 +29,8 @@ pub struct Fig12 {
 
 /// Computes the figure.
 pub fn compute(run: &FleetRun) -> Fig12 {
-    let query = MethodQuery::default();
     Fig12 {
-        heatmap: MethodHeatmap::build(run, &query, |_, s| component_sum_secs(s, &WIRE_AND_STACK)),
+        heatmap: heatmap(run, Column::WireAndStack),
     }
 }
 
@@ -108,14 +106,12 @@ mod tests {
     #[test]
     fn wire_stack_is_below_total_latency() {
         let run = shared();
-        let query = MethodQuery::default();
-        let totals = MethodHeatmap::build(run, &query, |_, s| s.total_latency().as_secs_f64());
         let fig = compute(run);
         // Spot-check: for matching methods, the wire+stack median never
         // exceeds the total median.
         for row in fig.heatmap.rows.iter().take(50) {
-            if let Some(t) = totals.rows.iter().find(|r| r.method == row.method) {
-                assert!(row.summary.p50 <= t.summary.p50 + 1e-9);
+            if let Some(t) = crate::common::summary(run, Column::Latency, row.method) {
+                assert!(row.summary.p50 <= t.p50 + 1e-9);
             }
         }
     }

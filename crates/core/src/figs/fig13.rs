@@ -6,11 +6,10 @@
 //! implicating scheduling and load balancing.
 
 use crate::check::ExpectationSet;
-use crate::common::{component_sum_secs, MethodHeatmap};
+use crate::common::{heatmap, Column, MethodHeatmap};
 use crate::render::{fmt_secs, sketch_cdf, TextTable};
 use rpclens_fleet::driver::FleetRun;
 use rpclens_rpcstack::component::LatencyComponent;
-use rpclens_trace::query::MethodQuery;
 
 /// The four queueing components.
 pub const QUEUES: [LatencyComponent; 4] = [
@@ -29,9 +28,8 @@ pub struct Fig13 {
 
 /// Computes the figure.
 pub fn compute(run: &FleetRun) -> Fig13 {
-    let query = MethodQuery::default();
     Fig13 {
-        heatmap: MethodHeatmap::build(run, &query, |_, s| component_sum_secs(s, &QUEUES)),
+        heatmap: heatmap(run, Column::Queues),
     }
 }
 

@@ -8,12 +8,12 @@
 //! balancing hard (§4.2).
 
 use crate::check::ExpectationSet;
-use crate::common::{method_rows, per_method, MethodHeatmap, MethodRow};
+use crate::common::{per_method, summary, Column, MethodHeatmap};
 use crate::render::{sketch_cdf, TextTable};
 use rpclens_fleet::driver::FleetRun;
-use rpclens_simcore::stats::{select_percentile, spearman};
-use rpclens_trace::query::MethodQuery;
+use rpclens_simcore::stats::spearman;
 use rpclens_trace::span::MethodId;
+use rpclens_trace::summary::MethodRow;
 
 /// The computed figure.
 #[derive(Debug)]
@@ -41,26 +41,17 @@ pub fn compute(run: &FleetRun) -> Fig21 {
     }));
 
     // Cross-method correlations against median latency and median
-    // request size, both from one walk of each method's spans.
-    let medians: Vec<(MethodId, f64, f64)> = method_rows(
-        run,
-        &MethodQuery::default(),
-        |_, s| (s.total_latency().as_secs_f64(), s.request_bytes as f64),
-        |method, pairs| {
-            let (mut lat, mut sz): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
-            let lat = select_percentile(&mut lat, 0.5)?;
-            let sz = select_percentile(&mut sz, 0.5)?;
-            Some((method, lat, sz))
-        },
-    );
+    // request size, both read from the run's summary table.
     let mut cyc = Vec::new();
     let mut lat = Vec::new();
     let mut sz = Vec::new();
     for row in &heatmap.rows {
-        if let Ok(i) = medians.binary_search_by_key(&row.method, |m| m.0) {
+        let latency = summary(run, Column::Latency, row.method);
+        let request = summary(run, Column::RequestBytes, row.method);
+        if let (Some(latency), Some(request)) = (latency, request) {
             cyc.push(row.summary.p50);
-            lat.push(medians[i].1);
-            sz.push(medians[i].2);
+            lat.push(latency.p50);
+            sz.push(request.p50);
         }
     }
     Fig21 {

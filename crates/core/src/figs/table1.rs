@@ -1,7 +1,8 @@
 //! Table 1: the eight RPC services selected for in-depth study.
 
 use crate::check::ExpectationSet;
-use crate::render::TextTable;
+use crate::common::{summary, Column};
+use crate::render::{fmt_bytes, TextTable};
 use rpclens_fleet::driver::FleetRun;
 
 /// Renders the table with measured request-size medians next to the
@@ -15,12 +16,9 @@ pub fn render(run: &FleetRun) -> String {
         "measured median req",
         "description",
     ]);
-    let query = rpclens_trace::query::MethodQuery::default();
     for entry in run.catalog.table1() {
-        let measured = query
-            .samples(&run.store, entry.method, |_, s| s.request_bytes as f64)
-            .and_then(rpclens_simcore::stats::QuantileSummary::from_samples)
-            .map(|s| crate::render::fmt_bytes(s.p50))
+        let measured = summary(run, Column::RequestBytes, entry.method)
+            .map(|s| fmt_bytes(s.p50))
             .unwrap_or_else(|| "n/a".to_string());
         t.row(vec![
             entry.category.to_string(),
@@ -45,7 +43,6 @@ pub fn checks(run: &FleetRun) -> ExpectationSet {
         8.0,
     );
     // Measured request medians within ~4x of the table's nominal sizes.
-    let query = rpclens_trace::query::MethodQuery::default();
     for entry in run.catalog.table1() {
         let nominal: f64 = match entry.rpc_size {
             "1 kB" => 1024.0,
@@ -60,12 +57,8 @@ pub fn checks(run: &FleetRun) -> ExpectationSet {
         // The table's "RPC size" names one payload direction without
         // saying which (a read's response, a write's request); compare
         // against whichever measured direction matches better.
-        let req = query
-            .samples(&run.store, entry.method, |_, sp| sp.request_bytes as f64)
-            .and_then(rpclens_simcore::stats::QuantileSummary::from_samples);
-        let resp = query
-            .samples(&run.store, entry.method, |_, sp| sp.response_bytes as f64)
-            .and_then(rpclens_simcore::stats::QuantileSummary::from_samples);
+        let req = summary(run, Column::RequestBytes, entry.method);
+        let resp = summary(run, Column::ResponseBytes, entry.method);
         if let (Some(req), Some(resp)) = (req, resp) {
             let r1 = req.p50 / nominal;
             let r2 = resp.p50 / nominal;

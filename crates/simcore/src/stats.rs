@@ -107,10 +107,39 @@ pub fn nearest_rank<T: Copy>(sorted: &[T], q: f64) -> Option<T> {
 }
 
 /// Sorts a sample vector and returns it, dropping non-finite values.
+///
+/// The output is a stable `partial_cmp` sort's, bit for bit. The values
+/// are sorted as order-preserving `u64` keys (the bit map behind
+/// [`f64::total_cmp`]) with an unstable sort, converted in place: finite
+/// values that compare equal have equal bits, so their order cannot
+/// show. The exception is `-0.0` against `+0.0`, which compare equal
+/// but differ in bits; an input holding a `-0.0` takes the stable sort,
+/// which keeps its zeros in input order.
 pub fn sorted_finite(mut values: Vec<f64>) -> Vec<f64> {
     values.retain(|v| v.is_finite());
-    values.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
-    values
+    if values.iter().any(|v| v.to_bits() == NEG_ZERO_BITS) {
+        values.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
+        return values;
+    }
+    // Both maps reuse the vector's buffer: `u64` and `f64` share size
+    // and alignment.
+    let mut keys: Vec<u64> = values.into_iter().map(order_key).collect();
+    keys.sort_unstable();
+    keys.into_iter().map(from_order_key).collect()
+}
+
+const NEG_ZERO_BITS: u64 = 1 << 63;
+
+/// Maps `v` to a `u64` whose unsigned order is `f64::total_cmp`'s:
+/// negative values have every bit flipped, the others only the sign.
+fn order_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    bits ^ (((bits as i64 >> 63) as u64) | NEG_ZERO_BITS)
+}
+
+/// The inverse of [`order_key`].
+fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(key ^ (!((key as i64 >> 63) as u64) | NEG_ZERO_BITS))
 }
 
 /// A compact multi-quantile summary of a sample set.
@@ -351,6 +380,46 @@ mod tests {
                 let got = select_percentile(&mut values, q).map(f64::to_bits);
                 prop_assert_eq!(got, expect, "q = {}", q);
             }
+        }
+
+        #[test]
+        fn sorted_finite_matches_the_stable_partial_cmp_sort(
+            // Small integer values so duplicates are common, both signs,
+            // and special draws for NaN, the infinities and both zeros.
+            draws in proptest::collection::vec((0u8..14, -20i32..20), 0..200),
+        ) {
+            let values: Vec<f64> = draws
+                .iter()
+                .map(|&(kind, v)| match kind {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    2 => f64::NEG_INFINITY,
+                    3 => -0.0,
+                    4 => 0.0,
+                    5 => f64::MIN_POSITIVE * f64::from(v),
+                    _ => f64::from(v) * 0.25,
+                })
+                .collect();
+            // The previous implementation, kept as the reference.
+            let mut expect = values.clone();
+            expect.retain(|v| v.is_finite());
+            expect.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+            prop_assert_eq!(bits(&sorted_finite(values.clone())), bits(&expect));
+            // The same input without its negative zeros takes the key sort.
+            let no_neg_zero: Vec<f64> = values.iter().copied().filter(|v| v.to_bits() != NEG_ZERO_BITS).collect();
+            expect.retain(|v| v.to_bits() != NEG_ZERO_BITS);
+            prop_assert_eq!(bits(&sorted_finite(no_neg_zero)), bits(&expect));
+        }
+
+        #[test]
+        fn order_keys_round_trip_and_order_like_total_cmp(
+            a_bits in any::<u64>(),
+            b_bits in any::<u64>(),
+        ) {
+            let (a, b) = (f64::from_bits(a_bits), f64::from_bits(b_bits));
+            prop_assert_eq!(from_order_key(order_key(a)).to_bits(), a.to_bits());
+            prop_assert_eq!(order_key(a).cmp(&order_key(b)), a.total_cmp(&b));
         }
 
         #[test]

@@ -7,7 +7,9 @@
 //! traces and maintains a per-method index for the query layer.
 
 use crate::span::{MethodId, TraceData};
+use crate::summary::MethodTable;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Head-based sampling decision maker.
 #[derive(Debug, Clone)]
@@ -53,6 +55,9 @@ pub struct TraceStore {
     /// Method -> list of (trace index, span index).
     by_method: HashMap<MethodId, Vec<(u32, u32)>>,
     total_spans: usize,
+    /// The per-method summaries of these traces: built on first use,
+    /// dropped when a trace is added.
+    table: OnceLock<MethodTable>,
 }
 
 impl TraceStore {
@@ -72,6 +77,7 @@ impl TraceStore {
         }
         self.total_spans += trace.len();
         self.traces.push(trace);
+        self.table.take();
     }
 
     /// All traces.
@@ -107,6 +113,13 @@ impl TraceStore {
             .get(&method)
             .map(|v| v.as_slice())
             .unwrap_or(&[])
+    }
+
+    /// The store's per-method summary table: `build`'s result on the
+    /// first call since the store last changed, the same table on every
+    /// later call. Concurrent first calls run `build` once.
+    pub fn method_table(&self, build: impl FnOnce() -> MethodTable) -> &MethodTable {
+        self.table.get_or_init(build)
     }
 
     /// Appends every trace of `other`, preserving `other`'s order.
@@ -200,6 +213,31 @@ mod tests {
             n += 1;
         });
         assert_eq!(n, 3);
+    }
+
+    #[test]
+    fn method_table_is_built_once_and_dropped_on_add() {
+        let mut store = TraceStore::new();
+        store.add(trace_with_methods(&[1]));
+        let builds = std::cell::Cell::new(0);
+        let build = || {
+            builds.set(builds.get() + 1);
+            MethodTable::default()
+        };
+        let first: *const MethodTable = store.method_table(build);
+        assert!(std::ptr::eq(first, store.method_table(build)));
+        assert_eq!(builds.get(), 1);
+        store.add(trace_with_methods(&[2]));
+        store.method_table(build);
+        assert_eq!(builds.get(), 2);
+        store.merge(TraceStore::new());
+        store.method_table(build);
+        assert_eq!(builds.get(), 2, "merging no trace keeps the table");
+        let mut other = TraceStore::new();
+        other.add(trace_with_methods(&[3]));
+        store.merge(other);
+        store.method_table(build);
+        assert_eq!(builds.get(), 3);
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //!   "wider than deep" analysis of §2.4).
 //! - [`query`]: per-method extraction with the paper's filters (≥100
 //!   samples, errors excluded from latency, intra-cluster restriction).
+//! - [`summary`]: per-method summary tables, one per store, that the
+//!   per-method figures share.
 //! - [`critical_path`]: CRISP-style critical-path extraction and
 //!   per-method criticality reports (the §6-motivated extension).
 //! - [`export`]: versioned, checksummed binary persistence of trace
@@ -26,6 +28,7 @@ pub mod critical_path;
 pub mod export;
 pub mod query;
 pub mod span;
+pub mod summary;
 pub mod tree;
 
 /// Convenience re-exports of the most commonly used trace types.

@@ -9,9 +9,10 @@
 //!    the same cluster).
 //!
 //! Every per-method analysis reads spans through [`MethodQuery::for_each`]
-//! (one filtered walk of one method) or [`MethodQuery::groups`] (one such
-//! walk per method, in ascending method id), so this module alone decides
-//! which spans an analysis sees.
+//! (one filtered walk of one method), [`MethodQuery::columns`] (several
+//! metrics from that one walk) or [`MethodQuery::groups`] (one walk per
+//! method, in ascending method id), so this module alone decides which
+//! spans an analysis sees.
 
 use crate::collector::TraceStore;
 use crate::span::{MethodId, SpanRecord, TraceData};
@@ -92,14 +93,43 @@ impl MethodQuery {
         (out.len() >= self.min_samples.max(1)).then_some(out)
     }
 
+    /// The [`samples`](Self::samples) of `N` metrics from one walk: one
+    /// vector per metric, each in (trace, span) order, or `None` under
+    /// the same sample-count gate. Each vector is sized up front for all
+    /// of the method's spans.
+    pub fn columns<const N: usize, F>(
+        &self,
+        store: &TraceStore,
+        method: MethodId,
+        metrics: F,
+    ) -> Option<[Vec<f64>; N]>
+    where
+        F: Fn(&TraceData, &SpanRecord) -> [f64; N],
+    {
+        let gate = self.min_samples.max(1);
+        let spans = store.spans_of(method).len();
+        if spans < gate {
+            return None;
+        }
+        let mut columns: [Vec<f64>; N] = std::array::from_fn(|_| Vec::with_capacity(spans));
+        let mut accepted = 0;
+        self.for_each(store, method, |trace, span| {
+            accepted += 1;
+            for (column, value) in columns.iter_mut().zip(metrics(trace, span)) {
+                column.push(value);
+            }
+        });
+        (accepted >= gate).then_some(columns)
+    }
+
     /// Every method that passes the sample-count gate with its
     /// [`samples`](Self::samples), lazily and in ascending method id.
     ///
     /// Each method's spans are walked once, and only one method's samples
     /// are held at a time. This is the serial form of the per-method
-    /// pass: the figures run the same [`samples`](Self::samples) walk per
-    /// method on the run's worker pool (`rpclens_core::common::method_rows`)
-    /// and get the same groups, in the same order.
+    /// pass that builds the run's summary table on the worker pool
+    /// (`rpclens_core::common::summaries`): its columns summarise the
+    /// same groups, in the same order.
     pub fn groups<'a, T, F>(
         &self,
         store: &'a TraceStore,
@@ -129,9 +159,9 @@ impl MethodQuery {
 /// Per-method tree-shape samples (descendants and ancestors), computed
 /// over whole traces in one serial pass.
 ///
-/// Figs. 4 and 5 build the same per-method samples on the run's worker
-/// pool (`rpclens_core::common::tree_shape_heatmaps`); this form is the
-/// reference that pass is tested against.
+/// The run's summary table summarises the same per-method samples for
+/// Figs. 4 and 5 on the worker pool (`rpclens_core::common::summaries`);
+/// this form is the reference that pass is tested against.
 #[derive(Debug, Default)]
 pub struct TreeShapeSamples {
     /// Descendant counts per method.
@@ -328,6 +358,46 @@ mod tests {
             .map(|(m, _)| m.0)
             .collect();
         assert_eq!(ids, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn columns_match_samples_of_each_metric() {
+        let store = make_store();
+        let metrics = |_: &TraceData, s: &SpanRecord| {
+            [
+                s.total_latency().as_secs_f64(),
+                s.component(LatencyComponent::ServerRecvQueue).as_secs_f64(),
+            ]
+        };
+        let queries = [
+            MethodQuery::default(),
+            MethodQuery {
+                intra_cluster_only: true,
+                min_samples: 0,
+                ..MethodQuery::default()
+            },
+            MethodQuery {
+                min_samples: 136,
+                ..MethodQuery::default()
+            },
+            MethodQuery {
+                min_samples: 135,
+                ..MethodQuery::default()
+            },
+        ];
+        for q in queries {
+            for m in [MethodId(1), MethodId(2), MethodId(99)] {
+                let columns = q.columns(&store, m, metrics);
+                for k in 0..2 {
+                    let expect = q.samples(&store, m, |t, s| metrics(t, s)[k]);
+                    assert_eq!(
+                        columns.as_ref().map(|c| &c[k]),
+                        expect.as_ref(),
+                        "{q:?} {m:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
