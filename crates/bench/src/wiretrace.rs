@@ -294,9 +294,7 @@ impl WireTraceRecorder {
                 let rtt = now.saturating_sub(open.start_ns);
                 let server = event.server_decode_ns + event.server_exec_ns;
                 let residual = rtt.saturating_sub(server);
-                let idx = |c: LatencyComponent| {
-                    LatencyComponent::ALL.iter().position(|&x| x == c).unwrap()
-                };
+                let idx = LatencyComponent::index;
                 open.components[idx(LatencyComponent::RequestProcessing)] = event.server_decode_ns;
                 open.components[idx(LatencyComponent::ServerApplication)] = event.server_exec_ns;
                 open.components[idx(LatencyComponent::RequestNetworkWire)] = residual / 2;

@@ -63,17 +63,23 @@ impl ExogenousProfile {
         }
     }
 
-    /// Band-limited noise in `[-1, 1]`: hash noise per bucket, linearly
-    /// interpolated between bucket centers.
-    fn noise_at(&self, t: SimTime, stream: u64) -> f64 {
+    /// Band-limited noise of `streams` at `t`: hash noise per bucket,
+    /// linearly interpolated between bucket starts. The bucket edges come
+    /// from `edges`, which is advanced to `t`'s bucket first.
+    #[inline(always)]
+    fn noise_with<const N: usize>(
+        &self,
+        t: SimTime,
+        streams: [u64; N],
+        edges: &mut NoiseEdges<N>,
+    ) -> [f64; N] {
         let (bucket, frac) = bucket_of(t);
-        let a = bucket_noise(self.seed, stream, bucket);
-        let b = bucket_noise(self.seed, stream, bucket + 1);
-        lerp(a, b, frac)
+        edges.advance(self.seed, streams, bucket);
+        std::array::from_fn(|s| lerp(edges.lo[s], edges.hi[s], frac))
     }
 
     /// CPU utilization at `t` given stream 1's noise at `t`: the one
-    /// formula behind [`ExogenousProfile::cpu_util_at`] and the
+    /// formula behind [`ExogenousProfile::cpu_util_with`] and the
     /// `cpu_util` field of every sample and window average.
     #[inline(always)]
     fn util_from(&self, t: SimTime, noise: f64) -> f64 {
@@ -111,7 +117,9 @@ impl ExogenousProfile {
         }
     }
 
-    /// Samples only the CPU utilization at instant `t`.
+    /// Samples only the CPU utilization at instant `t`, reading the
+    /// noise edges through `edges`, a cache that only ever serves this
+    /// profile (a fresh one for a one-off sample).
     ///
     /// Exactly the `cpu_util` field of [`ExogenousProfile::sample`] (the
     /// same formula on the same noise, so the value is bit-identical)
@@ -119,13 +127,22 @@ impl ExogenousProfile {
     /// hot path uses this where it needs utilization alone (pool queueing
     /// input, ambient client-side load), which skips two `powf`s and six
     /// hashed noise lookups per call.
-    pub fn cpu_util_at(&self, t: SimTime) -> f64 {
-        self.util_from(t, self.noise_at(t, 1))
+    #[inline]
+    pub fn cpu_util_with(&self, t: SimTime, edges: &mut NoiseEdges<1>) -> f64 {
+        let [noise] = self.noise_with(t, [NOISE_STREAMS[0]], edges);
+        self.util_from(t, noise)
     }
 
     /// Samples the exogenous variables at instant `t`.
     pub fn sample(&self, t: SimTime) -> ExogenousVars {
-        self.vars_from(t, NOISE_STREAMS.map(|stream| self.noise_at(t, stream)))
+        self.sample_with(t, &mut NoiseEdges::default())
+    }
+
+    /// [`ExogenousProfile::sample`] reading its noise edges through
+    /// `edges`, a cache that only ever serves this profile.
+    #[inline(always)]
+    pub fn sample_with(&self, t: SimTime, edges: &mut NoiseEdges<4>) -> ExogenousVars {
+        self.vars_from(t, self.noise_with(t, NOISE_STREAMS, edges))
     }
 
     /// Averages the variables over a window (samples every minute), as the
@@ -134,29 +151,20 @@ impl ExogenousProfile {
     ///
     /// The result is bit-identical to summing [`ExogenousProfile::sample`]
     /// at `start + i` minutes for `i` in `0..max(window / 1 min, 1)` and
-    /// dividing by the count. Each stream's noise comes from a rolling
-    /// pair of bucket edges that advances when the sample crosses into the
-    /// next 5-minute bucket, so each `(stream, bucket)` value is drawn
-    /// once rather than twice per sample, and nothing is allocated.
-    /// Always inlined: a caller that reads one field (Fig. 22 reads
-    /// `cpu_util`) lets the compiler drop the other variables and their
-    /// noise streams from the loop.
+    /// dividing by the count. The samples share one [`NoiseEdges`], so
+    /// each `(stream, bucket)` value is drawn once rather than twice per
+    /// sample, and nothing is allocated. Always inlined: a caller that
+    /// reads one field (Fig. 22 reads `cpu_util`) lets the compiler drop
+    /// the other variables and their noise streams from the loop.
     #[inline(always)]
     pub fn window_average(&self, start: SimTime, window: SimDuration) -> ExogenousVars {
         let step = SimDuration::from_mins(1);
         let steps = (window.as_nanos() / step.as_nanos()).max(1);
-        let edge = |bucket| NOISE_STREAMS.map(|stream| bucket_noise(self.seed, stream, bucket));
-        let (mut bucket, _) = bucket_of(start);
-        let (mut lo, mut hi) = (edge(bucket), edge(bucket + 1));
+        let mut edges = NoiseEdges::default();
         let mut acc = ExogenousVars::default();
         for i in 0..steps {
             let t = start + SimDuration::from_nanos(i * step.as_nanos());
-            let (at, frac) = bucket_of(t);
-            while bucket < at {
-                bucket += 1;
-                (lo, hi) = (hi, edge(bucket + 1));
-            }
-            let v = self.vars_from(t, std::array::from_fn(|s| lerp(lo[s], hi[s], frac)));
+            let v = self.sample_with(t, &mut edges);
             acc.cpu_util += v.cpu_util;
             acc.mem_bw_gbps += v.mem_bw_gbps;
             acc.long_wakeup_rate += v.long_wakeup_rate;
@@ -174,6 +182,53 @@ impl ExogenousProfile {
 
 /// The noise stream of each variable, in [`ExogenousVars`] field order.
 const NOISE_STREAMS: [u64; 4] = [1, 2, 3, 4];
+
+/// The bucket noise of `N` streams of one profile at the start of one
+/// noise bucket (`lo`) and of the next (`hi`): everything a sample inside
+/// that bucket interpolates between.
+///
+/// A cache, never a source of values: [`NoiseEdges::advance`] keeps the
+/// edges when the bucket is unchanged, shifts `hi` into `lo` when time
+/// moves one bucket forward, and redraws both otherwise, so a sample read
+/// through it is bit-identical to one drawn from scratch. The fleet
+/// driver keeps one per machine (four streams, 72 bytes) and one per site
+/// and client cluster (the utilization stream, 24 bytes) in each shard; a
+/// fresh one makes a one-off sample.
+#[derive(Debug, Clone, Copy)]
+pub struct NoiseEdges<const N: usize> {
+    /// The bucket `lo` starts; `u64::MAX` before the first sample.
+    bucket: u64,
+    lo: [f64; N],
+    hi: [f64; N],
+}
+
+impl<const N: usize> Default for NoiseEdges<N> {
+    fn default() -> Self {
+        NoiseEdges {
+            bucket: u64::MAX,
+            lo: [0.0; N],
+            hi: [0.0; N],
+        }
+    }
+}
+
+impl<const N: usize> NoiseEdges<N> {
+    /// Moves the edges to `bucket` of the profile seeded `seed`.
+    #[inline(always)]
+    fn advance(&mut self, seed: u64, streams: [u64; N], bucket: u64) {
+        if bucket == self.bucket {
+            return;
+        }
+        let edge = |b| streams.map(|stream| bucket_noise(seed, stream, b));
+        self.lo = if self.bucket.checked_add(1) == Some(bucket) {
+            self.hi
+        } else {
+            edge(bucket)
+        };
+        self.hi = edge(bucket + 1);
+        self.bucket = bucket;
+    }
+}
 
 /// The noise bucket holding `t`, and `t`'s fraction of the way through it.
 #[inline(always)]
@@ -263,6 +318,79 @@ mod tests {
         [v.cpu_util, v.mem_bw_gbps, v.long_wakeup_rate, v.cpi].map(f64::to_bits)
     }
 
+    /// The uncached noise of one stream at `t`: both bucket edges drawn
+    /// afresh and interpolated.
+    fn reference_noise(p: &ExogenousProfile, t: SimTime, stream: u64) -> f64 {
+        let (bucket, frac) = bucket_of(t);
+        let a = bucket_noise(p.seed, stream, bucket);
+        let b = bucket_noise(p.seed, stream, bucket + 1);
+        lerp(a, b, frac)
+    }
+
+    /// Reads `queries` instants through one machine cache and one site
+    /// cache per profile, the way the fleet driver does, and compares
+    /// every value with uncached sampling bit for bit. Instants mix
+    /// repeats, small steps inside a bucket, one-bucket steps, long jumps
+    /// and jumps backwards; the caches are shared round-robin across
+    /// `profiles` profiles. Returns the fraction of reads that kept their
+    /// bucket or shifted by one.
+    fn caches_match_uncached_sampling(seed: u64, profiles: usize, queries: u64) -> f64 {
+        let mut rng = rpclens_simcore::rng::Prng::seed_from(seed);
+        let ps: Vec<ExogenousProfile> = (0..profiles as u64)
+            .map(|i| busy(seed.wrapping_mul(31).wrapping_add(i)))
+            .collect();
+        let mut machine = vec![NoiseEdges::<4>::default(); profiles];
+        let mut site = vec![NoiseEdges::<1>::default(); profiles];
+        let mut t = 0u64;
+        let mut cached = 0u64;
+        let bucket_ns = NOISE_BUCKET.as_nanos();
+        for i in 0..queries {
+            t = match rng.next_u64() % 8 {
+                0 => t,
+                1..=4 => t + rng.next_u64() % (bucket_ns / 16),
+                5 => t + bucket_ns,
+                6 => t + rng.next_u64() % (40 * bucket_ns),
+                _ => t.saturating_sub(rng.next_u64() % (3 * bucket_ns)),
+            };
+            let at = SimTime::from_nanos(t);
+            let k = i as usize % profiles;
+            let p = &ps[k];
+            let before = machine[k].bucket;
+            cached += u64::from(
+                before == bucket_of(at).0 || before.checked_add(1) == Some(bucket_of(at).0),
+            );
+            let want = p.vars_from(at, NOISE_STREAMS.map(|s| reference_noise(p, at, s)));
+            assert_eq!(
+                bits(p.sample_with(at, &mut machine[k])),
+                bits(want),
+                "at {at}"
+            );
+            assert_eq!(
+                p.cpu_util_with(at, &mut site[k]).to_bits(),
+                p.util_from(at, reference_noise(p, at, 1)).to_bits(),
+                "at {at}"
+            );
+            assert_eq!(bits(p.sample(at)), bits(want), "at {at}");
+        }
+        cached as f64 / queries as f64
+    }
+
+    #[test]
+    fn noise_caches_match_uncached_sampling() {
+        // Both the reuse and the redraw paths must be exercised.
+        let hit = caches_match_uncached_sampling(3, 5, 200_000);
+        assert!((0.1..0.9).contains(&hit), "{hit} of reads reused an edge");
+    }
+
+    /// Long budget, run by CI's exactness-sweep step.
+    #[test]
+    #[ignore]
+    fn sweep_noise_caches_match_uncached_sampling() {
+        for seed in 0..16 {
+            caches_match_uncached_sampling(seed, 1 + seed as usize % 7, 5_000_000);
+        }
+    }
+
     proptest! {
         #[test]
         fn window_average_is_bit_identical_to_the_per_minute_sample_sum(
@@ -310,12 +438,13 @@ mod tests {
     }
 
     #[test]
-    fn cpu_util_at_is_bit_identical_to_full_sample() {
+    fn cpu_util_with_is_bit_identical_to_full_sample() {
         for seed in [1u64, 42, 9_999] {
             let p = busy(seed);
             for i in 0..2_000u64 {
                 let t = SimTime::from_nanos(i * 43_200_000_000 + 17);
-                assert_eq!(p.cpu_util_at(t).to_bits(), p.sample(t).cpu_util.to_bits());
+                let util = p.cpu_util_with(t, &mut NoiseEdges::default());
+                assert_eq!(util.to_bits(), p.sample(t).cpu_util.to_bits());
             }
         }
     }

@@ -12,7 +12,7 @@
 //! - a reserved-core machine bypasses the utilization-dependent part of
 //!   both couplings.
 
-use crate::exogenous::{ExogenousProfile, ExogenousVars};
+use crate::exogenous::{ExogenousProfile, ExogenousVars, NoiseEdges};
 use rpclens_simcore::rng::Prng;
 use rpclens_simcore::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -81,13 +81,16 @@ impl Machine {
         &self.config
     }
 
-    /// The machine's exogenous state at `t`.
-    pub fn exogenous(&self, t: SimTime) -> ExogenousVars {
-        self.profile.sample(t)
+    /// The machine's exogenous state at `t`, reading the profile's noise
+    /// edges through `edges`, a cache that only ever serves this machine
+    /// (a fresh one for a one-off sample).
+    #[inline]
+    pub fn exogenous_with(&self, t: SimTime, edges: &mut NoiseEdges<4>) -> ExogenousVars {
+        self.profile.sample_with(t, edges)
     }
 
     /// The multiplicative slowdown applied to compute under the sampled
-    /// exogenous state `vars` (from [`Machine::exogenous`]).
+    /// exogenous state `vars` (from [`Machine::exogenous_with`]).
     ///
     /// On shared machines this is the instantaneous CPI over the baseline
     /// CPI (contention raises CPI, which stretches every instruction). On
@@ -105,7 +108,7 @@ impl Machine {
     }
 
     /// Samples one scheduler wakeup latency from `rng` under the sampled
-    /// exogenous state `vars` (from [`Machine::exogenous`]).
+    /// exogenous state `vars` (from [`Machine::exogenous_with`]).
     ///
     /// Most wakeups are a few microseconds; with the machine's current
     /// long-wakeup probability the thread instead waits beyond
@@ -160,11 +163,11 @@ mod tests {
     }
 
     fn slowdown(m: &Machine, t: SimTime) -> f64 {
-        m.slowdown_from(&m.exogenous(t))
+        m.slowdown_from(&m.exogenous_with(t, &mut NoiseEdges::default()))
     }
 
     fn wakeup(m: &Machine, t: SimTime, rng: &mut Prng) -> SimDuration {
-        m.wakeup_latency_from(&m.exogenous(t), rng)
+        m.wakeup_latency_from(&m.exogenous_with(t, &mut NoiseEdges::default()), rng)
     }
 
     #[test]

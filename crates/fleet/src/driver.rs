@@ -28,7 +28,7 @@ use crate::control::{admission_verdict, AdmissionVerdict};
 use crate::faults::FaultScenario;
 use crate::pool;
 use crate::workload::{RootArrival, Workload};
-use rpclens_cluster::exogenous::ExogenousProfile;
+use rpclens_cluster::exogenous::{ExogenousProfile, NoiseEdges};
 use rpclens_cluster::machine::{Machine, MachineConfig, MachineId};
 use rpclens_cluster::mgk::QueueModel;
 use rpclens_cluster::site::DensePairMap;
@@ -261,12 +261,23 @@ pub struct ServiceSite {
     pub machine_offsets: Vec<f64>,
     /// Analytic queue model for the site's pools.
     pub queue: QueueModel,
+    /// This site's slot in a shard's site noise caches.
+    noise_slot: usize,
+    /// The slot of machine 0 in a shard's machine noise caches; machine
+    /// `mi` uses `machine_noise_slot + mi`.
+    machine_noise_slot: usize,
 }
 
 impl ServiceSite {
     /// The effective utilization of machine `mi` at instant `t`.
     pub fn machine_util(&self, mi: usize, t: SimTime) -> f64 {
-        (self.load.cpu_util_at(t) * self.machine_offsets[mi]).clamp(0.02, 0.98)
+        self.machine_util_with(mi, t, &mut NoiseEdges::default())
+    }
+
+    /// [`ServiceSite::machine_util`] reading the site load's noise edges
+    /// through `edges`, a cache that only ever serves this site.
+    fn machine_util_with(&self, mi: usize, t: SimTime, edges: &mut NoiseEdges<1>) -> f64 {
+        (self.load.cpu_util_with(t, edges) * self.machine_offsets[mi]).clamp(0.02, 0.98)
     }
 }
 
@@ -498,6 +509,7 @@ impl Driver {
         // cluster)-indexed table, inserted in (service, deployment) order
         // so iteration is deterministic.
         let mut site_entries = Vec::new();
+        let mut machine_noise_slots = 0;
         for svc in catalog.services() {
             for (ci, &cluster) in svc.clusters.iter().enumerate() {
                 let mut site_rng =
@@ -538,6 +550,9 @@ impl Driver {
                 }
                 let queue =
                     QueueModel::new(svc.workers, svc.background_service, svc.background_scv);
+                let noise_slot = site_entries.len();
+                let machine_noise_slot = machine_noise_slots;
+                machine_noise_slots += n_machines;
                 site_entries.push((
                     (svc.id.0, cluster.0),
                     ServiceSite {
@@ -547,6 +562,8 @@ impl Driver {
                         machines,
                         machine_offsets,
                         queue,
+                        noise_slot,
+                        machine_noise_slot,
                     },
                 ));
             }
@@ -695,19 +712,25 @@ impl Driver {
         *deployed.last().expect("non-empty deployment")
     }
 
-    fn run(self) -> FleetRun {
-        let scale = self.config.scale.clone();
-        let mut phases = PhaseTimings::new();
-        let mut workload = Workload::new(
+    /// The run's root RPCs, in arrival order.
+    fn roots(&self) -> Vec<RootArrival> {
+        let scale = &self.config.scale;
+        Workload::new(
             &self.catalog,
             &self.topology,
             scale.duration,
             scale.seed ^ 0xAB,
-        );
+        )
+        .generate(scale.roots)
+    }
+
+    fn run(self) -> FleetRun {
+        let scale = self.config.scale.clone();
+        let mut phases = PhaseTimings::new();
         // Roots are generated once, on the main thread, in arrival order;
         // shards receive contiguous chunks of this one sequence so that a
         // shard-ordered merge reproduces the sequential run exactly.
-        let roots = phases.time("generate", || workload.generate(scale.roots));
+        let roots = phases.time("generate", || self.roots());
         let collector = TraceCollector::new(scale.trace_sample_rate);
         let requested_shards = self.config.shards.clamp(1, roots.len().max(1));
         let chunk = roots.len().div_ceil(requested_shards).max(1);
@@ -857,6 +880,16 @@ struct Shard<'a> {
     /// the controller timeline, identical in every shard (controllers
     /// never read shard-local counters).
     env: Environment,
+    /// Exogenous noise-edge caches, one per site (its load's utilization
+    /// stream) and one per machine (all four streams), at the slots
+    /// `Driver::new` assigned, and one per client cluster (its ambient
+    /// load). Successive reads of one profile mostly land in the same
+    /// 5-minute noise bucket, so its hashed edge noise is drawn once per
+    /// bucket rather than once per read. Sized by the world, never by
+    /// simulated time.
+    site_noise: Vec<NoiseEdges<1>>,
+    machine_noise: Vec<NoiseEdges<4>>,
+    client_noise: Vec<NoiseEdges<1>>,
     /// Reusable span buffer: every trace expands into this arena, so tree
     /// expansion reuses capacity across roots. Sampled traces copy the
     /// exact-length spans out; unsampled traces cost no allocation.
@@ -887,6 +920,12 @@ impl<'a> Shard<'a> {
                 world.config.scale.seed,
                 &world.topology,
             ),
+            site_noise: vec![NoiseEdges::default(); world.sites.len()],
+            machine_noise: vec![
+                NoiseEdges::default();
+                world.sites.values().map(|s| s.machines.len()).sum()
+            ],
+            client_noise: vec![NoiseEdges::default(); world.client_profiles.len()],
             arena: Vec::new(),
             counters: ShardCounters::new(),
         }
@@ -948,8 +987,9 @@ impl<'a> Shard<'a> {
                     Deadline::after(root.at, SimDuration::from_secs_f64(budget))
                 }),
             };
-            let client_util =
-                self.world.client_profiles[root.client_cluster.0 as usize].cpu_util_at(root.at);
+            let cluster = root.client_cluster.0 as usize;
+            let client_util = self.world.client_profiles[cluster]
+                .cpu_util_with(root.at, &mut self.client_noise[cluster]);
             let entry_service = self.world.catalog.method(root.method).service;
             let finish = self.place_call(
                 &mut ctx,
@@ -1198,7 +1238,11 @@ impl<'a> Shard<'a> {
         // pipelined).
         let class = service.class;
         let req_bytes = spec.sample_request_bytes(&mut ctx.rng);
-        let req_proc = world.cost.stack_latency(req_bytes, class, 1.0);
+        // Each message's sender and receiver costs are computed once and
+        // feed its stack latency, the server charge and the client charge.
+        let req_send = world.cost.sender_cost(req_bytes, class);
+        let req_recv = world.cost.receiver_cost(req_bytes, class);
+        let req_proc = world.cost.stack_latency_of(&req_send, &req_recv, 1.0);
         breakdown.set(LatencyComponent::RequestProcessing, req_proc);
         t += req_proc;
 
@@ -1290,10 +1334,11 @@ impl<'a> Shard<'a> {
         // 5. Server receive queue: scheduler wakeup + M/G/k wait at the
         // machine's current utilization.
         let machine = &site.machines[mi];
-        let util = site.machine_util(mi, t);
+        let util = site.machine_util_with(mi, t, &mut self.site_noise[site.noise_slot]);
         // One profile sample feeds both wakeup and slowdown (the old
         // path sampled the same (profile, t) twice).
-        let machine_vars = machine.exogenous(t);
+        let machine_vars =
+            machine.exogenous_with(t, &mut self.machine_noise[site.machine_noise_slot + mi]);
         let wakeup = machine.wakeup_latency_from(&machine_vars, &mut ctx.rng);
         let slowdown = machine.slowdown_from(&machine_vars);
         let speed = machine.config().speed;
@@ -1428,7 +1473,11 @@ impl<'a> Shard<'a> {
         let ssq = world.soft_queue.delay(send_util, &mut ctx.rng);
         breakdown.set(LatencyComponent::ServerSendQueue, ssq);
         t += ssq;
-        let resp_proc = world.cost.stack_latency(resp_bytes, class, slowdown);
+        let resp_send = world.cost.sender_cost(resp_bytes, class);
+        let resp_recv = world.cost.receiver_cost(resp_bytes, class);
+        let resp_proc = world
+            .cost
+            .stack_latency_of(&resp_send, &resp_recv, slowdown);
         breakdown.set(LatencyComponent::ResponseProcessing, resp_proc);
         t += resp_proc;
         let wire_resp = world.cost.wire_bytes(resp_bytes, class.compressed);
@@ -1478,8 +1527,8 @@ impl<'a> Shard<'a> {
             CycleCategory::Application,
             (cpu_secs * world.cost.config().clock_hz) as u64,
         );
-        cost.merge(&world.cost.receiver_cost(req_bytes, class));
-        cost.merge(&world.cost.sender_cost(resp_bytes, class));
+        cost.merge(&req_recv);
+        cost.merge(&resp_send);
         self.profiler.record(
             spec.service.0,
             method.0,
@@ -1487,8 +1536,8 @@ impl<'a> Shard<'a> {
             speed,
             rpclens_profiler::sample_tag(ctx.seq, span_idx),
         );
-        let mut client_cost = world.cost.sender_cost(req_bytes, class);
-        client_cost.merge(&world.cost.receiver_cost(resp_bytes, class));
+        let mut client_cost = req_send;
+        client_cost.merge(&resp_recv);
         self.profiler
             .record_client_side(client_service.0, &client_cost);
         self.method_bytes[method.0 as usize] += req_bytes + resp_bytes;
@@ -1540,6 +1589,68 @@ mod tests {
             seed: 11,
         };
         run_fleet(FleetConfig::at_scale(scale))
+    }
+
+    /// What a one-shard run at smoke's root rate holds after `days`
+    /// simulated days: the site and machine noise-cache lengths, the
+    /// per-method reservoir lengths by method id and the window-row
+    /// count.
+    fn resident_after_days(days: u64, cap: usize) -> (usize, usize, HashMap<u32, usize>, usize) {
+        let smoke = SimScale::smoke();
+        let mut config = FleetConfig::at_scale(SimScale {
+            roots: smoke.roots * days,
+            duration: SimDuration::from_hours(24 * days),
+            profiler_sample_cap: cap,
+            ..smoke
+        });
+        config.shards = 1;
+        config.threads = 1;
+        let driver = Driver::new(config);
+        let roots = driver.roots();
+        let mut shard = Shard::new(&driver);
+        shard.run_roots(&roots, 0, &TraceCollector::new(1));
+        let reservoirs = shard
+            .profiler
+            .methods_with_samples(1)
+            .into_iter()
+            .map(|m| (m, shard.profiler.method_samples(m).len()))
+            .collect();
+        (
+            shard.site_noise.len(),
+            shard.machine_noise.len(),
+            reservoirs,
+            shard.windows.len(),
+        )
+    }
+
+    #[test]
+    fn per_run_structures_do_not_grow_with_simulated_time() {
+        // A cap many of smoke's sampled methods fill within a day.
+        let cap = 16;
+        let (sites, machines, reservoirs, windows) = resident_after_days(1, cap);
+        let (sites4, machines4, reservoirs4, windows4) = resident_after_days(4, cap);
+        // The noise caches are sized by the world.
+        assert_eq!((sites4, machines4), (sites, machines));
+        assert!(sites > 0 && machines > sites);
+        // Reservoirs: at most one per catalog method, none past the cap,
+        // and every reservoir a day filled is the same size four days in.
+        for r in [&reservoirs, &reservoirs4] {
+            assert!(r.len() <= SimScale::smoke().total_methods);
+            assert!(r.values().all(|&n| n <= cap));
+        }
+        let full: Vec<u32> = reservoirs
+            .iter()
+            .filter(|&(_, &n)| n == cap)
+            .map(|(&m, _)| m)
+            .collect();
+        assert!(full.len() > reservoirs.len() / 3, "too few reservoirs fill");
+        for m in full {
+            assert_eq!(reservoirs4[&m], cap, "method {m}");
+        }
+        // Window rows are the one structure that grows with time: one
+        // per 30-minute window.
+        assert_eq!(windows, 48);
+        assert_eq!(windows4, 4 * windows);
     }
 
     #[test]

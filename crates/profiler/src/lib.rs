@@ -15,7 +15,6 @@
 
 use rpclens_rpcstack::cost::{CycleCategory, CycleCost};
 use rpclens_rpcstack::error::ErrorKind;
-use std::collections::{BinaryHeap, HashMap};
 
 /// Derives the deterministic reservoir tag for one recorded sample from
 /// coordinates that identify it globally — in the fleet driver, the root
@@ -45,23 +44,32 @@ pub fn sample_tag(root_seq: u64, span_index: u32) -> u64 {
 /// per-shard reservoirs, all yield the identical sample multiset —
 /// unlike the previous first-`cap`-wins truncation, which biased capped
 /// methods toward early (low-sequence) samples.
+///
+/// The first `cap` offers are appended unordered; the one that fills the
+/// reservoir heapifies it into a max-heap, after which a smaller offer
+/// replaces the top in place with one sift-down. It never holds more
+/// than `cap` entries.
 #[derive(Debug, Default)]
 struct MethodReservoir {
-    /// Max-heap of `(tag, value_bits)`: the largest retained key sits on
-    /// top, ready to be evicted by any smaller offer.
-    entries: BinaryHeap<(u64, u64)>,
+    /// `(tag, value_bits)` keys; a max-heap (largest key at index 0)
+    /// once `cap` are held.
+    entries: Vec<(u64, u64)>,
 }
 
 impl MethodReservoir {
     fn offer(&mut self, cap: usize, tag: u64, value: f64) {
         let key = (tag, value.to_bits());
-        if self.entries.len() < cap {
+        let len = self.entries.len();
+        if len < cap {
             self.entries.push(key);
-        } else if let Some(&top) = self.entries.peek() {
-            if key < top {
-                self.entries.pop();
-                self.entries.push(key);
+            if len + 1 == cap {
+                for i in (0..cap / 2).rev() {
+                    sift_down(&mut self.entries, i);
+                }
             }
+        } else if len > 0 && key < self.entries[0] {
+            self.entries[0] = key;
+            sift_down(&mut self.entries, 0);
         }
     }
 
@@ -71,11 +79,33 @@ impl MethodReservoir {
 
     /// Retained samples in ascending key order (deterministic).
     fn samples(&self) -> Vec<f64> {
-        let mut keys: Vec<(u64, u64)> = self.entries.iter().copied().collect();
+        let mut keys = self.entries.clone();
         keys.sort_unstable();
         keys.into_iter()
             .map(|(_, bits)| f64::from_bits(bits))
             .collect()
+    }
+}
+
+/// Restores the max-heap order below `i` in `heap`, whose subtrees under
+/// `i` are already heaps.
+fn sift_down(heap: &mut [(u64, u64)], mut i: usize) {
+    loop {
+        let left = 2 * i + 1;
+        if left >= heap.len() {
+            return;
+        }
+        let right = left + 1;
+        let child = if right < heap.len() && heap[right] > heap[left] {
+            right
+        } else {
+            left
+        };
+        if heap[child] <= heap[i] {
+            return;
+        }
+        heap.swap(i, child);
+        i = child;
     }
 }
 
@@ -258,11 +288,12 @@ impl CycleProfiler {
     }
 }
 
-/// Error counts and wasted cycles per error kind (Fig. 23).
+/// Error counts and wasted cycles per error kind (Fig. 23), indexed by
+/// [`ErrorKind::index`].
 #[derive(Debug, Default)]
 pub struct ErrorAccounting {
-    counts: HashMap<ErrorKind, u64>,
-    wasted_cycles: HashMap<ErrorKind, u128>,
+    counts: [u64; 8],
+    wasted_cycles: [u128; 8],
     total_rpcs: u64,
 }
 
@@ -279,8 +310,8 @@ impl ErrorAccounting {
 
     /// Records one failed RPC with the cycles it wasted.
     pub fn record_error(&mut self, kind: ErrorKind, wasted_cycles: u64) {
-        *self.counts.entry(kind).or_insert(0) += 1;
-        *self.wasted_cycles.entry(kind).or_insert(0) += wasted_cycles as u128;
+        self.counts[kind.index()] += 1;
+        self.wasted_cycles[kind.index()] += wasted_cycles as u128;
     }
 
     /// Total RPCs observed.
@@ -290,7 +321,7 @@ impl ErrorAccounting {
 
     /// Total errors observed.
     pub fn total_errors(&self) -> u64 {
-        self.counts.values().sum()
+        self.counts.iter().sum()
     }
 
     /// Fleet error rate.
@@ -307,33 +338,38 @@ impl ErrorAccounting {
         if total == 0 {
             return 0.0;
         }
-        self.counts.get(&kind).copied().unwrap_or(0) as f64 / total as f64
+        self.count(kind) as f64 / total as f64
     }
 
     /// This kind's share of all wasted cycles.
     pub fn cycle_share(&self, kind: ErrorKind) -> f64 {
-        let total: u128 = self.wasted_cycles.values().sum();
+        let total: u128 = self.wasted_cycles.iter().sum();
         if total == 0 {
             return 0.0;
         }
-        self.wasted_cycles.get(&kind).copied().unwrap_or(0) as f64 / total as f64
+        self.wasted_cycles(kind) as f64 / total as f64
     }
 
     /// This kind's error count.
     pub fn count(&self, kind: ErrorKind) -> u64 {
-        self.counts.get(&kind).copied().unwrap_or(0)
+        self.counts[kind.index()]
     }
 
     /// This kind's raw wasted cycles (work-fraction weighted at record
     /// time), for breakdowns that need absolute magnitudes rather than
     /// shares — e.g. the exported run manifest's robustness section.
     pub fn wasted_cycles(&self, kind: ErrorKind) -> u128 {
-        self.wasted_cycles.get(&kind).copied().unwrap_or(0)
+        self.wasted_cycles[kind.index()]
     }
 
-    /// All kinds with at least one error, sorted by count descending.
+    /// All kinds with at least one error, sorted by count descending
+    /// (ties in [`ErrorKind::ALL`] order).
     pub fn kinds_by_count(&self) -> Vec<(ErrorKind, u64)> {
-        let mut out: Vec<_> = self.counts.iter().map(|(&k, &c)| (k, c)).collect();
+        let mut out: Vec<_> = ErrorKind::ALL
+            .into_iter()
+            .map(|k| (k, self.count(k)))
+            .filter(|&(_, c)| c > 0)
+            .collect();
         out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         out
     }
@@ -344,11 +380,11 @@ impl ErrorAccounting {
     /// accountings yields exactly what a single-threaded run records,
     /// regardless of fold order.
     pub fn merge(&mut self, other: &ErrorAccounting) {
-        for (&kind, &count) in &other.counts {
-            *self.counts.entry(kind).or_insert(0) += count;
+        for (a, b) in self.counts.iter_mut().zip(other.counts) {
+            *a += b;
         }
-        for (&kind, &cycles) in &other.wasted_cycles {
-            *self.wasted_cycles.entry(kind).or_insert(0) += cycles;
+        for (a, b) in self.wasted_cycles.iter_mut().zip(other.wasted_cycles) {
+            *a += b;
         }
         self.total_rpcs += other.total_rpcs;
     }
@@ -439,6 +475,40 @@ mod tests {
         }
         let samples = p.method_samples(7);
         assert_eq!(samples, vec![100.0, 101.0, 102.0]);
+    }
+
+    /// The `BinaryHeap` reservoir the Vec heap replaced: push below the
+    /// cap, pop-then-push above it.
+    fn reference_bottom_k(cap: usize, keys: &[(u64, u64)]) -> Vec<f64> {
+        let mut heap = std::collections::BinaryHeap::new();
+        for &key in keys {
+            if heap.len() < cap {
+                heap.push(key);
+            } else if heap.peek().is_some_and(|&top| key < top) {
+                heap.pop();
+                heap.push(key);
+            }
+        }
+        let mut kept = heap.into_vec();
+        kept.sort_unstable();
+        kept.into_iter()
+            .map(|(_, bits)| f64::from_bits(bits))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn reservoir_matches_the_binary_heap_reference(
+            cap in 0usize..40,
+            keys in proptest::collection::vec((0u64..64, 0u64..4), 0..200),
+        ) {
+            let mut reservoir = MethodReservoir::default();
+            for &(tag, bits) in &keys {
+                reservoir.offer(cap, tag, f64::from_bits(bits));
+                proptest::prop_assert!(reservoir.len() <= cap);
+            }
+            proptest::prop_assert_eq!(reservoir.samples(), reference_bottom_k(cap, &keys));
+        }
     }
 
     #[test]

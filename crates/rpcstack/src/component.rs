@@ -87,8 +87,11 @@ impl LatencyComponent {
         }
     }
 
-    fn index(self) -> usize {
-        Self::ALL.iter().position(|&c| c == self).expect("in ALL")
+    /// This component's position in [`LatencyComponent::ALL`]: the
+    /// declaration order is the lifecycle order, so it is the
+    /// discriminant.
+    pub const fn index(self) -> usize {
+        self as usize
     }
 }
 
@@ -199,6 +202,13 @@ mod tests {
             set.insert(c);
         }
         assert_eq!(set.len(), 9);
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, c) in LatencyComponent::ALL.into_iter().enumerate() {
+            assert_eq!(c.index(), i, "{c:?}");
+        }
     }
 
     #[test]

@@ -345,8 +345,23 @@ impl StackCostModel {
         class: MessageClass,
         slowdown: f64,
     ) -> SimDuration {
-        let cycles = self.sender_cost(payload_bytes, class).tax()
-            + self.receiver_cost(payload_bytes, class).tax();
+        self.stack_latency_of(
+            &self.sender_cost(payload_bytes, class),
+            &self.receiver_cost(payload_bytes, class),
+            slowdown,
+        )
+    }
+
+    /// [`StackCostModel::stack_latency`] of a message whose sender and
+    /// receiver costs are already computed — the fleet driver also
+    /// charges both to the profiler, so each is evaluated once.
+    pub fn stack_latency_of(
+        &self,
+        sender: &CycleCost,
+        receiver: &CycleCost,
+        slowdown: f64,
+    ) -> SimDuration {
+        let cycles = sender.tax() + receiver.tax();
         self.cycles_to_time((cycles as f64 * self.cfg.pipeline_factor) as u64, slowdown)
     }
 

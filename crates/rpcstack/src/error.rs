@@ -56,6 +56,12 @@ impl ErrorKind {
             ErrorKind::Aborted => "Aborted",
         }
     }
+
+    /// This kind's position in [`ErrorKind::ALL`] (the declaration
+    /// order), the dense index of per-kind tables.
+    pub const fn index(self) -> usize {
+        self as usize
+    }
 }
 
 /// Error injection profile: the per-RPC probability of each non-cancel
@@ -184,6 +190,13 @@ impl ErrorProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, kind) in ErrorKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind.index(), i, "{kind:?}");
+        }
+    }
 
     #[test]
     fn rejects_invalid_profiles() {

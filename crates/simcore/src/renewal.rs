@@ -39,15 +39,24 @@ impl RenewalParams {
 /// margin leaves well over an hour of slack.
 pub const RETENTION: SimDuration = SimDuration::from_hours(2);
 
-/// Stored-tail length above which a pruning pass runs.
+/// Stored-tail length above which pruning is considered.
 ///
 /// 512 entries exceed the flips a [`RETENTION`] window typically holds
 /// for the network's congestion parameters (~475 for a fabric path, ~118
-/// for a WAN path), so a pass usually drops a bounded batch; `drain` keeps
-/// the allocation, so this also caps each vector at ~1,024 capacity
-/// (8 KB) for good. Failure episodes with hour-scale means reach the
-/// trigger only after weeks of simulated time.
+/// for a WAN path). Failure episodes with hour-scale means reach it only
+/// after weeks of simulated time.
 pub const PRUNE_TRIGGER_LEN: usize = 512;
+
+/// Fewest intervals a pruning pass drops.
+///
+/// Above [`PRUNE_TRIGGER_LEN`], a query prunes only once at least this
+/// many stored intervals end below the retention horizon — a single
+/// comparison to check — so each pass's search and tail move are paid
+/// for by this many appended flips, not repeated on every query. The
+/// stored tail thus peaks near the retention window's flips plus this
+/// batch (well under 1,024 entries, 8 KB, for a fabric path); `drain`
+/// keeps the allocation, so it is never reallocated once grown.
+pub const PRUNE_BATCH: usize = 32;
 
 /// The lazily drawn trajectory of one alternating-renewal process.
 ///
@@ -67,12 +76,12 @@ pub const PRUNE_TRIGGER_LEN: usize = 512;
 /// # Bounded memory
 ///
 /// Remembering the trajectory costs one [`SimTime`] per flip. Once the
-/// stored tail exceeds [`PRUNE_TRIGGER_LEN`] entries, intervals ending
-/// more than [`RETENTION`] before the query that triggered the pass are
-/// discarded. Their draws were already consumed in trajectory order, so
-/// every answer inside the retained tail is bit-identical to the
-/// never-pruned trajectory, and resident state stays at a few KB however
-/// long the simulation runs.
+/// stored tail exceeds [`PRUNE_TRIGGER_LEN`] entries and at least
+/// [`PRUNE_BATCH`] of them end more than [`RETENTION`] before a query,
+/// every interval ending that far back is discarded. Their draws were
+/// already consumed in trajectory order, so every answer inside the
+/// retained tail is bit-identical to the never-pruned trajectory, and
+/// resident state stays at a few KB however long the simulation runs.
 ///
 /// The price is a bounded look-behind: a query at `t` is always answered
 /// when `t` is at most [`RETENTION`] behind the furthest instant ever
@@ -91,11 +100,9 @@ pub struct AlternatingRenewal {
     /// End instant of the last pruned interval: the stored trajectory
     /// now begins at this instant. Queries below it panic.
     pruned_end: SimTime,
-    /// Local (post-pruning) interval index of the last answer. A lookup
-    /// hint only: queries are near-monotone in practice, so the
-    /// containing interval is usually this one or the next, and the
-    /// binary search over the stored tail can be skipped. Never affects
-    /// the result.
+    /// Local (post-pruning) interval index of the last answer, where
+    /// the next lookup starts galloping. A lookup hint only: never
+    /// affects the result.
     cursor: usize,
     rng: Prng,
     up_hold: Exponential,
@@ -150,7 +157,9 @@ impl AlternatingRenewal {
                 + SimDuration::from_secs_f64(hold.max(1e-6));
             self.flip_ends.push(end);
         }
-        if self.flip_ends.len() > PRUNE_TRIGGER_LEN {
+        if self.flip_ends.len() > PRUNE_TRIGGER_LEN
+            && self.flip_ends[PRUNE_BATCH - 1] <= horizon(now)
+        {
             self.prune(now);
         }
         assert!(
@@ -159,31 +168,54 @@ impl AlternatingRenewal {
              (queries may look back at most {RETENTION} behind the furthest query)",
             self.pruned_end,
         );
-        // Local interval `i` contains `now` iff it starts at or before
-        // `now` and ends after it; a local interval's start is the
-        // previous stored end, or `pruned_end` for the first one. Try the
-        // cursor hint (last answer, then its successor) before
-        // binary-searching the stored tail; all three branches compute
-        // the same index.
-        let c = self.cursor;
-        let i = if c < self.flip_ends.len()
-            && now < self.flip_ends[c]
-            && (if c == 0 {
-                self.pruned_end <= now
-            } else {
-                self.flip_ends[c - 1] <= now
-            }) {
-            c
-        } else if c + 1 < self.flip_ends.len()
-            && now < self.flip_ends[c + 1]
-            && self.flip_ends[c] <= now
-        {
-            c + 1
-        } else {
-            self.flip_ends.partition_point(|&end| end <= now)
-        };
+        let i = self.locate(now);
         self.cursor = i;
         (self.pruned + i) as u64
+    }
+
+    /// The local interval containing `now`: the first stored end above
+    /// `now` (the stored tail's `partition_point(|end| end <= now)`).
+    ///
+    /// Gallops from the cursor, the last answer: queries are
+    /// near-monotone in practice, so the answer is usually the cursor or
+    /// its successor (one or two comparisons), and a jump of `d`
+    /// intervals costs `O(log d)` comparisons instead of a binary search
+    /// over the whole tail. Requires `pruned_end <= now < last end`.
+    fn locate(&self, now: SimTime) -> usize {
+        let ends = &self.flip_ends;
+        let last = ends.len() - 1;
+        let c = self.cursor;
+        // Bracket the answer in `lo..=hi`, knowing `ends[hi] > now` and
+        // that every end below `lo` is at or before `now`.
+        let (mut lo, mut hi);
+        if ends[c] <= now {
+            // Forward: the answer is past the cursor.
+            lo = c + 1;
+            hi = last;
+            let mut step = 1;
+            while c + step < last {
+                if ends[c + step] > now {
+                    hi = c + step;
+                    break;
+                }
+                lo = c + step + 1;
+                step *= 2;
+            }
+        } else {
+            // Backward: the answer is the cursor or before it.
+            lo = 0;
+            hi = c;
+            let mut step = 1;
+            while step <= c {
+                if ends[c - step] <= now {
+                    lo = c - step + 1;
+                    break;
+                }
+                hi = c - step;
+                step *= 2;
+            }
+        }
+        lo + ends[lo..hi].partition_point(|&end| end <= now)
     }
 
     /// Whether the process is in its down state at `now`.
@@ -205,7 +237,7 @@ impl AlternatingRenewal {
     /// Discards stored intervals ending at or before `now - RETENTION`,
     /// keeping global numbering via the pruned-prefix count.
     fn prune(&mut self, now: SimTime) {
-        let horizon = SimTime::from_nanos(now.as_nanos().saturating_sub(RETENTION.as_nanos()));
+        let horizon = horizon(now);
         // Keep at least one interval so the trajectory stays non-empty.
         let cut = self
             .flip_ends
@@ -219,6 +251,12 @@ impl AlternatingRenewal {
         self.pruned += cut;
         self.cursor = self.cursor.saturating_sub(cut);
     }
+}
+
+/// The retention horizon of a query at `now`: intervals ending at or
+/// before it may be pruned.
+fn horizon(now: SimTime) -> SimTime {
+    SimTime::from_nanos(now.as_nanos().saturating_sub(RETENTION.as_nanos()))
 }
 
 #[cfg(test)]
@@ -317,6 +355,42 @@ mod tests {
             let g = p.interval_at(now);
             assert_eq!(p.cursor, local(&p, now), "hint diverged at {now}");
             assert_eq!(g, (p.pruned + p.cursor) as u64);
+        }
+    }
+
+    /// Walks a frontier forward over `days` simulated days in random
+    /// steps and queries behind it at log-uniform look-backs (1 ns to
+    /// just under [`RETENTION`]), so the gallop runs both ways over every
+    /// distance while the tail is pruned; after each answer the cursor
+    /// must equal the full binary search's.
+    fn gallop_matches_partition_point(seed: u64, days: u64, queries: u64) {
+        let mut p = process(busy(), seed);
+        let mut rng = Prng::seed_from(seed ^ 0x6A11);
+        let step_max = days * 86_400_000_000_000 / queries;
+        let mut frontier = RETENTION.as_nanos();
+        for _ in 0..queries {
+            frontier += rng.next_u64() % (2 * step_max);
+            let back = (rng.next_f64() * (RETENTION.as_nanos() as f64).ln()).exp() as u64;
+            let now = SimTime::from_nanos(frontier - back.min(RETENTION.as_nanos() - 1));
+            p.interval_at(SimTime::from_nanos(frontier));
+            let g = p.interval_at(now);
+            assert_eq!(p.cursor, local(&p, now), "gallop diverged at {now}");
+            assert_eq!(g, (p.pruned + p.cursor) as u64);
+        }
+        assert!(p.pruned > 0, "the walk never pruned");
+    }
+
+    #[test]
+    fn gallop_matches_partition_point_while_pruning() {
+        gallop_matches_partition_point(31, 2, 100_000);
+    }
+
+    /// Long budget, run by CI's exactness-sweep step.
+    #[test]
+    #[ignore]
+    fn sweep_gallop_matches_partition_point() {
+        for seed in 0..8 {
+            gallop_matches_partition_point(seed, 14, 4_000_000);
         }
     }
 

@@ -109,7 +109,7 @@ impl SimDuration {
         if s.is_nan() || s <= 0.0 {
             return SimDuration(0);
         }
-        SimDuration((s * 1e9).round().min(u64::MAX as f64) as u64)
+        SimDuration(round_nanos(s * 1e9))
     }
 
     /// Creates a duration from fractional microseconds, clamping like
@@ -147,6 +147,24 @@ impl SimDuration {
     /// nanoseconds and clamping at the representable range.
     pub fn mul_f64(self, factor: f64) -> SimDuration {
         SimDuration::from_secs_f64(self.as_secs_f64() * factor)
+    }
+}
+
+/// `x.round().min(u64::MAX as f64) as u64` for `x > 0` (NaN excluded),
+/// without the `round` call.
+///
+/// Below 2^52 the fraction `x - trunc(x)` is exact, so comparing it with
+/// 0.5 rounds half away from zero exactly as `f64::round` does. From 2^52
+/// up every f64 is already an integer, and the saturating cast clamps
+/// 2^64 and above (infinity included) to `u64::MAX`.
+#[inline]
+fn round_nanos(x: f64) -> u64 {
+    const EXACT_FRACTION_BELOW: f64 = (1u64 << 52) as f64;
+    if x < EXACT_FRACTION_BELOW {
+        let n = x as i64;
+        (n + i64::from(x - n as f64 >= 0.5)) as u64
+    } else {
+        x as u64
     }
 }
 
@@ -244,6 +262,75 @@ mod tests {
             SimDuration::ZERO
         );
         assert!(SimDuration::from_secs_f64(f64::INFINITY).as_nanos() > 0);
+    }
+
+    /// The rounding `round_nanos` replaces.
+    fn reference_round(x: f64) -> u64 {
+        x.round().min(u64::MAX as f64) as u64
+    }
+
+    /// Positive, non-NaN f64s from random bit patterns, spread over every
+    /// exponent.
+    fn random_positive(n: usize, seed: u64) -> impl Iterator<Item = f64> {
+        let mut rng = crate::rng::SplitMix64::new(seed);
+        std::iter::repeat_with(move || f64::from_bits(rng.next_u64() >> 1))
+            .filter(|x| !x.is_nan() && *x > 0.0)
+            .take(n)
+    }
+
+    #[test]
+    fn round_nanos_matches_f64_round() {
+        let two = |e: i32| 2f64.powi(e);
+        let edges = [
+            f64::MIN_POSITIVE,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            4_503_599_627_370_495.5,
+            two(52) - 1.0,
+            two(52),
+            two(52) + 1.0,
+            two(53),
+            two(53) + 2.0,
+            two(63),
+            two(64),
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        let ties = (0..100_000u64).map(|k| k as f64 + 0.5);
+        let near_ties = (0..100_000u64).flat_map(|k| {
+            let tie = k as f64 + 0.5;
+            [tie.next_down(), tie.next_up()]
+        });
+        for x in edges
+            .into_iter()
+            .chain(ties)
+            .chain(near_ties)
+            .chain(random_positive(200_000, 1))
+        {
+            assert_eq!(round_nanos(x), reference_round(x), "x = {x:e}");
+        }
+        assert_eq!(
+            SimDuration::from_secs_f64(f64::INFINITY).as_nanos(),
+            u64::MAX
+        );
+    }
+
+    /// Long budget, run by CI's exactness-sweep step: every tie `k + 0.5`
+    /// for `k < 2^24` and its neighbours, plus 50M random bit patterns.
+    #[test]
+    #[ignore]
+    fn sweep_round_nanos_matches_f64_round() {
+        for k in 0..1u64 << 24 {
+            let tie = k as f64 + 0.5;
+            for x in [tie.next_down(), tie, tie.next_up()] {
+                assert_eq!(round_nanos(x), reference_round(x), "x = {x:e}");
+            }
+        }
+        for x in random_positive(50_000_000, 2) {
+            assert_eq!(round_nanos(x), reference_round(x), "x = {x:e}");
+        }
     }
 
     #[test]

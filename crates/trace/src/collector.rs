@@ -9,6 +9,7 @@
 use crate::span::{MethodId, TraceData};
 use crate::summary::MethodTable;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::OnceLock;
 
 /// Head-based sampling decision maker.
@@ -48,12 +49,45 @@ impl TraceCollector {
     }
 }
 
+/// Hashes a [`MethodId`] with one multiply (Fibonacci hashing) in place
+/// of a SipHash per indexed span.
+///
+/// The rotation moves the product's high half, where every bit of the id
+/// has mixed, into the low bits the table picks buckets with, so ids that
+/// differ only in high bits do not share buckets. The hash is fixed: an
+/// export crafted with colliding ids can slow its own import, not change
+/// what the index holds.
+#[derive(Debug, Default)]
+struct MethodIdHasher(u64);
+
+impl Hasher for MethodIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Owned storage of sampled traces with a per-method span index.
 #[derive(Debug, Default)]
 pub struct TraceStore {
     traces: Vec<TraceData>,
-    /// Method -> list of (trace index, span index).
-    by_method: HashMap<MethodId, Vec<(u32, u32)>>,
+    /// Method -> list of (trace index, span index), ascending. Keyed by
+    /// the ids present, so its size follows the distinct methods seen,
+    /// not the largest id.
+    by_method: HashMap<MethodId, Vec<(u32, u32)>, BuildHasherDefault<MethodIdHasher>>,
     total_spans: usize,
     /// The per-method summaries of these traces: built on first use,
     /// dropped when a trace is added.
@@ -127,11 +161,23 @@ impl TraceStore {
     /// Folding per-shard stores in shard order over contiguous trace
     /// partitions reproduces exactly the store a single-threaded run
     /// would have built — trace order, span indexes, and the per-method
-    /// index included. The parallel fleet driver relies on this.
+    /// index included. The parallel fleet driver relies on this. Each of
+    /// `other`'s method lists is appended shifted by this store's trace
+    /// count; its spans are not re-indexed one by one.
     pub fn merge(&mut self, other: TraceStore) {
-        for trace in other.traces {
-            self.add(trace);
+        if other.traces.is_empty() {
+            return;
         }
+        let offset = self.traces.len() as u32;
+        for (method, spans) in other.by_method {
+            self.by_method
+                .entry(method)
+                .or_default()
+                .extend(spans.into_iter().map(|(t, s)| (t + offset, s)));
+        }
+        self.total_spans += other.total_spans;
+        self.traces.extend(other.traces);
+        self.table.take();
     }
 }
 
@@ -260,6 +306,36 @@ mod tests {
         }
         for (a, b) in merged.traces().iter().zip(single.traces()) {
             assert_eq!(a.spans.len(), b.spans.len());
+        }
+    }
+
+    #[test]
+    fn merging_multi_trace_stores_equals_adding_each_trace() {
+        // Partitions of several traces each, with sparse and repeated
+        // method ids (one near u32::MAX): the shifted per-method lists
+        // must equal the index `add` builds span by span.
+        let traces: Vec<Vec<u32>> = (0..40u32)
+            .map(|i| {
+                (0..1 + i % 5)
+                    .map(|j| (i * 7 + j * 13) % 11 + (j % 2) * 4_000_000_000)
+                    .collect()
+            })
+            .collect();
+        let mut single = TraceStore::new();
+        let mut merged = TraceStore::new();
+        for part in traces.chunks(6) {
+            let mut local = TraceStore::new();
+            for methods in part {
+                single.add(trace_with_methods(methods));
+                local.add(trace_with_methods(methods));
+            }
+            merged.merge(local);
+        }
+        assert_eq!(merged.len(), single.len());
+        assert_eq!(merged.total_spans(), single.total_spans());
+        assert_eq!(merged.methods(), single.methods());
+        for m in single.methods() {
+            assert_eq!(merged.spans_of(m), single.spans_of(m), "{m:?}");
         }
     }
 }

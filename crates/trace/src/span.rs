@@ -75,11 +75,7 @@ impl SpanRecord {
 
     /// One component's latency.
     pub fn component(&self, c: LatencyComponent) -> SimDuration {
-        let idx = LatencyComponent::ALL
-            .iter()
-            .position(|&x| x == c)
-            .expect("component in ALL");
-        from_ticks(self.components[idx])
+        from_ticks(self.components[c.index()])
     }
 
     /// The full latency breakdown (dequantized).
