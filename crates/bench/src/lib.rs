@@ -2,6 +2,7 @@
 //! the `ablate` binary.
 
 pub mod ablation;
+pub mod digests;
 pub mod inspect;
 pub mod wire;
 pub mod wiretrace;

@@ -10,37 +10,17 @@
 //!    trajectories derive from `(seed, entity)` alone, so every preset
 //!    produces identical manifests — digest *and* robustness section —
 //!    at 1 and 4 shards.
-//! 3. The chaos-smoke digest matches the committed expectation in
-//!    `crates/bench/FAULT_SMOKE_DIGEST`, the same value the CI
-//!    fault-smoke step greps for. Re-baseline both together, never one.
+//! 3. The chaos-smoke and incident-smoke digests match their entries in
+//!    the digest registry, `crates/bench/DIGESTS` (`manifest/chaos-smoke`,
+//!    `manifest/incident-smoke`), the same values the CI fault-smoke and
+//!    incident-smoke steps read.
 
+use rpclens_bench::digests;
 use rpclens_core::figs::fig23;
 use rpclens_fleet::driver::{run_fleet, FleetConfig, FleetRun, SimScale};
 use rpclens_fleet::faults::FaultScenario;
 use rpclens_fleet::telemetry::{manifest_for_run, slo_findings, DEFAULT_TAIL_TOLERANCE};
 use rpclens_obs::{Severity, SloConfig};
-
-/// Golden digest of the fault-free smoke manifest; must match the value
-/// pinned in `telemetry_determinism.rs`.
-const SMOKE_GOLDEN_DIGEST: u64 = 4965560232275073350;
-
-/// Committed chaos-smoke digest expectation, shared with the CI
-/// fault-smoke gate.
-fn fault_smoke_digest() -> u64 {
-    include_str!("../FAULT_SMOKE_DIGEST")
-        .trim()
-        .parse()
-        .expect("FAULT_SMOKE_DIGEST holds one u64")
-}
-
-/// Committed incident-smoke digest expectation, shared with the CI
-/// incident-smoke gate.
-fn incident_smoke_digest() -> u64 {
-    include_str!("../INCIDENT_SMOKE_DIGEST")
-        .trim()
-        .parse()
-        .expect("INCIDENT_SMOKE_DIGEST holds one u64")
-}
 
 fn smoke_run(faults: FaultScenario, shards: usize) -> FleetRun {
     run_fleet(FleetConfig {
@@ -54,11 +34,7 @@ fn faults_none_preserves_the_golden_digest() {
     for shards in [1usize, 4] {
         let run = smoke_run(FaultScenario::none(), shards);
         let manifest = manifest_for_run(&run);
-        assert_eq!(
-            manifest.digest(),
-            SMOKE_GOLDEN_DIGEST,
-            "--faults none drifted from the golden smoke digest at shards={shards}"
-        );
+        digests::check("manifest/smoke", manifest.digest());
         assert!(
             manifest.robustness.is_none(),
             "fault-free manifests must not carry a robustness section"
@@ -99,19 +75,14 @@ fn chaos_smoke_is_bit_identical_across_shard_counts() {
         assert!(r.causal_unavailable > 0, "no causal unavailability");
         assert!(r.deadline_exceeded > 0, "no deadline expirations");
         // And the scenario digest differs from the fault-free golden one.
-        assert_ne!(one.digest(), SMOKE_GOLDEN_DIGEST);
+        assert_ne!(one.digest(), digests::pinned("manifest/smoke"));
     }
 }
 
 #[test]
 fn chaos_smoke_digest_matches_committed_expectation() {
     let manifest = manifest_for_run(&smoke_run(FaultScenario::chaos_smoke(), 1));
-    assert_eq!(
-        manifest.digest(),
-        fault_smoke_digest(),
-        "chaos-smoke digest drifted from crates/bench/FAULT_SMOKE_DIGEST; \
-         if the drift is intentional, re-baseline the file and the CI gate together"
-    );
+    digests::check("manifest/chaos-smoke", manifest.digest());
 }
 
 #[test]
@@ -119,10 +90,7 @@ fn incident_smoke_is_bit_identical_across_shards_and_threads() {
     // The incident plane draws shared cross-entity trajectories and the
     // control plane reacts to them on window boundaries — neither may
     // observe anything a shard computed, so the full (shards, threads)
-    // matrix must agree with the committed expectation in
-    // `crates/bench/INCIDENT_SMOKE_DIGEST` (the CI incident-smoke gate
-    // greps for the same value; re-baseline both together, never one).
-    let expected = incident_smoke_digest();
+    // matrix must agree with the `manifest/incident-smoke` pin.
     let mut reference: Option<rpclens_obs::RunManifest> = None;
     for shards in [1usize, 4] {
         for threads in [1usize, 4] {
@@ -133,13 +101,7 @@ fn incident_smoke_is_bit_identical_across_shards_and_threads() {
                     .with_faults(FaultScenario::incident_smoke())
             });
             let manifest = manifest_for_run(&run);
-            assert_eq!(
-                manifest.digest(),
-                expected,
-                "incident-smoke digest drifted from crates/bench/INCIDENT_SMOKE_DIGEST \
-                 at shards={shards} threads={threads}; if the drift is intentional, \
-                 re-baseline the file and the CI gate together"
-            );
+            digests::check("manifest/incident-smoke", manifest.digest());
             match &reference {
                 None => reference = Some(manifest),
                 Some(first) => {

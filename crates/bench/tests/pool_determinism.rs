@@ -3,32 +3,21 @@
 //! PR 1 pinned shard-count invariance (`shard_determinism.rs`,
 //! `telemetry_determinism.rs`); the worker pool adds a second execution
 //! knob, so this file pins the full (shards, threads) matrix against
-//! both committed golden digests — the fault-free smoke manifest digest
-//! and the chaos-smoke digest in `crates/bench/FAULT_SMOKE_DIGEST` —
-//! plus the per-window counter rows the SLO detectors read (adjacent
+//! both committed golden digests — `manifest/smoke` and
+//! `manifest/chaos-smoke` in the digest registry, `crates/bench/DIGESTS`
+//! — plus the per-window counter rows the SLO detectors read (adjacent
 //! shards share boundary windows), and property-tests the
 //! order-restoring merge (`fleet::pool::OrderedFold`) directly: whatever
 //! order workers *complete* shards in, the fold is applied in shard-id
 //! order, so merged accumulators never depend on scheduling.
 
 use proptest::prelude::*;
+use rpclens_bench::digests;
 use rpclens_fleet::driver::{run_fleet, FleetConfig, FleetRun, SimScale, WINDOW_LANES};
 use rpclens_fleet::faults::FaultScenario;
 use rpclens_fleet::pool::OrderedFold;
 use rpclens_fleet::telemetry::{manifest_for_run, window_samples};
 use rpclens_obs::{ShardCounters, WindowSample};
-
-/// Golden fault-free smoke digest; must match the value pinned in
-/// `telemetry_determinism.rs`.
-const SMOKE_GOLDEN_DIGEST: u64 = 4965560232275073350;
-
-/// Committed chaos-smoke digest, shared with the CI fault-smoke gate.
-fn fault_smoke_digest() -> u64 {
-    include_str!("../FAULT_SMOKE_DIGEST")
-        .trim()
-        .parse()
-        .expect("FAULT_SMOKE_DIGEST holds one u64")
-}
 
 fn smoke_run(faults: FaultScenario, shards: usize, threads: usize) -> FleetRun {
     run_fleet(FleetConfig {
@@ -59,11 +48,7 @@ fn golden_digests_hold_across_the_shards_threads_matrix() {
         for threads in [1usize, 4] {
             let run = smoke_run(FaultScenario::none(), shards, threads);
             let manifest = manifest_for_run(&run);
-            assert_eq!(
-                manifest.digest(),
-                SMOKE_GOLDEN_DIGEST,
-                "smoke digest drifted at shards={shards} threads={threads}"
-            );
+            digests::check("manifest/smoke", manifest.digest());
             // Thread count is execution shape: recorded in the
             // undigested runtime section, clamped to the shard count.
             assert_eq!(manifest.runtime.shards, shards);
@@ -71,11 +56,7 @@ fn golden_digests_hold_across_the_shards_threads_matrix() {
 
             let faulted = smoke_run(FaultScenario::chaos_smoke(), shards, threads);
             let faulted_manifest = manifest_for_run(&faulted);
-            assert_eq!(
-                faulted_manifest.digest(),
-                fault_smoke_digest(),
-                "chaos-smoke digest drifted at shards={shards} threads={threads}"
-            );
+            digests::check("manifest/chaos-smoke", faulted_manifest.digest());
             assert_eq!(
                 faulted_manifest
                     .robustness

@@ -7,20 +7,14 @@
 //! `docs/ARCHITECTURE.md`) promises that this fold reproduces the
 //! single-threaded run exactly — so every figure and table regenerated
 //! from a run is bit-identical no matter how many cores were used.
+//! A smoke run's rendered artifacts are also pinned, as `figures/smoke`
+//! in the digest registry, `crates/bench/DIGESTS`.
 
-use rpclens_bench::{produce, Artifact};
+use rpclens_bench::{digests, produce, Artifact};
 use rpclens_core::figs::table2;
 use rpclens_fleet::driver::{run_fleet, FleetConfig, FleetRun, SimScale};
 use rpclens_obs::manifest::fnv1a;
 use rpclens_simcore::time::SimDuration;
-
-/// Committed FNV-1a of every rendered artifact of one smoke run.
-fn figures_smoke_digest() -> u64 {
-    include_str!("../FIGURES_SMOKE_DIGEST")
-        .trim()
-        .parse()
-        .expect("FIGURES_SMOKE_DIGEST holds one u64")
-}
 
 fn run_with_shards(shards: usize) -> FleetRun {
     let scale = SimScale {
@@ -148,8 +142,8 @@ fn figures_do_not_depend_on_artifact_order() {
 
 /// The rendered deliverables themselves, pinned: a smoke run (seed 7)
 /// must render every artifact — text and check lines — exactly as the
-/// committed digest records. Analysis refactors that mean to change no
-/// output are held to this; re-baseline only with a changelog entry.
+/// `figures/smoke` entry of `crates/bench/DIGESTS` records. Analysis
+/// refactors that mean to change no output are held to this.
 #[test]
 fn smoke_figures_match_committed_digest() {
     let run = run_fleet(FleetConfig::at_scale(SimScale::smoke()));
@@ -159,11 +153,5 @@ fn smoke_figures_match_committed_digest() {
         rendered.extend_from_slice(text.as_bytes());
         rendered.extend_from_slice(checks.to_string().as_bytes());
     }
-    let digest = fnv1a(&rendered);
-    assert_eq!(
-        digest,
-        figures_smoke_digest(),
-        "rendered smoke figures drifted from crates/bench/FIGURES_SMOKE_DIGEST \
-         (got {digest})"
-    );
+    digests::check("figures/smoke", fnv1a(&rendered));
 }

@@ -7,35 +7,26 @@
 //! on top, and any order-sensitivity there would surface here. The
 //! `runtime` section (wall-clock phase timings, per-shard shapes) is
 //! explicitly excluded: it is labeled non-deterministic by design.
+//!
+//! The smoke manifest digest is pinned as `manifest/smoke` in the
+//! digest registry, `crates/bench/DIGESTS`.
 
+use rpclens_bench::digests;
 use rpclens_fleet::driver::{run_fleet, FleetConfig, FleetRun, SimScale};
 use rpclens_fleet::telemetry::manifest_for_run;
 use rpclens_obs::RunManifest;
 use rpclens_simcore::time::SimDuration;
 
-/// Golden FNV-1a digest of the smoke preset's deterministic manifest
-/// section, recorded from the pre-optimization driver (commit `36d1551`).
-///
-/// The zero-allocation hot path (catalog interning, dense site tables,
-/// trace-buffer reuse) must keep every sampled value and every counter
-/// bit-identical; any drift in rng consumption order, sampler math, or
-/// accumulator folding moves this digest. If this test fails, the change
-/// altered simulation *behaviour*, not just its speed — that requires an
-/// explicit re-baseline with a changelog entry, never a silent edit.
-const SMOKE_GOLDEN_DIGEST: u64 = 4965560232275073350;
-
+/// Any drift in rng consumption order, sampler math, or accumulator
+/// folding moves the smoke digest. If this test fails, the change altered
+/// simulation *behaviour*, not just its speed.
 #[test]
 fn smoke_manifest_digest_matches_golden_at_1_and_4_shards() {
     for shards in [1usize, 4] {
         let mut config = FleetConfig::at_scale(SimScale::smoke());
         config.shards = shards;
         let run = run_fleet(config);
-        let manifest = manifest_for_run(&run);
-        assert_eq!(
-            manifest.digest(),
-            SMOKE_GOLDEN_DIGEST,
-            "smoke manifest digest drifted at shards={shards}"
-        );
+        digests::check("manifest/smoke", manifest_for_run(&run).digest());
     }
 }
 

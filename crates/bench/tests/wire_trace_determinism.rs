@@ -3,55 +3,29 @@
 //! function of the seed. CI runs this as a gate; a digest change means
 //! the capture pipeline (codec, payload generator, cost model, span
 //! assembly, or export format) drifted, which must be a deliberate,
-//! reviewed act (regenerate with
-//! `REGEN_WIRE_TRACE_DIGEST=1 cargo test -p rpclens-bench --test wire_trace_determinism`).
+//! reviewed act. The digests are the `wire-trace/<seed>` entries of the
+//! digest registry, `crates/bench/DIGESTS`.
 
+use rpclens_bench::digests;
 use rpclens_bench::wiretrace::{run_traced_memlink, TraceBenchConfig};
-use std::fmt::Write as _;
 
-const DIGEST_FILE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/WIRE_TRACE_DIGEST");
-
-fn pinned_configs() -> Vec<TraceBenchConfig> {
-    [42, 7]
-        .into_iter()
-        .map(|seed| TraceBenchConfig {
+#[test]
+fn wire_trace_capture_is_deterministic_and_pinned() {
+    for seed in [42, 7] {
+        let config = TraceBenchConfig {
             requests: 48,
             seed,
             total_methods: 300,
             hops: 2,
             fanout: 2,
-        })
-        .collect()
-}
-
-#[test]
-fn wire_trace_capture_is_deterministic_and_pinned() {
-    let mut rendered = String::from(
-        "# Wire-trace export digests (fnv1a of trace::export bytes).\n\
-         # One `seed digest` pair per line; config: requests=48 methods=300 hops=2 fanout=2.\n\
-         # Regenerate: REGEN_WIRE_TRACE_DIGEST=1 cargo test -p rpclens-bench --test wire_trace_determinism\n",
-    );
-    for config in pinned_configs() {
+        };
         let a = run_traced_memlink(&config).expect("traced run");
         let b = run_traced_memlink(&config).expect("traced rerun");
         assert_eq!(
             a.export, b.export,
-            "seed {}: export bytes differ between identical runs",
-            config.seed
+            "seed {seed}: export bytes differ between identical runs"
         );
         assert_eq!(a.digest, b.digest);
-        writeln!(rendered, "{} {:016x}", config.seed, a.digest).unwrap();
+        digests::check(&format!("wire-trace/{seed}"), a.digest);
     }
-    if std::env::var_os("REGEN_WIRE_TRACE_DIGEST").is_some() {
-        std::fs::write(DIGEST_FILE, &rendered).unwrap();
-        eprintln!("regenerated {DIGEST_FILE}");
-        return;
-    }
-    let committed = std::fs::read_to_string(DIGEST_FILE)
-        .unwrap_or_else(|e| panic!("missing digest pin {DIGEST_FILE}: {e}"));
-    assert_eq!(
-        committed, rendered,
-        "wire-trace digest drifted from the committed pin; if the capture \
-         change is intentional, regenerate with REGEN_WIRE_TRACE_DIGEST=1"
-    );
 }

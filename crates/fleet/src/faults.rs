@@ -335,7 +335,7 @@ impl FaultScenario {
     /// pair WAN cuts, and regional overload fronts, against an
     /// autoscaler, load-balancer weight shifts, and bounded admission
     /// queues. The digest-pinned companion to `chaos-smoke` for the
-    /// incident layer (crates/bench/INCIDENT_SMOKE_DIGEST).
+    /// incident layer (`manifest/incident-smoke` in crates/bench/DIGESTS).
     pub fn incident_smoke() -> Self {
         FaultScenario {
             name: "incident-smoke",
