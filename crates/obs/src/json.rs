@@ -303,13 +303,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = bytes
+                        // Exactly four hex digits (`from_str_radix` alone
+                        // would also take a sign).
+                        let code = bytes
                             .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| err(*pos, "truncated \\u escape"))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| err(*pos, "non-ascii \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| err(*pos, "bad \\u escape"))?;
+                            .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))
+                            .and_then(|hex| {
+                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()
+                            })
+                            .ok_or_else(|| err(*pos, "bad \\u escape"))?;
                         // Surrogates are not paired; the writer never emits
                         // them, so reject rather than mis-decode.
                         let c = char::from_u32(code)
@@ -322,12 +324,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so slicing on
-                // char boundaries is safe via chars()).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| err(*pos, "utf8"))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Unescaped text up to the next quote or backslash. Both
+                // are ASCII, so the run starts and ends on char
+                // boundaries of the `&str` input and is valid UTF-8.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .unwrap_or(bytes.len() - *pos);
+                let text =
+                    std::str::from_utf8(&bytes[*pos..*pos + run]).map_err(|_| err(*pos, "utf8"))?;
+                out.push_str(text);
+                *pos += run;
             }
         }
     }
@@ -503,6 +510,19 @@ mod tests {
     }
 
     #[test]
+    fn long_strings_roundtrip() {
+        // Unescaped runs between escapes, multi-byte scalars at run
+        // edges, and one run of 256 KiB.
+        let s = format!(
+            "{}\"\u{263a}x\\\u{e9}\n{}",
+            "ab\u{e9}".repeat(65_536),
+            "z".repeat(7)
+        );
+        let text = Json::Str(s.clone()).to_pretty();
+        assert_eq!(parse(&text).unwrap().as_str(), Some(s.as_str()));
+    }
+
+    #[test]
     fn nonfinite_floats_render_null() {
         assert_eq!(Json::Float(f64::NAN).to_pretty(), "null\n");
         assert_eq!(Json::Float(f64::INFINITY).to_pretty(), "null\n");
@@ -520,6 +540,7 @@ mod tests {
         assert!(parse(r#""\u00""#).is_err());
         assert!(parse(r#""\uzzzz""#).is_err());
         assert!(parse(r#""\x41""#).is_err(), "unknown escape letter");
+        assert!(parse(r#""\u+041""#).is_err(), "signed \\u escape");
     }
 
     #[test]

@@ -213,27 +213,70 @@ pub fn decode_frame(mut input: &[u8]) -> Result<RpcFrame, DecodeError> {
     })
 }
 
-/// CRC32 (IEEE 802.3 polynomial), table-driven.
-pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, entry) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *entry = c;
+/// Slicing-by-16 tables for [`crc32`]: `CRC_TABLES[0]` is the classic
+/// bytewise table, and `CRC_TABLES[k][b]` is the CRC state of byte `b`
+/// followed by `k` zero bytes, so sixteen lookups advance the CRC over
+/// sixteen input bytes at once.
+static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        t
-    });
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC32 (IEEE 802.3 polynomial), slicing-by-16: sixteen bytes per
+/// step, then the bytewise table for the tail. Bit-identical to the
+/// one-byte-at-a-time loop.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let (blocks, tail) = data.as_chunks::<16>();
+    for b in blocks {
+        let x = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        crc = t[15][(x & 0xFF) as usize]
+            ^ t[14][((x >> 8) & 0xFF) as usize]
+            ^ t[13][((x >> 16) & 0xFF) as usize]
+            ^ t[12][(x >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in tail {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc ^ 0xFFFF_FFFF
 }
@@ -269,6 +312,66 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    /// The bytewise loop `crc32` replaced, with its own table: one
+    /// lookup per byte.
+    fn reference_crc32(data: &[u8]) -> u32 {
+        let mut table = [0u32; 256];
+        for (i, entry) in table.iter_mut().enumerate() {
+            let mut c = i as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+            *entry = c;
+        }
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
+    /// Checks `crc32` against the bytewise reference: every length
+    /// `0..=64` at every start offset `0..16` of one buffer (each tail
+    /// and alignment of the 16-byte blocks), then `random` buffers of
+    /// random length up to 64 KiB.
+    fn crc32_matches_bytewise(seed: u64, random: usize) {
+        let mut rng = Prng::seed_from(seed);
+        let buf: Vec<u8> = (0..80).map(|_| rng.next_u64() as u8).collect();
+        for start in 0..16 {
+            for len in 0..=64 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), reference_crc32(s), "start {start}, len {len}");
+            }
+        }
+        for case in 0..random {
+            let len = rng.index(64 * 1024 + 1);
+            let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            assert_eq!(
+                crc32(&data),
+                reference_crc32(&data),
+                "case {case}, len {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_reference() {
+        crc32_matches_bytewise(1, 24);
+    }
+
+    /// Long budget, run by CI's exactness-sweep step.
+    #[test]
+    #[ignore]
+    fn sweep_crc32_matches_bytewise_reference() {
+        for seed in 0..16 {
+            crc32_matches_bytewise(100 + seed, 1_000);
+        }
     }
 
     #[test]

@@ -68,7 +68,10 @@ fn hash3(data: &[u8], i: usize) -> usize {
 /// what the wire's [`crate::message`] layer does.
 pub fn compress(input: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
-    let mut table = [usize::MAX; WINDOW];
+    // Last position seen per hash, `u32::MAX` for none. Past 4 GiB the
+    // stored positions wrap, fail the window check below and the tail
+    // is emitted as literals: still a valid stream.
+    let mut table = [u32::MAX; WINDOW];
     let mut i = 0usize;
     // Pending token group: position of the current flag byte in `out`
     // and how many of its 8 slots are used.
@@ -94,9 +97,9 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
         let mut emitted = false;
         if i + MIN_MATCH <= input.len() {
             let h = hash3(input, i);
-            let candidate = table[h];
-            table[h] = i;
-            if candidate != usize::MAX && candidate < i && i - candidate < WINDOW {
+            let candidate = table[h] as usize;
+            table[h] = i as u32;
+            if candidate != u32::MAX as usize && candidate < i && i - candidate < WINDOW {
                 // Verify and extend the candidate match.
                 let max_len = MAX_MATCH.min(input.len() - i);
                 let mut len = 0usize;
@@ -156,10 +159,18 @@ pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>, Compress
                     return Err(CompressError::BadOffset);
                 }
                 let start = out.len() - offset;
-                // Overlapping copies are legal (offset < len repeats).
-                for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
+                if offset >= len {
+                    out.extend_from_within(start..start + len);
+                } else if offset == 1 {
+                    // A run: the last byte, repeated.
+                    out.resize(out.len() + len, out[start]);
+                } else {
+                    // Overlapping copies are legal (offset < len repeats
+                    // the last `offset` bytes).
+                    for k in 0..len {
+                        let b = out[start + k];
+                        out.push(b);
+                    }
                 }
             }
         }
@@ -253,6 +264,160 @@ mod tests {
         // yet: the offset necessarily points before the start.
         let stream = [0b0000_0001u8, 0x10, 0x05];
         assert_eq!(decompress(&stream, 8), Err(CompressError::BadOffset));
+    }
+
+    /// The decoder `decompress` replaced: every match copied byte by
+    /// byte.
+    fn reference_decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>, CompressError> {
+        let mut out = Vec::new();
+        let mut i = 0usize;
+        while i < input.len() {
+            let flags = input[i];
+            i += 1;
+            for bit in 0..8 {
+                if i >= input.len() {
+                    break;
+                }
+                if flags & (1 << bit) == 0 {
+                    out.push(input[i]);
+                    i += 1;
+                } else {
+                    if i + 1 >= input.len() {
+                        return Err(CompressError::Truncated);
+                    }
+                    let code = input[i];
+                    let offset = (((code >> 4) as usize) << 8) | input[i + 1] as usize;
+                    let len = (code & 0x0F) as usize + MIN_MATCH;
+                    i += 2;
+                    if offset == 0 || offset > out.len() {
+                        return Err(CompressError::BadOffset);
+                    }
+                    let start = out.len() - offset;
+                    for k in 0..len {
+                        let b = out[start + k];
+                        out.push(b);
+                    }
+                }
+            }
+        }
+        if out.len() != expected_len {
+            return Err(CompressError::LengthMismatch {
+                expected: expected_len,
+                actual: out.len(),
+            });
+        }
+        Ok(out)
+    }
+
+    /// A token stream of `literals` distinct literal bytes followed by
+    /// one match token.
+    fn literals_then_match(literals: usize, offset: usize, len: usize) -> Vec<u8> {
+        let mut items: Vec<Vec<u8>> = (0..literals).map(|k| vec![k as u8 ^ 0xA5]).collect();
+        let code = ((offset >> 8) as u8) << 4 | (len - MIN_MATCH) as u8;
+        items.push(vec![code, offset as u8]);
+        let mut stream = Vec::new();
+        for (group, chunk) in items.chunks(8).enumerate() {
+            let mut flags = 0u8;
+            for (k, _) in chunk.iter().enumerate() {
+                if group * 8 + k == literals {
+                    flags |= 1 << k;
+                }
+            }
+            stream.push(flags);
+            for item in chunk {
+                stream.extend_from_slice(item);
+            }
+        }
+        stream
+    }
+
+    #[test]
+    fn hand_built_matches_decode_like_the_byte_loop() {
+        // Every length at every offset that overlaps its output (1..len)
+        // or copies exactly its length, plus a few past it.
+        for len in MIN_MATCH..=MAX_MATCH {
+            for offset in 1..=len + 3 {
+                for literals in [offset, offset + 5] {
+                    let stream = literals_then_match(literals, offset, len);
+                    let expected = reference_decompress(&stream, literals + len);
+                    assert!(expected.is_ok(), "offset {offset}, len {len}");
+                    assert_eq!(
+                        decompress(&stream, literals + len),
+                        expected,
+                        "offset {offset}, len {len}, {literals} literals"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Checks `decompress` against the byte-loop decoder on `cases`
+    /// streams: `compress` output of generated wire bodies, and random
+    /// token streams (mostly matches, many overlapping, some invalid).
+    fn decompress_matches_byte_loop(seed: u64, cases: usize) {
+        let mut rng = Prng::seed_from(seed);
+        let mut body = Vec::new();
+        for case in 0..cases {
+            let len = rng.index(16 * 1024);
+            crate::payload::fill_body(&mut rng, len, &mut body);
+            let packed = compress(&body);
+            assert_eq!(
+                decompress(&packed, len).as_deref(),
+                Ok(&body[..]),
+                "case {case}"
+            );
+            assert_eq!(decompress(&packed, len), reference_decompress(&packed, len));
+
+            let mut stream = Vec::new();
+            let mut produced = 0usize;
+            for group in 0..rng.index(64) {
+                // At least every other item a match; the first is a
+                // literal, so the stream starts with output to copy.
+                let flags = (rng.next_u64() as u8 | 0xAA) & if group == 0 { !1 } else { !0 };
+                stream.push(flags);
+                for bit in 0..8 {
+                    if flags & (1 << bit) == 0 {
+                        stream.push(rng.next_u64() as u8);
+                        produced += 1;
+                    } else {
+                        // One match in fifty reaches before the start.
+                        let reach = produced.min(40) + usize::from(rng.chance(0.02)) * produced;
+                        let offset = 1 + rng.index(reach);
+                        let len = MIN_MATCH + rng.index(MAX_MATCH - MIN_MATCH + 1);
+                        stream.push(((offset >> 8) as u8) << 4 | (len - MIN_MATCH) as u8);
+                        stream.push(offset as u8);
+                        produced += len;
+                    }
+                }
+            }
+            if rng.chance(0.1) {
+                stream.truncate(rng.index(stream.len() + 1));
+            }
+            let declared = if rng.chance(0.9) {
+                produced
+            } else {
+                rng.index(produced + 2)
+            };
+            assert_eq!(
+                decompress(&stream, declared),
+                reference_decompress(&stream, declared),
+                "case {case}: {stream:02x?}"
+            );
+        }
+    }
+
+    #[test]
+    fn decompress_matches_byte_loop_decoder() {
+        decompress_matches_byte_loop(3, 300);
+    }
+
+    /// Long budget, run by CI's exactness-sweep step.
+    #[test]
+    #[ignore]
+    fn sweep_decompress_matches_byte_loop_decoder() {
+        for seed in 0..8 {
+            decompress_matches_byte_loop(1000 + seed, 8_000);
+        }
     }
 
     proptest! {

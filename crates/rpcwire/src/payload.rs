@@ -44,20 +44,19 @@ pub fn fill_body(rng: &mut Prng, len: usize, out: &mut Vec<u8>) {
         if kind < 0.40 {
             // A run: one byte repeated (dictionary-friendly).
             let byte = rng.next_u64() as u8;
-            out.extend(std::iter::repeat_n(byte, take));
+            out.resize(out.len() + take, byte);
         } else if kind < 0.65 && out.len() >= BLOCK {
             // Repeat an earlier block (back-reference fodder).
             let blocks = out.len() / BLOCK;
             let which = rng.index(blocks);
             let start = which * BLOCK;
-            for k in 0..take {
-                let b = out[start + k];
-                out.push(b);
-            }
+            out.extend_from_within(start..start + take);
         } else {
-            // Fresh entropy.
-            for _ in 0..take {
-                out.push(rng.next_u64() as u8);
+            // Fresh entropy: one draw per byte.
+            let at = out.len();
+            out.resize(at + take, 0);
+            for b in &mut out[at..] {
+                *b = rng.next_u64() as u8;
             }
         }
     }
@@ -72,6 +71,62 @@ mod tests {
         let mut out = Vec::new();
         fill_body(rng, len, &mut out);
         out
+    }
+
+    /// The generator `fill_body` replaced: every byte pushed singly.
+    fn reference_fill_body(rng: &mut Prng, len: usize, out: &mut Vec<u8>) {
+        out.clear();
+        while out.len() < len {
+            let take = BLOCK.min(len - out.len());
+            let kind = rng.next_f64();
+            if kind < 0.40 {
+                let byte = rng.next_u64() as u8;
+                out.extend(std::iter::repeat_n(byte, take));
+            } else if kind < 0.65 && out.len() >= BLOCK {
+                let start = rng.index(out.len() / BLOCK) * BLOCK;
+                for k in 0..take {
+                    let b = out[start + k];
+                    out.push(b);
+                }
+            } else {
+                for _ in 0..take {
+                    out.push(rng.next_u64() as u8);
+                }
+            }
+        }
+    }
+
+    /// Checks `fill_body` against the push loop on `cases` random
+    /// lengths up to the wire clamp: the same bytes and the same Prng
+    /// position afterwards.
+    fn fill_body_matches_push_loop(seed: u64, cases: usize) {
+        let mut lens = Prng::seed_from(seed);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for case in 0..cases {
+            let len = lens.index(MAX_WIRE_PAYLOAD as usize + 1);
+            let mut a = Prng::seed_from(seed).stream(case as u64);
+            let mut b = a.clone();
+            fill_body(&mut a, len, &mut got);
+            reference_fill_body(&mut b, len, &mut want);
+            assert!(got == want, "case {case}: bodies of length {len} differ");
+            assert_eq!(
+                a.next_u64(),
+                b.next_u64(),
+                "case {case}: Prng streams diverged"
+            );
+        }
+    }
+
+    #[test]
+    fn fill_body_matches_push_loop_generator() {
+        fill_body_matches_push_loop(8, 40);
+    }
+
+    /// Long budget, run by CI's exactness-sweep step.
+    #[test]
+    #[ignore]
+    fn sweep_fill_body_matches_push_loop_generator() {
+        fill_body_matches_push_loop(9, 20_000);
     }
 
     #[test]
