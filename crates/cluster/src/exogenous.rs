@@ -187,7 +187,7 @@ const NOISE_STREAMS: [u64; 4] = [1, 2, 3, 4];
 /// noise bucket (`lo`) and of the next (`hi`): everything a sample inside
 /// that bucket interpolates between.
 ///
-/// A cache, never a source of values: [`NoiseEdges::advance`] keeps the
+/// A cache, never a source of values: `NoiseEdges::advance` keeps the
 /// edges when the bucket is unchanged, shifts `hi` into `lo` when time
 /// moves one bucket forward, and redraws both otherwise, so a sample read
 /// through it is bit-identical to one drawn from scratch. The fleet

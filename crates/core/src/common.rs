@@ -7,8 +7,8 @@
 //! method independently and keep the rows in method order, so every
 //! per-method result is the same at any width.
 //!
-//! The per-method figures read one table per run ([`summaries`]): every
-//! [`Column`] they summarise, built in one walk of each method's spans
+//! The per-method figures read one table per run (`summaries`): every
+//! `Column` they summarise, built in one walk of each method's spans
 //! the first time a figure asks for it.
 
 use crate::figs::fig12::WIRE_AND_STACK;

@@ -7,6 +7,7 @@
 //! tree-size/depth samples with those studies' published shape parameters
 //! so `repro compare` can regenerate the §2.4 comparison table.
 
+use crate::catalog::FanoutDist;
 use rpclens_simcore::rng::Prng;
 
 /// A sampled call-tree shape.
@@ -81,6 +82,7 @@ impl BaselineGenerator {
             // DSB: small graphs, bounded fan-out.
             BaselineKind::DeathStarBench => (6, 0.42, 5, 1.4),
         };
+        let fanout = FanoutDist::pareto(fan_max, fan_alpha);
         let mut descendants = 0u32;
         let mut deepest = 0u32;
         // Iterative expansion with an explicit frontier.
@@ -95,9 +97,7 @@ impl BaselineGenerator {
                 continue;
             }
             // Bounded-Pareto fan-out on [1, fan_max].
-            let u = self.rng.next_f64_open();
-            let ha = (fan_max as f64).powf(fan_alpha);
-            let k = ((1.0 - u * (1.0 - 1.0 / ha)).powf(-1.0 / fan_alpha) as u32).min(fan_max);
+            let k = fanout.sample(&mut self.rng);
             for _ in 0..k {
                 descendants += 1;
                 frontier.push(depth + 1);
@@ -215,6 +215,59 @@ mod tests {
         let mut a = BaselineGenerator::new(BaselineKind::Alibaba, 9);
         let mut b = BaselineGenerator::new(BaselineKind::Alibaba, 9);
         assert_eq!(a.sample_n(100), b.sample_n(100));
+    }
+
+    /// The generator as it was before it drew fan-out through
+    /// [`FanoutDist::pareto`]: the bounded-Pareto inverse CDF inline,
+    /// truncated, then clamped to `fan_max`.
+    fn reference_sample(kind: BaselineKind, rng: &mut Prng) -> TreeShape {
+        let (max_depth, p_leaf, fan_max, fan_alpha) = match kind {
+            BaselineKind::Alibaba => (7u32, 0.65, 20u32, 1.1),
+            BaselineKind::Meta => (8, 0.60, 24, 1.1),
+            BaselineKind::DeathStarBench => (6, 0.42, 5, 1.4),
+        };
+        let mut descendants = 0u32;
+        let mut deepest = 0u32;
+        let mut frontier = vec![0u32];
+        let cap = 20_000;
+        while let Some(depth) = frontier.pop() {
+            deepest = deepest.max(depth);
+            if depth >= max_depth || descendants >= cap {
+                continue;
+            }
+            if rng.chance(p_leaf) {
+                continue;
+            }
+            let u = rng.next_f64_open();
+            let ha = (fan_max as f64).powf(fan_alpha);
+            let k = ((1.0 - u * (1.0 - 1.0 / ha)).powf(-1.0 / fan_alpha) as u32).min(fan_max);
+            for _ in 0..k {
+                descendants += 1;
+                frontier.push(depth + 1);
+                if descendants >= cap {
+                    break;
+                }
+            }
+        }
+        TreeShape {
+            descendants,
+            depth: deepest,
+        }
+    }
+
+    #[test]
+    fn sample_matches_the_inline_fanout_reference() {
+        for kind in BaselineKind::ALL {
+            for seed in 0..200 {
+                let mut g = BaselineGenerator::new(kind, seed);
+                let mut rng = Prng::seed_from(seed).stream(kind as u64 ^ 0xBA5E);
+                for i in 0..20 {
+                    let want = reference_sample(kind, &mut rng);
+                    assert_eq!(g.sample(), want, "{kind:?} seed {seed} shape {i}");
+                }
+                assert_eq!(g.rng.next_u64(), rng.next_u64(), "{kind:?} seed {seed}");
+            }
+        }
     }
 
     #[test]

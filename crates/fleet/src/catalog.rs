@@ -18,7 +18,7 @@
 use rpclens_netsim::topology::{ClusterId, Topology};
 use rpclens_rpcstack::cost::MessageClass;
 use rpclens_rpcstack::hedging::HedgePolicy;
-use rpclens_simcore::dist::{LogNormal, Sample};
+use rpclens_simcore::dist::LogNormal;
 use rpclens_simcore::rng::Prng;
 use rpclens_simcore::time::SimDuration;
 use rpclens_trace::span::{MethodId, ServiceId};

@@ -12,7 +12,7 @@
 //! `service`'s task on machine `machine` of `server` meet at `t`? The
 //! answer is one [`Conditions`] value.
 //!
-//! Precedence when several sources speak, written once in [`resolve`]:
+//! Precedence when several sources speak, written once in `resolve`:
 //!
 //! - **Reachability**: a blackout from any source, or a drain from any
 //!   source, makes the target unavailable at cluster level. Otherwise a

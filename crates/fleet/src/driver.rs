@@ -44,7 +44,6 @@ use rpclens_rpcstack::error::{ErrorKind, ErrorProfile};
 use rpclens_rpcstack::hedging::resolve_hedge;
 use rpclens_rpcstack::queue::SoftQueue;
 use rpclens_rpcstack::retry::{BackoffPolicy, RetryBudget};
-use rpclens_simcore::dist::Sample;
 use rpclens_simcore::rng::Prng;
 use rpclens_simcore::time::{SimDuration, SimTime};
 use rpclens_trace::collector::{TraceCollector, TraceStore};
@@ -364,6 +363,19 @@ fn add_to_window(rows: &mut Vec<WindowSample>, row: WindowSample) {
             );
             rows.push(row);
         }
+    }
+}
+
+/// Draws a uniform index in `0..n` other than `skip` (`n >= 2`,
+/// `skip < n`): one `index(n - 1)` draw, shifted past `skip`. Every
+/// failover and load-balancer re-pick goes through here.
+#[inline]
+fn index_except(rng: &mut Prng, n: usize, skip: usize) -> usize {
+    let j = rng.index(n - 1);
+    if j >= skip {
+        j + 1
+    } else {
+        j
     }
 }
 
@@ -1255,11 +1267,7 @@ impl<'a> Shard<'a> {
         if let Some(av) = avoid {
             if av.cluster_level && deployed.len() > 1 {
                 if let Some(pos) = deployed.iter().position(|&c| c == av.cluster) {
-                    let mut j = ctx.rng.index(deployed.len() - 1);
-                    if j >= pos {
-                        j += 1;
-                    }
-                    server_cluster = deployed[j];
+                    server_cluster = deployed[index_except(&mut ctx.rng, deployed.len(), pos)];
                     self.counters.resilience.failovers += 1;
                 }
             }
@@ -1276,11 +1284,7 @@ impl<'a> Shard<'a> {
                 .path_degraded(&world.topology, client_cluster, server_cluster, t)
         {
             if let Some(pos) = deployed.iter().position(|&c| c == server_cluster) {
-                let mut j = ctx.rng.index(deployed.len() - 1);
-                if j >= pos {
-                    j += 1;
-                }
-                server_cluster = deployed[j];
+                server_cluster = deployed[index_except(&mut ctx.rng, deployed.len(), pos)];
                 self.counters.control.lb_shifts += 1;
             }
         }
@@ -1292,11 +1296,7 @@ impl<'a> Shard<'a> {
                 && av.machine < site.machines.len()
                 && site.machines.len() > 1
             {
-                let mut j = ctx.rng.index(site.machines.len() - 1);
-                if j >= av.machine {
-                    j += 1;
-                }
-                mi = j;
+                mi = index_except(&mut ctx.rng, site.machines.len(), av.machine);
                 self.counters.resilience.failovers += 1;
             }
         }

@@ -52,17 +52,3 @@ pub mod pool;
 pub mod servable;
 pub mod telemetry;
 pub mod workload;
-
-/// Convenience re-exports of the most commonly used fleet types.
-pub mod fleet_prelude {
-    pub use crate::{
-        catalog::{Catalog, CatalogConfig, MethodSpec, ServiceCategory, ServiceSpec},
-        conditions::Environment,
-        control::ControlSpec,
-        driver::{run_fleet, FleetConfig, FleetRun, SimScale},
-        faults::{FaultScenario, IncidentSpec, PartitionState},
-        growth::{GrowthConfig, GrowthModel},
-        telemetry::{manifest_for_run, slo_findings, window_samples},
-        workload::Workload,
-    };
-}

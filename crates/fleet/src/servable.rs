@@ -95,13 +95,10 @@ impl ServableTable {
 
     /// Looks up a method by wire id.
     pub fn get(&self, method: MethodId) -> Option<&ServableMethod> {
-        // Catalog ids are dense and in order; fall back to a scan if a
-        // future catalog breaks that.
-        let guess = method.0 as usize;
-        match self.methods.get(guess) {
-            Some(m) if m.method == method => Some(m),
-            _ => self.methods.iter().find(|m| m.method == method),
-        }
+        // Catalog ids are dense and in order, so the id is the index.
+        self.methods
+            .get(method.0 as usize)
+            .filter(|m| m.method == method)
     }
 
     /// Looks up a method by the wire's `method_id` (a [`MethodId`]
@@ -159,6 +156,22 @@ mod tests {
             assert_eq!(t.get(m.method).unwrap().name, m.name);
         }
         assert!(t.get(MethodId(1_000_000)).is_none());
+    }
+
+    #[test]
+    fn unknown_wire_ids_resolve_to_none() {
+        let t = table(7);
+        let last = t.len() as u64 - 1;
+        assert_eq!(t.by_wire_id(last).unwrap().method, MethodId(last as u32));
+        // Just past the table, far past it, and ids a MethodId cannot hold.
+        for id in [
+            last + 1,
+            u64::from(u32::MAX),
+            u64::from(u32::MAX) + 1,
+            u64::MAX,
+        ] {
+            assert!(t.by_wire_id(id).is_none(), "wire id {id}");
+        }
     }
 
     #[test]

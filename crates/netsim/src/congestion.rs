@@ -9,7 +9,7 @@
 //! latency arrives in bursts — matching the episodic congestion the paper
 //! describes rather than i.i.d. noise.
 
-use rpclens_simcore::dist::{BoundedPareto, Exponential, Sample};
+use rpclens_simcore::dist::{BoundedPareto, Exponential};
 use rpclens_simcore::renewal::{AlternatingRenewal, RenewalParams};
 use rpclens_simcore::rng::Prng;
 use rpclens_simcore::time::{SimDuration, SimTime};

@@ -9,7 +9,7 @@
 //! (median queueing in the hundreds of microseconds, P99 in the hundreds
 //! of milliseconds for the worst methods).
 
-use rpclens_simcore::dist::{BoundedPareto, Sample};
+use rpclens_simcore::dist::BoundedPareto;
 use rpclens_simcore::rng::Prng;
 use rpclens_simcore::time::SimDuration;
 use serde::{Deserialize, Serialize};

@@ -14,7 +14,7 @@
 //! the LZ-class compressor in [`crate::compress`] lands near the modeled
 //! ratio on kilobyte-scale bodies.
 
-use rpclens_simcore::dist::{LogNormal, Sample};
+use rpclens_simcore::dist::LogNormal;
 use rpclens_simcore::rng::Prng;
 
 /// Block granularity of the generator.

@@ -1,10 +1,11 @@
-//! Parametric distributions for workload and cost modelling.
+//! The three parametric laws the fleet model draws from.
 //!
-//! The fleet model needs heavy-tailed distributions whose quantiles can be
-//! set analytically, because the catalog generator calibrates per-method
-//! medians and tail ratios to the statistics published in the paper. All
-//! constructors are fallible and reject non-finite or out-of-domain
-//! parameters.
+//! Handler times and payload sizes are log-normal, congestion jitter and
+//! renewal holding times are exponential, and stalls and congestion excess
+//! are bounded-Pareto. The catalog generator calibrates per-method medians
+//! and tail ratios to the statistics published in the paper, so the
+//! log-normal's quantiles are analytic. All constructors are fallible and
+//! reject non-finite or out-of-domain parameters.
 
 use crate::rng::Prng;
 use std::fmt;
@@ -30,62 +31,6 @@ impl fmt::Display for DistError {
 
 impl std::error::Error for DistError {}
 
-/// A distribution over `f64` that can be sampled with a [`Prng`].
-pub trait Sample: Send + Sync + fmt::Debug {
-    /// Draws one sample.
-    fn sample(&self, rng: &mut Prng) -> f64;
-
-    /// The distribution mean, if it exists and is finite.
-    fn mean(&self) -> Option<f64> {
-        None
-    }
-}
-
-/// A point mass: always returns the same value.
-#[derive(Debug, Clone, Copy)]
-pub struct Constant(pub f64);
-
-impl Sample for Constant {
-    fn sample(&self, _rng: &mut Prng) -> f64 {
-        self.0
-    }
-
-    fn mean(&self) -> Option<f64> {
-        Some(self.0)
-    }
-}
-
-/// Uniform distribution on `[lo, hi)`.
-#[derive(Debug, Clone, Copy)]
-pub struct Uniform {
-    lo: f64,
-    hi: f64,
-}
-
-impl Uniform {
-    /// Creates a uniform distribution on `[lo, hi)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the bounds are non-finite or `lo >= hi`.
-    pub fn new(lo: f64, hi: f64) -> Result<Self, DistError> {
-        if !lo.is_finite() || !hi.is_finite() || lo >= hi {
-            return Err(DistError::new("uniform bounds"));
-        }
-        Ok(Uniform { lo, hi })
-    }
-}
-
-impl Sample for Uniform {
-    fn sample(&self, rng: &mut Prng) -> f64 {
-        self.lo + (self.hi - self.lo) * rng.next_f64()
-    }
-
-    fn mean(&self) -> Option<f64> {
-        Some(0.5 * (self.lo + self.hi))
-    }
-}
-
 /// Exponential distribution with the given rate (1 / mean).
 #[derive(Debug, Clone, Copy)]
 pub struct Exponential {
@@ -93,38 +38,26 @@ pub struct Exponential {
 }
 
 impl Exponential {
-    /// Creates an exponential distribution with rate `rate`.
+    /// Creates an exponential distribution with the given mean.
     ///
     /// # Errors
     ///
-    /// Returns an error unless `rate` is finite and positive.
-    pub fn new(rate: f64) -> Result<Self, DistError> {
-        if !rate.is_finite() || rate <= 0.0 {
+    /// Returns an error unless `mean` is finite and positive, and its
+    /// rate `1 / mean` is finite.
+    pub fn from_mean(mean: f64) -> Result<Self, DistError> {
+        if !mean.is_finite() || mean <= 0.0 {
+            return Err(DistError::new("exponential mean"));
+        }
+        let rate = 1.0 / mean;
+        if !rate.is_finite() {
             return Err(DistError::new("exponential rate"));
         }
         Ok(Exponential { rate })
     }
 
-    /// Creates an exponential distribution with the given mean.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless `mean` is finite and positive.
-    pub fn from_mean(mean: f64) -> Result<Self, DistError> {
-        if !mean.is_finite() || mean <= 0.0 {
-            return Err(DistError::new("exponential mean"));
-        }
-        Self::new(1.0 / mean)
-    }
-}
-
-impl Sample for Exponential {
-    fn sample(&self, rng: &mut Prng) -> f64 {
+    /// Draws one sample.
+    pub fn sample(&self, rng: &mut Prng) -> f64 {
         -rng.next_f64_open().ln() / self.rate
-    }
-
-    fn mean(&self) -> Option<f64> {
-        Some(1.0 / self.rate)
     }
 }
 
@@ -142,19 +75,6 @@ pub struct LogNormal {
 }
 
 impl LogNormal {
-    /// Creates a log-normal from the underlying normal's `mu` and `sigma`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `mu` is non-finite or `sigma` is negative or
-    /// non-finite.
-    pub fn new(mu: f64, sigma: f64) -> Result<Self, DistError> {
-        if !mu.is_finite() || !sigma.is_finite() || sigma < 0.0 {
-            return Err(DistError::new("lognormal mu/sigma"));
-        }
-        Ok(LogNormal { mu, sigma })
-    }
-
     /// Creates a log-normal with the given median (`exp(mu)`) and `sigma`.
     ///
     /// # Errors
@@ -165,7 +85,13 @@ impl LogNormal {
         if !median.is_finite() || median <= 0.0 {
             return Err(DistError::new("lognormal median"));
         }
-        Self::new(median.ln(), sigma)
+        if !sigma.is_finite() || sigma < 0.0 {
+            return Err(DistError::new("lognormal sigma"));
+        }
+        Ok(LogNormal {
+            mu: median.ln(),
+            sigma,
+        })
     }
 
     /// The distribution median.
@@ -182,51 +108,15 @@ impl LogNormal {
     pub fn quantile(&self, q: f64) -> f64 {
         (self.mu + self.sigma * inverse_normal_cdf(q)).exp()
     }
-}
 
-impl Sample for LogNormal {
-    fn sample(&self, rng: &mut Prng) -> f64 {
+    /// Draws one sample.
+    pub fn sample(&self, rng: &mut Prng) -> f64 {
         (self.mu + self.sigma * rng.next_gaussian()).exp()
     }
-
-    fn mean(&self) -> Option<f64> {
-        Some((self.mu + 0.5 * self.sigma * self.sigma).exp())
-    }
 }
 
-/// Pareto distribution with scale `x_min` and shape `alpha`.
-#[derive(Debug, Clone, Copy)]
-pub struct Pareto {
-    x_min: f64,
-    alpha: f64,
-}
-
-impl Pareto {
-    /// Creates a Pareto distribution.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless both parameters are finite and positive.
-    pub fn new(x_min: f64, alpha: f64) -> Result<Self, DistError> {
-        if !x_min.is_finite() || x_min <= 0.0 || !alpha.is_finite() || alpha <= 0.0 {
-            return Err(DistError::new("pareto x_min/alpha"));
-        }
-        Ok(Pareto { x_min, alpha })
-    }
-}
-
-impl Sample for Pareto {
-    fn sample(&self, rng: &mut Prng) -> f64 {
-        self.x_min / rng.next_f64_open().powf(1.0 / self.alpha)
-    }
-
-    fn mean(&self) -> Option<f64> {
-        (self.alpha > 1.0).then(|| self.alpha * self.x_min / (self.alpha - 1.0))
-    }
-}
-
-/// Pareto distribution truncated at `x_max` (inverse-CDF sampling), used for
-/// fan-out counts and message sizes where a physical cap exists.
+/// Pareto distribution truncated at `x_max` (inverse-CDF sampling), used
+/// where a physical cap exists: queue stalls and congestion excess.
 #[derive(Debug, Clone, Copy)]
 pub struct BoundedPareto {
     x_min: f64,
@@ -254,127 +144,14 @@ impl BoundedPareto {
             alpha,
         })
     }
-}
 
-impl Sample for BoundedPareto {
-    fn sample(&self, rng: &mut Prng) -> f64 {
+    /// Draws one sample.
+    pub fn sample(&self, rng: &mut Prng) -> f64 {
         let u = rng.next_f64();
         let la = self.x_min.powf(self.alpha);
         let ha = self.x_max.powf(self.alpha);
         // Inverse CDF of the truncated Pareto.
         (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / self.alpha)
-    }
-}
-
-/// Weibull distribution with scale `lambda` and shape `k`.
-///
-/// `k < 1` gives a heavier-than-exponential tail, a good fit for service
-/// times with occasional very slow requests.
-#[derive(Debug, Clone, Copy)]
-pub struct Weibull {
-    lambda: f64,
-    k: f64,
-}
-
-impl Weibull {
-    /// Creates a Weibull distribution.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error unless both parameters are finite and positive.
-    pub fn new(lambda: f64, k: f64) -> Result<Self, DistError> {
-        if !lambda.is_finite() || lambda <= 0.0 || !k.is_finite() || k <= 0.0 {
-            return Err(DistError::new("weibull lambda/k"));
-        }
-        Ok(Weibull { lambda, k })
-    }
-}
-
-impl Sample for Weibull {
-    fn sample(&self, rng: &mut Prng) -> f64 {
-        self.lambda * (-rng.next_f64_open().ln()).powf(1.0 / self.k)
-    }
-}
-
-/// Adds a constant offset to another distribution's samples.
-#[derive(Debug)]
-pub struct Shifted<D> {
-    inner: D,
-    offset: f64,
-}
-
-impl<D: Sample> Shifted<D> {
-    /// Wraps `inner`, adding `offset` to every sample.
-    pub fn new(inner: D, offset: f64) -> Self {
-        Shifted { inner, offset }
-    }
-}
-
-impl<D: Sample> Sample for Shifted<D> {
-    fn sample(&self, rng: &mut Prng) -> f64 {
-        self.inner.sample(rng) + self.offset
-    }
-
-    fn mean(&self) -> Option<f64> {
-        self.inner.mean().map(|m| m + self.offset)
-    }
-}
-
-/// A finite mixture of component distributions with given weights.
-///
-/// Mixtures let the catalog model bimodal behaviour, e.g. a database method
-/// that executes either a cheap point lookup or an expensive scan
-/// (the paper's F1 observation, §3.3.1).
-#[derive(Debug)]
-pub struct Mixture {
-    components: Vec<Box<dyn Sample>>,
-    cumulative: Vec<f64>,
-}
-
-impl Mixture {
-    /// Creates a mixture from `(weight, component)` pairs.
-    ///
-    /// Weights are normalised internally.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if no components are given, or any weight is
-    /// negative/non-finite, or all weights are zero.
-    pub fn new(parts: Vec<(f64, Box<dyn Sample>)>) -> Result<Self, DistError> {
-        if parts.is_empty() {
-            return Err(DistError::new("mixture needs at least one component"));
-        }
-        let total: f64 = parts.iter().map(|(w, _)| *w).sum();
-        if !total.is_finite() || total <= 0.0 || parts.iter().any(|(w, _)| *w < 0.0) {
-            return Err(DistError::new("mixture weights"));
-        }
-        let mut cumulative = Vec::with_capacity(parts.len());
-        let mut components = Vec::with_capacity(parts.len());
-        let mut acc = 0.0;
-        for (w, c) in parts {
-            acc += w / total;
-            cumulative.push(acc);
-            components.push(c);
-        }
-        // Guard against floating point slack at the top.
-        if let Some(last) = cumulative.last_mut() {
-            *last = 1.0;
-        }
-        Ok(Mixture {
-            components,
-            cumulative,
-        })
-    }
-}
-
-impl Sample for Mixture {
-    fn sample(&self, rng: &mut Prng) -> f64 {
-        let u = rng.next_f64();
-        let idx = self
-            .cumulative
-            .partition_point(|&c| c <= u)
-            .min(self.components.len() - 1);
-        self.components[idx].sample(rng)
     }
 }
 
@@ -384,7 +161,7 @@ impl Sample for Mixture {
 /// # Panics
 ///
 /// Panics if `p` is outside `(0, 1)`.
-pub fn inverse_normal_cdf(p: f64) -> f64 {
+fn inverse_normal_cdf(p: f64) -> f64 {
     assert!(p > 0.0 && p < 1.0, "probability must be in (0, 1), got {p}");
     const A: [f64; 6] = [
         -3.969683028665376e+01,
@@ -438,9 +215,9 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn sample_n(dist: &dyn Sample, n: usize, seed: u64) -> Vec<f64> {
+    fn sample_n(mut draw: impl FnMut(&mut Prng) -> f64, n: usize, seed: u64) -> Vec<f64> {
         let mut rng = Prng::seed_from(seed);
-        (0..n).map(|_| dist.sample(&mut rng)).collect()
+        (0..n).map(|_| draw(&mut rng)).collect()
     }
 
     fn empirical_quantile(samples: &mut [f64], q: f64) -> f64 {
@@ -450,34 +227,33 @@ mod tests {
 
     #[test]
     fn constructors_reject_bad_parameters() {
-        assert!(Uniform::new(1.0, 1.0).is_err());
-        assert!(Uniform::new(f64::NAN, 2.0).is_err());
-        assert!(Exponential::new(0.0).is_err());
+        assert!(Exponential::from_mean(0.0).is_err());
         assert!(Exponential::from_mean(-1.0).is_err());
-        assert!(LogNormal::new(f64::INFINITY, 1.0).is_err());
-        assert!(LogNormal::new(0.0, -0.1).is_err());
+        assert!(Exponential::from_mean(f64::INFINITY).is_err());
+        // 1 / 1e-310 overflows to an infinite rate.
+        assert!(Exponential::from_mean(1e-310).is_err());
+        assert!(LogNormal::from_median_sigma(f64::INFINITY, 1.0).is_err());
+        assert!(LogNormal::from_median_sigma(1.0, -0.1).is_err());
+        assert!(LogNormal::from_median_sigma(1.0, f64::NAN).is_err());
         assert!(LogNormal::from_median_sigma(0.0, 1.0).is_err());
-        assert!(Pareto::new(-1.0, 2.0).is_err());
         assert!(BoundedPareto::new(5.0, 5.0, 1.0).is_err());
         assert!(BoundedPareto::new(1.0, 10.0, 0.0).is_err());
-        assert!(Weibull::new(1.0, 0.0).is_err());
-        assert!(Mixture::new(vec![]).is_err());
-        assert!(Mixture::new(vec![(0.0, Box::new(Constant(1.0)) as Box<dyn Sample>)]).is_err());
+        assert!(BoundedPareto::new(-1.0, 10.0, 1.0).is_err());
+        assert!(BoundedPareto::new(1.0, f64::INFINITY, 1.0).is_err());
     }
 
     #[test]
     fn exponential_mean_matches() {
         let d = Exponential::from_mean(250.0).unwrap();
-        let samples = sample_n(&d, 100_000, 1);
+        let samples = sample_n(|rng| d.sample(rng), 100_000, 1);
         let mean = samples.iter().sum::<f64>() / samples.len() as f64;
         assert!((mean - 250.0).abs() / 250.0 < 0.02, "mean {mean}");
-        assert_eq!(d.mean(), Some(250.0));
     }
 
     #[test]
     fn lognormal_median_and_tail_are_calibrated() {
         let d = LogNormal::from_median_sigma(1000.0, 1.5).unwrap();
-        let mut samples = sample_n(&d, 200_000, 2);
+        let mut samples = sample_n(|rng| d.sample(rng), 200_000, 2);
         let med = empirical_quantile(&mut samples, 0.5);
         assert!((med - 1000.0).abs() / 1000.0 < 0.05, "median {med}");
         let p99 = empirical_quantile(&mut samples, 0.99);
@@ -500,19 +276,9 @@ mod tests {
     }
 
     #[test]
-    fn pareto_respects_minimum_and_tail_index() {
-        let d = Pareto::new(64.0, 1.2).unwrap();
-        let samples = sample_n(&d, 100_000, 3);
-        assert!(samples.iter().all(|&x| x >= 64.0));
-        // P(X > x) = (x_min / x)^alpha: check at x = 640 -> 10^-1.2 ≈ 0.063.
-        let frac = samples.iter().filter(|&&x| x > 640.0).count() as f64 / samples.len() as f64;
-        assert!((frac - 0.063).abs() < 0.01, "tail fraction {frac}");
-    }
-
-    #[test]
     fn bounded_pareto_stays_in_bounds() {
         let d = BoundedPareto::new(2.0, 2000.0, 0.8).unwrap();
-        let samples = sample_n(&d, 50_000, 4);
+        let samples = sample_n(|rng| d.sample(rng), 50_000, 4);
         assert!(samples.iter().all(|&x| (2.0..=2000.0).contains(&x)));
         // It must actually reach toward both ends.
         assert!(samples.iter().any(|&x| x < 4.0));
@@ -520,33 +286,20 @@ mod tests {
     }
 
     #[test]
-    fn weibull_median_matches_analytic() {
-        // Median of Weibull(lambda, k) is lambda * ln(2)^(1/k).
-        let d = Weibull::new(100.0, 0.7).unwrap();
-        let mut samples = sample_n(&d, 100_000, 5);
-        let med = empirical_quantile(&mut samples, 0.5);
-        let expected = 100.0 * (2f64).ln().powf(1.0 / 0.7);
-        assert!((med - expected).abs() / expected < 0.03, "median {med}");
-    }
-
-    #[test]
-    fn shifted_offsets_all_samples() {
-        let d = Shifted::new(Constant(5.0), 10.0);
-        let mut rng = Prng::seed_from(6);
-        assert_eq!(d.sample(&mut rng), 15.0);
-        assert_eq!(d.mean(), Some(15.0));
-    }
-
-    #[test]
-    fn mixture_honours_weights() {
-        let m = Mixture::new(vec![
-            (0.8, Box::new(Constant(1.0)) as Box<dyn Sample>),
-            (0.2, Box::new(Constant(100.0)) as Box<dyn Sample>),
-        ])
-        .unwrap();
-        let samples = sample_n(&m, 100_000, 7);
-        let big = samples.iter().filter(|&&x| x > 50.0).count() as f64 / samples.len() as f64;
-        assert!((big - 0.2).abs() < 0.01, "big fraction {big}");
+    fn bounded_pareto_matches_its_tail_function() {
+        let (lo, hi, alpha) = (64.0, 6400.0, 1.2);
+        let d = BoundedPareto::new(lo, hi, alpha).unwrap();
+        let samples = sample_n(|rng| d.sample(rng), 100_000, 3);
+        assert!(samples.iter().all(|&x| x >= lo));
+        // P(X > x) = ((lo / x)^alpha - (lo / hi)^alpha) / (1 - (lo / hi)^alpha):
+        // at x = 640 that is (10^-1.2 - 100^-1.2) / (1 - 100^-1.2) ≈ 0.059.
+        let floor = (lo / hi).powf(alpha);
+        let expected = ((lo / 640.0).powf(alpha) - floor) / (1.0 - floor);
+        let frac = samples.iter().filter(|&&x| x > 640.0).count() as f64 / samples.len() as f64;
+        assert!(
+            (frac - expected).abs() < 0.01,
+            "tail fraction {frac}, expected {expected}"
+        );
     }
 
     #[test]
@@ -569,14 +322,14 @@ mod tests {
         fn samples_are_finite_and_in_domain(seed: u64) {
             let mut rng = Prng::seed_from(seed);
             let ln = LogNormal::from_median_sigma(100.0, 2.5).unwrap();
-            let pa = Pareto::new(1.0, 0.5).unwrap();
-            let we = Weibull::new(10.0, 0.5).unwrap();
+            let bp = BoundedPareto::new(1.0, 1e4, 0.5).unwrap();
+            let ex = Exponential::from_mean(10.0).unwrap();
             for _ in 0..200 {
                 let a = ln.sample(&mut rng);
                 prop_assert!(a.is_finite() && a > 0.0);
-                let b = pa.sample(&mut rng);
-                prop_assert!(b.is_finite() && b >= 1.0);
-                let c = we.sample(&mut rng);
+                let b = bp.sample(&mut rng);
+                prop_assert!(b.is_finite() && (1.0..=1e4).contains(&b));
+                let c = ex.sample(&mut rng);
                 prop_assert!(c.is_finite() && c >= 0.0);
             }
         }

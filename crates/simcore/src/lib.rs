@@ -7,11 +7,10 @@
 //! - [`rng`]: a deterministic, splittable pseudo-random number generator
 //!   ([`rng::Prng`]) so that every simulation run is exactly reproducible from
 //!   a single master seed, independent of platform or thread interleaving.
-//! - [`dist`]: parametric distributions (log-normal, Pareto, Weibull,
-//!   exponential, mixtures, ...) used to model handler times, sizes, and
-//!   fan-out in the fleet.
+//! - [`dist`]: the three parametric laws the fleet draws from: log-normal
+//!   handler times and payload sizes, exponential holding times and
+//!   jitter, and bounded-Pareto stalls and congestion excess.
 //! - [`alias`]: O(1) categorical sampling via the Vose alias method.
-//! - [`zipf`]: Zipf-distributed integer sampling.
 //! - [`hist`]: a log-bucketed high-dynamic-range histogram for recording
 //!   latencies spanning nanoseconds to minutes with bounded relative error.
 //! - [`stats`]: exact quantiles and correlation coefficients used by the
@@ -44,21 +43,16 @@ pub mod renewal;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod zipf;
 
 /// Convenience re-exports of the most commonly used simcore types.
 pub mod prelude {
     pub use crate::{
         alias::AliasTable,
-        dist::{
-            BoundedPareto, Constant, Exponential, LogNormal, Mixture, Pareto, Sample, Shifted,
-            Uniform, Weibull,
-        },
+        dist::{BoundedPareto, Exponential, LogNormal},
         hist::LogHistogram,
         renewal::{AlternatingRenewal, RenewalParams},
         rng::Prng,
         stats::percentile,
         time::{SimDuration, SimTime},
-        zipf::Zipf,
     };
 }

@@ -9,7 +9,7 @@
 //! and answers "which interval contains `now`?" for any instant inside a
 //! bounded look-behind window.
 
-use crate::dist::{Exponential, Sample};
+use crate::dist::Exponential;
 use crate::rng::Prng;
 use crate::time::{SimDuration, SimTime};
 

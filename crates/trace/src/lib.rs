@@ -30,14 +30,3 @@ pub mod query;
 pub mod span;
 pub mod summary;
 pub mod tree;
-
-/// Convenience re-exports of the most commonly used trace types.
-pub mod trace_prelude {
-    pub use crate::{
-        collector::{TraceCollector, TraceStore},
-        critical_path::{CriticalPath, CriticalityReport},
-        query::MethodQuery,
-        span::{MethodId, ServiceId, SpanBuilder, SpanRecord, TraceData},
-        tree::TreeStats,
-    };
-}
