@@ -172,20 +172,10 @@ fn main() {
             };
             let store = load_store(path);
             let index = trace.unwrap_or(0);
-            match rpclens_bench::wiretrace::waterfall_text(&store, index) {
+            match inspect::trace_text(&store, index, seed.unwrap_or(42), methods) {
                 Ok(text) => print!("{text}"),
                 Err(e) => fail(&e),
             }
-            println!();
-            match inspect::critical_path_text(&store, index) {
-                Ok(text) => print!("{text}"),
-                Err(e) => fail(&e),
-            }
-            println!();
-            print!(
-                "{}",
-                rpclens_bench::wiretrace::method_delta_text(&store, seed.unwrap_or(42), methods)
-            );
         }
         "controllers" => {
             let Some(scenario) = faults else {

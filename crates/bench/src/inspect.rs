@@ -145,6 +145,24 @@ pub fn critical_path_text(store: &TraceStore, index: usize) -> Result<String, St
     Ok(out)
 }
 
+/// The `rpclens-inspect trace` view of a measured wire-trace capture:
+/// trace `index`'s waterfall and critical path, then the per-method
+/// measured-vs-modeled deltas priced against the capture's catalog
+/// (`seed`, `methods`).
+pub fn trace_text(
+    store: &TraceStore,
+    index: usize,
+    seed: u64,
+    methods: usize,
+) -> Result<String, String> {
+    Ok(format!(
+        "{}\n{}\n{}",
+        crate::wiretrace::waterfall_text(store, index)?,
+        critical_path_text(store, index)?,
+        crate::wiretrace::method_delta_text(store, seed, methods)
+    ))
+}
+
 /// Renders a flamegraph-style text breakdown of the cycle tax from a run
 /// manifest: one full-width root frame for all cycles, with each
 /// category's sub-frame scaled to its share, largest first.

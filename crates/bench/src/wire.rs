@@ -13,9 +13,13 @@
 //! | measured                      | modeled                                     |
 //! |-------------------------------|---------------------------------------------|
 //! | request compression           | sender compress (request bytes)              |
-//! | request envelope + framing    | sender serialize + library + alloc           |
-//! | server decode (piggybacked)   | receiver serialize + compress (request)      |
-//! | transit residual (RTT − server)| both ends' network (request) + whole response path |
+//! | request envelope + framing    | sender serialize + library + alloc (`encode_ns`) |
+//! | server decode (piggybacked)   | receiver serialize + compress (request, `decode_ns`) |
+//! | transit residual (RTT − server)| both ends' network (request, `wire_ns`) + whole response path |
+//!
+//! Each stage sum is one method of
+//! [`ComponentNanos`](rpclens_rpcstack::cost::ComponentNanos), shared
+//! with the virtual clock of `wiretrace`.
 //!
 //! The residual bucket is honest about what loopback can and cannot
 //! isolate: the response's serialize/compress happens inside the server's
@@ -527,10 +531,9 @@ impl Accumulator {
         let resp_recv = self.model.receiver_component_ns(resp_bytes, class);
         let m = &mut self.modeled;
         m.compress_ns += req_send.compress_ns;
-        m.encode_ns += req_send.serialize_ns + req_send.library_ns + req_send.alloc_ns;
-        m.server_decode_ns += req_recv.serialize_ns + req_recv.compress_ns;
-        m.transit_ns +=
-            req_send.network_ns + req_recv.network_ns + resp_send.tax_ns + resp_recv.tax_ns;
+        m.encode_ns += req_send.encode_ns();
+        m.server_decode_ns += req_recv.decode_ns();
+        m.transit_ns += req_send.wire_ns(&req_recv) + resp_send.tax_ns + resp_recv.tax_ns;
     }
 
     fn finish(

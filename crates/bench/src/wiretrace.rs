@@ -36,9 +36,18 @@
 //! decode (documented in `docs/OBSERVABILITY.md`). The application
 //! charge is a deterministic proxy (`2 µs + 2 ns/response byte`), not a
 //! measurement — virtual mode validates the *pipeline*, UDP mode
-//! measures the *wire*.
+//! measures the *wire*. The stage sums are the
+//! [`ComponentNanos`](rpclens_rpcstack::cost::ComponentNanos) methods
+//! `wire`'s measured-vs-modeled table prices with too.
+//!
+//! **Detectors** read window rows built straight from the recorder's
+//! cumulative counter snapshots, one per completed root; nothing else
+//! reads those counters, so no time-series store sits in between. The
+//! fleet's `driver/*` lanes keep theirs: `FleetRun::tsdb` is the run's
+//! published counter substrate, and its `tsdb` phase is part of what
+//! the benchmark harness times.
 
-use crate::wire::{self, run_calls, CatalogHandler, UdpServer, CLIENT_ID_BASE};
+use crate::wire::{self, run_calls, CatalogHandler, UdpServer, WireBenchConfig, CLIENT_ID_BASE};
 use rpclens_fleet::servable::ServableTable;
 use rpclens_netsim::topology::ClusterId;
 use rpclens_obs::detect::{self, Finding, SloConfig, WindowSample};
@@ -56,7 +65,6 @@ use rpclens_simcore::stats::nearest_rank;
 use rpclens_simcore::time::{SimDuration, SimTime};
 use rpclens_trace::collector::TraceStore;
 use rpclens_trace::span::{MethodId, ServiceId, SpanBuilder, TraceData};
-use rpclens_tsdb::store::{Series, TimeSeriesDb};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -95,13 +103,10 @@ impl Default for TraceBenchConfig {
     }
 }
 
-/// The servable table of a traced run's catalog.
-fn servable_table(config: &TraceBenchConfig) -> Arc<ServableTable> {
-    Arc::new(crate::wire::build_table(&crate::wire::WireBenchConfig {
-        seed: config.seed,
-        total_methods: config.total_methods,
-        ..Default::default()
-    }))
+/// The synthetic application charge of one handler execution, in
+/// nanoseconds: a deterministic proxy, not a measurement.
+fn app_charge_ns(response_bytes: u64) -> u64 {
+    2_000 + 2 * response_bytes
 }
 
 /// The message class the recorder prices a method's payloads with.
@@ -159,7 +164,7 @@ struct CounterSample {
 }
 
 /// The span-sink recorder: assigns time, reassembles causal trees, and
-/// accumulates the counters the tsdb streams. Share it between hops as
+/// snapshots the counters the detectors read. Share it between hops as
 /// `Rc<RefCell<WireTraceRecorder>>` (which implements [`SpanSink`]).
 pub struct WireTraceRecorder {
     model: StackCostModel,
@@ -390,10 +395,7 @@ impl SpanSink for WireTraceRecorder {
         match event.kind {
             SpanEventKind::ClientSend => {
                 self.open_span(event, ctx);
-                let prep = req_send.serialize_ns
-                    + req_send.compress_ns
-                    + req_send.library_ns
-                    + req_send.alloc_ns;
+                let prep = req_send.prep_ns();
                 self.charge(key, LatencyComponent::RequestProcessing, Self::tick(prep));
             }
             SpanEventKind::ClientRetransmit => {
@@ -415,12 +417,12 @@ impl SpanSink for WireTraceRecorder {
                 self.charge(
                     key,
                     LatencyComponent::RequestNetworkWire,
-                    Self::tick(send.network_ns + recv.network_ns),
+                    Self::tick(send.wire_ns(&recv)),
                 );
                 self.charge(
                     key,
                     LatencyComponent::RequestProcessing,
-                    Self::tick(recv.serialize_ns + recv.compress_ns),
+                    Self::tick(recv.decode_ns()),
                 );
                 let now = self.now();
                 if let Some(open) = self.open.get_mut(&key) {
@@ -430,7 +432,7 @@ impl SpanSink for WireTraceRecorder {
             SpanEventKind::ServerExec => {
                 // Synthetic deterministic application charge; nested
                 // children's time lands here too via the interval.
-                let app = 2_000 + 2 * event.raw_bytes as u64;
+                let app = app_charge_ns(event.raw_bytes as u64);
                 self.charge(
                     key,
                     LatencyComponent::ServerApplication,
@@ -453,8 +455,7 @@ impl SpanSink for WireTraceRecorder {
             }
             SpanEventKind::ServerSend => {
                 let resp_raw = self.open.get(&key).map(|o| o.resp_raw).unwrap_or(0);
-                let send = self.model.sender_component_ns(resp_raw, class);
-                let prep = send.serialize_ns + send.compress_ns + send.library_ns + send.alloc_ns;
+                let prep = self.model.sender_component_ns(resp_raw, class).prep_ns();
                 self.charge(key, LatencyComponent::ResponseProcessing, Self::tick(prep));
             }
             SpanEventKind::ClientRecv => {
@@ -464,12 +465,12 @@ impl SpanSink for WireTraceRecorder {
                 self.charge(
                     key,
                     LatencyComponent::ResponseNetworkWire,
-                    Self::tick(send.network_ns + recv.network_ns),
+                    Self::tick(send.wire_ns(&recv)),
                 );
                 self.charge(
                     key,
                     LatencyComponent::ClientRecvQueue,
-                    Self::tick(recv.serialize_ns + recv.compress_ns),
+                    Self::tick(recv.decode_ns()),
                 );
                 self.close_span(key, event);
             }
@@ -611,7 +612,7 @@ pub struct TraceBenchReport {
     /// Modeled quantiles over the same roots (the detector baseline).
     pub modeled: LatencyQuantiles,
     /// Findings from the error-budget-burn and tail-regression
-    /// detectors over the `wire/*` streams.
+    /// detectors over the capture's window rows and root latencies.
     pub findings: Vec<Finding>,
 }
 
@@ -630,53 +631,36 @@ fn quantiles_from_us(mut us: Vec<u64>) -> LatencyQuantiles {
     }
 }
 
-/// A `wire/*` metric name paired with its [`WireCounters`] accessor.
-type WireMetric = (&'static str, fn(&WireCounters) -> u64);
-
-/// The `wire/*` lanes streamed into the tsdb: the rpcs, errors and
-/// retries of each [`WindowSample`] the detectors read.
-const WIRE_METRICS: [WireMetric; 3] = [
-    ("wire/rpcs/count", |c| c.roots),
-    ("wire/errors/count", |c| c.errors),
-    ("wire/retransmissions/count", |c| c.retransmissions),
-];
-
-/// Streams the recorder's cumulative counter samples into a fresh tsdb
-/// as `wire/*` series and runs the standing detectors over them,
-/// exactly as the fleet telemetry path would.
-fn analyse(recorder: &WireTraceRecorder) -> Vec<Finding> {
-    let total_ns = recorder.samples.last().map(|s| s.at_ns).unwrap_or(0).max(1);
-    // 16 windows over the run, tick-aligned so virtual timestamps land
-    // deterministically.
-    let period = SimDuration::from_nanos(((total_ns / 16).max(TICK_NS) / TICK_NS) * TICK_NS);
-    let mut db = TimeSeriesDb::new(period);
-    for sample in &recorder.samples {
-        let at = SimTime::from_nanos(sample.at_ns);
-        for (name, get) in WIRE_METRICS {
-            db.write(name, at, get(&sample.counters));
-        }
-    }
-    // Reconstruct per-window rows from the streamed series. Every
-    // sample writes all three lanes, so they hold the same points.
-    let [rpcs, errors, retries] =
-        WIRE_METRICS.map(|(name, _)| db.series(name).map(Series::deltas).unwrap_or_default());
-    assert!(
-        errors.len() == rpcs.len() && retries.len() == rpcs.len(),
-        "wire lanes cover different windows"
-    );
-    let windows: Vec<WindowSample> = rpcs
-        .iter()
-        .zip(&errors)
-        .zip(&retries)
-        .map(|(((t, rpcs), (_, errors)), (_, retries))| WindowSample {
-            window: t.as_nanos() / period.as_nanos(),
-            rpcs: *rpcs,
-            errors: *errors,
-            congested_wire: 0,
-            retries: *retries,
+/// The detectors' window rows, read straight off the recorder's
+/// cumulative samples: 16 tick-aligned windows over the run, each row
+/// the window's last sample less the previous row's (the first row's
+/// less zero). A window without a sample has no row.
+fn window_rows(samples: &[CounterSample]) -> Vec<WindowSample> {
+    let total_ns = samples.last().map_or(0, |s| s.at_ns).max(1);
+    // Tick-aligned so virtual timestamps land deterministically.
+    let period = ((total_ns / 16).max(TICK_NS) / TICK_NS) * TICK_NS;
+    let mut prev = WireCounters::default();
+    samples
+        .chunk_by(|a, b| a.at_ns / period == b.at_ns / period)
+        .map(|window| {
+            let last = &window[window.len() - 1];
+            let row = WindowSample {
+                window: last.at_ns / period,
+                rpcs: last.counters.roots - prev.roots,
+                errors: last.counters.errors - prev.errors,
+                congested_wire: 0,
+                retries: last.counters.retransmissions - prev.retransmissions,
+            };
+            prev = last.counters;
+            row
         })
-        .collect();
-    let mut findings = detect::error_budget_burn(&SloConfig::default(), &windows);
+        .collect()
+}
+
+/// Runs the standing detectors over a capture's window rows and its
+/// measured and modeled root latencies.
+fn run_detectors(recorder: &WireTraceRecorder, windows: &[WindowSample]) -> Vec<Finding> {
+    let mut findings = detect::error_budget_burn(&SloConfig::default(), windows);
     let measured = quantiles_from_us(recorder.rtts_us.clone());
     let modeled = quantiles_from_us(recorder.modeled_rtts_us.clone());
     // Measured vs modeled tails: in virtual mode these agree to
@@ -692,9 +676,13 @@ fn analyse(recorder: &WireTraceRecorder) -> Vec<Finding> {
 /// Runs the traced multi-hop bench over in-memory links with the
 /// virtual clock: the full capture is a pure function of the config.
 pub fn run_traced_memlink(config: &TraceBenchConfig) -> Result<TraceBenchReport, WireError> {
+    finish_report(config, "memlink", capture_memlink(config)?)
+}
+
+/// The virtual-clock capture behind [`run_traced_memlink`].
+fn capture_memlink(config: &TraceBenchConfig) -> Result<SharedRecorder, WireError> {
     assert!(config.hops >= 1, "need at least one hop");
-    let table = servable_table(config);
-    let recorder = new_recorder(&table, ClockMode::Virtual);
+    let (table, recorder) = new_recorder(config, ClockMode::Virtual);
     let (client_end, server_end) = MemLink::pair();
     let mut server = build_hop(&table, &recorder, config, 0, server_end);
     let mut client = WireClient::new(
@@ -715,7 +703,7 @@ pub fn run_traced_memlink(config: &TraceBenchConfig) -> Result<TraceBenchReport,
     // Release the hop chain's recorder handles before unwrapping.
     drop(client);
     drop(server);
-    finish_report(config, "memlink", recorder)
+    Ok(recorder)
 }
 
 /// Runs a traced single-hop bench over real UDP loopback with a wall
@@ -723,8 +711,7 @@ pub fn run_traced_memlink(config: &TraceBenchConfig) -> Result<TraceBenchReport,
 /// timings (`hops` and `fanout` are ignored — the UDP server cannot
 /// share the single-threaded recorder).
 pub fn run_traced_udp(config: &TraceBenchConfig) -> Result<TraceBenchReport, WireError> {
-    let table = servable_table(config);
-    let recorder = new_recorder(&table, ClockMode::Wall(Instant::now()));
+    let (table, recorder) = new_recorder(config, ClockMode::Wall(Instant::now()));
     let mut server = UdpServer::spawn(table.clone(), config.seed, Semantics::AtMostOnce)?;
     let mut client = WireClient::new(
         server.connect()?,
@@ -746,8 +733,18 @@ pub fn run_traced_udp(config: &TraceBenchConfig) -> Result<TraceBenchReport, Wir
     finish_report(config, "udp-loopback", recorder)
 }
 
-fn new_recorder(table: &Arc<ServableTable>, mode: ClockMode) -> SharedRecorder {
-    Rc::new(RefCell::new(WireTraceRecorder::new(table.clone(), mode)))
+/// The servable table of a traced run's catalog and a recorder over it.
+fn new_recorder(
+    config: &TraceBenchConfig,
+    mode: ClockMode,
+) -> (Arc<ServableTable>, SharedRecorder) {
+    let table = Arc::new(wire::build_table(&WireBenchConfig {
+        seed: config.seed,
+        total_methods: config.total_methods,
+        ..WireBenchConfig::default()
+    }));
+    let recorder = Rc::new(RefCell::new(WireTraceRecorder::new(table.clone(), mode)));
+    (table, recorder)
 }
 
 fn finish_report(
@@ -759,7 +756,7 @@ fn finish_report(
         .map_err(|_| ())
         .expect("all hop handles dropped")
         .into_inner();
-    let findings = analyse(&recorder);
+    let findings = run_detectors(&recorder, &window_rows(&recorder.samples));
     let export = rpclens_trace::export::export(&recorder.store);
     let digest = fnv1a(&export);
     Ok(TraceBenchReport {
@@ -836,12 +833,11 @@ pub fn waterfall_text(store: &TraceStore, index: usize) -> Result<String, String
 /// analytical stack.
 pub fn method_delta_text(store: &TraceStore, seed: u64, total_methods: usize) -> String {
     use std::fmt::Write as _;
-    let config = TraceBenchConfig {
+    let table = wire::build_table(&WireBenchConfig {
         seed,
         total_methods,
-        ..TraceBenchConfig::default()
-    };
-    let table = servable_table(&config);
+        ..WireBenchConfig::default()
+    });
     let model = StackCostModel::new(StackCostConfig::default());
     // method → (count, measured ns sum, modeled ns sum)
     let mut rows: HashMap<u32, (u64, u64, u64)> = HashMap::new();
@@ -854,23 +850,13 @@ pub fn method_delta_text(store: &TraceStore, seed: u64, total_methods: usize) ->
             let r_req = model.receiver_component_ns(req, class);
             let s_resp = model.sender_component_ns(resp, class);
             let r_resp = model.receiver_component_ns(resp, class);
-            let stack = s_req.serialize_ns
-                + s_req.compress_ns
-                + s_req.library_ns
-                + s_req.alloc_ns
-                + s_req.network_ns
-                + r_req.network_ns
-                + r_req.serialize_ns
-                + r_req.compress_ns
-                + s_resp.serialize_ns
-                + s_resp.compress_ns
-                + s_resp.library_ns
-                + s_resp.alloc_ns
-                + s_resp.network_ns
-                + r_resp.network_ns
-                + r_resp.serialize_ns
-                + r_resp.compress_ns;
-            let modeled = stack as u64 + 2_000 + 2 * resp;
+            let stack = s_req.prep_ns()
+                + s_req.wire_ns(&r_req)
+                + r_req.decode_ns()
+                + s_resp.prep_ns()
+                + s_resp.wire_ns(&r_resp)
+                + r_resp.decode_ns();
+            let modeled = stack as u64 + app_charge_ns(resp);
             let row = rows.entry(span.method.0).or_default();
             row.0 += 1;
             row.1 += span.total_latency().as_nanos();
@@ -961,6 +947,7 @@ mod tests {
     use super::*;
     use rpclens_trace::critical_path::CriticalPath;
     use rpclens_trace::tree::TreeStats;
+    use rpclens_tsdb::store::{Series, TimeSeriesDb};
 
     fn small_config() -> TraceBenchConfig {
         TraceBenchConfig {
@@ -1101,6 +1088,87 @@ mod tests {
         let response: u64 = spans().map(|s| u64::from(s.response_bytes)).sum();
         assert_eq!(request, untraced.request_raw_bytes);
         assert_eq!(response, untraced.response_raw_bytes);
+    }
+
+    /// The reference for [`window_rows`]: the rows as the detectors once
+    /// read them, streamed into a tsdb as three `wire/*` lanes and read
+    /// back as per-window deltas.
+    fn rows_through_a_tsdb(samples: &[CounterSample]) -> Vec<WindowSample> {
+        let total_ns = samples.last().map(|s| s.at_ns).unwrap_or(0).max(1);
+        let period = SimDuration::from_nanos(((total_ns / 16).max(TICK_NS) / TICK_NS) * TICK_NS);
+        let mut db = TimeSeriesDb::new(period);
+        let lanes = [
+            "wire/rpcs/count",
+            "wire/errors/count",
+            "wire/retransmissions/count",
+        ];
+        for sample in samples {
+            let at = SimTime::from_nanos(sample.at_ns);
+            let c = &sample.counters;
+            for (name, reading) in lanes
+                .into_iter()
+                .zip([c.roots, c.errors, c.retransmissions])
+            {
+                db.write(name, at, reading);
+            }
+        }
+        let [rpcs, errors, retries] =
+            lanes.map(|name| db.series(name).map(Series::deltas).unwrap_or_default());
+        assert!(errors.len() == rpcs.len() && retries.len() == rpcs.len());
+        rpcs.iter()
+            .zip(&errors)
+            .zip(&retries)
+            .map(|(((t, rpcs), (_, errors)), (_, retries))| WindowSample {
+                window: t.as_nanos() / period.as_nanos(),
+                rpcs: *rpcs,
+                errors: *errors,
+                congested_wire: 0,
+                retries: *retries,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn window_rows_match_the_tsdb_round_trip() {
+        // 48 roots spread over all 16 windows; 5 roots leave most empty.
+        for requests in [48, 5] {
+            let shared = capture_memlink(&TraceBenchConfig {
+                requests,
+                ..small_config()
+            })
+            .unwrap();
+            let recorder = shared.borrow();
+            // The capture itself is error-free; a copy with every third
+            // root failed and every other one retried makes the burn
+            // detector fire on the same timestamps.
+            let failing: Vec<CounterSample> = recorder
+                .samples
+                .iter()
+                .enumerate()
+                .map(|(i, s)| CounterSample {
+                    at_ns: s.at_ns,
+                    counters: WireCounters {
+                        errors: (i as u64 + 3) / 3,
+                        retransmissions: (i as u64 + 2) / 2,
+                        ..s.counters
+                    },
+                })
+                .collect();
+            for (samples, burns) in [(&recorder.samples, false), (&failing, true)] {
+                let direct = window_rows(samples);
+                let reference = rows_through_a_tsdb(samples);
+                assert_eq!(direct, reference, "{requests} roots");
+                assert!(direct.len() <= requests as usize && direct.len() <= 17);
+                let found = run_detectors(&recorder, &direct);
+                assert_eq!(found, run_detectors(&recorder, &reference));
+                assert_eq!(!found.is_empty(), burns, "{requests} roots: {found:?}");
+            }
+            if requests == 5 {
+                assert!(window_rows(&recorder.samples).len() < 16);
+            }
+        }
+        assert!(window_rows(&[]).is_empty());
+        assert!(rows_through_a_tsdb(&[]).is_empty());
     }
 
     #[test]

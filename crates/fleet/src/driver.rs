@@ -1400,7 +1400,6 @@ impl<'a> Shard<'a> {
             world.errors.draw(&mut ctx.rng)
         };
         if injected.is_some() {
-            self.counters.errors_injected += 1;
             ctx.errors += 1;
         }
 
@@ -1504,7 +1503,6 @@ impl<'a> Shard<'a> {
         let injected = match (injected, deadline) {
             (None, Some(d)) if d.expired(t) => {
                 self.counters.resilience.deadline_exceeded += 1;
-                self.counters.errors_injected += 1;
                 ctx.errors += 1;
                 Some(ErrorKind::DeadlineExceeded)
             }

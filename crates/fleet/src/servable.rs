@@ -5,12 +5,12 @@
 //! server and a load generator need — identity, payload size models, and
 //! message class — without dragging in the call-graph, hedging, or
 //! deployment machinery. This module flattens a [`Catalog`] into that
-//! table, plus a root-weight sampler that reproduces the workload
-//! generator's root-RPC mix (same weights as `workload`'s root picker).
+//! table and draws root calls from the workload generator's own
+//! [`RootMix`].
 
 use crate::catalog::Catalog;
+use crate::workload::RootMix;
 use rpclens_rpcstack::cost::MessageClass;
-use rpclens_simcore::alias::AliasTable;
 use rpclens_simcore::dist::LogNormal;
 use rpclens_simcore::rng::Prng;
 use rpclens_trace::span::{MethodId, ServiceId};
@@ -22,69 +22,40 @@ pub struct ServableMethod {
     pub method: MethodId,
     /// Owning service.
     pub service: ServiceId,
-    /// Qualified `service/method` name.
-    pub name: String,
     /// How the stack treats this method's payloads.
     pub class: MessageClass,
     /// Request payload size model (bytes).
     pub req_size: LogNormal,
     /// Response payload size model (bytes).
     pub resp_size: LogNormal,
-    /// Weight in the root-RPC mix (0 for non-root methods).
-    pub root_weight: f64,
-    /// Paper Table 1 category when this method is one of the pinned
-    /// archetype rows.
-    pub table1_category: Option<&'static str>,
 }
 
-/// The catalog flattened for serving, with a weighted root sampler.
+/// The catalog flattened for serving, with the fleet's root mix.
 #[derive(Debug, Clone)]
 pub struct ServableTable {
+    /// Indexed by method id: catalog ids are dense and in order.
     methods: Vec<ServableMethod>,
-    /// Indices (into `methods`) of root methods, matching `root_alias`.
-    roots: Vec<u32>,
-    root_alias: AliasTable,
+    roots: RootMix,
 }
 
 impl ServableTable {
     /// Flattens a catalog. Methods come out in catalog (id) order, so the
     /// table is deterministic for a given catalog seed.
     pub fn from_catalog(catalog: &Catalog) -> ServableTable {
-        let mut methods = Vec::with_capacity(catalog.num_methods());
-        for spec in catalog.methods() {
-            let service = catalog.service(spec.service);
-            let table1_category = catalog
-                .table1()
-                .iter()
-                .find(|row| row.method == spec.id)
-                .map(|row| row.category);
-            methods.push(ServableMethod {
+        let methods = catalog
+            .methods()
+            .iter()
+            .map(|spec| ServableMethod {
                 method: spec.id,
                 service: spec.service,
-                name: format!("{}/{}", service.name, spec.name),
-                class: service.class,
+                class: catalog.service(spec.service).class,
                 req_size: spec.req_size,
                 resp_size: spec.resp_size,
-                root_weight: spec.root_weight,
-                table1_category,
-            });
-        }
-        let roots: Vec<u32> = methods
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.root_weight > 0.0)
-            .map(|(i, _)| i as u32)
+            })
             .collect();
-        let weights: Vec<f64> = roots
-            .iter()
-            .map(|&i| methods[i as usize].root_weight)
-            .collect();
-        let root_alias =
-            AliasTable::new(&weights).expect("catalog always produces at least one root method");
         ServableTable {
             methods,
-            roots,
-            root_alias,
+            roots: RootMix::new(catalog),
         }
     }
 
@@ -95,7 +66,6 @@ impl ServableTable {
 
     /// Looks up a method by wire id.
     pub fn get(&self, method: MethodId) -> Option<&ServableMethod> {
-        // Catalog ids are dense and in order, so the id is the index.
         self.methods
             .get(method.0 as usize)
             .filter(|m| m.method == method)
@@ -111,8 +81,8 @@ impl ServableTable {
 
     /// Samples a root method with the workload generator's root-RPC mix.
     pub fn sample_root(&self, rng: &mut Prng) -> &ServableMethod {
-        let idx = self.roots[self.root_alias.sample(rng)];
-        &self.methods[idx as usize]
+        let method = self.roots.methods()[self.roots.sample(rng)];
+        &self.methods[method.0 as usize]
     }
 
     /// Number of servable methods.
@@ -149,11 +119,12 @@ mod tests {
     fn table_covers_the_whole_catalog() {
         let t = table(7);
         assert_eq!(t.len(), 400);
-        assert!(!t.roots.is_empty());
-        assert!(t.roots.len() < t.len(), "not every method is a root");
+        let roots = t.roots.methods().len();
+        assert!(roots > 0);
+        assert!(roots < t.len(), "not every method is a root");
         // Ids are unique and resolvable.
         for m in t.methods() {
-            assert_eq!(t.get(m.method).unwrap().name, m.name);
+            assert_eq!(t.get(m.method).unwrap().method, m.method);
         }
         assert!(t.get(MethodId(1_000_000)).is_none());
     }
@@ -175,17 +146,6 @@ mod tests {
     }
 
     #[test]
-    fn table1_rows_are_pinned() {
-        let t = table(7);
-        let pinned: Vec<_> = t
-            .methods()
-            .iter()
-            .filter(|m| m.table1_category.is_some())
-            .collect();
-        assert_eq!(pinned.len(), 8, "all eight Table 1 archetypes present");
-    }
-
-    #[test]
     fn root_sampling_follows_weights() {
         let t = table(3);
         let mut rng = Prng::seed_from(5);
@@ -193,12 +153,15 @@ mod tests {
         for _ in 0..20_000 {
             let m = t.sample_root(&mut rng);
             *counts.entry(m.method.0).or_insert(0) += 1;
-            assert!(m.root_weight > 0.0, "sampler only returns roots");
+            assert!(
+                t.roots.methods().contains(&m.method),
+                "sampler only returns roots"
+            );
         }
         // The tier-1 hot methods carry 6x weight; the busiest sampled
         // method must out-draw the mean by a wide margin.
         let max = counts.values().copied().max().unwrap();
-        let mean = 20_000 / t.roots.len() as u32;
+        let mean = 20_000 / t.roots.methods().len() as u32;
         assert!(max > mean * 3, "max {max}, mean {mean}");
     }
 
@@ -207,10 +170,10 @@ mod tests {
         let a = table(11);
         let b = table(11);
         assert_eq!(a.len(), b.len());
+        assert_eq!(a.roots.methods(), b.roots.methods());
         for (x, y) in a.methods().iter().zip(b.methods()) {
             assert_eq!(x.method, y.method);
-            assert_eq!(x.name, y.name);
-            assert_eq!(x.root_weight, y.root_weight);
+            assert_eq!(x.service, y.service);
             assert_eq!(x.req_size.median(), y.req_size.median());
         }
     }

@@ -23,11 +23,49 @@ pub struct RootArrival {
     pub client_cluster: ClusterId,
 }
 
+/// The fleet's root-RPC mix: every method with a positive root weight,
+/// in catalog order, drawn by weight. The workload generator picks its
+/// entry methods from it and the wire harness (`servable`) its root
+/// calls, so the two draw the same sequence from the same [`Prng`].
+#[derive(Debug, Clone)]
+pub struct RootMix {
+    methods: Vec<MethodId>,
+    table: AliasTable,
+}
+
+impl RootMix {
+    /// The catalog's root mix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the catalog has no method with a positive root weight.
+    pub fn new(catalog: &Catalog) -> RootMix {
+        let (methods, weights): (Vec<MethodId>, Vec<f64>) = catalog
+            .methods()
+            .iter()
+            .filter(|m| m.root_weight > 0.0)
+            .map(|m| (m.id, m.root_weight))
+            .unzip();
+        assert!(!methods.is_empty(), "catalog has no entry methods");
+        let table = AliasTable::new(&weights).expect("positive weights");
+        RootMix { methods, table }
+    }
+
+    /// The root methods, in catalog order.
+    pub fn methods(&self) -> &[MethodId] {
+        &self.methods
+    }
+
+    /// Draws one root by weight, as an index into [`RootMix::methods`].
+    pub fn sample(&self, rng: &mut Prng) -> usize {
+        self.table.sample(rng)
+    }
+}
+
 /// The workload generator.
 #[derive(Debug)]
 pub struct Workload {
-    entry_methods: Vec<MethodId>,
-    entry_table: AliasTable,
+    entries: RootMix,
     client_clusters: Vec<Vec<ClusterId>>,
     duration: SimDuration,
     peak_hour: f64,
@@ -43,27 +81,18 @@ impl Workload {
     /// the duration is zero.
     pub fn new(catalog: &Catalog, topology: &Topology, duration: SimDuration, seed: u64) -> Self {
         assert!(duration.as_nanos() > 0, "duration must be positive");
-        let entries: Vec<(MethodId, f64)> = catalog
-            .methods()
-            .iter()
-            .filter(|m| m.root_weight > 0.0)
-            .map(|m| (m.id, m.root_weight))
-            .collect();
-        assert!(!entries.is_empty(), "catalog has no entry methods");
-        let weights: Vec<f64> = entries.iter().map(|(_, w)| *w).collect();
-        let entry_table = AliasTable::new(&weights).expect("positive weights");
-        let entry_methods: Vec<MethodId> = entries.iter().map(|(m, _)| *m).collect();
+        let entries = RootMix::new(catalog);
         // Client clusters per entry: the service's own clusters (a client
         // stub runs next to the caller) — roots can start anywhere the
         // entry service is deployed.
-        let client_clusters = entry_methods
+        let client_clusters = entries
+            .methods()
             .iter()
             .map(|&m| catalog.service(catalog.method(m).service).clusters.clone())
             .collect();
         let _ = topology;
         Workload {
-            entry_methods,
-            entry_table,
+            entries,
             client_clusters,
             duration,
             peak_hour: 14.0,
@@ -89,12 +118,12 @@ impl Workload {
             if self.rng.next_f64() * max_intensity > self.intensity(t) {
                 continue;
             }
-            let e = self.entry_table.sample(&mut self.rng);
+            let e = self.entries.sample(&mut self.rng);
             let clusters = &self.client_clusters[e];
             let client_cluster = *self.rng.choose(clusters);
             out.push(RootArrival {
                 at: t,
-                method: self.entry_methods[e],
+                method: self.entries.methods()[e],
                 client_cluster,
             });
         }
@@ -112,6 +141,7 @@ impl Workload {
 mod tests {
     use super::*;
     use crate::catalog::CatalogConfig;
+    use crate::servable::ServableTable;
     use rpclens_netsim::topology::Topology;
 
     fn setup() -> (Catalog, Topology) {
@@ -172,6 +202,18 @@ mod tests {
         let spec = cat.method(top);
         assert_eq!(cat.service(spec.service).name, "NetworkDisk");
         assert!(top_count as f64 / roots.len() as f64 > 0.2);
+    }
+
+    #[test]
+    fn servable_root_draws_are_the_entry_draws() {
+        let (cat, topo) = setup();
+        let w = Workload::new(&cat, &topo, SimDuration::from_hours(1), 6);
+        let table = ServableTable::from_catalog(&cat);
+        let (mut entry_rng, mut servable_rng) = (Prng::seed_from(11), Prng::seed_from(11));
+        for _ in 0..5_000 {
+            let entry = w.entries.methods()[w.entries.sample(&mut entry_rng)];
+            assert_eq!(table.sample_root(&mut servable_rng).method, entry);
+        }
     }
 
     #[test]

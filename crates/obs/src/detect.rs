@@ -81,7 +81,7 @@ impl std::fmt::Display for Severity {
 }
 
 /// One detector result.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Finding {
     /// Which detector produced this (`error-budget-burn`, `tail-regression`).
     pub detector: &'static str,

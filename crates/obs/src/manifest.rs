@@ -691,7 +691,6 @@ mod tests {
         counters.roots = 1000;
         counters.spans = 8200;
         counters.traces_sampled = 31;
-        counters.errors_injected = 12;
         counters.hedges_issued = 7;
         counters.max_depth = 5;
         for i in 0..1000u64 {

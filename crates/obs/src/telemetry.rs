@@ -155,8 +155,6 @@ pub struct ShardCounters {
     pub spans: u64,
     /// Roots whose trace was admitted by the sampling collector.
     pub traces_sampled: u64,
-    /// Errors injected by the fault model (all kinds).
-    pub errors_injected: u64,
     /// Hedge (backup) requests issued.
     pub hedges_issued: u64,
     /// Deepest call tree observed, in edges from the root.
@@ -187,7 +185,6 @@ impl ShardCounters {
         self.roots += other.roots;
         self.spans += other.spans;
         self.traces_sampled += other.traces_sampled;
-        self.errors_injected += other.errors_injected;
         self.hedges_issued += other.hedges_issued;
         self.max_depth = self.max_depth.max(other.max_depth);
         self.queue.absorb(&other.queue);
@@ -279,9 +276,6 @@ mod tests {
             let v = offset + i;
             c.roots += 1;
             c.spans += 3;
-            if v.is_multiple_of(7) {
-                c.errors_injected += 1;
-            }
             c.max_depth = c.max_depth.max(v % 5);
             c.queue.record((v % 11) * 100);
             c.wire.record(v.is_multiple_of(13));
@@ -330,7 +324,6 @@ mod tests {
             }
             assert_eq!(merged.roots, single.roots);
             assert_eq!(merged.spans, single.spans);
-            assert_eq!(merged.errors_injected, single.errors_injected);
             assert_eq!(merged.max_depth, single.max_depth);
             assert_eq!(merged.queue.samples, single.queue.samples);
             assert_eq!(merged.queue.waits, single.queue.waits);

@@ -235,15 +235,6 @@ impl CycleProfiler {
         self.by_service.get(service as usize).copied().unwrap_or(0)
     }
 
-    /// All services with nonzero recorded cycles, in ascending id order.
-    pub fn services(&self) -> impl Iterator<Item = (u16, u128)> + '_ {
-        self.by_service
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(s, &c)| (s as u16, c))
-    }
-
     /// Per-method normalized-cycle samples, in ascending reservoir-key
     /// order (a deterministic, shard-invariant ordering).
     pub fn method_samples(&self, method: u32) -> Vec<f64> {
@@ -430,7 +421,6 @@ mod tests {
         assert_eq!(p.service_cycles(1), 300);
         assert_eq!(p.service_cycles(2), 700);
         assert_eq!(p.service_cycles(3), 0);
-        assert_eq!(p.services().count(), 2);
     }
 
     #[test]

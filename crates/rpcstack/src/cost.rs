@@ -408,7 +408,34 @@ pub struct ComponentNanos {
     pub tax_ns: f64,
 }
 
+/// The stage sums the wire harness prices its measured stages with. Each
+/// adds its terms left to right in the order its doc gives: the wire
+/// trace's virtual clock, and so its pinned digests, depend on that order
+/// bit for bit.
 impl ComponentNanos {
+    /// Sender-side processing of one message before the network stack:
+    /// serialize + compress + library + alloc.
+    pub fn prep_ns(&self) -> f64 {
+        self.serialize_ns + self.compress_ns + self.library_ns + self.alloc_ns
+    }
+
+    /// Sender-side processing without compression, the stage a harness
+    /// times apart from its compression: serialize + library + alloc.
+    pub fn encode_ns(&self) -> f64 {
+        self.serialize_ns + self.library_ns + self.alloc_ns
+    }
+
+    /// Receiver-side decode of one message: serialize + compress.
+    pub fn decode_ns(&self) -> f64 {
+        self.serialize_ns + self.compress_ns
+    }
+
+    /// Both ends' network stacks for one message: this sender's plus
+    /// `receiver`'s.
+    pub fn wire_ns(&self, receiver: &ComponentNanos) -> f64 {
+        self.network_ns + receiver.network_ns
+    }
+
     fn from_cost(model: &StackCostModel, cost: &CycleCost) -> Self {
         ComponentNanos {
             serialize_ns: model.cycles_to_ns(cost.get(CycleCategory::Serialization)),

@@ -57,8 +57,6 @@ impl Deadline {
 /// it originates.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DeadlinePolicy {
-    /// Default budget for root calls.
-    pub root_budget: SimDuration,
     /// Margin reserved per hop when propagating.
     pub hop_margin: SimDuration,
     /// Minimum budget worth issuing a call with; below this, fail fast.
@@ -68,7 +66,6 @@ pub struct DeadlinePolicy {
 impl Default for DeadlinePolicy {
     fn default() -> Self {
         DeadlinePolicy {
-            root_budget: SimDuration::from_secs(10),
             hop_margin: SimDuration::from_millis(2),
             min_budget: SimDuration::from_micros(500),
         }
@@ -76,38 +73,11 @@ impl Default for DeadlinePolicy {
 }
 
 impl DeadlinePolicy {
-    /// The deadline for a root call issued at `now`.
-    pub fn root(&self, now: SimTime) -> Deadline {
-        Deadline::after(now, self.root_budget)
-    }
-
     /// The deadline for a child call at `now` under `parent`, or `None`
     /// if the remaining budget is below the useful minimum.
     pub fn child(&self, parent: Deadline, now: SimTime) -> Option<Deadline> {
         let child = parent.propagate(now, self.hop_margin)?;
         (child.remaining(now) >= self.min_budget).then_some(child)
-    }
-
-    /// How many sequential hops a fresh root budget can traverse before
-    /// the budget dips below `min_budget`, assuming each hop consumes
-    /// `per_hop` of wall time plus the propagation margin.
-    pub fn max_depth(&self, per_hop: SimDuration) -> u32 {
-        let mut now = SimTime::ZERO;
-        let mut deadline = self.root(now);
-        let mut depth = 0;
-        loop {
-            now += per_hop;
-            match self.child(deadline, now) {
-                Some(d) => {
-                    deadline = d;
-                    depth += 1;
-                }
-                None => return depth,
-            }
-            if depth > 10_000 {
-                return depth; // Defensive bound for degenerate inputs.
-            }
-        }
     }
 }
 
@@ -147,11 +117,10 @@ mod tests {
     #[test]
     fn policy_fails_fast_below_min_budget() {
         let p = DeadlinePolicy {
-            root_budget: SimDuration::from_millis(10),
             hop_margin: SimDuration::from_millis(2),
             min_budget: SimDuration::from_millis(5),
         };
-        let root = p.root(t(0));
+        let root = Deadline::after(t(0), SimDuration::from_millis(10));
         // At t=2ms: 8ms remain, child gets 6ms >= min 5ms.
         assert!(p.child(root, t(2)).is_some());
         // At t=4ms: 6ms remain, child gets 4ms < min 5ms.
@@ -162,7 +131,7 @@ mod tests {
     fn budgets_monotonically_shrink_down_a_chain() {
         let p = DeadlinePolicy::default();
         let mut now = t(0);
-        let mut d = p.root(now);
+        let mut d = Deadline::after(now, SimDuration::from_secs(10));
         let mut last = d.remaining(now);
         for _ in 0..20 {
             now += SimDuration::from_millis(3);
@@ -174,26 +143,18 @@ mod tests {
     }
 
     #[test]
-    fn max_depth_matches_hand_computation() {
-        let p = DeadlinePolicy {
-            root_budget: SimDuration::from_millis(20),
-            hop_margin: SimDuration::from_millis(2),
-            min_budget: SimDuration::from_millis(1),
-        };
-        // Each hop: 3 ms wall + 2 ms margin = 5 ms of budget; 20 ms
-        // affords hops while remaining - margin >= 1 ms.
-        let depth = p.max_depth(SimDuration::from_millis(3));
-        assert_eq!(depth, 3);
-        // A zero-cost chain is bounded only by the margins.
-        let free = p.max_depth(SimDuration::ZERO);
-        assert!((9..=10).contains(&free), "depth {free}");
-    }
-
-    #[test]
     fn default_policy_supports_paper_scale_depths() {
-        // Trees in the study reach depth ~10-19; the default budget must
-        // not strangle them at millisecond hop costs.
+        // Trees in the study reach depth ~10-19; the default margins
+        // must not strangle them at millisecond hop costs under a 10 s
+        // root budget.
         let p = DeadlinePolicy::default();
-        assert!(p.max_depth(SimDuration::from_millis(5)) >= 19);
+        let mut now = t(0);
+        let mut d = Deadline::after(now, SimDuration::from_secs(10));
+        for depth in 1..=19 {
+            now += SimDuration::from_millis(5);
+            d = p
+                .child(d, now)
+                .unwrap_or_else(|| panic!("budget ran out at depth {depth}"));
+        }
     }
 }
