@@ -1233,10 +1233,12 @@ impl<'a> Shard<'a> {
         let service = world.catalog.service(spec.service);
         self.method_calls[method.0 as usize] += 1;
 
-        // Reserve the span slot so parents precede children.
+        // Reserve the span slot so parents precede children. Nothing
+        // reads it before step 12 writes the finished record: children
+        // keep only its index, and the hedge scan runs after both
+        // attempts return.
         let span_idx = ctx.spans.len() as u32;
-        ctx.spans
-            .push(SpanBuilder::new(method, spec.service, client_cluster, client_cluster).build());
+        ctx.spans.push(SpanRecord::PLACEHOLDER);
 
         let mut t = start;
         let mut breakdown = LatencyBreakdown::new();

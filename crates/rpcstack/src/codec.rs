@@ -249,12 +249,32 @@ const fn crc_tables() -> [[u32; 256]; 16] {
     t
 }
 
-/// CRC32 (IEEE 802.3 polynomial), slicing-by-16: sixteen bytes per
-/// step, then the bytewise table for the tail. Bit-identical to the
-/// one-byte-at-a-time loop.
+/// CRC32 (IEEE 802.3 polynomial). On x86-64 CPUs with PCLMULQDQ and
+/// SSE4.1, inputs of at least 64 bytes are folded 16 bytes at a time by
+/// carry-less multiplication; everything else runs the slicing-by-16
+/// tables. Both are bit-identical to the one-byte-at-a-time loop.
 pub fn crc32(data: &[u8]) -> u32 {
+    if data.len() >= FOLD_MIN_LEN {
+        if let Some(crc) = crc32_pclmul(data) {
+            return crc;
+        }
+    }
+    crc32_portable(data)
+}
+
+/// Shortest input [`crc32`] folds: four 16-byte accumulators' worth.
+const FOLD_MIN_LEN: usize = 64;
+
+/// CRC32 by the slicing-by-16 tables alone, on any CPU.
+fn crc32_portable(data: &[u8]) -> u32 {
+    !crc32_tables(!0, data)
+}
+
+/// Advances the raw (uninverted) CRC register `crc` over `data` with
+/// the slicing-by-16 tables: sixteen bytes per step, then the bytewise
+/// table for the tail.
+fn crc32_tables(mut crc: u32, data: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
     let (blocks, tail) = data.as_chunks::<16>();
     for b in blocks {
         let x = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
@@ -278,7 +298,133 @@ pub fn crc32(data: &[u8]) -> u32 {
     for &b in tail {
         crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
-    crc ^ 0xFFFF_FFFF
+    crc
+}
+
+/// CRC32 of `data` by carry-less multiplication, or `None` when this
+/// CPU lacks the instructions. Inputs shorter than [`FOLD_MIN_LEN`]
+/// run the tables.
+#[cfg(target_arch = "x86_64")]
+fn crc32_pclmul(data: &[u8]) -> Option<u32> {
+    if !(is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")) {
+        return None;
+    }
+    // SAFETY: `fold::crc32` enables exactly `pclmulqdq` and `sse4.1`,
+    // and both were detected on this CPU just above.
+    let crc = unsafe { fold::crc32(!0, data) };
+    Some(!crc)
+}
+
+/// CRC32 by carry-less multiplication: never available off x86-64.
+#[cfg(not(target_arch = "x86_64"))]
+fn crc32_pclmul(_data: &[u8]) -> Option<u32> {
+    None
+}
+
+/// CRC32 by folding with PCLMULQDQ, after Intel's "Fast CRC Computation
+/// for Generic Polynomials Using PCLMULQDQ Instruction" (Gopal et al.,
+/// 2009) for the bit-reflected IEEE polynomial: four 128-bit
+/// accumulators fold 64 bytes per step, fold into one, absorb the
+/// remaining 16-byte blocks, shrink to 64 bits and finish with a
+/// Barrett reduction. Blocks are assembled from byte arrays, so no
+/// load reads past the slice whatever its length.
+#[cfg(target_arch = "x86_64")]
+mod fold {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_cvtsi32_si128, _mm_extract_epi32,
+        _mm_set_epi32, _mm_set_epi64x, _mm_srli_si128, _mm_xor_si128,
+    };
+
+    // Folding constants for P(x) = 0x1_04C1_1DB7, bit-reflected and
+    // shifted by one: x^(4*128+32) and x^(4*128-32) mod P (K1, K2) fold
+    // across 64 bytes, x^(128+32) and x^(128-32) mod P (K3, K4) across
+    // 16, x^64 mod P (K5) takes 96 bits to 64.
+    const K1: i64 = 0x1_5444_2BD4;
+    const K2: i64 = 0x1_C6E4_1596;
+    const K3: i64 = 0x1_7519_97D0;
+    const K4: i64 = 0x0_CCAA_009E;
+    const K5: i64 = 0x1_63CD_6124;
+    /// P(x), reflected, and the Barrett constant floor(x^64 / P(x)),
+    /// reflected.
+    const P_X: i64 = 0x1_DB71_0641;
+    const MU: i64 = 0x1_F701_1641;
+
+    /// Advances the raw CRC register `crc` over `data`; the tail below
+    /// 16 bytes, and inputs below 64, run the tables. Callers outside
+    /// this module must first detect both enabled features on the CPU.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn crc32(crc: u32, data: &[u8]) -> u32 {
+        let (quads, rest) = data.as_chunks::<64>();
+        let Some((first, quads)) = quads.split_first() else {
+            return super::crc32_tables(crc, data);
+        };
+        let [mut x3, mut x2, mut x1, mut x0] = load4(first);
+        x3 = _mm_xor_si128(x3, _mm_cvtsi32_si128(crc as i32));
+
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        for quad in quads {
+            let [b3, b2, b1, b0] = load4(quad);
+            x3 = fold16(x3, b3, k1k2);
+            x2 = fold16(x2, b2, k1k2);
+            x1 = fold16(x1, b1, k1k2);
+            x0 = fold16(x0, b0, k1k2);
+        }
+
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = fold16(x3, x2, k3k4);
+        x = fold16(x, x1, k3k4);
+        x = fold16(x, x0, k3k4);
+        let (blocks, tail) = rest.as_chunks::<16>();
+        for block in blocks {
+            x = fold16(x, load(block), k3k4);
+        }
+
+        // 128 bits to 96: the low half times K4, plus the high half.
+        let x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+        // 96 bits to 64: the low 32 bits times K5, plus the upper 64.
+        let low32 = _mm_set_epi32(0, 0, 0, !0);
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00),
+            _mm_srli_si128(x, 4),
+        );
+        // Barrett reduction, 64 bits to the 32-bit remainder, which the
+        // reflected order leaves in bits 32..64.
+        let pu = _mm_set_epi64x(MU, P_X);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pu, 0x00);
+        let crc = _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32;
+        super::crc32_tables(crc, tail)
+    }
+
+    /// `acc` carried 128 bits forward (its halves times the two keys in
+    /// `keys`), plus the next block.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold16(acc: __m128i, next: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(acc, keys, 0x00);
+        let hi = _mm_clmulepi64_si128(acc, keys, 0x11);
+        _mm_xor_si128(_mm_xor_si128(next, lo), hi)
+    }
+
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn load(b: &[u8; 16]) -> __m128i {
+        let lo = u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
+        let hi = u64::from_le_bytes([b[8], b[9], b[10], b[11], b[12], b[13], b[14], b[15]]);
+        _mm_set_epi64x(hi as i64, lo as i64)
+    }
+
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn load4(quad: &[u8; 64]) -> [__m128i; 4] {
+        let (blocks, _) = quad.as_chunks::<16>();
+        [
+            load(&blocks[0]),
+            load(&blocks[1]),
+            load(&blocks[2]),
+            load(&blocks[3]),
+        ]
+    }
 }
 
 #[cfg(test)]
@@ -336,27 +482,33 @@ mod tests {
         crc ^ 0xFFFF_FFFF
     }
 
-    /// Checks `crc32` against the bytewise reference: every length
-    /// `0..=64` at every start offset `0..16` of one buffer (each tail
-    /// and alignment of the 16-byte blocks), then `random` buffers of
-    /// random length up to 64 KiB.
+    /// Checks both CRC kernels, each called directly, and `crc32`
+    /// against the bytewise reference: every length `0..=320` at every
+    /// start offset `0..16` of one buffer (the 64-byte fold threshold,
+    /// four-block and single-block folds, every tail and alignment),
+    /// then `random` buffers of random length up to 64 KiB. The
+    /// PCLMULQDQ kernel is checked wherever this CPU has it.
     fn crc32_matches_bytewise(seed: u64, random: usize) {
+        let check = |data: &[u8], what: &str| {
+            let want = reference_crc32(data);
+            assert_eq!(crc32_portable(data), want, "portable, {what}");
+            if let Some(hw) = crc32_pclmul(data) {
+                assert_eq!(hw, want, "pclmul, {what}");
+            }
+            assert_eq!(crc32(data), want, "crc32, {what}");
+        };
         let mut rng = Prng::seed_from(seed);
-        let buf: Vec<u8> = (0..80).map(|_| rng.next_u64() as u8).collect();
+        let buf: Vec<u8> = (0..336).map(|_| rng.next_u64() as u8).collect();
         for start in 0..16 {
-            for len in 0..=64 {
+            for len in 0..=320 {
                 let s = &buf[start..start + len];
-                assert_eq!(crc32(s), reference_crc32(s), "start {start}, len {len}");
+                check(s, &format!("start {start}, len {len}"));
             }
         }
         for case in 0..random {
             let len = rng.index(64 * 1024 + 1);
             let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-            assert_eq!(
-                crc32(&data),
-                reference_crc32(&data),
-                "case {case}, len {len}"
-            );
+            check(&data, &format!("case {case}, len {len}"));
         }
     }
 
@@ -372,6 +524,15 @@ mod tests {
         for seed in 0..16 {
             crc32_matches_bytewise(100 + seed, 1_000);
         }
+    }
+
+    /// On an x86-64 CPU with PCLMULQDQ the folding kernel is the one
+    /// `crc32` takes, so the exactness checks above cover it there.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn crc32_pclmul_runs_where_detected() {
+        let detected = is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1");
+        assert_eq!(crc32_pclmul(&[0u8; 64]).is_some(), detected);
     }
 
     #[test]

@@ -68,6 +68,24 @@ pub struct SpanRecord {
 }
 
 impl SpanRecord {
+    /// An all-zero root record of method 0 that reserves a slot in a
+    /// trace until the finished record overwrites it.
+    pub const PLACEHOLDER: SpanRecord = SpanRecord {
+        method: MethodId(0),
+        service: ServiceId(0),
+        parent: ROOT_PARENT,
+        client_cluster: ClusterId(0),
+        server_cluster: ClusterId(0),
+        start_ticks: 0,
+        components: [0; 9],
+        request_bytes: 0,
+        response_bytes: 0,
+        kilocycles: 0,
+        error: None,
+        hedged: false,
+        detached: false,
+    };
+
     /// Start offset from the trace root's start.
     pub fn start_offset(&self) -> SimDuration {
         from_ticks(self.start_ticks)
