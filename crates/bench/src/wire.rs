@@ -1,8 +1,8 @@
 //! Measured-vs-modeled validation of the RPC stack cost models.
 //!
 //! The simulator *prices* the RPC stack (Fig. 9's per-RPC latency
-//! breakdown, Fig. 20's cycle tax) with
-//! [`rpclens_rpcstack::cost::StackCostModel`]. This harness *executes*
+//! breakdown, Fig. 20's cycle tax) with the cost model of
+//! [`rpclens_rpcstack::cost`]. This harness *executes*
 //! the same per-component work on a real wire — `rpclens-rpcwire`'s
 //! client/server over UDP loopback (or an in-memory link) serving the
 //! fleet catalog's methods — and reports measured nanoseconds next to the
@@ -31,8 +31,8 @@ use rpclens_fleet::catalog::{Catalog, CatalogConfig};
 use rpclens_fleet::servable::ServableTable;
 use rpclens_netsim::topology::Topology;
 use rpclens_obs::json::Json;
-use rpclens_rpcstack::cost::{MessageClass, StackCostConfig, StackCostModel};
-use rpclens_rpcwire::client::{ClientStats, PendingCall, RetryPolicy, WireClient};
+use rpclens_rpcstack::cost::{self, MessageClass};
+use rpclens_rpcwire::client::{ClientStats, PendingCall, WireClient};
 use rpclens_rpcwire::message::{self, Request, Response, Status, TraceContext, WireError};
 use rpclens_rpcwire::payload;
 use rpclens_rpcwire::server::{Handler, Semantics, ServerStats, WireServer};
@@ -480,7 +480,6 @@ pub(crate) fn run_calls<T: Transport, K: SpanSink, S: ServerSide<T>>(
 
 /// Sums over a run's completed calls.
 pub(crate) struct Accumulator {
-    model: StackCostModel,
     request_raw_bytes: u64,
     request_wire_bytes: u64,
     response_raw_bytes: u64,
@@ -494,7 +493,6 @@ pub(crate) struct Accumulator {
 impl Accumulator {
     fn new() -> Accumulator {
         Accumulator {
-            model: StackCostModel::new(StackCostConfig::default()),
             request_raw_bytes: 0,
             request_wire_bytes: 0,
             response_raw_bytes: 0,
@@ -522,13 +520,11 @@ impl Accumulator {
 
         // Modeled counterparts over the same raw payload byte counts.
         let class = prepared.method_class;
-        let req_send = self.model.sender_component_ns(prepared.req_raw_len, class);
-        let req_recv = self
-            .model
-            .receiver_component_ns(prepared.req_raw_len, class);
+        let req_send = cost::sender_component_ns(prepared.req_raw_len, class);
+        let req_recv = cost::receiver_component_ns(prepared.req_raw_len, class);
         let resp_bytes = response.body.len() as u64;
-        let resp_send = self.model.sender_component_ns(resp_bytes, class);
-        let resp_recv = self.model.receiver_component_ns(resp_bytes, class);
+        let resp_send = cost::sender_component_ns(resp_bytes, class);
+        let resp_recv = cost::receiver_component_ns(resp_bytes, class);
         let m = &mut self.modeled;
         m.compress_ns += req_send.compress_ns;
         m.encode_ns += req_send.encode_ns();
@@ -573,12 +569,7 @@ pub fn run_over_memlink(config: &WireBenchConfig) -> Result<WireReport, WireErro
     let (client_end, server_end) = MemLink::pair();
     let handler = CatalogHandler::new(table.clone(), config.seed);
     let mut server = WireServer::new(server_end, handler, config.semantics);
-    let mut client = WireClient::new(
-        client_end,
-        CLIENT_ID_BASE,
-        RetryPolicy::default(),
-        config.seed,
-    );
+    let mut client = WireClient::new(client_end, CLIENT_ID_BASE, config.seed);
     let acc = run_calls(
         &mut client,
         &mut server,
@@ -596,12 +587,7 @@ pub fn run_over_memlink(config: &WireBenchConfig) -> Result<WireReport, WireErro
 pub fn run_over_udp(config: &WireBenchConfig) -> Result<WireReport, WireError> {
     let table = Arc::new(build_table(config));
     let mut server = UdpServer::spawn(table.clone(), config.seed, config.semantics)?;
-    let mut client = WireClient::new(
-        server.connect()?,
-        CLIENT_ID_BASE,
-        RetryPolicy::default(),
-        config.seed,
-    );
+    let mut client = WireClient::new(server.connect()?, CLIENT_ID_BASE, config.seed);
     let acc = run_calls(
         &mut client,
         &mut server,
@@ -804,12 +790,7 @@ mod tests {
             calls: 0,
             lose: &[3, 17, 50],
         };
-        let mut client = WireClient::new(
-            client_end,
-            CLIENT_ID_BASE,
-            RetryPolicy::default(),
-            config.seed,
-        );
+        let mut client = WireClient::new(client_end, CLIENT_ID_BASE, config.seed);
         let acc = run_calls(
             &mut client,
             &mut server,

@@ -13,7 +13,7 @@
 //! **Determinism.** The wire runtime never timestamps events; the sink
 //! does (see `rpclens_rpcwire::sink`). Over [`MemLink`] this recorder
 //! runs a *virtual* clock: each event advances global time by
-//! [`StackCostModel`]-priced charges rounded to the span store's 100 ns
+//! [`cost`]-priced charges rounded to the span store's 100 ns
 //! tick, so the entire capture — every byte of the export — is a pure
 //! function of the seed. `tests/wire_trace_determinism.rs` pins the
 //! export digest. Over UDP the recorder uses a wall clock and
@@ -53,9 +53,9 @@ use rpclens_netsim::topology::ClusterId;
 use rpclens_obs::detect::{self, Finding, SloConfig, WindowSample};
 use rpclens_obs::manifest::{fnv1a, LatencyQuantiles};
 use rpclens_rpcstack::component::{LatencyBreakdown, LatencyComponent};
-use rpclens_rpcstack::cost::{MessageClass, StackCostConfig, StackCostModel};
+use rpclens_rpcstack::cost::{self, MessageClass};
 use rpclens_rpcstack::error::ErrorKind;
-use rpclens_rpcwire::client::{RetryPolicy, WireClient};
+use rpclens_rpcwire::client::WireClient;
 use rpclens_rpcwire::message::{Request, Status, TraceContext, WireError};
 use rpclens_rpcwire::server::{Handler, Semantics, WireServer};
 use rpclens_rpcwire::sink::{SpanEvent, SpanEventKind, SpanSink};
@@ -167,7 +167,6 @@ struct CounterSample {
 /// snapshots the counters the detectors read. Share it between hops as
 /// `Rc<RefCell<WireTraceRecorder>>` (which implements [`SpanSink`]).
 pub struct WireTraceRecorder {
-    model: StackCostModel,
     table: Arc<ServableTable>,
     mode: ClockMode,
     now_ns: u64,
@@ -193,7 +192,6 @@ pub struct WireTraceRecorder {
 impl WireTraceRecorder {
     fn new(table: Arc<ServableTable>, mode: ClockMode) -> WireTraceRecorder {
         WireTraceRecorder {
-            model: StackCostModel::new(StackCostConfig::default()),
             table,
             mode,
             now_ns: 0,
@@ -389,9 +387,7 @@ impl SpanSink for WireTraceRecorder {
         };
         let key = (ctx.trace_id, ctx.span_id);
         let class = class_of(&self.table, event.method);
-        let req_send = self
-            .model
-            .sender_component_ns(event.raw_bytes as u64, class);
+        let req_send = cost::sender_component_ns(event.raw_bytes as u64, class);
         match event.kind {
             SpanEventKind::ClientSend => {
                 self.open_span(event, ctx);
@@ -400,10 +396,7 @@ impl SpanSink for WireTraceRecorder {
             }
             SpanEventKind::ClientRetransmit => {
                 self.counters.retransmissions += 1;
-                let net = self
-                    .model
-                    .sender_component_ns(event.wire_bytes as u64, class)
-                    .network_ns;
+                let net = cost::sender_component_ns(event.wire_bytes as u64, class).network_ns;
                 self.charge(key, LatencyComponent::RequestNetworkWire, Self::tick(net));
             }
             SpanEventKind::ServerRecv => {
@@ -412,8 +405,8 @@ impl SpanSink for WireTraceRecorder {
                     .get(&key)
                     .map(|o| o.req_raw)
                     .unwrap_or(event.raw_bytes as u64);
-                let send = self.model.sender_component_ns(req_raw, class);
-                let recv = self.model.receiver_component_ns(req_raw, class);
+                let send = cost::sender_component_ns(req_raw, class);
+                let recv = cost::receiver_component_ns(req_raw, class);
                 self.charge(
                     key,
                     LatencyComponent::RequestNetworkWire,
@@ -455,13 +448,13 @@ impl SpanSink for WireTraceRecorder {
             }
             SpanEventKind::ServerSend => {
                 let resp_raw = self.open.get(&key).map(|o| o.resp_raw).unwrap_or(0);
-                let prep = self.model.sender_component_ns(resp_raw, class).prep_ns();
+                let prep = cost::sender_component_ns(resp_raw, class).prep_ns();
                 self.charge(key, LatencyComponent::ResponseProcessing, Self::tick(prep));
             }
             SpanEventKind::ClientRecv => {
                 let resp_raw = event.raw_bytes as u64;
-                let send = self.model.sender_component_ns(resp_raw, class);
-                let recv = self.model.receiver_component_ns(resp_raw, class);
+                let send = cost::sender_component_ns(resp_raw, class);
+                let recv = cost::receiver_component_ns(resp_raw, class);
                 self.charge(
                     key,
                     LatencyComponent::ResponseNetworkWire,
@@ -574,7 +567,6 @@ fn build_hop(
         let client = WireClient::new(
             client_end,
             CLIENT_ID_BASE + u64::from(depth) + 1,
-            RetryPolicy::default(),
             config.seed ^ u64::from(depth),
         )
         .with_span_sink(recorder.clone());
@@ -685,13 +677,8 @@ fn capture_memlink(config: &TraceBenchConfig) -> Result<SharedRecorder, WireErro
     let (table, recorder) = new_recorder(config, ClockMode::Virtual);
     let (client_end, server_end) = MemLink::pair();
     let mut server = build_hop(&table, &recorder, config, 0, server_end);
-    let mut client = WireClient::new(
-        client_end,
-        CLIENT_ID_BASE,
-        RetryPolicy::default(),
-        config.seed,
-    )
-    .with_span_sink(recorder.clone());
+    let mut client =
+        WireClient::new(client_end, CLIENT_ID_BASE, config.seed).with_span_sink(recorder.clone());
     run_calls(
         &mut client,
         &mut server,
@@ -713,13 +700,8 @@ fn capture_memlink(config: &TraceBenchConfig) -> Result<SharedRecorder, WireErro
 pub fn run_traced_udp(config: &TraceBenchConfig) -> Result<TraceBenchReport, WireError> {
     let (table, recorder) = new_recorder(config, ClockMode::Wall(Instant::now()));
     let mut server = UdpServer::spawn(table.clone(), config.seed, Semantics::AtMostOnce)?;
-    let mut client = WireClient::new(
-        server.connect()?,
-        CLIENT_ID_BASE,
-        RetryPolicy::default(),
-        config.seed,
-    )
-    .with_span_sink(recorder.clone());
+    let mut client = WireClient::new(server.connect()?, CLIENT_ID_BASE, config.seed)
+        .with_span_sink(recorder.clone());
     run_calls(
         &mut client,
         &mut server,
@@ -828,7 +810,7 @@ pub fn waterfall_text(store: &TraceStore, index: usize) -> Result<String, String
 
 /// Renders the per-method measured-vs-modeled comparison over a whole
 /// measured store: the model re-prices each span's actual request and
-/// response bytes through [`StackCostModel`] (plus the deterministic
+/// response bytes through the [`cost`] model (plus the deterministic
 /// app proxy), so the delta isolates what the wire added beyond the
 /// analytical stack.
 pub fn method_delta_text(store: &TraceStore, seed: u64, total_methods: usize) -> String {
@@ -838,7 +820,6 @@ pub fn method_delta_text(store: &TraceStore, seed: u64, total_methods: usize) ->
         total_methods,
         ..WireBenchConfig::default()
     });
-    let model = StackCostModel::new(StackCostConfig::default());
     // method → (count, measured ns sum, modeled ns sum)
     let mut rows: HashMap<u32, (u64, u64, u64)> = HashMap::new();
     for trace in store.traces() {
@@ -846,10 +827,10 @@ pub fn method_delta_text(store: &TraceStore, seed: u64, total_methods: usize) ->
             let class = class_of(&table, span.method.0 as u64);
             let req = span.request_bytes as u64;
             let resp = span.response_bytes as u64;
-            let s_req = model.sender_component_ns(req, class);
-            let r_req = model.receiver_component_ns(req, class);
-            let s_resp = model.sender_component_ns(resp, class);
-            let r_resp = model.receiver_component_ns(resp, class);
+            let s_req = cost::sender_component_ns(req, class);
+            let r_req = cost::receiver_component_ns(req, class);
+            let s_resp = cost::sender_component_ns(resp, class);
+            let r_resp = cost::receiver_component_ns(resp, class);
             let stack = s_req.prep_ns()
                 + s_req.wire_ns(&r_req)
                 + r_req.decode_ns()

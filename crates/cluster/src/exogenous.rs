@@ -41,11 +41,12 @@ pub struct ExogenousProfile {
     pub peak_hour: f64,
     /// Std-dev of the band-limited utilization noise.
     pub noise: f64,
-    /// Peak machine memory bandwidth, GB/s, reached at 100% utilization.
-    pub mem_bw_peak_gbps: f64,
     /// Seed for this profile's noise stream.
     pub seed: u64,
 }
+
+/// Peak machine memory bandwidth, GB/s, reached at 100% utilization.
+const MEM_BW_PEAK_GBPS: f64 = 120.0;
 
 /// Noise bucket width: one value per 5 simulated minutes, interpolated.
 const NOISE_BUCKET: SimDuration = SimDuration::from_mins(5);
@@ -58,7 +59,6 @@ impl ExogenousProfile {
             diurnal_amp: 0.18,
             peak_hour: 14.0,
             noise: 0.06,
-            mem_bw_peak_gbps: 120.0,
             seed,
         }
     }
@@ -98,7 +98,7 @@ impl ExogenousProfile {
         // Memory bandwidth tracks utilization sublinearly with its own
         // noise component.
         let mem_frac = (0.25 + 0.75 * cpu_util.powf(0.8) + 0.08 * noise[1]).clamp(0.05, 1.0);
-        let mem_bw_gbps = self.mem_bw_peak_gbps * mem_frac;
+        let mem_bw_gbps = MEM_BW_PEAK_GBPS * mem_frac;
 
         // Long scheduler wakeups grow superlinearly with utilization: a
         // nearly idle machine rarely preempts, a saturated one often does.
@@ -399,7 +399,6 @@ mod tests {
             diurnal_amp in 0.0f64..0.3,
             peak_hour in 0.0f64..24.0,
             noise in 0.0f64..0.2,
-            mem_bw_peak_gbps in 20.0f64..200.0,
             offset_ns in 1u64..1_800_000_000_000,
             later_day in 1u64..10_000,
         ) {
@@ -408,7 +407,6 @@ mod tests {
                 diurnal_amp,
                 peak_hour,
                 noise,
-                mem_bw_peak_gbps,
                 seed,
             };
             let day_ns = SimDuration::from_hours(24).as_nanos();

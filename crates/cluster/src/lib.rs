@@ -20,14 +20,3 @@ pub mod machine;
 pub mod mgk;
 pub mod pool;
 pub mod site;
-
-/// Convenience re-exports of the most commonly used cluster types.
-pub mod prelude {
-    pub use crate::{
-        exogenous::{ExogenousProfile, ExogenousVars},
-        machine::{Machine, MachineConfig, MachineId},
-        mgk::{erlang_c, QueueModel},
-        pool::WorkerPool,
-        site::DensePairMap,
-    };
-}

@@ -6,7 +6,8 @@
 //! machine model reproduces that causal structure:
 //!
 //! - handler execution time = `work / (speed / slowdown)`, where the
-//!   slowdown is the machine's instantaneous CPI relative to its baseline;
+//!   slowdown is the machine's instantaneous CPI relative to a baseline
+//!   CPI of 1.0;
 //! - scheduler wakeup latency is short normally but long (>50 µs) with the
 //!   machine's current long-wakeup probability;
 //! - a reserved-core machine bypasses the utilization-dependent part of
@@ -29,18 +30,6 @@ pub struct MachineConfig {
     pub speed: f64,
     /// Whether the studied service holds reserved cores on this machine.
     pub reserved_cores: bool,
-    /// Baseline CPI at low load (denominator of the slowdown factor).
-    pub baseline_cpi: f64,
-}
-
-impl Default for MachineConfig {
-    fn default() -> Self {
-        MachineConfig {
-            speed: 1.0,
-            reserved_cores: false,
-            baseline_cpi: 1.0,
-        }
-    }
 }
 
 /// A simulated machine.
@@ -93,7 +82,8 @@ impl Machine {
     /// exogenous state `vars` (from [`Machine::exogenous_with`]).
     ///
     /// On shared machines this is the instantaneous CPI over the baseline
-    /// CPI (contention raises CPI, which stretches every instruction). On
+    /// CPI of 1.0, i.e. the CPI itself (contention raises CPI, which
+    /// stretches every instruction). On
     /// reserved cores, contention from co-tenants is excluded; only a
     /// small chip-level CPI effect remains.
     pub fn slowdown_from(&self, vars: &ExogenousVars) -> f64 {
@@ -101,9 +91,9 @@ impl Machine {
             // Reserved cores escape scheduling/bandwidth contention but
             // still see chip-wide effects (uncore frequency, LLC) that the
             // paper observes as a residual CPI correlation.
-            1.0 + 0.3 * (vars.cpi / self.config.baseline_cpi - 1.0).max(0.0)
+            1.0 + 0.3 * (vars.cpi - 1.0).max(0.0)
         } else {
-            (vars.cpi / self.config.baseline_cpi).max(0.5)
+            vars.cpi.max(0.5)
         }
     }
 
@@ -155,8 +145,8 @@ mod tests {
         Machine::new(
             MachineId(1),
             MachineConfig {
+                speed: 1.0,
                 reserved_cores: reserved,
-                ..MachineConfig::default()
             },
             profile,
         )

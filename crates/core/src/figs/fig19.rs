@@ -17,7 +17,7 @@ use crate::render::{fmt_secs, TextTable};
 use rpclens_fleet::driver::FleetRun;
 use rpclens_netsim::latency::Network;
 use rpclens_netsim::topology::{ClusterId, PathClass};
-use rpclens_rpcstack::cost::{MessageClass, StackCostConfig, StackCostModel};
+use rpclens_rpcstack::cost::{self, MessageClass};
 use rpclens_simcore::prelude::*;
 use rpclens_simcore::stats::{percentile, sorted_finite};
 
@@ -59,7 +59,6 @@ pub fn compute(run: &FleetRun) -> Fig19 {
         .find(|e| e.server == "Spanner")
         .expect("Spanner is in Table 1");
     let method = run.catalog.method(entry.method).clone();
-    let cost = StackCostModel::new(StackCostConfig::default());
     let class_spec = MessageClass::structured();
     let mut rng = Prng::seed_from(run.config.scale.seed ^ 0x19);
     let mut rows = Vec::new();
@@ -74,7 +73,7 @@ pub fn compute(run: &FleetRun) -> Fig19 {
         // network changes no sampled value.
         let mut network = Network::new(
             run.topology.clone(),
-            run.config.network(),
+            run.config.congestion_enabled,
             run.config.scale.seed ^ 0xF19,
         );
         // The row the paper plots: the client reads a specific shard, and
@@ -92,13 +91,15 @@ pub fn compute(run: &FleetRun) -> Fig19 {
             let req = method.sample_request_bytes(&mut rng);
             let resp = method.sample_response_bytes(&mut rng);
             let req_net = network
-                .one_way_latency(client, server, cost.wire_bytes(req, true), at, &mut rng)
+                .one_way_latency(client, server, cost::wire_bytes(req, true), at, &mut rng)
+                .0
                 .as_secs_f64();
             let resp_net = network
-                .one_way_latency(server, client, cost.wire_bytes(resp, true), at, &mut rng)
+                .one_way_latency(server, client, cost::wire_bytes(resp, true), at, &mut rng)
+                .0
                 .as_secs_f64();
-            let proc = cost.stack_latency(req, class_spec, 1.0).as_secs_f64()
-                + cost.stack_latency(resp, class_spec, 1.0).as_secs_f64();
+            let proc = cost::stack_latency(req, class_spec, 1.0).as_secs_f64()
+                + cost::stack_latency(resp, class_spec, 1.0).as_secs_f64();
             let util = site.machine_util(0, at);
             let queue = site.queue.sample_wait(util, &mut rng).as_secs_f64();
             let (compute, _) = method.sample_compute(&mut rng);

@@ -32,13 +32,13 @@ use rpclens_cluster::exogenous::{ExogenousProfile, NoiseEdges};
 use rpclens_cluster::machine::{Machine, MachineConfig, MachineId};
 use rpclens_cluster::mgk::QueueModel;
 use rpclens_cluster::site::DensePairMap;
-use rpclens_netsim::latency::{Network, NetworkConfig};
+use rpclens_netsim::latency::Network;
 use rpclens_netsim::topology::{ClusterId, Topology};
 use rpclens_obs::telemetry::{PhaseTimings, RunTelemetry, ShardCounters, ShardReport};
 use rpclens_obs::WindowSample;
 use rpclens_profiler::{CycleProfiler, ErrorAccounting};
 use rpclens_rpcstack::component::{LatencyBreakdown, LatencyComponent};
-use rpclens_rpcstack::cost::{CycleCategory, CycleCost, StackCostConfig, StackCostModel};
+use rpclens_rpcstack::cost::{self, CycleCategory, CycleCost};
 use rpclens_rpcstack::deadline::Deadline;
 use rpclens_rpcstack::error::{ErrorKind, ErrorProfile};
 use rpclens_rpcstack::hedging::resolve_hedge;
@@ -227,14 +227,6 @@ impl FleetConfig {
     pub fn with_faults(mut self, scenario: FaultScenario) -> Self {
         self.faults = scenario;
         self
-    }
-
-    /// The network constants every [`Network`] of the run is built with.
-    pub fn network(&self) -> NetworkConfig {
-        NetworkConfig {
-            congestion_enabled: self.congestion_enabled,
-            ..NetworkConfig::default()
-        }
     }
 }
 
@@ -456,14 +448,13 @@ struct SimResult {
 ///
 /// Everything here is read-only while roots are being expanded: the
 /// catalog, topology, deployment sites (machines are stateless — their
-/// wakeup jitter comes from the caller's generator), cost model, and the
+/// wakeup jitter comes from the caller's generator), and the
 /// master generator (stream derivation reads seed state without
 /// consuming it). All mutable state lives in per-shard [`Shard`]s.
 struct Driver {
     config: FleetConfig,
     catalog: Catalog,
     topology: Topology,
-    cost: StackCostModel,
     /// Error injection profile: residual semantic classes when the
     /// scenario produces the mechanical ones causally, the full static
     /// fleet profile under `none`.
@@ -511,7 +502,6 @@ impl Driver {
             },
             &topology,
         );
-        let cost = StackCostModel::new(StackCostConfig::default());
         let master_rng = Prng::seed_from(seed).stream(0xD21_4E12);
 
         // Build deployment sites with per-cluster load diversity: each
@@ -532,7 +522,6 @@ impl Driver {
                     diurnal_amp: 0.10 + 0.10 * site_rng.next_f64(),
                     peak_hour: 13.0 + 3.0 * site_rng.next_f64(),
                     noise: 0.05,
-                    mem_bw_peak_gbps: 120.0,
                     seed: seed ^ ((svc.id.0 as u64) << 32) ^ ((cluster.0 as u64) << 8),
                 };
                 let n_machines = 3 + site_rng.index(3);
@@ -555,7 +544,6 @@ impl Driver {
                         MachineConfig {
                             speed: 0.85 + 0.3 * site_rng.next_f64(),
                             reserved_cores: svc.reserved_cores && config.reserved_cores_enabled,
-                            baseline_cpi: 1.0,
                         },
                         mprofile,
                     ));
@@ -590,7 +578,7 @@ impl Driver {
         // softmax over negative RTT is time-invariant, so the per-call
         // work reduces to one row scan. A probe network supplies the
         // same `rtt_estimate` the per-call path used.
-        let probe_net = Network::new(topology.clone(), config.network(), seed);
+        let probe_net = Network::new(topology.clone(), config.congestion_enabled, seed);
         let n_clusters = topology.num_clusters();
         let mut placement = Vec::with_capacity(catalog.num_services());
         for svc in catalog.services() {
@@ -669,7 +657,6 @@ impl Driver {
             config,
             catalog,
             topology,
-            cost,
             soft_queue: SoftQueue::default(),
             sites,
             placement,
@@ -917,7 +904,7 @@ impl<'a> Shard<'a> {
             world,
             network: Network::new(
                 world.topology.clone(),
-                world.config.network(),
+                world.config.congestion_enabled,
                 world.config.scale.seed,
             ),
             store: TraceStore::new(),
@@ -1254,9 +1241,9 @@ impl<'a> Shard<'a> {
         let req_bytes = spec.sample_request_bytes(&mut ctx.rng);
         // Each message's sender and receiver costs are computed once and
         // feed its stack latency, the server charge and the client charge.
-        let req_send = world.cost.sender_cost(req_bytes, class);
-        let req_recv = world.cost.receiver_cost(req_bytes, class);
-        let req_proc = world.cost.stack_latency_of(&req_send, &req_recv, 1.0);
+        let req_send = cost::sender_cost(req_bytes, class);
+        let req_recv = cost::receiver_cost(req_bytes, class);
+        let req_proc = cost::stack_latency_of(&req_send, &req_recv, 1.0);
         breakdown.set(LatencyComponent::RequestProcessing, req_proc);
         t += req_proc;
 
@@ -1319,14 +1306,10 @@ impl<'a> Shard<'a> {
         let mut cluster_level = env.unavailable == Some(Unavailable::Cluster);
 
         // 4. Request network wire.
-        let wire_req = world.cost.wire_bytes(req_bytes, class.compressed);
-        let (req_net, req_congested) = self.network.one_way_latency_observed(
-            client_cluster,
-            server_cluster,
-            wire_req,
-            t,
-            &mut ctx.rng,
-        );
+        let wire_req = cost::wire_bytes(req_bytes, class.compressed);
+        let (req_net, req_congested) =
+            self.network
+                .one_way_latency(client_cluster, server_cluster, wire_req, t, &mut ctx.rng);
         self.counters.wire.record(req_congested);
         ctx.congested_wire += u64::from(req_congested);
         let req_net = req_net + env.brownout;
@@ -1474,15 +1457,13 @@ impl<'a> Shard<'a> {
         let ssq = world.soft_queue.delay(send_util, &mut ctx.rng);
         breakdown.set(LatencyComponent::ServerSendQueue, ssq);
         t += ssq;
-        let resp_send = world.cost.sender_cost(resp_bytes, class);
-        let resp_recv = world.cost.receiver_cost(resp_bytes, class);
-        let resp_proc = world
-            .cost
-            .stack_latency_of(&resp_send, &resp_recv, slowdown);
+        let resp_send = cost::sender_cost(resp_bytes, class);
+        let resp_recv = cost::receiver_cost(resp_bytes, class);
+        let resp_proc = cost::stack_latency_of(&resp_send, &resp_recv, slowdown);
         breakdown.set(LatencyComponent::ResponseProcessing, resp_proc);
         t += resp_proc;
-        let wire_resp = world.cost.wire_bytes(resp_bytes, class.compressed);
-        let (resp_net, resp_congested) = self.network.one_way_latency_observed(
+        let wire_resp = cost::wire_bytes(resp_bytes, class.compressed);
+        let (resp_net, resp_congested) = self.network.one_way_latency(
             server_cluster,
             client_cluster,
             wire_resp,
@@ -1525,7 +1506,7 @@ impl<'a> Shard<'a> {
             };
         cost.add(
             CycleCategory::Application,
-            (cpu_secs * world.cost.config().clock_hz) as u64,
+            (cpu_secs * cost::CLOCK_HZ) as u64,
         );
         cost.merge(&req_recv);
         cost.merge(&resp_send);

@@ -16,8 +16,7 @@ use crate::conditions::Environment;
 use crate::driver::{FleetRun, WINDOW_LANES};
 use rpclens_obs::{
     error_budget_burn, metastable_overload, retry_storm, tail_regression, Finding,
-    OverloadDetectorConfig, RetryStormConfig, RobustnessSection, RunManifest, SloConfig,
-    WindowSample,
+    RobustnessSection, RunManifest, SloConfig, WindowSample,
 };
 use rpclens_rpcstack::cost::CycleCategory;
 use rpclens_rpcstack::error::ErrorKind;
@@ -206,21 +205,11 @@ pub fn slo_findings(
     let samples = window_samples(run);
     let mut findings = error_budget_burn(slo, &samples);
     // The retry-storm detector judges amplification against the budget
-    // ratio the run was actually configured with.
-    let storm_cfg = RetryStormConfig {
-        budget_ratio: run
-            .config
-            .faults
-            .retry
-            .map(|rs| rs.budget_ratio)
-            .unwrap_or(RetryStormConfig::default().budget_ratio),
-        ..RetryStormConfig::default()
-    };
-    findings.extend(retry_storm(&storm_cfg, &samples));
-    findings.extend(metastable_overload(
-        &OverloadDetectorConfig::default(),
-        &samples,
-    ));
+    // ratio the run was actually configured with (0.1 when the scenario
+    // sets none).
+    let budget_ratio = run.config.faults.retry.map_or(0.1, |rs| rs.budget_ratio);
+    findings.extend(retry_storm(budget_ratio, &samples));
+    findings.extend(metastable_overload(&samples));
     if let Some(base) = baseline {
         let current = manifest_for_run(run);
         findings.extend(tail_regression(

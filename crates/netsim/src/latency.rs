@@ -15,37 +15,16 @@ use crate::topology::{ClusterId, PathClass, Topology};
 use rpclens_simcore::rng::Prng;
 use rpclens_simcore::time::{SimDuration, SimTime};
 
-/// Fixed costs and bandwidths per path class.
-#[derive(Debug, Clone)]
-pub struct NetworkConfig {
-    /// Base one-way latency inside a cluster (ToR + fabric hops).
-    pub same_cluster_base: SimDuration,
-    /// Base one-way latency between clusters in one datacenter.
-    pub same_dc_base: SimDuration,
-    /// Additional fixed cost for leaving a datacenter (metro/WAN edge).
-    pub wan_edge_cost: SimDuration,
-    /// Per-flow bandwidth within a cluster, bytes/sec.
-    pub cluster_bandwidth: f64,
-    /// Per-flow bandwidth across the WAN, bytes/sec.
-    pub wan_bandwidth: f64,
-    /// Whether paths carry congestion state (disable for ablations: pure
-    /// wire + transmission latency).
-    pub congestion_enabled: bool,
-}
-
-impl Default for NetworkConfig {
-    fn default() -> Self {
-        NetworkConfig {
-            same_cluster_base: SimDuration::from_micros(12),
-            same_dc_base: SimDuration::from_micros(90),
-            wan_edge_cost: SimDuration::from_micros(300),
-            // 12.5 GB/s ≈ 100 Gbps fabric; 1.25 GB/s ≈ 10 Gbps per WAN flow.
-            cluster_bandwidth: 12.5e9,
-            wan_bandwidth: 1.25e9,
-            congestion_enabled: true,
-        }
-    }
-}
+/// Base one-way latency inside a cluster (ToR + fabric hops).
+const SAME_CLUSTER_BASE: SimDuration = SimDuration::from_micros(12);
+/// Base one-way latency between clusters in one datacenter.
+const SAME_DC_BASE: SimDuration = SimDuration::from_micros(90);
+/// Additional fixed cost for leaving a datacenter (metro/WAN edge).
+const WAN_EDGE_COST: SimDuration = SimDuration::from_micros(300);
+/// Per-flow bandwidth within a cluster, bytes/sec (≈ 100 Gbps fabric).
+const CLUSTER_BANDWIDTH: f64 = 12.5e9;
+/// Per-flow bandwidth across the WAN, bytes/sec (≈ 10 Gbps per flow).
+const WAN_BANDWIDTH: f64 = 1.25e9;
 
 /// The fleet network: topology plus per-path congestion state.
 ///
@@ -59,7 +38,9 @@ impl Default for NetworkConfig {
 #[derive(Debug)]
 pub struct Network {
     topo: Topology,
-    cfg: NetworkConfig,
+    /// Whether paths carry congestion state (off for ablations: pure
+    /// wire + transmission latency).
+    congestion_enabled: bool,
     /// Precomputed `(fixed + propagation, per-flow bandwidth)` for each
     /// `(src, dst)` pair, indexed `src * num_clusters + dst`.
     wire: Vec<(SimDuration, f64)>,
@@ -73,8 +54,9 @@ pub struct Network {
 
 impl Network {
     /// Creates a network over `topo` with per-path congestion processes
-    /// seeded from `seed`.
-    pub fn new(topo: Topology, cfg: NetworkConfig, seed: u64) -> Self {
+    /// seeded from `seed`, or with none when `congestion_enabled` is
+    /// false (every message then takes its base latency).
+    pub fn new(topo: Topology, congestion_enabled: bool, seed: u64) -> Self {
         let num_clusters = topo.num_clusters();
         let ids = topo.cluster_ids();
         // The dense tables index by raw cluster id.
@@ -84,9 +66,9 @@ impl Network {
             for &dst in &ids {
                 let class = topo.path_class(src, dst);
                 let (fixed, bandwidth) = match class {
-                    PathClass::SameCluster => (cfg.same_cluster_base, cfg.cluster_bandwidth),
-                    PathClass::SameDatacenter => (cfg.same_dc_base, cfg.cluster_bandwidth),
-                    _ => (cfg.same_dc_base + cfg.wan_edge_cost, cfg.wan_bandwidth),
+                    PathClass::SameCluster => (SAME_CLUSTER_BASE, CLUSTER_BANDWIDTH),
+                    PathClass::SameDatacenter => (SAME_DC_BASE, CLUSTER_BANDWIDTH),
+                    _ => (SAME_DC_BASE + WAN_EDGE_COST, WAN_BANDWIDTH),
                 };
                 let propagation = match class {
                     PathClass::SameCluster | PathClass::SameDatacenter => SimDuration::ZERO,
@@ -100,7 +82,7 @@ impl Network {
         }
         Network {
             topo,
-            cfg,
+            congestion_enabled,
             wire,
             paths: (0..num_clusters * num_clusters).map(|_| None).collect(),
             active_paths: 0,
@@ -112,11 +94,6 @@ impl Network {
     /// The underlying topology.
     pub fn topology(&self) -> &Topology {
         &self.topo
-    }
-
-    /// The configured constants.
-    pub fn config(&self) -> &NetworkConfig {
-        &self.cfg
     }
 
     /// The deterministic wire-plus-transmission latency for a message of
@@ -138,30 +115,17 @@ impl Network {
     }
 
     /// Samples the full one-way latency of a message sent at `now`,
-    /// including congestion queueing.
+    /// including congestion queueing, and reports whether the path was
+    /// inside a congestion episode at send time — the signal the
+    /// observability plane counts as congested-wire exposure.
     ///
     /// The congestion *trajectory* (when each path is calm vs congested)
     /// evolves from the path's own seed-derived stream, so it is identical
     /// across shards; the per-message jitter is drawn from `rng`, the
     /// caller's stream. Together these make the sampled latency a pure
     /// function of `(network seed, src, dst, bytes, now, caller rng)`.
+    /// With congestion off it is the base latency and `rng` is untouched.
     pub fn one_way_latency(
-        &mut self,
-        src: ClusterId,
-        dst: ClusterId,
-        bytes: u64,
-        now: SimTime,
-        rng: &mut Prng,
-    ) -> SimDuration {
-        self.one_way_latency_observed(src, dst, bytes, now, rng).0
-    }
-
-    /// Like [`Network::one_way_latency`], but also reports whether the
-    /// path was inside a congestion episode at send time — the signal
-    /// the observability plane counts as congested-wire exposure. The
-    /// returned latency and the rng stream consumed are identical to
-    /// the unobserved variant.
-    pub fn one_way_latency_observed(
         &mut self,
         src: ClusterId,
         dst: ClusterId,
@@ -170,7 +134,7 @@ impl Network {
         rng: &mut Prng,
     ) -> (SimDuration, bool) {
         let base = self.base_latency(src, dst, bytes);
-        if !self.cfg.congestion_enabled {
+        if !self.congestion_enabled {
             return (base, false);
         }
         let key = ordered(src, dst);
@@ -226,11 +190,7 @@ mod tests {
     use crate::topology::Topology;
 
     fn network(seed: u64) -> Network {
-        Network::new(
-            Topology::default_world(seed),
-            NetworkConfig::default(),
-            seed,
-        )
+        Network::new(Topology::default_world(seed), true, seed)
     }
 
     /// Finds one cluster pair of each requested class.
@@ -289,18 +249,38 @@ mod tests {
 
     #[test]
     fn one_way_latency_is_at_least_base() {
-        let mut net = network(4);
-        let mut rng = Prng::seed_from(4);
+        let mut net = network(9);
+        let mut rng = Prng::seed_from(10);
         let ids = net.topology().cluster_ids();
-        for i in 0..200 {
+        let mut saw_congested = false;
+        for i in 0..5000usize {
             let a = ids[i % ids.len()];
-            let b = ids[(i * 7 + 3) % ids.len()];
-            let base = net.base_latency(a, b, 512);
-            let got =
-                net.one_way_latency(a, b, 512, SimTime::from_nanos(i as u64 * 1000), &mut rng);
+            let b = ids[(i * 11 + 5) % ids.len()];
+            let base = net.base_latency(a, b, 256);
+            let t = SimTime::from_nanos(i as u64 * 2_000_000);
+            let (got, congested) = net.one_way_latency(a, b, 256, t, &mut rng);
             assert!(got >= base, "{got} < {base}");
+            saw_congested |= congested;
         }
         assert!(net.active_paths() > 0);
+        assert!(saw_congested, "expected at least one congestion episode");
+    }
+
+    #[test]
+    fn congestion_off_is_base_latency_and_draws_nothing() {
+        let mut net = Network::new(Topology::default_world(11), false, 11);
+        let mut rng = Prng::seed_from(12);
+        let untouched = rng.clone();
+        let ids = net.topology().cluster_ids();
+        for (i, &a) in ids.iter().enumerate() {
+            for &b in &ids {
+                let t = SimTime::from_nanos(i as u64 * 60_000_000_000);
+                let base = net.base_latency(a, b, 4096);
+                assert_eq!(net.one_way_latency(a, b, 4096, t, &mut rng), (base, false));
+            }
+        }
+        assert_eq!(net.active_paths(), 0);
+        assert_eq!(rng.next_u64(), untouched.clone().next_u64());
     }
 
     #[test]
@@ -315,32 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn observed_variant_matches_unobserved_latency() {
-        // The observability plane must not perturb the simulation: the
-        // observed call returns the same latency and consumes the same
-        // rng stream as the plain one.
-        let mut plain_net = network(9);
-        let mut obs_net = network(9);
-        let mut plain_rng = Prng::seed_from(10);
-        let mut obs_rng = Prng::seed_from(10);
-        let ids = plain_net.topology().cluster_ids();
-        let mut saw_congested = false;
-        for i in 0..5000usize {
-            let s = ids[i % ids.len()];
-            let d = ids[(i * 11 + 5) % ids.len()];
-            let t = SimTime::from_nanos(i as u64 * 2_000_000);
-            let plain = plain_net.one_way_latency(s, d, 256, t, &mut plain_rng);
-            let (observed, congested) =
-                obs_net.one_way_latency_observed(s, d, 256, t, &mut obs_rng);
-            assert_eq!(plain, observed);
-            saw_congested |= congested;
-        }
-        assert!(saw_congested, "expected at least one congestion episode");
-        // Streams stayed in lockstep all the way through.
-        assert_eq!(plain_rng.next_u64(), obs_rng.next_u64());
-    }
-
-    #[test]
     fn median_crosscluster_latency_is_wire_dominated() {
         // Cross-validation from §3.3.5: the median sampled latency should
         // sit close to the deterministic wire latency.
@@ -351,6 +305,7 @@ mod tests {
         let mut samples: Vec<f64> = (0..20_001u64)
             .map(|i| {
                 net.one_way_latency(a, b, 1024, SimTime::from_nanos(i * 5_000_000), &mut rng)
+                    .0
                     .as_secs_f64()
             })
             .collect();

@@ -16,14 +16,16 @@
 //! # Examples
 //!
 //! ```
-//! use rpclens_netsim::prelude::*;
+//! use rpclens_netsim::latency::Network;
+//! use rpclens_netsim::topology::Topology;
 //! use rpclens_simcore::prelude::*;
 //!
 //! let topo = Topology::default_world(7);
-//! let mut net = Network::new(topo, NetworkConfig::default(), 7);
+//! let mut net = Network::new(topo, true, 7);
 //! let mut rng = Prng::seed_from(1);
 //! let clusters = net.topology().cluster_ids();
-//! let lat = net.one_way_latency(clusters[0], clusters[0], 1024, SimTime::ZERO, &mut rng);
+//! let (lat, _congested) =
+//!     net.one_way_latency(clusters[0], clusters[0], 1024, SimTime::ZERO, &mut rng);
 //! // Same-cluster messages stay in the tens of microseconds normally.
 //! assert!(lat.as_micros_f64() < 5_000.0);
 //! ```
@@ -32,12 +34,3 @@ pub mod congestion;
 pub mod geo;
 pub mod latency;
 pub mod topology;
-
-/// Convenience re-exports of the most commonly used netsim types.
-pub mod prelude {
-    pub use crate::{
-        geo::GeoPoint,
-        latency::{Network, NetworkConfig},
-        topology::{ClusterId, Continent, DatacenterId, PathClass, RegionId, Topology},
-    };
-}

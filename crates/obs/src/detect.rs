@@ -203,33 +203,18 @@ pub fn tail_regression(
     findings
 }
 
-/// Parameters for the retry-storm detector.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryStormConfig {
-    /// The configured `RetryBudget` earn ratio; amplification beyond it
-    /// means the budget failed to clamp the storm.
-    pub budget_ratio: f64,
-    /// Minimum retries in a window before its amplification is judged
-    /// (avoids noise from near-empty windows).
-    pub min_window_retries: u64,
-}
+/// Minimum retries in a window before its amplification is judged
+/// (avoids noise from near-empty windows).
+const MIN_WINDOW_RETRIES: u64 = 20;
 
-impl Default for RetryStormConfig {
-    fn default() -> Self {
-        RetryStormConfig {
-            budget_ratio: 0.1,
-            min_window_retries: 20,
-        }
-    }
-}
-
-/// Analyses retry amplification against the configured retry-budget
-/// ratio. Always emits one overall finding when any retries were issued
-/// (info when the budget held, warn/critical when amplification exceeded
-/// the ratio), plus one finding per window whose local amplification
-/// broke the ratio.
-pub fn retry_storm(cfg: &RetryStormConfig, windows: &[WindowSample]) -> Vec<Finding> {
-    assert!(cfg.budget_ratio > 0.0, "budget_ratio must be positive");
+/// Analyses retry amplification against `budget_ratio`, the run's
+/// configured `RetryBudget` earn ratio: amplification beyond it means the
+/// budget failed to clamp the storm. Always emits one overall finding
+/// when any retries were issued (info when the budget held, warn/critical
+/// when amplification exceeded the ratio), plus one finding per window
+/// whose local amplification broke the ratio.
+pub fn retry_storm(budget_ratio: f64, windows: &[WindowSample]) -> Vec<Finding> {
+    assert!(budget_ratio > 0.0, "budget_ratio must be positive");
     let total_retries: u64 = windows.iter().map(|w| w.retries).sum();
     if total_retries == 0 {
         return Vec::new();
@@ -237,14 +222,14 @@ pub fn retry_storm(cfg: &RetryStormConfig, windows: &[WindowSample]) -> Vec<Find
     let total_rpcs: u64 = windows.iter().map(|w| w.rpcs).sum();
     let primary = total_rpcs.saturating_sub(total_retries).max(1);
     let overall = total_retries as f64 / primary as f64;
-    let severity = if overall > 2.0 * cfg.budget_ratio {
+    let severity = if overall > 2.0 * budget_ratio {
         Severity::Critical
-    } else if overall > cfg.budget_ratio {
+    } else if overall > budget_ratio {
         Severity::Warn
     } else {
         Severity::Info
     };
-    let verdict = if overall <= cfg.budget_ratio {
+    let verdict = if overall <= budget_ratio {
         "budget clamped the storm"
     } else {
         "amplification exceeded the budget ratio"
@@ -256,22 +241,22 @@ pub fn retry_storm(cfg: &RetryStormConfig, windows: &[WindowSample]) -> Vec<Find
         detail: format!(
             "{total_retries} retries / {primary} primary calls = {overall:.4} amplification \
              vs budget ratio {:.2} — {verdict}",
-            cfg.budget_ratio
+            budget_ratio
         ),
     }];
     for w in windows {
-        if w.retries < cfg.min_window_retries {
+        if w.retries < MIN_WINDOW_RETRIES {
             continue;
         }
         let window_primary = w.rpcs.saturating_sub(w.retries).max(1);
         let amp = w.retries as f64 / window_primary as f64;
-        if amp <= cfg.budget_ratio {
+        if amp <= budget_ratio {
             continue;
         }
         findings.push(Finding {
             detector: "retry-storm",
             subject: format!("window {}", w.window),
-            severity: if amp > 2.0 * cfg.budget_ratio {
+            severity: if amp > 2.0 * budget_ratio {
                 Severity::Critical
             } else {
                 Severity::Warn
@@ -279,51 +264,34 @@ pub fn retry_storm(cfg: &RetryStormConfig, windows: &[WindowSample]) -> Vec<Find
             detail: format!(
                 "{} retries / {window_primary} primary calls = {amp:.4} amplification \
                  vs budget ratio {:.2}",
-                w.retries, cfg.budget_ratio
+                w.retries, budget_ratio
             ),
         });
     }
     findings
 }
 
-/// Parameters for the metastable-overload detector.
-#[derive(Debug, Clone, Copy)]
-pub struct OverloadDetectorConfig {
-    /// A window has collapsed when less than this fraction of its
-    /// offered work succeeds (neither errors nor retry attempts).
-    pub collapse_success_frac: f64,
-    /// Minimum run of consecutive collapsed windows worth reporting —
-    /// metastability is persistence, a single bad window is just load.
-    pub min_consecutive: usize,
-}
+/// A window has collapsed when less than this fraction of its offered
+/// work succeeds (neither errors nor retry attempts).
+const COLLAPSE_SUCCESS_FRAC: f64 = 0.5;
 
-impl Default for OverloadDetectorConfig {
-    fn default() -> Self {
-        OverloadDetectorConfig {
-            collapse_success_frac: 0.5,
-            min_consecutive: 2,
-        }
-    }
-}
+/// Minimum run of consecutive collapsed windows worth reporting —
+/// metastability is persistence, a single bad window is just load.
+const MIN_CONSECUTIVE: usize = 2;
 
 /// Finds goodput-collapse runs: maximal spans of consecutive windows in
 /// which most offered work failed or was retried. Success fraction is
 /// demand-normalized (`(rpcs - errors - retries) / rpcs`), so diurnal
 /// troughs do not read as collapse. One finding per run of at least
-/// `min_consecutive` windows; a run twice that long escalates to
+/// `MIN_CONSECUTIVE` (2) windows; a run twice that long escalates to
 /// critical.
-pub fn metastable_overload(cfg: &OverloadDetectorConfig, windows: &[WindowSample]) -> Vec<Finding> {
-    assert!(
-        cfg.collapse_success_frac > 0.0 && cfg.collapse_success_frac < 1.0,
-        "collapse_success_frac must be in (0,1), got {}",
-        cfg.collapse_success_frac
-    );
+pub fn metastable_overload(windows: &[WindowSample]) -> Vec<Finding> {
     let collapsed = |w: &WindowSample| {
         if w.rpcs == 0 {
             return false;
         }
         let good = w.rpcs.saturating_sub(w.errors).saturating_sub(w.retries);
-        (good as f64 / w.rpcs as f64) < cfg.collapse_success_frac
+        (good as f64 / w.rpcs as f64) < COLLAPSE_SUCCESS_FRAC
     };
     let mut findings = Vec::new();
     let mut i = 0;
@@ -342,7 +310,7 @@ pub fn metastable_overload(cfg: &OverloadDetectorConfig, windows: &[WindowSample
         }
         let run = &windows[i..=j];
         let len = run.len();
-        if len >= cfg.min_consecutive {
+        if len >= MIN_CONSECUTIVE {
             let rpcs: u64 = run.iter().map(|w| w.rpcs).sum();
             let errors: u64 = run.iter().map(|w| w.errors).sum();
             let retries: u64 = run.iter().map(|w| w.retries).sum();
@@ -351,7 +319,7 @@ pub fn metastable_overload(cfg: &OverloadDetectorConfig, windows: &[WindowSample
             findings.push(Finding {
                 detector: "metastable-overload",
                 subject: format!("windows {}..{}", run[0].window, run[len - 1].window),
-                severity: if len >= 2 * cfg.min_consecutive {
+                severity: if len >= 2 * MIN_CONSECUTIVE {
                     Severity::Critical
                 } else {
                     Severity::Warn
@@ -511,15 +479,13 @@ mod tests {
 
     #[test]
     fn no_retries_means_no_storm_findings() {
-        let cfg = RetryStormConfig::default();
-        assert!(retry_storm(&cfg, &[w(0, 1000, 10, 0)]).is_empty());
+        assert!(retry_storm(0.1, &[w(0, 1000, 10, 0)]).is_empty());
     }
 
     #[test]
     fn clamped_retries_report_info_overall() {
-        let cfg = RetryStormConfig::default();
         // 50 retries over 1000 primary calls: 0.05 < 0.1 ratio.
-        let findings = retry_storm(&cfg, &[w(0, 1050, 60, 50)]);
+        let findings = retry_storm(0.1, &[w(0, 1050, 60, 50)]);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].subject, "overall");
         assert_eq!(findings[0].severity, Severity::Info);
@@ -528,9 +494,8 @@ mod tests {
 
     #[test]
     fn storm_escalates_overall_and_flags_windows() {
-        let cfg = RetryStormConfig::default();
         // Window 3: 300 retries / 1000 primary = 0.30 > 2 x 0.1.
-        let findings = retry_storm(&cfg, &[w(2, 1010, 0, 10), w(3, 1300, 350, 300)]);
+        let findings = retry_storm(0.1, &[w(2, 1010, 0, 10), w(3, 1300, 350, 300)]);
         assert_eq!(findings.len(), 2);
         assert_eq!(findings[0].subject, "overall");
         assert_eq!(findings[0].severity, Severity::Warn);
@@ -541,37 +506,30 @@ mod tests {
 
     #[test]
     fn small_windows_are_not_judged_for_amplification() {
-        let cfg = RetryStormConfig::default();
-        // 5 retries < min_window_retries, even though local amp is 5.0.
-        let findings = retry_storm(&cfg, &[w(0, 2000, 0, 0), w(1, 6, 5, 5)]);
+        // 5 retries < MIN_WINDOW_RETRIES, even though local amp is 5.0.
+        let findings = retry_storm(0.1, &[w(0, 2000, 0, 0), w(1, 6, 5, 5)]);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].subject, "overall");
     }
 
     #[test]
     fn isolated_bad_window_is_not_metastable() {
-        let cfg = OverloadDetectorConfig::default();
-        let findings = metastable_overload(
-            &cfg,
-            &[w(0, 1000, 10, 0), w(1, 1000, 800, 100), w(2, 1000, 10, 0)],
-        );
+        let findings =
+            metastable_overload(&[w(0, 1000, 10, 0), w(1, 1000, 800, 100), w(2, 1000, 10, 0)]);
         assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]
     fn sustained_collapse_is_reported_and_escalates() {
-        let cfg = OverloadDetectorConfig::default();
         // Two collapsed windows -> warn.
-        let findings = metastable_overload(
-            &cfg,
-            &[w(4, 1000, 700, 100), w(5, 1000, 600, 50), w(6, 1000, 5, 0)],
-        );
+        let findings =
+            metastable_overload(&[w(4, 1000, 700, 100), w(5, 1000, 600, 50), w(6, 1000, 5, 0)]);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].subject, "windows 4..5");
         assert_eq!(findings[0].severity, Severity::Warn);
         // Four consecutive collapsed windows -> critical.
         let long: Vec<WindowSample> = (10..14).map(|i| w(i, 1000, 900, 50)).collect();
-        let findings = metastable_overload(&cfg, &long);
+        let findings = metastable_overload(&long);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].severity, Severity::Critical);
         assert!(findings[0].detail.contains("4 consecutive windows"));
@@ -579,18 +537,16 @@ mod tests {
 
     #[test]
     fn collapse_runs_must_be_adjacent_windows() {
-        let cfg = OverloadDetectorConfig::default();
         // Collapsed windows 2 and 4 are separated by a missing window 3,
-        // so neither run reaches min_consecutive.
-        let findings = metastable_overload(&cfg, &[w(2, 1000, 900, 0), w(4, 1000, 900, 0)]);
+        // so neither run reaches MIN_CONSECUTIVE.
+        let findings = metastable_overload(&[w(2, 1000, 900, 0), w(4, 1000, 900, 0)]);
         assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]
     fn diurnal_troughs_do_not_read_as_collapse() {
-        let cfg = OverloadDetectorConfig::default();
         // Low-demand windows with proportionally low errors are healthy.
-        let findings = metastable_overload(&cfg, &[w(0, 20, 1, 0), w(1, 15, 0, 0)]);
+        let findings = metastable_overload(&[w(0, 20, 1, 0), w(1, 15, 0, 0)]);
         assert!(findings.is_empty(), "{findings:?}");
     }
 

@@ -41,8 +41,8 @@ pub mod manifest;
 pub mod telemetry;
 
 pub use detect::{
-    error_budget_burn, metastable_overload, retry_storm, tail_regression, Finding,
-    OverloadDetectorConfig, RetryStormConfig, Severity, SloConfig, WindowSample,
+    error_budget_burn, metastable_overload, retry_storm, tail_regression, Finding, Severity,
+    SloConfig, WindowSample,
 };
 pub use manifest::{LatencyQuantiles, RobustnessSection, RunManifest, MANIFEST_SCHEMA_VERSION};
 pub use telemetry::{

@@ -134,50 +134,47 @@ impl CycleCost {
     }
 }
 
-/// Per-byte and per-operation cycle coefficients.
-///
-/// Defaults are in line with published measurements of protobuf-style
-/// serialization (a few cycles/byte), LZ-class compression (tens of
-/// cycles/byte), AES-NI encryption (~1 cycle/byte), and kernel TCP
-/// processing (a few thousand cycles per packet).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct StackCostConfig {
-    /// Fixed dispatch cost of the RPC library per call, cycles.
-    pub library_base: u64,
-    /// Library cost per byte moved (buffer management), cycles.
-    pub library_per_byte: f64,
-    /// Serialization cost per byte, cycles.
-    pub serialize_per_byte: f64,
-    /// Fixed serialization cost per message, cycles.
-    pub serialize_base: u64,
-    /// Compression cost per byte (when enabled), cycles.
-    pub compress_per_byte: f64,
-    /// Compression ratio achieved (compressed/original size).
-    pub compression_ratio: f64,
-    /// Encryption cost per byte (when enabled), cycles.
-    pub encrypt_per_byte: f64,
-    /// Network stack cost per packet, cycles.
-    pub net_per_packet: u64,
-    /// Network stack fixed cost per message (syscalls, epoll), cycles.
-    pub net_base: u64,
-    /// Allocation cost per message, cycles.
-    pub alloc_base: u64,
-    /// MTU used for packetization, bytes.
-    pub mtu: u64,
-    /// Baseline CPU clock, Hz (for converting cycles to time).
-    pub clock_hz: f64,
-    /// Fraction of stack cycles on the latency path: production stacks
-    /// pipeline chunked compression/serialization with transmission and
-    /// spread work across cores, so elapsed stack time is well below
-    /// serial cycles divided by clock.
-    pub pipeline_factor: f64,
-    /// Serialization-rate multiplier for opaque blob payloads (storage
-    /// blocks are memcpy'd, not field-by-field encoded).
-    pub blob_serialize_factor: f64,
-    /// Decompression cost relative to compression (LZ-class decoders are
-    /// several times cheaper than encoders).
-    pub decompress_factor: f64,
-}
+// Per-byte and per-operation cycle coefficients, in line with published
+// measurements of protobuf-style serialization (a few cycles/byte),
+// LZ-class compression (tens of cycles/byte), AES-NI encryption (~1
+// cycle/byte), and kernel TCP processing (a few thousand cycles per
+// packet).
+
+/// Fixed dispatch cost of the RPC library per call, cycles.
+const LIBRARY_BASE: u64 = 42_000;
+/// Library cost per byte moved (buffer management), cycles.
+const LIBRARY_PER_BYTE: f64 = 0.3;
+/// Serialization cost per byte, cycles.
+const SERIALIZE_PER_BYTE: f64 = 16.0;
+/// Fixed serialization cost per message, cycles.
+const SERIALIZE_BASE: u64 = 1_500;
+/// Compression cost per byte (when enabled), cycles.
+const COMPRESS_PER_BYTE: f64 = 52.0;
+/// Compression ratio achieved (compressed/original size).
+const COMPRESSION_RATIO: f64 = 0.45;
+/// Encryption cost per byte (when enabled), cycles.
+const ENCRYPT_PER_BYTE: f64 = 1.2;
+/// Network stack cost per packet, cycles.
+const NET_PER_PACKET: u64 = 9_000;
+/// Network stack fixed cost per message (syscalls, epoll), cycles.
+const NET_BASE: u64 = 20_000;
+/// Allocation cost per message, cycles.
+const ALLOC_BASE: u64 = 3_000;
+/// MTU used for packetization, bytes.
+const MTU: u64 = 1460;
+/// Baseline CPU clock, Hz (for converting cycles to time).
+pub const CLOCK_HZ: f64 = 3.0e9;
+/// Fraction of stack cycles on the latency path: production stacks
+/// pipeline chunked compression/serialization with transmission and
+/// spread work across cores, so elapsed stack time is well below serial
+/// cycles divided by clock.
+const PIPELINE_FACTOR: f64 = 0.35;
+/// Serialization-rate multiplier for opaque blob payloads (storage
+/// blocks are memcpy'd, not field-by-field encoded).
+const BLOB_SERIALIZE_FACTOR: f64 = 0.12;
+/// Decompression cost relative to compression (LZ-class decoders are
+/// several times cheaper than encoders).
+const DECOMPRESS_FACTOR: f64 = 0.33;
 
 /// How a message's payload is handled by the stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -210,179 +207,126 @@ impl MessageClass {
     }
 }
 
-impl Default for StackCostConfig {
-    fn default() -> Self {
-        StackCostConfig {
-            library_base: 42_000,
-            library_per_byte: 0.3,
-            serialize_per_byte: 16.0,
-            serialize_base: 1_500,
-            compress_per_byte: 52.0,
-            compression_ratio: 0.45,
-            encrypt_per_byte: 1.2,
-            net_per_packet: 9_000,
-            net_base: 20_000,
-            alloc_base: 3_000,
-            mtu: 1460,
-            clock_hz: 3.0e9,
-            pipeline_factor: 0.35,
-            blob_serialize_factor: 0.12,
-            decompress_factor: 0.33,
-        }
+/// The bytes that actually cross the wire for a payload of
+/// `payload_bytes` (after optional compression, plus framing).
+pub fn wire_bytes(payload_bytes: u64, compressed: bool) -> u64 {
+    let body = if compressed {
+        (payload_bytes as f64 * COMPRESSION_RATIO).ceil() as u64
+    } else {
+        payload_bytes
+    };
+    // Framing overhead: header + checksum, ~48 bytes.
+    body + 48
+}
+
+fn ser_rate(class: MessageClass) -> f64 {
+    if class.blob {
+        SERIALIZE_PER_BYTE * BLOB_SERIALIZE_FACTOR
+    } else {
+        SERIALIZE_PER_BYTE
     }
 }
 
-/// The stack cost model: maps message sizes to cycles and time.
-#[derive(Debug, Clone, Copy)]
-pub struct StackCostModel {
-    cfg: StackCostConfig,
+fn shared_path_cost(payload_bytes: u64, class: MessageClass, cost: &mut CycleCost) {
+    let b = payload_bytes as f64;
+    let wire = wire_bytes(payload_bytes, class.compressed);
+    if class.encrypted {
+        cost.add(
+            CycleCategory::Encryption,
+            (ENCRYPT_PER_BYTE * wire as f64) as u64,
+        );
+    }
+    let packets = wire.div_ceil(MTU).max(1);
+    cost.add(
+        CycleCategory::Networking,
+        NET_BASE + packets * NET_PER_PACKET,
+    );
+    cost.add(
+        CycleCategory::RpcLibrary,
+        LIBRARY_BASE + (LIBRARY_PER_BYTE * b) as u64,
+    );
+    cost.add(CycleCategory::Allocation, ALLOC_BASE);
 }
 
-impl StackCostModel {
-    /// Creates a model from a configuration.
-    pub fn new(cfg: StackCostConfig) -> Self {
-        StackCostModel { cfg }
+/// Cycles the *sender* burns on one message: serialize, compress,
+/// encrypt, transmit.
+pub fn sender_cost(payload_bytes: u64, class: MessageClass) -> CycleCost {
+    let mut cost = CycleCost::new();
+    let b = payload_bytes as f64;
+    cost.add(
+        CycleCategory::Serialization,
+        SERIALIZE_BASE + (ser_rate(class) * b) as u64,
+    );
+    if class.compressed {
+        cost.add(CycleCategory::Compression, (COMPRESS_PER_BYTE * b) as u64);
     }
+    shared_path_cost(payload_bytes, class, &mut cost);
+    cost
+}
 
-    /// The configuration in use.
-    pub fn config(&self) -> &StackCostConfig {
-        &self.cfg
-    }
-
-    /// The bytes that actually cross the wire for a payload of
-    /// `payload_bytes` (after optional compression, plus framing).
-    pub fn wire_bytes(&self, payload_bytes: u64, compressed: bool) -> u64 {
-        let body = if compressed {
-            (payload_bytes as f64 * self.cfg.compression_ratio).ceil() as u64
-        } else {
-            payload_bytes
-        };
-        // Framing overhead: header + checksum, ~48 bytes.
-        body + 48
-    }
-
-    fn ser_rate(&self, class: MessageClass) -> f64 {
-        if class.blob {
-            self.cfg.serialize_per_byte * self.cfg.blob_serialize_factor
-        } else {
-            self.cfg.serialize_per_byte
-        }
-    }
-
-    fn shared_path_cost(&self, payload_bytes: u64, class: MessageClass, cost: &mut CycleCost) {
-        let b = payload_bytes as f64;
-        let wire = self.wire_bytes(payload_bytes, class.compressed);
-        if class.encrypted {
-            cost.add(
-                CycleCategory::Encryption,
-                (self.cfg.encrypt_per_byte * wire as f64) as u64,
-            );
-        }
-        let packets = wire.div_ceil(self.cfg.mtu).max(1);
+/// Cycles the *receiver* burns on one message: receive, decrypt,
+/// decompress, parse. Parsing is cheaper than encoding and LZ-class
+/// decompression is several times cheaper than compression.
+pub fn receiver_cost(payload_bytes: u64, class: MessageClass) -> CycleCost {
+    let mut cost = CycleCost::new();
+    let b = payload_bytes as f64;
+    cost.add(
+        CycleCategory::Serialization,
+        SERIALIZE_BASE + (ser_rate(class) * 0.6 * b) as u64,
+    );
+    if class.compressed {
         cost.add(
-            CycleCategory::Networking,
-            self.cfg.net_base + packets * self.cfg.net_per_packet,
+            CycleCategory::Compression,
+            (COMPRESS_PER_BYTE * DECOMPRESS_FACTOR * b) as u64,
         );
-        cost.add(
-            CycleCategory::RpcLibrary,
-            self.cfg.library_base + (self.cfg.library_per_byte * b) as u64,
-        );
-        cost.add(CycleCategory::Allocation, self.cfg.alloc_base);
     }
+    shared_path_cost(payload_bytes, class, &mut cost);
+    cost
+}
 
-    /// Cycles the *sender* burns on one message: serialize, compress,
-    /// encrypt, transmit.
-    pub fn sender_cost(&self, payload_bytes: u64, class: MessageClass) -> CycleCost {
-        let mut cost = CycleCost::new();
-        let b = payload_bytes as f64;
-        cost.add(
-            CycleCategory::Serialization,
-            self.cfg.serialize_base + (self.ser_rate(class) * b) as u64,
-        );
-        if class.compressed {
-            cost.add(
-                CycleCategory::Compression,
-                (self.cfg.compress_per_byte * b) as u64,
-            );
-        }
-        self.shared_path_cost(payload_bytes, class, &mut cost);
-        cost
-    }
+/// Converts cycles to wall time on a machine running at `slowdown`
+/// times the baseline clock (1.0 = baseline).
+fn cycles_to_time(cycles: u64, slowdown: f64) -> SimDuration {
+    SimDuration::from_secs_f64(cycles as f64 * slowdown.max(0.0) / CLOCK_HZ)
+}
 
-    /// Cycles the *receiver* burns on one message: receive, decrypt,
-    /// decompress, parse. Parsing is cheaper than encoding and LZ-class
-    /// decompression is several times cheaper than compression.
-    pub fn receiver_cost(&self, payload_bytes: u64, class: MessageClass) -> CycleCost {
-        let mut cost = CycleCost::new();
-        let b = payload_bytes as f64;
-        cost.add(
-            CycleCategory::Serialization,
-            self.cfg.serialize_base + (self.ser_rate(class) * 0.6 * b) as u64,
-        );
-        if class.compressed {
-            cost.add(
-                CycleCategory::Compression,
-                (self.cfg.compress_per_byte * self.cfg.decompress_factor * b) as u64,
-            );
-        }
-        self.shared_path_cost(payload_bytes, class, &mut cost);
-        cost
-    }
+/// The elapsed *latency* one message direction adds for stack
+/// processing: both endpoints' tax cycles, discounted by the pipeline
+/// factor (chunked processing overlaps with transmission and spans
+/// multiple cores).
+pub fn stack_latency(payload_bytes: u64, class: MessageClass, slowdown: f64) -> SimDuration {
+    stack_latency_of(
+        &sender_cost(payload_bytes, class),
+        &receiver_cost(payload_bytes, class),
+        slowdown,
+    )
+}
 
-    /// Converts cycles to wall time on a machine running at `slowdown`
-    /// times the baseline clock (1.0 = baseline).
-    pub fn cycles_to_time(&self, cycles: u64, slowdown: f64) -> SimDuration {
-        SimDuration::from_secs_f64(cycles as f64 * slowdown.max(0.0) / self.cfg.clock_hz)
-    }
+/// [`stack_latency`] of a message whose sender and receiver costs are
+/// already computed — the fleet driver also charges both to the
+/// profiler, so each is evaluated once.
+pub fn stack_latency_of(sender: &CycleCost, receiver: &CycleCost, slowdown: f64) -> SimDuration {
+    let cycles = sender.tax() + receiver.tax();
+    cycles_to_time((cycles as f64 * PIPELINE_FACTOR) as u64, slowdown)
+}
 
-    /// The elapsed *latency* one message direction adds for stack
-    /// processing: both endpoints' tax cycles, discounted by the pipeline
-    /// factor (chunked processing overlaps with transmission and spans
-    /// multiple cores).
-    pub fn stack_latency(
-        &self,
-        payload_bytes: u64,
-        class: MessageClass,
-        slowdown: f64,
-    ) -> SimDuration {
-        self.stack_latency_of(
-            &self.sender_cost(payload_bytes, class),
-            &self.receiver_cost(payload_bytes, class),
-            slowdown,
-        )
-    }
+/// Converts cycles to nanoseconds at the baseline clock.
+fn cycles_to_ns(cycles: u64) -> f64 {
+    cycles as f64 / CLOCK_HZ * 1e9
+}
 
-    /// [`StackCostModel::stack_latency`] of a message whose sender and
-    /// receiver costs are already computed — the fleet driver also
-    /// charges both to the profiler, so each is evaluated once.
-    pub fn stack_latency_of(
-        &self,
-        sender: &CycleCost,
-        receiver: &CycleCost,
-        slowdown: f64,
-    ) -> SimDuration {
-        let cycles = sender.tax() + receiver.tax();
-        self.cycles_to_time((cycles as f64 * self.cfg.pipeline_factor) as u64, slowdown)
-    }
+/// Modeled per-component nanoseconds for the *sender* side of one
+/// message, at the baseline clock. This is the Fig. 9/20-style breakdown
+/// the wire validation harness compares measured component timings
+/// against (see `rpclens-wire`).
+pub fn sender_component_ns(payload_bytes: u64, class: MessageClass) -> ComponentNanos {
+    ComponentNanos::from_cost(&sender_cost(payload_bytes, class))
+}
 
-    /// Converts cycles to nanoseconds at the baseline clock.
-    pub fn cycles_to_ns(&self, cycles: u64) -> f64 {
-        cycles as f64 / self.cfg.clock_hz * 1e9
-    }
-
-    /// Modeled per-component nanoseconds for the *sender* side of one
-    /// message, at the baseline clock. This is the Fig. 9/20-style
-    /// breakdown the wire validation harness compares measured component
-    /// timings against (see `rpclens-wire`).
-    pub fn sender_component_ns(&self, payload_bytes: u64, class: MessageClass) -> ComponentNanos {
-        ComponentNanos::from_cost(self, &self.sender_cost(payload_bytes, class))
-    }
-
-    /// Modeled per-component nanoseconds for the *receiver* side of one
-    /// message, at the baseline clock.
-    pub fn receiver_component_ns(&self, payload_bytes: u64, class: MessageClass) -> ComponentNanos {
-        ComponentNanos::from_cost(self, &self.receiver_cost(payload_bytes, class))
-    }
+/// Modeled per-component nanoseconds for the *receiver* side of one
+/// message, at the baseline clock.
+pub fn receiver_component_ns(payload_bytes: u64, class: MessageClass) -> ComponentNanos {
+    ComponentNanos::from_cost(&receiver_cost(payload_bytes, class))
 }
 
 /// A modeled per-component time breakdown for one side of one message,
@@ -436,15 +380,15 @@ impl ComponentNanos {
         self.network_ns + receiver.network_ns
     }
 
-    fn from_cost(model: &StackCostModel, cost: &CycleCost) -> Self {
+    fn from_cost(cost: &CycleCost) -> Self {
         ComponentNanos {
-            serialize_ns: model.cycles_to_ns(cost.get(CycleCategory::Serialization)),
-            compress_ns: model.cycles_to_ns(cost.get(CycleCategory::Compression)),
-            encrypt_ns: model.cycles_to_ns(cost.get(CycleCategory::Encryption)),
-            network_ns: model.cycles_to_ns(cost.get(CycleCategory::Networking)),
-            library_ns: model.cycles_to_ns(cost.get(CycleCategory::RpcLibrary)),
-            alloc_ns: model.cycles_to_ns(cost.get(CycleCategory::Allocation)),
-            tax_ns: model.cycles_to_ns(cost.tax()),
+            serialize_ns: cycles_to_ns(cost.get(CycleCategory::Serialization)),
+            compress_ns: cycles_to_ns(cost.get(CycleCategory::Compression)),
+            encrypt_ns: cycles_to_ns(cost.get(CycleCategory::Encryption)),
+            network_ns: cycles_to_ns(cost.get(CycleCategory::Networking)),
+            library_ns: cycles_to_ns(cost.get(CycleCategory::RpcLibrary)),
+            alloc_ns: cycles_to_ns(cost.get(CycleCategory::Allocation)),
+            tax_ns: cycles_to_ns(cost.tax()),
         }
     }
 }
@@ -454,28 +398,23 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn model() -> StackCostModel {
-        StackCostModel::new(StackCostConfig::default())
-    }
-
     /// Cycles both endpoints spend moving one message (sender plus
     /// receiver).
-    fn both_sides(m: &StackCostModel, bytes: u64, compressed: bool, encrypted: bool) -> CycleCost {
+    fn both_sides(bytes: u64, compressed: bool, encrypted: bool) -> CycleCost {
         let class = MessageClass {
             compressed,
             encrypted,
             blob: false,
         };
-        let mut cost = m.sender_cost(bytes, class);
-        cost.merge(&m.receiver_cost(bytes, class));
+        let mut cost = sender_cost(bytes, class);
+        cost.merge(&receiver_cost(bytes, class));
         cost
     }
 
     #[test]
     fn component_nanos_sum_to_the_tax() {
-        let m = model();
         for bytes in [64u64, 1024, 65_536] {
-            let n = m.sender_component_ns(bytes, MessageClass::structured());
+            let n = sender_component_ns(bytes, MessageClass::structured());
             let sum = n.serialize_ns
                 + n.compress_ns
                 + n.encrypt_ns
@@ -493,16 +432,14 @@ mod tests {
     #[test]
     fn cycles_to_ns_uses_the_baseline_clock() {
         // 3 GHz clock: 3 cycles = 1 ns.
-        let m = model();
-        assert!((m.cycles_to_ns(3_000) - 1_000.0).abs() < 1e-9);
+        assert!((cycles_to_ns(3_000) - 1_000.0).abs() < 1e-9);
     }
 
     #[test]
     fn receiver_components_are_cheaper_than_sender() {
         // Parsing < encoding, decompression < compression.
-        let m = model();
-        let s = m.sender_component_ns(16 * 1024, MessageClass::structured());
-        let r = m.receiver_component_ns(16 * 1024, MessageClass::structured());
+        let s = sender_component_ns(16 * 1024, MessageClass::structured());
+        let r = receiver_component_ns(16 * 1024, MessageClass::structured());
         assert!(r.serialize_ns < s.serialize_ns);
         assert!(r.compress_ns < s.compress_ns);
     }
@@ -516,29 +453,26 @@ mod tests {
 
     #[test]
     fn cost_grows_with_size() {
-        let m = model();
-        let small = both_sides(&m, 64, false, false).total();
-        let large = both_sides(&m, 64 * 1024, false, false).total();
+        let small = both_sides(64, false, false).total();
+        let large = both_sides(64 * 1024, false, false).total();
         assert!(large > small * 3, "small {small}, large {large}");
     }
 
     #[test]
     fn compression_adds_cycles_but_shrinks_wire_bytes() {
-        let m = model();
-        let plain = both_sides(&m, 32 * 1024, false, false);
-        let compressed = both_sides(&m, 32 * 1024, true, false);
+        let plain = both_sides(32 * 1024, false, false);
+        let compressed = both_sides(32 * 1024, true, false);
         assert!(compressed.get(CycleCategory::Compression) > 0);
         assert_eq!(plain.get(CycleCategory::Compression), 0);
-        assert!(m.wire_bytes(32 * 1024, true) < m.wire_bytes(32 * 1024, false));
+        assert!(wire_bytes(32 * 1024, true) < wire_bytes(32 * 1024, false));
         // Fewer wire bytes means fewer packets, hence less networking.
         assert!(compressed.get(CycleCategory::Networking) < plain.get(CycleCategory::Networking));
     }
 
     #[test]
     fn encryption_charges_per_wire_byte() {
-        let m = model();
-        let plain = both_sides(&m, 4096, false, false);
-        let enc = both_sides(&m, 4096, false, true);
+        let plain = both_sides(4096, false, false);
+        let enc = both_sides(4096, false, true);
         assert_eq!(plain.get(CycleCategory::Encryption), 0);
         assert!(enc.get(CycleCategory::Encryption) >= 4096);
     }
@@ -547,8 +481,7 @@ mod tests {
     fn compression_dominates_tax_for_large_compressed_messages() {
         // The fleet's biggest tax component is compression (Fig. 20b);
         // for a typical compressed KB-scale message it should dominate.
-        let m = model();
-        let c = both_sides(&m, 16 * 1024, true, true);
+        let c = both_sides(16 * 1024, true, true);
         assert!(c.get(CycleCategory::Compression) > c.get(CycleCategory::Serialization));
         assert!(c.get(CycleCategory::Compression) > c.get(CycleCategory::Networking));
     }
@@ -564,9 +497,8 @@ mod tests {
 
     #[test]
     fn merge_accumulates() {
-        let m = model();
-        let a = both_sides(&m, 100, true, true);
-        let b = both_sides(&m, 200, false, false);
+        let a = both_sides(100, true, true);
+        let b = both_sides(200, false, false);
         let mut merged = a;
         merged.merge(&b);
         for (cat, cycles) in merged.iter() {
@@ -576,23 +508,21 @@ mod tests {
 
     #[test]
     fn cycles_to_time_uses_clock_and_slowdown() {
-        let m = model();
-        let t = m.cycles_to_time(3_000_000, 1.0);
+        let t = cycles_to_time(3_000_000, 1.0);
         assert_eq!(t, SimDuration::from_millis(1));
-        let slow = m.cycles_to_time(3_000_000, 2.0);
+        let slow = cycles_to_time(3_000_000, 2.0);
         assert_eq!(slow, SimDuration::from_millis(2));
     }
 
     #[test]
     fn packetization_steps_at_mtu_boundaries() {
-        let m = model();
-        let one = both_sides(&m, 500, false, false).get(CycleCategory::Networking);
-        let two = both_sides(&m, 2000, false, false).get(CycleCategory::Networking);
+        let one = both_sides(500, false, false).get(CycleCategory::Networking);
+        let two = both_sides(2000, false, false).get(CycleCategory::Networking);
         // both_sides counts both endpoints, so one extra packet costs
         // one per-packet charge on each side.
         assert_eq!(
             two - one,
-            2 * StackCostConfig::default().net_per_packet,
+            2 * NET_PER_PACKET,
             "2000B payload (+48B framing) needs exactly one extra packet per side"
         );
     }
@@ -600,18 +530,16 @@ mod tests {
     proptest! {
         #[test]
         fn costs_are_monotone_in_size(a in 0u64..1_000_000, b in 0u64..1_000_000) {
-            let m = model();
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
             prop_assert!(
-                both_sides(&m, lo, true, true).total() <= both_sides(&m, hi, true, true).total()
+                both_sides(lo, true, true).total() <= both_sides(hi, true, true).total()
             );
-            prop_assert!(m.wire_bytes(lo, true) <= m.wire_bytes(hi, true));
+            prop_assert!(wire_bytes(lo, true) <= wire_bytes(hi, true));
         }
 
         #[test]
         fn wire_bytes_include_framing(bytes in 0u64..10_000_000) {
-            let m = model();
-            prop_assert!(m.wire_bytes(bytes, false) >= bytes + 48);
+            prop_assert!(wire_bytes(bytes, false) >= bytes + 48);
         }
     }
 }

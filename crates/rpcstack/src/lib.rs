@@ -26,17 +26,3 @@ pub mod error;
 pub mod hedging;
 pub mod queue;
 pub mod retry;
-
-/// Convenience re-exports of the most commonly used rpcstack types.
-pub mod prelude {
-    pub use crate::{
-        codec::{decode_frame, encode_frame, DecodeError, Flags, RpcFrame, RpcHeader},
-        component::{LatencyBreakdown, LatencyComponent},
-        cost::{CycleCategory, CycleCost, MessageClass, StackCostConfig, StackCostModel},
-        deadline::{Deadline, DeadlinePolicy},
-        error::{ErrorKind, ErrorProfile},
-        hedging::HedgePolicy,
-        queue::SoftQueue,
-        retry::{BackoffPolicy, RetryBudget},
-    };
-}

@@ -12,85 +12,50 @@
 use rpclens_simcore::dist::BoundedPareto;
 use rpclens_simcore::rng::Prng;
 use rpclens_simcore::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
-/// Parameters for a soft queue.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct SoftQueueConfig {
-    /// Mean delay when the host is idle.
-    pub base_mean: SimDuration,
-    /// Extra mean delay per unit of utilization (scaled by `util^2`).
-    pub util_mean: SimDuration,
-    /// Probability of a stall (GC pause, flow-control, socket backpressure).
-    pub stall_prob: f64,
-    /// Minimum stall duration.
-    pub stall_min: SimDuration,
-    /// Maximum stall duration.
-    pub stall_max: SimDuration,
-    /// Pareto index of stall durations.
-    pub stall_alpha: f64,
-}
-
-impl Default for SoftQueueConfig {
-    fn default() -> Self {
-        SoftQueueConfig {
-            base_mean: SimDuration::from_micros(10),
-            util_mean: SimDuration::from_micros(100),
-            stall_prob: 0.003,
-            stall_min: SimDuration::from_micros(300),
-            stall_max: SimDuration::from_millis(250),
-            stall_alpha: 1.05,
-        }
-    }
-}
+/// Mean delay when the host is idle.
+const BASE_MEAN: SimDuration = SimDuration::from_micros(10);
+/// Extra mean delay per unit of utilization (scaled by `util^2`).
+const UTIL_MEAN: SimDuration = SimDuration::from_micros(100);
+/// Probability of a stall (GC pause, flow-control, socket backpressure).
+const STALL_PROB: f64 = 0.003;
+/// Minimum stall duration.
+const STALL_MIN: SimDuration = SimDuration::from_micros(300);
+/// Maximum stall duration.
+const STALL_MAX: SimDuration = SimDuration::from_millis(250);
+/// Pareto index of stall durations.
+const STALL_ALPHA: f64 = 1.05;
 
 /// A load-coupled soft queue.
 #[derive(Debug, Clone)]
 pub struct SoftQueue {
-    cfg: SoftQueueConfig,
     stall: BoundedPareto,
 }
 
 impl SoftQueue {
-    /// Creates a queue from a configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stall range is empty or `stall_alpha` is not
-    /// positive; the default configuration is always valid.
-    pub fn new(cfg: SoftQueueConfig) -> Self {
-        let stall = BoundedPareto::new(
-            cfg.stall_min.as_secs_f64().max(1e-9),
-            cfg.stall_max.as_secs_f64(),
-            cfg.stall_alpha,
-        )
-        .expect("stall range must be valid");
-        SoftQueue { cfg, stall }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &SoftQueueConfig {
-        &self.cfg
-    }
-
     /// Samples the queueing delay for one message when the host is at
     /// `util` utilization (clamped to `[0, 1]`).
     pub fn delay(&self, util: f64, rng: &mut Prng) -> SimDuration {
         let util = util.clamp(0.0, 1.0);
         // Stall probability grows with utilization.
-        let stall_prob = self.cfg.stall_prob * (1.0 + 3.0 * util * util);
+        let stall_prob = STALL_PROB * (1.0 + 3.0 * util * util);
         if rng.chance(stall_prob) {
             return SimDuration::from_secs_f64(self.stall.sample(rng));
         }
-        let mean =
-            self.cfg.base_mean.as_secs_f64() + self.cfg.util_mean.as_secs_f64() * util * util;
+        let mean = BASE_MEAN.as_secs_f64() + UTIL_MEAN.as_secs_f64() * util * util;
         SimDuration::from_secs_f64(-rng.next_f64_open().ln() * mean)
     }
 }
 
 impl Default for SoftQueue {
     fn default() -> Self {
-        SoftQueue::new(SoftQueueConfig::default())
+        let stall = BoundedPareto::new(
+            STALL_MIN.as_secs_f64(),
+            STALL_MAX.as_secs_f64(),
+            STALL_ALPHA,
+        )
+        .expect("stall range is valid");
+        SoftQueue { stall }
     }
 }
 

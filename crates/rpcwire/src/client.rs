@@ -24,45 +24,29 @@ use bytes::Bytes;
 use rpclens_simcore::rng::Prng;
 use std::time::Duration;
 
-/// Retransmission-timer policy: exponential backoff with seeded jitter.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// First-attempt timeout.
-    pub initial_timeout: Duration,
-    /// Multiplier applied per expiry.
-    pub multiplier: f64,
-    /// Cap on any single timeout.
-    pub max_timeout: Duration,
-    /// Jitter fraction: each timeout is scaled by a seeded uniform draw
-    /// from `[1 - jitter, 1 + jitter]`, decorrelating retransmission
-    /// storms across clients.
-    pub jitter: f64,
-    /// Total transmissions allowed (first send plus retransmissions).
-    pub max_attempts: u32,
-}
+// The retransmission-timer policy: exponential backoff with seeded
+// jitter.
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            initial_timeout: Duration::from_millis(20),
-            multiplier: 2.0,
-            max_timeout: Duration::from_millis(500),
-            jitter: 0.25,
-            max_attempts: 16,
-        }
-    }
-}
+/// First-attempt timeout.
+const INITIAL_TIMEOUT: Duration = Duration::from_millis(20);
+/// Multiplier applied per expiry.
+const MULTIPLIER: f64 = 2.0;
+/// Cap on any single timeout.
+const MAX_TIMEOUT: Duration = Duration::from_millis(500);
+/// Jitter fraction: each timeout is scaled by a seeded uniform draw from
+/// `[1 - JITTER, 1 + JITTER]`, decorrelating retransmission storms
+/// across clients.
+const JITTER: f64 = 0.25;
+/// Total transmissions allowed (first send plus retransmissions).
+const MAX_ATTEMPTS: u32 = 16;
 
-impl RetryPolicy {
-    /// The timeout to arm for `attempt` (0-based), drawing jitter from
-    /// `rng`. Deterministic for a given rng state.
-    pub fn timeout_for(&self, attempt: u32, rng: &mut Prng) -> Duration {
-        let base =
-            self.initial_timeout.as_secs_f64() * self.multiplier.powi(attempt.min(24) as i32);
-        let capped = base.min(self.max_timeout.as_secs_f64());
-        let scale = 1.0 + self.jitter * (2.0 * rng.next_f64() - 1.0);
-        Duration::from_secs_f64((capped * scale).max(1e-6))
-    }
+/// The timeout to arm for `attempt` (0-based), drawing jitter from `rng`.
+/// Deterministic for a given rng state.
+fn timeout_for(attempt: u32, rng: &mut Prng) -> Duration {
+    let base = INITIAL_TIMEOUT.as_secs_f64() * MULTIPLIER.powi(attempt.min(24) as i32);
+    let capped = base.min(MAX_TIMEOUT.as_secs_f64());
+    let scale = 1.0 + JITTER * (2.0 * rng.next_f64() - 1.0);
+    Duration::from_secs_f64((capped * scale).max(1e-6))
 }
 
 /// Counters for one client.
@@ -105,7 +89,6 @@ pub struct WireClient<T: Transport, K: SpanSink = NullSink> {
     transport: T,
     client_id: u64,
     next_request_id: u64,
-    policy: RetryPolicy,
     rng: Prng,
     stats: ClientStats,
     buf: Vec<u8>,
@@ -115,12 +98,11 @@ pub struct WireClient<T: Transport, K: SpanSink = NullSink> {
 impl<T: Transport> WireClient<T> {
     /// Creates a client. `client_id` namespaces its request ids on the
     /// server; `seed` drives retransmission jitter.
-    pub fn new(transport: T, client_id: u64, policy: RetryPolicy, seed: u64) -> WireClient<T> {
+    pub fn new(transport: T, client_id: u64, seed: u64) -> WireClient<T> {
         WireClient {
             transport,
             client_id,
             next_request_id: 1,
-            policy,
             rng: Prng::seed_from(seed).stream(0x00C1_1E47),
             stats: ClientStats::default(),
             buf: vec![0u8; MAX_DATAGRAM + 4096],
@@ -137,7 +119,6 @@ impl<T: Transport, K: SpanSink> WireClient<T, K> {
             transport: self.transport,
             client_id: self.client_id,
             next_request_id: self.next_request_id,
-            policy: self.policy,
             rng: self.rng,
             stats: self.stats,
             buf: self.buf,
@@ -322,11 +303,11 @@ impl<T: Transport, K: SpanSink> WireClient<T, K> {
     /// Drives a pending call to completion under the retry policy.
     pub fn drive(&mut self, pending: &mut PendingCall) -> Result<Response, WireError> {
         loop {
-            let timeout = self.policy.timeout_for(pending.attempts - 1, &mut self.rng);
+            let timeout = timeout_for(pending.attempts - 1, &mut self.rng);
             if let Some(resp) = self.try_complete(pending, timeout)? {
                 return Ok(resp);
             }
-            if pending.attempts >= self.policy.max_attempts {
+            if pending.attempts >= MAX_ATTEMPTS {
                 self.stats.timeouts += 1;
                 let mut event = SpanEvent::new(
                     SpanEventKind::ClientTimeout,
@@ -353,33 +334,28 @@ mod tests {
 
     #[test]
     fn jittered_timeouts_back_off_and_stay_bounded() {
-        let policy = RetryPolicy::default();
         let mut rng = Prng::seed_from(5);
         let mut previous_cap = Duration::ZERO;
         for attempt in 0..12 {
-            let t = policy.timeout_for(attempt, &mut rng);
-            let cap =
-                Duration::from_secs_f64(policy.max_timeout.as_secs_f64() * (1.0 + policy.jitter));
+            let t = timeout_for(attempt, &mut rng);
+            let cap = Duration::from_secs_f64(MAX_TIMEOUT.as_secs_f64() * (1.0 + JITTER));
             assert!(t <= cap, "attempt {attempt}: {t:?} over cap");
             let nominal = Duration::from_secs_f64(
-                (policy.initial_timeout.as_secs_f64() * policy.multiplier.powi(attempt as i32))
-                    .min(policy.max_timeout.as_secs_f64()),
+                (INITIAL_TIMEOUT.as_secs_f64() * MULTIPLIER.powi(attempt as i32))
+                    .min(MAX_TIMEOUT.as_secs_f64()),
             );
             // Within the jitter band of the nominal value.
-            assert!(t.as_secs_f64() >= nominal.as_secs_f64() * (1.0 - policy.jitter) - 1e-9);
-            assert!(t.as_secs_f64() <= nominal.as_secs_f64() * (1.0 + policy.jitter) + 1e-9);
+            assert!(t.as_secs_f64() >= nominal.as_secs_f64() * (1.0 - JITTER) - 1e-9);
+            assert!(t.as_secs_f64() <= nominal.as_secs_f64() * (1.0 + JITTER) + 1e-9);
             previous_cap = previous_cap.max(t);
         }
     }
 
     #[test]
     fn jitter_is_deterministic_per_seed() {
-        let policy = RetryPolicy::default();
         let draw = |seed: u64| {
             let mut rng = Prng::seed_from(seed);
-            (0..8)
-                .map(|a| policy.timeout_for(a, &mut rng))
-                .collect::<Vec<_>>()
+            (0..8).map(|a| timeout_for(a, &mut rng)).collect::<Vec<_>>()
         };
         assert_eq!(draw(9), draw(9));
         assert_ne!(draw(9), draw(10));
@@ -393,7 +369,7 @@ mod tests {
             |req: &message::Request| (Status::Ok, req.body.to_vec()),
             Semantics::AtMostOnce,
         );
-        let mut client = WireClient::new(client_end, 42, RetryPolicy::default(), 1);
+        let mut client = WireClient::new(client_end, 42, 1);
         let mut pending = client.start_call(5, b"hello", true).unwrap();
         // Nothing served yet: zero-timeout completion attempt fails.
         assert!(client
@@ -421,7 +397,7 @@ mod tests {
     #[test]
     fn request_ids_are_unique_and_increasing() {
         let (client_end, _server_end) = MemLink::pair();
-        let mut client = WireClient::new(client_end, 1, RetryPolicy::default(), 2);
+        let mut client = WireClient::new(client_end, 1, 2);
         let a = client.start_call(1, b"", false).unwrap();
         let b = client.start_call(1, b"", false).unwrap();
         assert!(b.request_id > a.request_id);
@@ -443,8 +419,7 @@ mod tests {
             sampled: true,
             depth: 0,
         };
-        let mut client = WireClient::new(client_end, 7, RetryPolicy::default(), 1)
-            .with_span_sink(VecSink::default());
+        let mut client = WireClient::new(client_end, 7, 1).with_span_sink(VecSink::default());
         let mut pending = client
             .start_call_traced(3, b"ping", false, Some(ctx))
             .unwrap();
@@ -487,8 +462,7 @@ mod tests {
         let body = b"prepared or framed, the same request";
         let send_event = |prepared: bool| {
             let (client_end, _server_end) = MemLink::pair();
-            let mut client = WireClient::new(client_end, 7, RetryPolicy::default(), 1)
-                .with_span_sink(VecSink::default());
+            let mut client = WireClient::new(client_end, 7, 1).with_span_sink(VecSink::default());
             if prepared {
                 let request_id = client.allocate_request_id();
                 let datagram =
@@ -515,7 +489,7 @@ mod tests {
             |_req: &message::Request| (Status::Rejected, Vec::new()),
             Semantics::AtMostOnce,
         );
-        let mut client = WireClient::new(client_end, 42, RetryPolicy::default(), 1);
+        let mut client = WireClient::new(client_end, 42, 1);
         let pending = client.start_call(5, b"load", false).unwrap();
         server.poll().unwrap();
         match client.try_complete(&pending, Duration::ZERO) {

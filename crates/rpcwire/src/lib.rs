@@ -41,7 +41,7 @@ pub mod server;
 pub mod sink;
 pub mod transport;
 
-pub use client::{ClientStats, RetryPolicy, WireClient};
+pub use client::{ClientStats, WireClient};
 pub use faulty::{FaultConfig, FaultStats, FaultyTransport};
 pub use message::{Request, Response, Status, TraceContext, WireError};
 pub use server::{Handler, Semantics, ServerStats, WireServer};

@@ -5,7 +5,7 @@
 //! (log-normals, clamped like `fleet::catalog`'s payload clamps) while
 //! staying cheap to generate and *partially compressible* — real
 //! structured RPC payloads compress to roughly half their size (the cost
-//! model's default `compression_ratio` is 0.45), and an all-random body
+//! model's `COMPRESSION_RATIO` is 0.45), and an all-random body
 //! would make the executed compression path trivially useless.
 //!
 //! Bodies are produced block-by-block from a seeded [`Prng`]: each

@@ -13,7 +13,7 @@
 //!   executes *at least once*, with duplicate executions showing up
 //!   exactly where the fault schedule says they should.
 
-use rpclens_rpcwire::client::{RetryPolicy, WireClient};
+use rpclens_rpcwire::client::WireClient;
 use rpclens_rpcwire::faulty::{FaultConfig, FaultyTransport};
 use rpclens_rpcwire::message::{Request, Status};
 use rpclens_rpcwire::server::{Handler, Semantics, WireServer};
@@ -64,7 +64,7 @@ fn run_scenario(semantics: Semantics, seed: u64, requests: u32, faults: FaultCon
         executions: executions.clone(),
     };
     let mut server = WireServer::new(server_transport, handler, semantics);
-    let mut client = WireClient::new(client_transport, 0xC11E17, RetryPolicy::default(), seed);
+    let mut client = WireClient::new(client_transport, 0xC11E17, seed);
 
     let mut completed = 0u32;
     for i in 0..requests {

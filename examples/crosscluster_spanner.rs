@@ -11,6 +11,7 @@
 
 use rpclens::core::figs::fig19;
 use rpclens::core::render::fmt_secs;
+use rpclens::netsim::topology::PathClass;
 use rpclens::prelude::*;
 
 fn main() {

@@ -47,13 +47,10 @@ pub use rpclens_tsdb as tsdb;
 
 /// The most commonly used types across the workspace.
 pub mod prelude {
-    pub use rpclens_cluster::prelude::*;
     pub use rpclens_core::check::{Expectation, ExpectationSet};
     pub use rpclens_fleet::catalog::{Catalog, CatalogConfig, MethodSpec, ServiceSpec};
     pub use rpclens_fleet::driver::{run_fleet, FleetConfig, FleetRun, SimScale};
     pub use rpclens_fleet::growth::{GrowthConfig, GrowthModel};
-    pub use rpclens_netsim::prelude::*;
-    pub use rpclens_rpcstack::prelude::*;
     pub use rpclens_simcore::prelude::*;
     pub use rpclens_trace::query::MethodQuery;
     pub use rpclens_trace::span::{MethodId, ServiceId};

@@ -2,6 +2,7 @@
 //! outside the fleet driver too — a user can wire the tracer, TSDB, and
 //! profiler to their own workload.
 
+use rpclens::netsim::topology::ClusterId;
 use rpclens::prelude::*;
 use rpclens::profiler::{CycleProfiler, ErrorAccounting};
 use rpclens::rpcstack::component::{LatencyBreakdown, LatencyComponent};
