@@ -14,13 +14,20 @@
 //!    the digest registry, `crates/bench/DIGESTS` (`manifest/chaos-smoke`,
 //!    `manifest/incident-smoke`), the same values the CI fault-smoke and
 //!    incident-smoke steps read.
+//! 4. Every byte of every sampled span is pinned too (`spans/smoke`,
+//!    `spans/chaos-smoke`, `spans/incident-smoke`): the manifest counts
+//!    errors, failovers and sheds, but only the span export records
+//!    which span carries which error kind, server cluster and stretched
+//!    wire component.
 
 use rpclens_bench::digests;
 use rpclens_core::figs::fig23;
 use rpclens_fleet::driver::{run_fleet, FleetConfig, FleetRun, SimScale};
 use rpclens_fleet::faults::FaultScenario;
 use rpclens_fleet::telemetry::{manifest_for_run, slo_findings, DEFAULT_TAIL_TOLERANCE};
+use rpclens_obs::manifest::fnv1a;
 use rpclens_obs::{Severity, SloConfig};
+use rpclens_trace::export::export;
 
 fn smoke_run(faults: FaultScenario, shards: usize) -> FleetRun {
     run_fleet(FleetConfig {
@@ -29,12 +36,18 @@ fn smoke_run(faults: FaultScenario, shards: usize) -> FleetRun {
     })
 }
 
+/// Checks the FNV-1a of `run`'s sampled-span export against `name`.
+fn check_spans(name: &str, run: &FleetRun) {
+    digests::check(name, fnv1a(&export(&run.store)));
+}
+
 #[test]
 fn faults_none_preserves_the_golden_digest() {
     for shards in [1usize, 4] {
         let run = smoke_run(FaultScenario::none(), shards);
         let manifest = manifest_for_run(&run);
         digests::check("manifest/smoke", manifest.digest());
+        check_spans("spans/smoke", &run);
         assert!(
             manifest.robustness.is_none(),
             "fault-free manifests must not carry a robustness section"
@@ -49,8 +62,13 @@ fn chaos_smoke_is_bit_identical_across_shard_counts() {
     // section must both match exactly at 1 and 4 shards.
     for name in FaultScenario::PRESETS {
         let faults = FaultScenario::by_name(name).expect("preset resolves");
-        let one = manifest_for_run(&smoke_run(faults, 1));
-        let four = manifest_for_run(&smoke_run(faults, 4));
+        let (one_run, four_run) = (smoke_run(faults, 1), smoke_run(faults, 4));
+        if name == "chaos-smoke" {
+            check_spans("spans/chaos-smoke", &one_run);
+            check_spans("spans/chaos-smoke", &four_run);
+        }
+        let one = manifest_for_run(&one_run);
+        let four = manifest_for_run(&four_run);
         assert_eq!(
             one.digest(),
             four.digest(),
@@ -102,6 +120,7 @@ fn incident_smoke_is_bit_identical_across_shards_and_threads() {
             });
             let manifest = manifest_for_run(&run);
             digests::check("manifest/incident-smoke", manifest.digest());
+            check_spans("spans/incident-smoke", &run);
             match &reference {
                 None => reference = Some(manifest),
                 Some(first) => {

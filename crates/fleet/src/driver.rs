@@ -22,7 +22,7 @@
 //! stored in full; cycles flow to the profiler and errors to the error
 //! accounting.
 
-use crate::catalog::{Catalog, CatalogConfig, ServiceCategory, ServiceSpec};
+use crate::catalog::{Catalog, CatalogConfig, MethodSpec, ServiceCategory, ServiceSpec};
 use crate::conditions::{Environment, Unavailable};
 use crate::control::{admission_verdict, AdmissionVerdict};
 use crate::faults::FaultScenario;
@@ -38,7 +38,7 @@ use rpclens_obs::telemetry::{PhaseTimings, RunTelemetry, ShardCounters, ShardRep
 use rpclens_obs::WindowSample;
 use rpclens_profiler::{CycleProfiler, ErrorAccounting};
 use rpclens_rpcstack::component::{LatencyBreakdown, LatencyComponent};
-use rpclens_rpcstack::cost::{self, CycleCategory, CycleCost};
+use rpclens_rpcstack::cost::{self, CycleCategory, CycleCost, MessageClass};
 use rpclens_rpcstack::deadline::Deadline;
 use rpclens_rpcstack::error::{ErrorKind, ErrorProfile};
 use rpclens_rpcstack::hedging::resolve_hedge;
@@ -444,6 +444,34 @@ struct SimResult {
     cluster_level: bool,
 }
 
+/// One call's state between the stages of `Shard::simulate_call`.
+struct CallState<'w> {
+    spec: &'w MethodSpec,
+    span_idx: u32,
+    /// The simulated clock: where the next stage starts.
+    t: SimTime,
+    breakdown: LatencyBreakdown,
+    /// Placement `(cluster, machine index)`.
+    server: (ClusterId, usize),
+    cluster_level: bool,
+    /// Excess latency a brownout adds to each wire crossing.
+    brownout: SimDuration,
+    /// The server machine's utilization, CPU slowdown and speed.
+    util: f64,
+    slowdown: f64,
+    speed: f64,
+    reserved: bool,
+    /// The handler took its fast path, which fans out to nothing.
+    fast: bool,
+    error: Option<ErrorKind>,
+    req_bytes: u64,
+    resp_bytes: u64,
+    /// Stack cycles of both messages: the client sends the request and
+    /// receives the response, the server the reverse.
+    client_stack: CycleCost,
+    server_stack: CycleCost,
+}
+
 /// The immutable simulation world, shared by reference across shards.
 ///
 /// Everything here is read-only while roots are being expanded: the
@@ -478,9 +506,7 @@ struct Driver {
 /// membership mask plus the softmax weight row (over the service's
 /// deployment list) for every possible client cluster. `rtt_estimate` is a
 /// pure function of the topology, so folding the weights at startup leaves
-/// `choose_cluster` with table reads only — and the weights are the exact
-/// f64s the per-call computation produced, keeping cluster choice
-/// bit-identical.
+/// `choose_cluster` with table reads only.
 struct SvcPlacement {
     /// Bit `c` is set when cluster `c` is in the deployment list.
     deployed_mask: u64,
@@ -576,8 +602,8 @@ impl Driver {
 
         // Precompute the latency-aware cluster-choice weights: the
         // softmax over negative RTT is time-invariant, so the per-call
-        // work reduces to one row scan. A probe network supplies the
-        // same `rtt_estimate` the per-call path used.
+        // work reduces to one row scan over a probe network's
+        // `rtt_estimate`.
         let probe_net = Network::new(topology.clone(), config.congestion_enabled, seed);
         let n_clusters = topology.num_clusters();
         let mut placement = Vec::with_capacity(catalog.num_services());
@@ -599,7 +625,7 @@ impl Driver {
                 let row_start = weights.len();
                 for &c in &svc.clusters {
                     let rtt_ms = probe_net.rtt_estimate(client, c).as_millis_f64();
-                    weights.push((-rtt_ms / 1.0).exp().max(1e-12));
+                    weights.push((-rtt_ms).exp().max(1e-12));
                 }
                 totals.push(weights[row_start..].iter().sum());
             }
@@ -678,7 +704,7 @@ impl Driver {
     /// the data is local; otherwise prefer the nearest deployed cluster.
     ///
     /// Reads only precomputed state (deployment mask, softmax weight
-    /// rows); draw-for-draw identical to computing the weights inline.
+    /// rows).
     fn choose_cluster(
         &self,
         service: &ServiceSpec,
@@ -938,11 +964,9 @@ impl<'a> Shard<'a> {
     /// root produces exactly the same spans no matter which shard runs it.
     fn run_roots(&mut self, roots: &[RootArrival], base_seq: usize, collector: &TraceCollector) {
         let window = rpclens_tsdb::DEFAULT_SAMPLE_PERIOD;
-        // Root-deadline constants, hoisted out of the per-root loop: the
-        // budget bounds are scenario state, so `lo` and the `hi / lo`
-        // ratio are invariant across roots — the same f64s the per-root
-        // computation produced, leaving one draw and one `powf` per root.
-        let deadline_consts = self.world.config.faults.deadlines.map(|ds| {
+        // The global root-deadline band `(lo, hi / lo)`: the budget
+        // bounds are scenario state, invariant across roots.
+        let global_band = self.world.config.faults.deadlines.map(|ds| {
             let lo = ds.min_budget.as_secs_f64();
             let hi = ds.max_budget.as_secs_f64().max(lo);
             (lo, hi / lo)
@@ -975,17 +999,14 @@ impl<'a> Shard<'a> {
             // family band in `per_family` mode. Drawn only when the
             // scenario has deadlines, so `none` adds no draws; either
             // mode costs exactly one draw per root.
-            let deadline = match &self.world.deadline_bands {
-                Some(bands) => {
-                    let (lo, ratio) = bands[root.method.0 as usize];
-                    let budget = lo * ratio.powf(ctx.rng.next_f64());
-                    Some(Deadline::after(root.at, SimDuration::from_secs_f64(budget)))
-                }
-                None => deadline_consts.map(|(lo, ratio)| {
-                    let budget = lo * ratio.powf(ctx.rng.next_f64());
-                    Deadline::after(root.at, SimDuration::from_secs_f64(budget))
-                }),
+            let band = match &self.world.deadline_bands {
+                Some(bands) => Some(bands[root.method.0 as usize]),
+                None => global_band,
             };
+            let deadline = band.map(|(lo, ratio)| {
+                let budget = lo * ratio.powf(ctx.rng.next_f64());
+                Deadline::after(root.at, SimDuration::from_secs_f64(budget))
+            });
             let cluster = root.client_cluster.0 as usize;
             let client_util = self.world.client_profiles[cluster]
                 .cpu_util_with(root.at, &mut self.client_noise[cluster]);
@@ -1183,25 +1204,13 @@ impl<'a> Shard<'a> {
         }
     }
 
-    /// Simulates one call (and its subtree). Reports the finish, span
-    /// index (`None` if the span budget was exhausted), final error, and
-    /// placement.
+    /// Simulates one call (and its subtree) as the stage list of Fig. 9.
+    /// Reports the finish, span index (`None` if the span budget was
+    /// exhausted), final error, and placement.
     fn simulate_call(&mut self, ctx: &mut TraceCtx, call: Call) -> SimResult {
-        let Call {
-            method,
-            client_service,
-            client_cluster,
-            client_util,
-            parent,
-            start,
-            depth,
-            detached,
-            deadline,
-            avoid,
-        } = call;
         if ctx.budget == 0 {
             return SimResult {
-                finish: start,
+                finish: call.start,
                 span: None,
                 error: None,
                 server: None,
@@ -1209,29 +1218,34 @@ impl<'a> Shard<'a> {
             };
         }
         ctx.budget -= 1;
-        self.counters.spans += 1;
-        self.counters.max_depth = self.counters.max_depth.max(u64::from(depth));
-
-        // Borrow the immutable world through its own lifetime so the
-        // method, service, edge-slice and site borrows stay live across the
-        // `&mut self` recursion below — no clones needed anywhere.
-        let world = self.world;
-        let spec = world.catalog.method(method);
-        let service = world.catalog.service(spec.service);
-        self.method_calls[method.0 as usize] += 1;
-
         // Reserve the span slot so parents precede children. Nothing
-        // reads it before step 12 writes the finished record: children
-        // keep only its index, and the hedge scan runs after both
-        // attempts return.
+        // reads it before `write_span` writes the finished record:
+        // children keep only its index, and the hedge scan runs after
+        // both attempts return.
         let span_idx = ctx.spans.len() as u32;
         ctx.spans.push(SpanRecord::PLACEHOLDER);
+        let mut st = self.request(ctx, &call, span_idx);
+        self.fan_out(ctx, &call, &mut st);
+        self.response(ctx, &call, &mut st);
+        let cycles = self.account(ctx, &call, &st);
+        Self::write_span(ctx, &call, st, cycles)
+    }
 
-        let mut t = start;
+    /// Stage 1, the request leg up to the handler's fan-out (steps 1–7):
+    /// sets `ClientSendQueue`, `RequestProcessing`, `RequestNetworkWire`
+    /// and `ServerRecvQueue`, and starts `ServerApplication` with the
+    /// handler's own compute.
+    fn request(&mut self, ctx: &mut TraceCtx, call: &Call, span_idx: u32) -> CallState<'a> {
+        // Borrow the immutable world through its own lifetime so the
+        // method, service and site borrows outlive `&mut self`.
+        let world = self.world;
+        let spec = world.catalog.method(call.method);
+        let service = world.catalog.service(spec.service);
+        let mut t = call.start;
         let mut breakdown = LatencyBreakdown::new();
 
         // 1. Client send queue.
-        let csq = world.soft_queue.delay(client_util, &mut ctx.rng);
+        let csq = world.soft_queue.delay(call.client_util, &mut ctx.rng);
         breakdown.set(LatencyComponent::ClientSendQueue, csq);
         t += csq;
 
@@ -1239,11 +1253,7 @@ impl<'a> Shard<'a> {
         // pipelined).
         let class = service.class;
         let req_bytes = spec.sample_request_bytes(&mut ctx.rng);
-        // Each message's sender and receiver costs are computed once and
-        // feed its stack latency, the server charge and the client charge.
-        let req_send = cost::sender_cost(req_bytes, class);
-        let req_recv = cost::receiver_cost(req_bytes, class);
-        let req_proc = cost::stack_latency_of(&req_send, &req_recv, 1.0);
+        let (req_send, req_recv, req_proc) = price(req_bytes, class, 1.0);
         breakdown.set(LatencyComponent::RequestProcessing, req_proc);
         t += req_proc;
 
@@ -1252,8 +1262,8 @@ impl<'a> Shard<'a> {
         // failover); `avoid` is only ever `Some` when a retry scenario is
         // active, so the fault-free draw sequence is unchanged.
         let deployed = &service.clusters;
-        let mut server_cluster = world.choose_cluster(service, client_cluster, &mut ctx.rng);
-        if let Some(av) = avoid {
+        let mut server_cluster = world.choose_cluster(service, call.client_cluster, &mut ctx.rng);
+        if let Some(av) = call.avoid {
             if av.cluster_level && deployed.len() > 1 {
                 if let Some(pos) = deployed.iter().position(|&c| c == av.cluster) {
                     server_cluster = deployed[index_except(&mut ctx.rng, deployed.len(), pos)];
@@ -1270,7 +1280,7 @@ impl<'a> Shard<'a> {
         if deployed.len() > 1
             && self
                 .env
-                .path_degraded(&world.topology, client_cluster, server_cluster, t)
+                .path_degraded(&world.topology, call.client_cluster, server_cluster, t)
         {
             if let Some(pos) = deployed.iter().position(|&c| c == server_cluster) {
                 server_cluster = deployed[index_except(&mut ctx.rng, deployed.len(), pos)];
@@ -1279,7 +1289,7 @@ impl<'a> Shard<'a> {
         }
         let site = world.site(spec.service, server_cluster);
         let mut mi = ctx.rng.index(site.machines.len());
-        if let Some(av) = avoid {
+        if let Some(av) = call.avoid {
             if !av.cluster_level
                 && server_cluster == av.cluster
                 && av.machine < site.machines.len()
@@ -1297,7 +1307,7 @@ impl<'a> Shard<'a> {
         // and an overload surge inflates the pool's utilization below.
         let env = self.env.conditions(
             &world.topology,
-            client_cluster,
+            call.client_cluster,
             server_cluster,
             spec.service,
             mi,
@@ -1306,13 +1316,8 @@ impl<'a> Shard<'a> {
         let mut cluster_level = env.unavailable == Some(Unavailable::Cluster);
 
         // 4. Request network wire.
-        let wire_req = cost::wire_bytes(req_bytes, class.compressed);
-        let (req_net, req_congested) =
-            self.network
-                .one_way_latency(client_cluster, server_cluster, wire_req, t, &mut ctx.rng);
-        self.counters.wire.record(req_congested);
-        ctx.congested_wire += u64::from(req_congested);
-        let req_net = req_net + env.brownout;
+        let route = (call.client_cluster, server_cluster);
+        let req_net = self.cross_wire(ctx, route, req_bytes, class, t, env.brownout);
         breakdown.set(LatencyComponent::RequestNetworkWire, req_net);
         t += req_net;
 
@@ -1320,8 +1325,7 @@ impl<'a> Shard<'a> {
         // machine's current utilization.
         let machine = &site.machines[mi];
         let util = site.machine_util_with(mi, t, &mut self.site_noise[site.noise_slot]);
-        // One profile sample feeds both wakeup and slowdown (the old
-        // path sampled the same (profile, t) twice).
+        // One profile sample feeds both wakeup and slowdown.
         let machine_vars =
             machine.exogenous_with(t, &mut self.machine_noise[site.machine_noise_slot + mi]);
         let wakeup = machine.wakeup_latency_from(&machine_vars, &mut ctx.rng);
@@ -1350,7 +1354,6 @@ impl<'a> Shard<'a> {
         let srq = wakeup + queue_wait;
         breakdown.set(LatencyComponent::ServerRecvQueue, srq);
         t += srq;
-        let handler_start = t;
 
         // 6. Error injection. Causal errors (unreachable or shedding
         // targets) pre-empt the residual statistical draw; hedging
@@ -1359,7 +1362,7 @@ impl<'a> Shard<'a> {
         // waits past the shed bound are refused (`NoResource`), waits
         // past the caller's patience are abandoned (`Aborted`), and
         // admitted + shed + abandoned always equals offered.
-        let injected = if env.unavailable.is_some() {
+        let error = if env.unavailable.is_some() {
             self.counters.resilience.causal_unavailable += 1;
             Some(ErrorKind::Unavailable)
         } else if let Some(spec) = env.admission {
@@ -1384,37 +1387,60 @@ impl<'a> Shard<'a> {
         } else {
             world.errors.draw(&mut ctx.rng)
         };
-        if injected.is_some() {
+        if error.is_some() {
             ctx.errors += 1;
         }
 
         // 7. Handler compute.
         let (nominal, fast) = spec.sample_compute(&mut ctx.rng);
-        let nominal = match injected {
+        let nominal = match error {
             Some(kind) => nominal.mul_f64(ErrorProfile::work_fraction(kind)),
             None => nominal,
         };
         let compute_wall = nominal.mul_f64(slowdown / speed);
-        t += compute_wall;
+        breakdown.set(LatencyComponent::ServerApplication, compute_wall);
+        CallState {
+            spec,
+            span_idx,
+            t: t + compute_wall,
+            breakdown,
+            server: (server_cluster, mi),
+            cluster_level,
+            brownout: env.brownout,
+            util,
+            slowdown,
+            speed,
+            reserved,
+            fast,
+            error,
+            req_bytes,
+            resp_bytes: 0,
+            client_stack: req_send,
+            server_stack: req_recv,
+        }
+    }
 
-        // 8. Children: parallel fan-out per firing edge; the handler waits
-        // for the slowest child (partition/aggregate). The edge slice
-        // lives in the catalog's shared CSR table, so recursion borrows
-        // it instead of cloning a `Vec` per span.
-        let mut children_end = t;
+    /// Stage 2, the nested fan-out (step 8) and the only stage that
+    /// recurses: adds the wait for the slowest blocking child to
+    /// `ServerApplication` and moves the clock past it.
+    fn fan_out(&mut self, ctx: &mut TraceCtx, call: &Call, st: &mut CallState<'a>) {
+        let mut children_end = st.t;
         // Deadline propagation: children inherit the remaining budget
         // minus the hop margin; when the remainder dips below the policy
         // floor the handler fails fast and skips the fan-out entirely.
         let mut skip_children = false;
         let mut child_deadline = None;
-        if let (Some(d), Some(ds)) = (deadline, world.config.faults.deadlines) {
-            match ds.policy.child(d, t) {
+        if let (Some(d), Some(ds)) = (call.deadline, self.world.config.faults.deadlines) {
+            match ds.policy.child(d, st.t) {
                 Some(cd) => child_deadline = Some(cd),
                 None => skip_children = true,
             }
         }
-        if injected.is_none() && !fast && !skip_children && depth < MAX_DEPTH {
-            for edge in world.catalog.edges(method) {
+        if st.error.is_none() && !st.fast && !skip_children && call.depth < MAX_DEPTH {
+            // Parallel fan-out per firing edge (partition/aggregate). The
+            // edge slice lives in the catalog's shared CSR table, so
+            // recursion borrows it instead of cloning a `Vec` per span.
+            for edge in self.world.catalog.edges(call.method) {
                 if !ctx.rng.chance(edge.prob) {
                     continue;
                 }
@@ -1427,12 +1453,12 @@ impl<'a> Shard<'a> {
                         ctx,
                         Call {
                             method: edge.target,
-                            client_service: spec.service,
-                            client_cluster: server_cluster,
-                            client_util: util,
-                            parent: span_idx,
-                            start: t,
-                            depth: depth + 1,
+                            client_service: st.spec.service,
+                            client_cluster: st.server.0,
+                            client_util: st.util,
+                            parent: st.span_idx,
+                            start: st.t,
+                            depth: call.depth + 1,
                             detached: !edge.blocking,
                             deadline: child_deadline,
                             avoid: None,
@@ -1445,62 +1471,67 @@ impl<'a> Shard<'a> {
                 }
             }
         }
-        let app = children_end.since(handler_start);
-        breakdown.set(LatencyComponent::ServerApplication, app);
-        let mut t = children_end;
+        let wait = children_end.since(st.t);
+        st.breakdown.add(LatencyComponent::ServerApplication, wait);
+        st.t = children_end;
+    }
 
-        // 9. Response path.
-        let resp_bytes = spec.sample_response_bytes(&mut ctx.rng);
+    /// Stage 3, the response leg (step 9) and the deadline check: sets
+    /// `ServerSendQueue`, `ResponseProcessing`, `ResponseNetworkWire` and
+    /// `ClientRecvQueue`.
+    fn response(&mut self, ctx: &mut TraceCtx, call: &Call, st: &mut CallState<'a>) {
+        // Unlike the request leg, the message size is drawn before the
+        // send-queue delay.
+        st.resp_bytes = st.spec.sample_response_bytes(&mut ctx.rng);
         // Reserved-core services run dedicated network threads, so their
         // send queues do not track the machine's overall utilization.
-        let send_util = if reserved { util * 0.3 } else { util };
-        let ssq = world.soft_queue.delay(send_util, &mut ctx.rng);
-        breakdown.set(LatencyComponent::ServerSendQueue, ssq);
-        t += ssq;
-        let resp_send = cost::sender_cost(resp_bytes, class);
-        let resp_recv = cost::receiver_cost(resp_bytes, class);
-        let resp_proc = cost::stack_latency_of(&resp_send, &resp_recv, slowdown);
-        breakdown.set(LatencyComponent::ResponseProcessing, resp_proc);
-        t += resp_proc;
-        let wire_resp = cost::wire_bytes(resp_bytes, class.compressed);
-        let (resp_net, resp_congested) = self.network.one_way_latency(
-            server_cluster,
-            client_cluster,
-            wire_resp,
-            t,
-            &mut ctx.rng,
-        );
-        self.counters.wire.record(resp_congested);
-        ctx.congested_wire += u64::from(resp_congested);
-        let resp_net = resp_net + env.brownout;
-        breakdown.set(LatencyComponent::ResponseNetworkWire, resp_net);
-        t += resp_net;
-        let crq = world.soft_queue.delay(client_util, &mut ctx.rng);
-        breakdown.set(LatencyComponent::ClientRecvQueue, crq);
-        t += crq;
+        let send_util = if st.reserved { st.util * 0.3 } else { st.util };
+        let ssq = self.world.soft_queue.delay(send_util, &mut ctx.rng);
+        st.breakdown.set(LatencyComponent::ServerSendQueue, ssq);
+        st.t += ssq;
+        let class = self.world.catalog.service(st.spec.service).class;
+        let (resp_send, resp_recv, resp_proc) = price(st.resp_bytes, class, st.slowdown);
+        st.server_stack.merge(&resp_send);
+        st.client_stack.merge(&resp_recv);
+        st.breakdown
+            .set(LatencyComponent::ResponseProcessing, resp_proc);
+        st.t += resp_proc;
+        let route = (st.server.0, call.client_cluster);
+        let resp_net = self.cross_wire(ctx, route, st.resp_bytes, class, st.t, st.brownout);
+        st.breakdown
+            .set(LatencyComponent::ResponseNetworkWire, resp_net);
+        st.t += resp_net;
+        let crq = self.world.soft_queue.delay(call.client_util, &mut ctx.rng);
+        st.breakdown.set(LatencyComponent::ClientRecvQueue, crq);
+        st.t += crq;
 
-        // 9b. Deadline check: the client observes the response only after
-        // its deadline fired — the work was all done (and is charged in
-        // full below, `work_fraction(DeadlineExceeded) = 1.0`), but the
-        // caller sees `DeadlineExceeded`. Causal errors keep precedence.
-        let injected = match (injected, deadline) {
-            (None, Some(d)) if d.expired(t) => {
-                self.counters.resilience.deadline_exceeded += 1;
-                ctx.errors += 1;
-                Some(ErrorKind::DeadlineExceeded)
-            }
-            (injected, _) => injected,
-        };
+        // The client observes the response only after its deadline
+        // fired: the work was all done (and is charged in full,
+        // `work_fraction(DeadlineExceeded) = 1.0`), but the caller sees
+        // `DeadlineExceeded`. Causal errors keep precedence.
+        if st.error.is_none() && call.deadline.is_some_and(|d| d.expired(st.t)) {
+            self.counters.resilience.deadline_exceeded += 1;
+            ctx.errors += 1;
+            st.error = Some(ErrorKind::DeadlineExceeded);
+        }
+    }
 
-        // 10. Cycle accounting: the server burns its application cycles
-        // (nominal compute normalized across CPU generations) plus the
-        // receive side of the request and the send side of the response;
-        // the *client's service* burns the mirror-image stack cycles.
-        // This split is why storage services move most of the fleet's
-        // bytes yet burn few of its cycles (Fig. 8).
+    /// Stage 4, accounting (steps 10–11), which sets no latency
+    /// component: counts the span, charges its cycles, bytes and error,
+    /// and returns the server's cycles.
+    fn account(&mut self, ctx: &mut TraceCtx, call: &Call, st: &CallState<'a>) -> u64 {
+        self.counters.spans += 1;
+        self.counters.max_depth = self.counters.max_depth.max(u64::from(call.depth));
+        self.method_calls[call.method.0 as usize] += 1;
+        self.method_bytes[call.method.0 as usize] += st.req_bytes + st.resp_bytes;
+        // The server burns its application cycles (nominal compute
+        // normalized across CPU generations) plus its stack cycles; the
+        // *client's service* burns the mirror-image stack cycles. This
+        // split is why storage services move most of the fleet's bytes
+        // yet burn few of its cycles (Fig. 8).
         let mut cost = CycleCost::new();
-        let cpu_secs = spec.cpu_work.sample(&mut ctx.rng)
-            * match injected {
+        let cpu_secs = st.spec.cpu_work.sample(&mut ctx.rng)
+            * match st.error {
                 Some(kind) => ErrorProfile::work_fraction(kind),
                 None => 1.0,
             };
@@ -1508,48 +1539,81 @@ impl<'a> Shard<'a> {
             CycleCategory::Application,
             (cpu_secs * cost::CLOCK_HZ) as u64,
         );
-        cost.merge(&req_recv);
-        cost.merge(&resp_send);
+        cost.merge(&st.server_stack);
         self.profiler.record(
-            spec.service.0,
-            method.0,
+            st.spec.service.0,
+            call.method.0,
             &cost,
-            speed,
-            rpclens_profiler::sample_tag(ctx.seq, span_idx),
+            st.speed,
+            rpclens_profiler::sample_tag(ctx.seq, st.span_idx),
         );
-        let mut client_cost = req_send;
-        client_cost.merge(&resp_recv);
         self.profiler
-            .record_client_side(client_service.0, &client_cost);
-        self.method_bytes[method.0 as usize] += req_bytes + resp_bytes;
-
-        // 11. Error accounting.
+            .record_client_side(call.client_service.0, &st.client_stack);
         self.errors.record_rpc();
-        if let Some(kind) = injected {
+        if let Some(kind) = st.error {
             self.errors.record_error(kind, cost.total());
         }
+        cost.total()
+    }
 
-        // 12. Finalize the span record.
-        let mut builder = SpanBuilder::new(method, spec.service, client_cluster, server_cluster)
-            .parent(parent)
-            .start_offset(start.since(ctx.root_start))
-            .breakdown(breakdown)
-            .sizes(req_bytes, resp_bytes)
-            .cycles(cost.total())
-            .detached(detached);
-        if let Some(kind) = injected {
+    /// Stage 5 (step 12): writes the finished span record into its
+    /// reserved slot and reports the call to `place_attempt`.
+    fn write_span(ctx: &mut TraceCtx, call: &Call, st: CallState<'_>, cycles: u64) -> SimResult {
+        let mut builder = SpanBuilder::new(
+            call.method,
+            st.spec.service,
+            call.client_cluster,
+            st.server.0,
+        )
+        .parent(call.parent)
+        .start_offset(call.start.since(ctx.root_start))
+        .breakdown(st.breakdown)
+        .sizes(st.req_bytes, st.resp_bytes)
+        .cycles(cycles)
+        .detached(call.detached);
+        if let Some(kind) = st.error {
             builder = builder.error(kind);
         }
-        ctx.spans[span_idx as usize] = builder.build();
-
+        ctx.spans[st.span_idx as usize] = builder.build();
         SimResult {
-            finish: t,
-            span: Some(span_idx),
-            error: injected,
-            server: Some((server_cluster, mi)),
-            cluster_level,
+            finish: st.t,
+            span: Some(st.span_idx),
+            error: st.error,
+            server: Some(st.server),
+            cluster_level: st.cluster_level,
         }
     }
+
+    /// One message crossing the wire along `(from, to)`, sent at `t`:
+    /// the network's one-way latency plus the path's brownout excess.
+    /// Counts the crossing if it met a congestion episode.
+    fn cross_wire(
+        &mut self,
+        ctx: &mut TraceCtx,
+        (from, to): (ClusterId, ClusterId),
+        bytes: u64,
+        class: MessageClass,
+        t: SimTime,
+        brownout: SimDuration,
+    ) -> SimDuration {
+        let wire = cost::wire_bytes(bytes, class.compressed);
+        let (latency, congested) = self
+            .network
+            .one_way_latency(from, to, wire, t, &mut ctx.rng);
+        self.counters.wire.record(congested);
+        ctx.congested_wire += u64::from(congested);
+        latency + brownout
+    }
+}
+
+/// Prices one message on the RPC stack: the sender's and the receiver's
+/// cycles (each also charged to the profiler) and the pipelined stack
+/// latency they add at `slowdown`.
+fn price(bytes: u64, class: MessageClass, slowdown: f64) -> (CycleCost, CycleCost, SimDuration) {
+    let send = cost::sender_cost(bytes, class);
+    let recv = cost::receiver_cost(bytes, class);
+    let latency = cost::stack_latency_of(&send, &recv, slowdown);
+    (send, recv, latency)
 }
 
 #[cfg(test)]
