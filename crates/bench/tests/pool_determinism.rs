@@ -11,13 +11,13 @@
 //! order workers *complete* shards in, the fold is applied in shard-id
 //! order, so merged accumulators never depend on scheduling.
 
-use proptest::prelude::*;
 use rpclens_bench::digests;
 use rpclens_fleet::driver::{run_fleet, FleetConfig, FleetRun, SimScale, WINDOW_LANES};
 use rpclens_fleet::faults::FaultScenario;
 use rpclens_fleet::pool::OrderedFold;
 use rpclens_fleet::telemetry::{manifest_for_run, window_samples};
 use rpclens_obs::{ShardCounters, WindowSample};
+use rpclens_simcore::rng::Prng;
 
 fn smoke_run(faults: FaultScenario, shards: usize, threads: usize) -> FleetRun {
     run_fleet(FleetConfig {
@@ -110,18 +110,24 @@ fn fold_items(acc: &mut (ShardCounters, Vec<u64>), next: (ShardCounters, Vec<u64
     acc.1.extend(next.1);
 }
 
-proptest! {
-    /// Merged accumulators are independent of worker completion order:
-    /// pushing shards through `OrderedFold` in a random permutation
-    /// yields exactly the sequential in-order fold.
-    #[test]
-    fn ordered_fold_is_completion_order_invariant(
-        keys in proptest::collection::vec(any::<u64>(), 1..24),
-    ) {
+/// Merged accumulators are independent of worker completion order:
+/// pushing shards through `OrderedFold` in a random permutation
+/// yields exactly the sequential in-order fold.
+#[test]
+fn ordered_fold_is_completion_order_invariant() {
+    let mut rng = Prng::seed_from(0x0F01_D001);
+    // Equal keys complete in shard order, descending ones in reverse.
+    let mut cases = vec![vec![0], vec![u64::MAX], vec![0; 23], vec![u64::MAX; 23]];
+    cases.push((0..23).rev().collect());
+    cases.resize_with(64, || {
+        (0..1 + rng.index(23)).map(|_| rng.next_u64()).collect()
+    });
+    for (case, keys) in cases.into_iter().enumerate() {
         let n = keys.len();
         // Derive a completion permutation from the random keys.
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by_key(|&i| (keys[i], i));
+        let inputs = format!("case {case}: completion order {order:?}");
 
         let mut sequential = OrderedFold::new();
         for i in 0..n {
@@ -133,16 +139,20 @@ proptest! {
         for &i in &order {
             shuffled.push(i, shard_item(i), fold_items);
         }
-        prop_assert_eq!(shuffled.folded(), n);
+        assert_eq!(shuffled.folded(), n, "{inputs}");
         let got = shuffled.finish();
 
         // Order-sensitive payload merged in shard-id order, not
         // completion order.
-        prop_assert_eq!(&got.1, &expected.1);
-        let flat: Vec<u64> = (0..n as u64).flat_map(|i| [i * 3, i * 3 + 1, i * 3 + 2]).collect();
-        prop_assert_eq!(&got.1, &flat);
+        assert_eq!(&got.1, &expected.1, "{inputs}");
+        let flat: Vec<u64> = (0..3 * n as u64).collect();
+        assert_eq!(&got.1, &flat, "{inputs}");
         // Counters identical field for field (absorb is a sum/max fold,
         // but equality of the full struct also covers the histograms).
-        prop_assert_eq!(format!("{:?}", got.0), format!("{:?}", expected.0));
+        assert_eq!(
+            format!("{:?}", got.0),
+            format!("{:?}", expected.0),
+            "{inputs}"
+        );
     }
 }

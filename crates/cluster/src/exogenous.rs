@@ -261,7 +261,7 @@ fn bucket_noise(seed: u64, stream: u64, bucket: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rpclens_simcore::rng::Prng;
 
     /// A heavily loaded profile (the paper's "slow cluster").
     fn busy(seed: u64) -> ExogenousProfile {
@@ -335,7 +335,7 @@ mod tests {
     /// `profiles` profiles. Returns the fraction of reads that kept their
     /// bucket or shifted by one.
     fn caches_match_uncached_sampling(seed: u64, profiles: usize, queries: u64) -> f64 {
-        let mut rng = rpclens_simcore::rng::Prng::seed_from(seed);
+        let mut rng = Prng::seed_from(seed);
         let ps: Vec<ExogenousProfile> = (0..profiles as u64)
             .map(|i| busy(seed.wrapping_mul(31).wrapping_add(i)))
             .collect();
@@ -391,17 +391,21 @@ mod tests {
         }
     }
 
-    proptest! {
-        #[test]
-        fn window_average_is_bit_identical_to_the_per_minute_sample_sum(
-            seed in any::<u64>(),
-            base_util in 0.05f64..0.9,
-            diurnal_amp in 0.0f64..0.3,
-            peak_hour in 0.0f64..24.0,
-            noise in 0.0f64..0.2,
-            offset_ns in 1u64..1_800_000_000_000,
-            later_day in 1u64..10_000,
-        ) {
+    #[test]
+    fn window_average_is_bit_identical_to_the_per_minute_sample_sum() {
+        let mut rng = Prng::seed_from(0xE809);
+        let (hi, max_offset) = (|end: f64| end.next_down(), 1_799_999_999_999);
+        let low = (0.05, 0.0, 0.0, 0.0, 1, 1);
+        let high = (hi(0.9), hi(0.3), hi(24.0), hi(0.2), max_offset, 9_999);
+        let mut cases = vec![(0, low), (u64::MAX, high), (u64::MAX, low), (0, high)];
+        cases.resize_with(64, || {
+            let (util, amp) = (0.05 + rng.next_f64() * 0.85, rng.next_f64() * 0.3);
+            let (hour, noise) = (rng.next_f64() * 24.0, rng.next_f64() * 0.2);
+            let (offset, day) = (1 + rng.next_below(max_offset), 1 + rng.next_below(9_999));
+            (rng.next_u64(), (util, amp, hour, noise, offset, day))
+        });
+        for (case, (seed, draw)) in cases.into_iter().enumerate() {
+            let (base_util, diurnal_amp, peak_hour, noise, offset, day) = draw;
             let p = ExogenousProfile {
                 base_util,
                 diurnal_amp,
@@ -412,16 +416,14 @@ mod tests {
             let day_ns = SimDuration::from_hours(24).as_nanos();
             // At 0; unaligned to the 5-minute bucket; up to 30 minutes
             // before the 24 h wrap; far into a later day.
-            let starts = [0, offset_ns, day_ns - offset_ns, later_day * day_ns + offset_ns];
+            let starts = [0, offset, day_ns - offset, day * day_ns + offset];
             for start in starts.map(SimTime::from_nanos) {
                 for mins in [0, 1, 7, 30, 60, 1_440, 2_160] {
                     let window = SimDuration::from_mins(mins);
-                    prop_assert_eq!(
+                    assert_eq!(
                         bits(p.window_average(start, window)),
                         bits(per_minute_average(&p, start, window)),
-                        "start {:?}, window {} min",
-                        start,
-                        mins
+                        "case {case}: {p:?}, start {start:?}, window {mins} min"
                     );
                 }
             }

@@ -113,7 +113,6 @@ impl WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
     use rpclens_simcore::rng::Prng;
 
     #[test]
@@ -193,12 +192,19 @@ mod tests {
         );
     }
 
-    proptest! {
-        #[test]
-        fn invariants_hold_for_random_arrivals(
-            arrivals in proptest::collection::vec((0u64..1_000_000, 1u64..10_000), 1..200),
-            workers in 1usize..8,
-        ) {
+    #[test]
+    fn invariants_hold_for_random_arrivals() {
+        let mut rng = Prng::seed_from(0x9001);
+        let burst = vec![(0, 9_999); 199];
+        let mut cases = vec![(vec![(0, 1)], 1), (vec![(999_999, 9_999)], 7)];
+        cases.extend([(burst.clone(), 1), (burst, 7)]);
+        cases.resize_with(64, || {
+            let len = 1 + rng.index(199);
+            let arrivals = (0..len).map(|_| (rng.next_below(1_000_000), 1 + rng.next_below(9_999)));
+            (arrivals.collect(), 1 + rng.index(7))
+        });
+        for (case, (arrivals, workers)) in cases.into_iter().enumerate() {
+            let inputs = format!("case {case}: {workers} workers, arrivals {arrivals:?}");
             let mut sorted = arrivals.clone();
             sorted.sort();
             let mut p = WorkerPool::new(workers);
@@ -206,10 +212,10 @@ mod tests {
             for (at, svc) in sorted {
                 let a = p.admit(SimTime::from_nanos(at), SimDuration::from_nanos(svc));
                 // Start is never before arrival; finish = start + service.
-                prop_assert!(a.start >= SimTime::from_nanos(at));
-                prop_assert_eq!(a.finish, a.start + SimDuration::from_nanos(svc));
+                assert!(a.start >= SimTime::from_nanos(at), "{inputs}");
+                assert_eq!(a.finish, a.start + SimDuration::from_nanos(svc), "{inputs}");
                 // FIFO: starts are non-decreasing when arrivals are sorted.
-                prop_assert!(a.start >= last_start);
+                assert!(a.start >= last_start, "{inputs}");
                 last_start = a.start;
             }
         }

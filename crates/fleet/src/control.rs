@@ -25,7 +25,7 @@
 //!   patience are abandoned (`Aborted`), and the pool's utilization is
 //!   capped at `util_cap` (the queue is bounded, so it cannot saturate).
 //!   Every offered call resolves to exactly one [`admission_verdict`];
-//!   the conservation proptest pins `admitted + shed + abandoned ==
+//!   the conservation property test pins `admitted + shed + abandoned ==
 //!   offered`.
 //!
 //! Controller decisions are sampled at window boundaries (the TSDB
@@ -77,7 +77,7 @@ pub struct ControlSpec {
 
 /// One capacity update: `prev` is the factor of the previous window,
 /// `streak` the number of consecutive overloaded boundaries including the
-/// current one. Pure, so the autoscaler-monotonicity proptest can drive
+/// current one. Pure, so the autoscaler-monotonicity property test can drive
 /// it with arbitrary condition sequences.
 pub fn step_capacity(spec: &AutoscalerSpec, prev: f64, streak: u32) -> f64 {
     if streak >= spec.sustain_windows.max(1) {
@@ -117,8 +117,8 @@ mod tests {
     use crate::faults::{
         EpisodeSpec, FaultScenario, IncidentSpec, OverloadSpec, PartitionSpec, PartitionState,
     };
-    use proptest::prelude::*;
     use rpclens_simcore::renewal::RenewalParams;
+    use rpclens_simcore::rng::Prng;
     use rpclens_simcore::time::SimTime;
     use std::collections::BTreeSet;
 
@@ -376,20 +376,26 @@ mod tests {
         )));
     }
 
-    proptest! {
-        /// Admission-queue conservation: every offered call resolves to
-        /// exactly one of admitted/shed/abandoned.
-        #[test]
-        fn admission_conserves_offered_calls(
-            shed_ms in 1u64..200,
-            patience_extra_ms in 0u64..500,
-            waits in proptest::collection::vec(0u64..1_000_000, 1..400),
-        ) {
+    /// Admission-queue conservation: every offered call resolves to
+    /// exactly one of admitted/shed/abandoned.
+    #[test]
+    fn admission_conserves_offered_calls() {
+        let mut rng = Prng::seed_from(0xAD01);
+        let mut cases = vec![(1, 0, vec![0]), (199, 499, vec![999_999; 399])];
+        cases.push((5, 10, vec![5_000, 5_001, 15_000, 15_001]));
+        cases.resize_with(64, || {
+            let waits = (0..1 + rng.index(399))
+                .map(|_| rng.next_below(1_000_000))
+                .collect();
+            (1 + rng.next_below(199), rng.next_below(500), waits)
+        });
+        for (case, (shed_ms, patience_extra_ms, waits)) in cases.into_iter().enumerate() {
             let spec = AdmissionSpec {
                 shed_wait: SimDuration::from_millis(shed_ms),
                 abandon_wait: SimDuration::from_millis(shed_ms + patience_extra_ms),
                 util_cap: 0.96,
             };
+            let inputs = format!("case {case}: {spec:?}, waits {waits:?}");
             let mut counts = [0u64; 3];
             for w in &waits {
                 let verdict = admission_verdict(&spec, SimDuration::from_micros(*w));
@@ -401,24 +407,41 @@ mod tests {
                 counts[slot] += 1;
                 // The verdict follows the two thresholds, abandonment first.
                 let wait = SimDuration::from_micros(*w);
-                prop_assert_eq!(slot == 2, wait > spec.abandon_wait);
-                prop_assert_eq!(slot == 1, wait <= spec.abandon_wait && wait > spec.shed_wait);
+                let shed = wait <= spec.abandon_wait && wait > spec.shed_wait;
+                assert_eq!(slot == 2, wait > spec.abandon_wait, "wait {w}; {inputs}");
+                assert_eq!(slot == 1, shed, "wait {w}; {inputs}");
             }
-            prop_assert_eq!(counts.iter().sum::<u64>(), waits.len() as u64);
+            assert_eq!(counts.iter().sum::<u64>(), waits.len() as u64, "{inputs}");
         }
+    }
 
-        /// Satellite: autoscaler monotonicity — capacity never leaves
-        /// `[1, max_factor]`, and within any run of consecutive
-        /// overloaded boundaries past the sustain threshold the factor
-        /// is non-decreasing.
-        #[test]
-        fn autoscaler_is_monotone_under_sustained_overload(
-            sustain in 1u32..5,
-            step in 0.05f64..1.0,
-            max_factor in 1.0f64..4.0,
-            conditions in proptest::collection::vec(any::<bool>(), 1..200),
-        ) {
-            let spec = AutoscalerSpec { sustain_windows: sustain, step, max_factor };
+    /// Autoscaler monotonicity — capacity never leaves `[1, max_factor]`,
+    /// and within any run of consecutive overloaded boundaries past the
+    /// sustain threshold the factor is non-decreasing.
+    #[test]
+    fn autoscaler_is_monotone_under_sustained_overload() {
+        let mut rng = Prng::seed_from(0xA5C1);
+        let (step_hi, max_hi) = (1f64.next_down(), 4f64.next_down());
+        let mut cases = vec![
+            (1, 0.05, 1.0, vec![true]),
+            (4, step_hi, max_hi, vec![false]),
+        ];
+        cases.extend([
+            (1, step_hi, max_hi, vec![true; 199]),
+            (4, 0.05, 1.0, vec![true; 199]),
+        ]);
+        cases.resize_with(64, || {
+            let conditions = (0..1 + rng.index(199)).map(|_| rng.chance(0.5)).collect();
+            let (step, max_factor) = (0.05 + rng.next_f64() * 0.95, 1.0 + rng.next_f64() * 3.0);
+            (1 + rng.index(4) as u32, step, max_factor, conditions)
+        });
+        for (case, (sustain, step, max_factor, conditions)) in cases.into_iter().enumerate() {
+            let spec = AutoscalerSpec {
+                sustain_windows: sustain,
+                step,
+                max_factor,
+            };
+            let inputs = format!("case {case}: {spec:?}, conditions {conditions:?}");
             let mut prev = 1.0f64;
             let mut streak = 0u32;
             let mut factors = Vec::with_capacity(conditions.len());
@@ -428,7 +451,10 @@ mod tests {
                 factors.push((prev, streak));
             }
             for &(f, _) in &factors {
-                prop_assert!((1.0..=max_factor.max(1.0)).contains(&f), "factor {} out of band", f);
+                assert!(
+                    (1.0..=max_factor.max(1.0)).contains(&f),
+                    "factor {f}; {inputs}"
+                );
             }
             for pair in factors.windows(2) {
                 let (f0, _) = pair[0];
@@ -436,7 +462,7 @@ mod tests {
                 if s1 > sustain {
                     // Both this boundary and the previous were past the
                     // sustain threshold: capacity must not decrease.
-                    prop_assert!(f1 >= f0, "capacity fell {} -> {} during sustained overload", f0, f1);
+                    assert!(f1 >= f0, "capacity fell {f0} -> {f1}; {inputs}");
                 }
             }
         }

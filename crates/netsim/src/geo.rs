@@ -69,7 +69,7 @@ impl GeoPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rpclens_simcore::rng::Prng;
 
     fn ny() -> GeoPoint {
         GeoPoint::new(40.7, -74.0)
@@ -130,32 +130,54 @@ mod tests {
         GeoPoint::new(91.0, 0.0);
     }
 
-    proptest! {
-        #[test]
-        fn distance_is_symmetric_and_nonnegative(
-            lat1 in -90.0f64..90.0, lon1 in -180.0f64..180.0,
-            lat2 in -90.0f64..90.0, lon2 in -180.0f64..180.0,
-        ) {
+    #[test]
+    fn distance_is_symmetric_and_nonnegative() {
+        let mut rng = Prng::seed_from(0x6E0_0001);
+        let (lo, hi) = ((-90.0, -180.0), (90f64.next_down(), 180f64.next_down()));
+        let mut cases = vec![(lo, lo), (hi, hi), (lo, hi), ((hi.0, lo.1), (lo.0, hi.1))];
+        cases.push(((0.0, lo.1), (0.0, hi.1)));
+        let mut point = || {
+            (
+                -90.0 + rng.next_f64() * 180.0,
+                -180.0 + rng.next_f64() * 360.0,
+            )
+        };
+        cases.resize_with(64, || (point(), point()));
+        for (case, ((lat1, lon1), (lat2, lon2))) in cases.into_iter().enumerate() {
             let a = GeoPoint::new(lat1, lon1);
             let b = GeoPoint::new(lat2, lon2);
             let d1 = a.distance_km(&b);
             let d2 = b.distance_km(&a);
-            prop_assert!(d1 >= 0.0);
-            prop_assert!((d1 - d2).abs() < 1e-6);
+            let inputs = format!("case {case}: ({lat1}, {lon1}) to ({lat2}, {lon2})");
+            assert!(d1 >= 0.0, "{inputs}");
+            assert!((d1 - d2).abs() < 1e-6, "{inputs}");
             // No two points on Earth are further than half the circumference.
-            prop_assert!(d1 <= 20_100.0);
+            assert!(d1 <= 20_100.0, "{inputs}");
         }
+    }
 
-        #[test]
-        fn triangle_inequality_holds(
-            lat1 in -80.0f64..80.0, lon1 in -180.0f64..180.0,
-            lat2 in -80.0f64..80.0, lon2 in -180.0f64..180.0,
-            lat3 in -80.0f64..80.0, lon3 in -180.0f64..180.0,
-        ) {
-            let a = GeoPoint::new(lat1, lon1);
-            let b = GeoPoint::new(lat2, lon2);
-            let c = GeoPoint::new(lat3, lon3);
-            prop_assert!(a.distance_km(&c) <= a.distance_km(&b) + b.distance_km(&c) + 1e-6);
+    #[test]
+    fn triangle_inequality_holds() {
+        let mut rng = Prng::seed_from(0x6E0_0002);
+        let (lo, hi) = ((-80.0, -180.0), (80f64.next_down(), 180f64.next_down()));
+        let mut cases = vec![
+            (lo, lo, lo),
+            (hi, hi, hi),
+            (lo, hi, lo),
+            (hi, lo, hi),
+            (lo, hi, hi),
+        ];
+        let mut point = || {
+            (
+                -80.0 + rng.next_f64() * 160.0,
+                -180.0 + rng.next_f64() * 360.0,
+            )
+        };
+        cases.resize_with(64, || (point(), point(), point()));
+        for (case, (p1, p2, p3)) in cases.into_iter().enumerate() {
+            let [a, b, c] = [p1, p2, p3].map(|(lat, lon)| GeoPoint::new(lat, lon));
+            let (ac, ab, bc) = (a.distance_km(&c), a.distance_km(&b), b.distance_km(&c));
+            assert!(ac <= ab + bc + 1e-6, "case {case}: {p1:?}, {p2:?}, {p3:?}");
         }
     }
 }

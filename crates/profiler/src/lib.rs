@@ -384,6 +384,7 @@ impl ErrorAccounting {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpclens_simcore::rng::Prng;
 
     fn cost(app: u64, compress: u64, ser: u64) -> CycleCost {
         let mut c = CycleCost::new();
@@ -486,18 +487,32 @@ mod tests {
             .collect()
     }
 
-    proptest::proptest! {
-        #[test]
-        fn reservoir_matches_the_binary_heap_reference(
-            cap in 0usize..40,
-            keys in proptest::collection::vec((0u64..64, 0u64..4), 0..200),
-        ) {
+    #[test]
+    fn reservoir_matches_the_binary_heap_reference() {
+        let mut rng = Prng::seed_from(0x9E5E_0001);
+        let mut cases = vec![(0, vec![]), (39, vec![]), (0, vec![(0, 0)])];
+        cases.extend([(39, vec![(0, 0); 199]), (1, vec![(63, 3); 199])]);
+        cases.resize_with(64, || {
+            let cap = rng.index(40);
+            (
+                cap,
+                (0..rng.index(200))
+                    .map(|_| (rng.next_below(64), rng.next_below(4)))
+                    .collect(),
+            )
+        });
+        for (case, (cap, keys)) in cases.into_iter().enumerate() {
+            let inputs = format!("case {case}: cap {cap}, keys {keys:?}");
             let mut reservoir = MethodReservoir::default();
             for &(tag, bits) in &keys {
                 reservoir.offer(cap, tag, f64::from_bits(bits));
-                proptest::prop_assert!(reservoir.len() <= cap);
+                assert!(reservoir.len() <= cap, "{inputs}");
             }
-            proptest::prop_assert_eq!(reservoir.samples(), reference_bottom_k(cap, &keys));
+            assert_eq!(
+                reservoir.samples(),
+                reference_bottom_k(cap, &keys),
+                "{inputs}"
+            );
         }
     }
 

@@ -430,7 +430,6 @@ mod fold {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
     use rpclens_simcore::rng::Prng;
 
     fn frame(payload: &[u8]) -> RpcFrame {
@@ -745,17 +744,24 @@ mod tests {
         assert!(encode_frame(&f).len() <= 48, "header too large");
     }
 
-    proptest! {
-        #[test]
-        fn roundtrip_arbitrary_frames(
-            method_id: u64,
-            trace_id: u64,
-            span_id: u64,
-            parent_span_id: u64,
-            deadline_ns: u64,
-            flag_bits in 0u8..16,
-            payload in proptest::collection::vec(any::<u8>(), 0..2048),
-        ) {
+    #[test]
+    fn roundtrip_arbitrary_frames() {
+        let mut rng = Prng::seed_from(0xC0DE_C001);
+        let mut cases = vec![
+            ([0; 5], 0, vec![]),
+            ([u64::MAX; 5], 15, vec![u8::MAX; 2047]),
+        ];
+        cases.push(([0; 5], 15, vec![0; 2047]));
+        cases.resize_with(64, || {
+            let payload = (0..rng.index(2048)).map(|_| rng.next_u64() as u8).collect();
+            (
+                std::array::from_fn(|_| rng.next_u64()),
+                rng.index(16) as u8,
+                payload,
+            )
+        });
+        for (case, (ids, flag_bits, payload)) in cases.into_iter().enumerate() {
+            let [method_id, trace_id, span_id, parent_span_id, deadline_ns] = ids;
             let f = RpcFrame {
                 header: RpcHeader {
                     method_id,
@@ -767,31 +773,41 @@ mod tests {
                 },
                 payload: Bytes::from(payload),
             };
-            let decoded = decode_frame(&encode_frame(&f)).unwrap();
-            prop_assert_eq!(decoded, f);
+            assert_eq!(decode_frame(&encode_frame(&f)), Ok(f), "case {case}");
         }
+    }
 
-        #[test]
-        fn varint_roundtrips_any_value(v: u64) {
+    #[test]
+    fn varint_roundtrips_any_value() {
+        let mut rng = Prng::seed_from(0xC0DE_C002);
+        // Both ends and the first two-byte encoding first.
+        let mut cases = vec![0, u64::MAX, 127, 128];
+        cases.resize_with(64, || rng.next_u64());
+        for (case, v) in cases.into_iter().enumerate() {
             let mut buf = BytesMut::new();
             put_varint(&mut buf, v);
-            prop_assert!(buf.len() <= 10);
+            assert!(buf.len() <= 10, "case {case}: v {v}");
             let mut slice = &buf[..];
-            prop_assert_eq!(get_varint(&mut slice).unwrap(), v);
+            assert_eq!(get_varint(&mut slice), Ok(v), "case {case}: v {v}");
         }
+    }
 
-        #[test]
-        fn crc_detects_single_bit_flips(
-            payload in proptest::collection::vec(any::<u8>(), 1..256),
-            bit in 0usize..8,
-        ) {
-            let f = frame(&payload);
-            let encoded = encode_frame(&f);
-            let mut corrupted = encoded.to_vec();
+    #[test]
+    fn crc_detects_single_bit_flips() {
+        let mut rng = Prng::seed_from(0xC0DE_C003);
+        let mut cases = vec![(vec![0], 0), (vec![u8::MAX], 7), (vec![0; 255], 7)];
+        cases.push((vec![u8::MAX; 255], 0));
+        cases.resize_with(64, || {
+            let payload = (0..1 + rng.index(255)).map(|_| rng.next_u64() as u8);
+            (payload.collect(), rng.index(8))
+        });
+        for (case, (payload, bit)) in cases.into_iter().enumerate() {
+            let mut corrupted = encode_frame(&frame(&payload)).to_vec();
             // Flip one bit somewhere in the payload region.
             let idx = 40.min(corrupted.len() - 5);
             corrupted[idx] ^= 1 << bit;
-            prop_assert!(decode_frame(&corrupted).is_err());
+            let inputs = format!("case {case}: bit {bit}, payload {payload:?}");
+            assert!(decode_frame(&corrupted).is_err(), "{inputs}");
         }
     }
 }

@@ -396,7 +396,7 @@ impl ComponentNanos {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rpclens_simcore::rng::Prng;
 
     /// Cycles both endpoints spend moving one message (sender plus
     /// receiver).
@@ -527,19 +527,34 @@ mod tests {
         );
     }
 
-    proptest! {
-        #[test]
-        fn costs_are_monotone_in_size(a in 0u64..1_000_000, b in 0u64..1_000_000) {
+    #[test]
+    fn costs_are_monotone_in_size() {
+        let mut rng = Prng::seed_from(0xC057_0001);
+        let mut cases = vec![(0, 0), (0, 999_999), (999_999, 0), (999_999, 999_999)];
+        cases.resize_with(64, || {
+            (rng.next_below(1_000_000), rng.next_below(1_000_000))
+        });
+        for (case, (a, b)) in cases.into_iter().enumerate() {
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            prop_assert!(
-                both_sides(lo, true, true).total() <= both_sides(hi, true, true).total()
+            let total = |bytes| both_sides(bytes, true, true).total();
+            assert!(total(lo) <= total(hi), "case {case}: a {a}, b {b}");
+            assert!(
+                wire_bytes(lo, true) <= wire_bytes(hi, true),
+                "case {case}: a {a}, b {b}"
             );
-            prop_assert!(wire_bytes(lo, true) <= wire_bytes(hi, true));
         }
+    }
 
-        #[test]
-        fn wire_bytes_include_framing(bytes in 0u64..10_000_000) {
-            prop_assert!(wire_bytes(bytes, false) >= bytes + 48);
+    #[test]
+    fn wire_bytes_include_framing() {
+        let mut rng = Prng::seed_from(0xC057_0002);
+        let mut cases = vec![0, 9_999_999];
+        cases.resize_with(64, || rng.next_below(10_000_000));
+        for (case, bytes) in cases.into_iter().enumerate() {
+            assert!(
+                wire_bytes(bytes, false) >= bytes + 48,
+                "case {case}: bytes {bytes}"
+            );
         }
     }
 }

@@ -213,17 +213,24 @@ mod tests {
 
     mod properties {
         use super::*;
-        use proptest::prelude::*;
 
-        proptest! {
-            // The budget invariant: the balance never dips below zero and
-            // never exceeds the cap, whatever the earn/spend interleaving.
-            #[test]
-            fn budget_balance_stays_in_bounds(
-                ratio in 0.01f64..=1.0,
-                cap in 0.1f64..=50.0,
-                ops in proptest::collection::vec(any::<bool>(), 0..512),
-            ) {
+        // The budget invariant: the balance never dips below zero and
+        // never exceeds the cap, whatever the earn/spend interleaving.
+        #[test]
+        fn budget_balance_stays_in_bounds() {
+            let mut rng = Prng::seed_from(0xB0D6_0001);
+            let mut cases = vec![(0.01, 0.1, vec![]), (1.0, 50.0, vec![true; 511])];
+            cases.push((0.01, 50.0, vec![false; 511]));
+            cases.resize_with(64, || {
+                let ops = (0..rng.index(512)).map(|_| rng.chance(0.5)).collect();
+                (
+                    0.01 + rng.next_f64() * 0.99,
+                    0.1 + rng.next_f64() * 49.9,
+                    ops,
+                )
+            });
+            for (case, (ratio, cap, ops)) in cases.into_iter().enumerate() {
+                let inputs = format!("case {case}: ratio {ratio}, cap {cap}, ops {ops:?}");
                 let mut b = RetryBudget::new(ratio, cap);
                 for earn in ops {
                     if earn {
@@ -231,20 +238,34 @@ mod tests {
                     } else {
                         let _ = b.try_spend();
                     }
-                    prop_assert!(b.balance() >= 0.0, "negative balance {}", b.balance());
-                    prop_assert!(b.balance() <= cap + 1e-9, "balance {} above cap {cap}", b.balance());
+                    assert!(b.balance() >= 0.0, "balance {}; {inputs}", b.balance());
+                    assert!(
+                        b.balance() <= cap + 1e-9,
+                        "balance {}; {inputs}",
+                        b.balance()
+                    );
                 }
             }
+        }
 
-            // Retry amplification is bounded: however adversarial the
-            // request stream, granted retries never exceed the burst cap
-            // plus ratio x successes (modulo the documented epsilon).
-            #[test]
-            fn retries_bounded_by_ratio_times_successes(
-                ratio in 0.01f64..=1.0,
-                cap in 0.1f64..=20.0,
-                fail in proptest::collection::vec(any::<bool>(), 1..512),
-            ) {
+        // Retry amplification is bounded: however adversarial the
+        // request stream, granted retries never exceed the burst cap
+        // plus ratio x successes (modulo the documented epsilon).
+        #[test]
+        fn retries_bounded_by_ratio_times_successes() {
+            let mut rng = Prng::seed_from(0xB0D6_0002);
+            let mut cases = vec![(0.01, 0.1, vec![true]), (1.0, 20.0, vec![true; 511])];
+            cases.push((1.0, 0.1, vec![false; 511]));
+            cases.resize_with(64, || {
+                let fail = (0..1 + rng.index(511)).map(|_| rng.chance(0.5)).collect();
+                (
+                    0.01 + rng.next_f64() * 0.99,
+                    0.1 + rng.next_f64() * 19.9,
+                    fail,
+                )
+            });
+            for (case, (ratio, cap, fail)) in cases.into_iter().enumerate() {
+                let inputs = format!("case {case}: ratio {ratio}, cap {cap}, {fail:?}");
                 let mut b = RetryBudget::new(ratio, cap);
                 let mut successes = 0u64;
                 let mut retries = 0u64;
@@ -259,39 +280,43 @@ mod tests {
                     }
                 }
                 let bound = cap + ratio * successes as f64 + 1e-6;
-                prop_assert!(
-                    retries as f64 <= bound,
-                    "{retries} retries exceeds cap {cap} + {ratio} x {successes}"
-                );
+                assert!(retries as f64 <= bound, "{retries} retries; {inputs}");
             }
+        }
 
-            // Backoff delays never exceed the configured cap, and retries
-            // past `max_attempts` are refused outright.
-            #[test]
-            fn backoff_delays_respect_cap(
-                base_ms in 1u64..200,
-                multiplier in 1.0f64..4.0,
-                max_ms in 1u64..2_000,
-                max_attempts in 0u32..8,
-                attempt in 0u32..12,
-                seed: u64,
-            ) {
+        // Backoff delays never exceed the configured cap, and retries
+        // past `max_attempts` are refused outright.
+        #[test]
+        fn backoff_delays_respect_cap() {
+            let mut rng = Prng::seed_from(0xB0D6_0003);
+            let mult_hi = 4f64.next_down();
+            let mut cases = vec![(1, 1.0, 1, 0, 0, 0), (199, mult_hi, 1_999, 7, 11, u64::MAX)];
+            cases.push((199, mult_hi, 1, 7, 7, 0));
+            cases.resize_with(64, || {
+                let (base, mult, max) = (
+                    1 + rng.index(199),
+                    1.0 + rng.next_f64() * 3.0,
+                    1 + rng.index(1_999),
+                );
+                (base, mult, max, rng.index(8), rng.index(12), rng.next_u64())
+            });
+            for (case, (base_ms, multiplier, max_ms, max_attempts, attempt, seed)) in
+                cases.into_iter().enumerate()
+            {
+                let (max_attempts, attempt) = (max_attempts as u32, attempt as u32);
                 let p = BackoffPolicy {
-                    base: SimDuration::from_millis(base_ms),
+                    base: SimDuration::from_millis(base_ms as u64),
                     multiplier,
-                    max: SimDuration::from_millis(max_ms),
+                    max: SimDuration::from_millis(max_ms as u64),
                     max_attempts,
                 };
-                let mut rng = Prng::seed_from(seed);
-                match p.delay(attempt, &mut rng) {
+                let inputs = format!("case {case}: {p:?}, attempt {attempt}, seed {seed}");
+                match p.delay(attempt, &mut Prng::seed_from(seed)) {
                     Some(d) => {
-                        prop_assert!(attempt >= 1 && attempt <= max_attempts);
-                        prop_assert!(
-                            d <= p.max,
-                            "delay {d} above cap {} at attempt {attempt}", p.max
-                        );
+                        assert!(attempt >= 1 && attempt <= max_attempts, "{inputs}");
+                        assert!(d <= p.max, "delay {d}; {inputs}");
                     }
-                    None => prop_assert!(attempt == 0 || attempt > max_attempts),
+                    None => assert!(attempt == 0 || attempt > max_attempts, "{inputs}"),
                 }
             }
         }

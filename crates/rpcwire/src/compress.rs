@@ -278,7 +278,6 @@ pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>, Compress
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
     use rpclens_simcore::rng::Prng;
 
     fn roundtrip(data: &[u8]) {
@@ -643,27 +642,47 @@ mod tests {
         }
     }
 
-    proptest! {
-        #[test]
-        fn arbitrary_bytes_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
-            let packed = compress(&data);
-            let restored = decompress(&packed, data.len()).unwrap();
-            prop_assert_eq!(restored, data);
+    #[test]
+    fn arbitrary_bytes_roundtrip() {
+        let mut rng = Prng::seed_from(0xC0_0001);
+        let mut cases = vec![
+            vec![],
+            vec![0],
+            vec![u8::MAX],
+            vec![0; 4095],
+            vec![u8::MAX; 4095],
+        ];
+        cases.resize_with(64, || {
+            (0..rng.index(4096)).map(|_| rng.next_u64() as u8).collect()
+        });
+        for (case, data) in cases.into_iter().enumerate() {
+            let restored = decompress(&compress(&data), data.len());
+            assert_eq!(restored.as_deref(), Ok(&data[..]), "case {case}");
         }
+    }
 
-        #[test]
-        fn compressible_bytes_roundtrip(
-            seed: u64,
-            runs in proptest::collection::vec((any::<u8>(), 1usize..64), 1..64),
-        ) {
-            let _ = seed;
-            let mut data = Vec::new();
-            for (byte, count) in runs {
-                data.extend(std::iter::repeat_n(byte, count));
-            }
-            let packed = compress(&data);
-            let restored = decompress(&packed, data.len()).unwrap();
-            prop_assert_eq!(restored, data);
+    #[test]
+    fn compressible_bytes_roundtrip() {
+        let mut rng = Prng::seed_from(0xC0_0002);
+        let mut cases = vec![vec![(0, 1)], vec![(u8::MAX, 63)], vec![(0, 63); 63]];
+        cases.push(vec![(u8::MAX, 1); 63]);
+        cases.resize_with(64, || {
+            let runs = 1 + rng.index(63);
+            (0..runs)
+                .map(|_| (rng.next_u64() as u8, 1 + rng.index(63)))
+                .collect()
+        });
+        for (case, runs) in cases.into_iter().enumerate() {
+            let data: Vec<u8> = runs
+                .iter()
+                .flat_map(|&(b, n)| std::iter::repeat_n(b, n))
+                .collect();
+            let restored = decompress(&compress(&data), data.len());
+            assert_eq!(
+                restored.as_deref(),
+                Ok(&data[..]),
+                "case {case}: runs {runs:?}"
+            );
         }
     }
 }

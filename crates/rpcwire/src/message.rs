@@ -487,7 +487,7 @@ pub fn decode(datagram: &[u8]) -> Result<Message, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use rpclens_simcore::rng::Prng;
 
     #[test]
     fn request_roundtrips() {
@@ -682,85 +682,124 @@ mod tests {
         assert_eq!(Status::from_code(99), None);
     }
 
-    proptest! {
-        #[test]
-        fn arbitrary_requests_roundtrip(
-            method: u64,
-            client_id: u64,
-            request_id: u64,
-            compress_it: bool,
-            body in proptest::collection::vec(any::<u8>(), 0..2048),
-        ) {
+    #[test]
+    fn arbitrary_requests_roundtrip() {
+        let mut rng = Prng::seed_from(0x3E55_0001);
+        let mut cases = vec![
+            ([0; 3], false, vec![]),
+            ([u64::MAX; 3], true, vec![u8::MAX; 2047]),
+        ];
+        cases.push(([0; 3], true, vec![0; 2047]));
+        cases.resize_with(64, || {
+            let body = (0..rng.index(2048)).map(|_| rng.next_u64() as u8).collect();
+            (
+                std::array::from_fn(|_| rng.next_u64()),
+                rng.chance(0.5),
+                body,
+            )
+        });
+        for (case, (ids, compress_it, body)) in cases.into_iter().enumerate() {
+            let [method, client_id, request_id] = ids;
             let datagram = encode_request(method, client_id, request_id, &body, compress_it);
+            let inputs = format!("case {case}: ids {ids:?}, compress {compress_it}");
             match decode(&datagram).unwrap() {
                 Message::Request(req) => {
-                    prop_assert_eq!(req.method, method);
-                    prop_assert_eq!(req.client_id, client_id);
-                    prop_assert_eq!(req.request_id, request_id);
-                    prop_assert_eq!(&req.body[..], &body[..]);
+                    assert_eq!(req.method, method, "{inputs}");
+                    assert_eq!(req.client_id, client_id, "{inputs}");
+                    assert_eq!(req.request_id, request_id, "{inputs}");
+                    assert_eq!(&req.body[..], &body[..], "{inputs}");
                 }
-                other => prop_assert!(false, "expected request, got {:?}", other),
+                other => panic!("expected request, got {other:?}; {inputs}"),
             }
         }
+    }
 
-        #[test]
-        fn arbitrary_responses_roundtrip(
-            method: u64,
-            request_id: u64,
-            decode_ns: u64,
-            exec_ns: u64,
-            status_code in 0u64..4,
-            compress_it: bool,
-            body in proptest::collection::vec(any::<u8>(), 0..2048),
-        ) {
+    #[test]
+    fn arbitrary_responses_roundtrip() {
+        let mut rng = Prng::seed_from(0x3E55_0002);
+        let mut cases = vec![([0; 4], 0, false, vec![]), ([0; 4], 3, true, vec![0; 2047])];
+        cases.push(([u64::MAX; 4], 3, true, vec![u8::MAX; 2047]));
+        cases.resize_with(64, || {
+            let body = (0..rng.index(2048)).map(|_| rng.next_u64() as u8).collect();
+            let ids = std::array::from_fn(|_| rng.next_u64());
+            (ids, rng.next_below(4), rng.chance(0.5), body)
+        });
+        for (case, (ids, status_code, compress_it, body)) in cases.into_iter().enumerate() {
+            let [method, request_id, decode_ns, exec_ns] = ids;
             let status = Status::from_code(status_code).unwrap();
             let datagram = encode_response(
-                method, 77, request_id, status, decode_ns, exec_ns, &body, compress_it,
+                method,
+                77,
+                request_id,
+                status,
+                decode_ns,
+                exec_ns,
+                &body,
+                compress_it,
             );
+            let inputs = format!("case {case}: ids {ids:?}, {status:?}, compress {compress_it}");
             match decode(&datagram).unwrap() {
                 Message::Response(resp) => {
-                    prop_assert_eq!(resp.method, method);
-                    prop_assert_eq!(resp.request_id, request_id);
-                    prop_assert_eq!(resp.status, status);
-                    prop_assert_eq!(resp.server_decode_ns, decode_ns);
-                    prop_assert_eq!(resp.server_exec_ns, exec_ns);
-                    prop_assert_eq!(&resp.body[..], &body[..]);
+                    assert_eq!(resp.method, method, "{inputs}");
+                    assert_eq!(resp.request_id, request_id, "{inputs}");
+                    assert_eq!(resp.status, status, "{inputs}");
+                    assert_eq!(resp.server_decode_ns, decode_ns, "{inputs}");
+                    assert_eq!(resp.server_exec_ns, exec_ns, "{inputs}");
+                    assert_eq!(&resp.body[..], &body[..], "{inputs}");
                 }
-                other => prop_assert!(false, "expected response, got {:?}", other),
+                other => panic!("expected response, got {other:?}; {inputs}"),
             }
         }
+    }
 
-        #[test]
-        fn arbitrary_trace_contexts_roundtrip(
-            trace_id: u64,
-            span_id: u64,
-            parent_span_id: u64,
-            sampled: bool,
-            depth: u32,
-            body in proptest::collection::vec(any::<u8>(), 0..512),
-        ) {
-            let ctx = TraceContext { trace_id, span_id, parent_span_id, sampled, depth };
+    #[test]
+    fn arbitrary_trace_contexts_roundtrip() {
+        let mut rng = Prng::seed_from(0x3E55_0003);
+        let mut cases = vec![([0; 3], false, 0, vec![])];
+        cases.push(([u64::MAX; 3], true, u32::MAX, vec![u8::MAX; 511]));
+        cases.resize_with(64, || {
+            let body = (0..rng.index(512)).map(|_| rng.next_u64() as u8).collect();
+            let ids = std::array::from_fn(|_| rng.next_u64());
+            (ids, rng.chance(0.5), rng.next_u64() as u32, body)
+        });
+        for (case, (ids, sampled, depth, body)) in cases.into_iter().enumerate() {
+            let [trace_id, span_id, parent_span_id] = ids;
+            let ctx = TraceContext {
+                trace_id,
+                span_id,
+                parent_span_id,
+                sampled,
+                depth,
+            };
             let datagram = encode_request_traced(1, 2, 3, &body, true, Some(&ctx));
+            let inputs = format!("case {case}: {ctx:?}, body {body:?}");
             match decode(&datagram).unwrap() {
                 Message::Request(req) => {
-                    prop_assert_eq!(req.trace, Some(ctx));
-                    prop_assert_eq!(&req.body[..], &body[..]);
+                    assert_eq!(req.trace, Some(ctx), "{inputs}");
+                    assert_eq!(&req.body[..], &body[..], "{inputs}");
                 }
-                other => prop_assert!(false, "expected request, got {:?}", other),
+                other => panic!("expected request, got {other:?}; {inputs}"),
             }
         }
+    }
 
-        #[test]
-        fn single_byte_corruption_never_decodes(
-            body in proptest::collection::vec(any::<u8>(), 1..512),
-            idx: usize,
-            bit in 0u8..8,
-        ) {
-            let datagram = encode_request(5, 6, 7, &body, true);
-            let mut corrupted = datagram.to_vec();
+    #[test]
+    fn single_byte_corruption_never_decodes() {
+        let mut rng = Prng::seed_from(0x3E55_0004);
+        let mut cases = vec![(vec![0], 0, 0), (vec![u8::MAX], usize::MAX, 7)];
+        cases.extend([(vec![0; 511], usize::MAX, 0), (vec![u8::MAX; 511], 0, 7)]);
+        cases.resize_with(64, || {
+            let body = (0..1 + rng.index(511))
+                .map(|_| rng.next_u64() as u8)
+                .collect();
+            (body, rng.next_u64() as usize, rng.index(8))
+        });
+        for (case, (body, idx, bit)) in cases.into_iter().enumerate() {
+            let mut corrupted = encode_request(5, 6, 7, &body, true).to_vec();
             let at = idx % corrupted.len();
             corrupted[at] ^= 1 << bit;
-            prop_assert!(decode(&corrupted).is_err());
+            let inputs = format!("case {case}: bit {bit} of byte {at}, body {body:?}");
+            assert!(decode(&corrupted).is_err(), "{inputs}");
         }
     }
 }

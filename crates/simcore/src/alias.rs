@@ -127,7 +127,6 @@ impl AliasTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn rejects_degenerate_inputs() {
@@ -185,16 +184,32 @@ mod tests {
         }
     }
 
-    proptest! {
-        #[test]
-        fn samples_always_in_range(weights in proptest::collection::vec(0.0f64..100.0, 1..64), seed: u64) {
-            prop_assume!(weights.iter().sum::<f64>() > 0.0);
+    #[test]
+    fn samples_always_in_range() {
+        let mut rng = Prng::seed_from(0xA11A5);
+        let mut one_live = vec![0.0; 63];
+        one_live[62] = 1.0;
+        let mut cases = vec![(vec![1.0], 0), (one_live, u64::MAX)];
+        // An all-zero table is rejected: redraw until the case is valid.
+        cases.resize_with(64, || loop {
+            let weights: Vec<f64> = (0..1 + rng.index(63))
+                .map(|_| rng.next_f64() * 100.0)
+                .collect();
+            if weights.iter().sum::<f64>() > 0.0 {
+                break (weights, rng.next_u64());
+            }
+        });
+        for (case, (weights, seed)) in cases.into_iter().enumerate() {
             let t = AliasTable::new(&weights).unwrap();
-            let mut rng = Prng::seed_from(seed);
+            let mut sampler = Prng::seed_from(seed);
+            let inputs = format!("case {case}: seed {seed}, weights {weights:?}");
             for _ in 0..256 {
-                let i = t.sample(&mut rng);
-                prop_assert!(i < weights.len());
-                prop_assert!(weights[i] > 0.0, "sampled zero-weight category {i}");
+                let i = t.sample(&mut sampler);
+                assert!(i < weights.len(), "{inputs}");
+                assert!(
+                    weights[i] > 0.0,
+                    "sampled zero-weight category {i}; {inputs}"
+                );
             }
         }
     }

@@ -119,9 +119,14 @@ impl LogNormal {
 /// where a physical cap exists: queue stalls and congestion excess.
 #[derive(Debug, Clone, Copy)]
 pub struct BoundedPareto {
-    x_min: f64,
-    x_max: f64,
-    alpha: f64,
+    /// `x_min^alpha`.
+    la: f64,
+    /// `x_max^alpha`.
+    ha: f64,
+    /// `ha * la`, the inverse CDF's divisor.
+    ha_la: f64,
+    /// `-1 / alpha`, the inverse CDF's outer exponent.
+    neg_inv_alpha: f64,
 }
 
 impl BoundedPareto {
@@ -138,20 +143,21 @@ impl BoundedPareto {
         if x_min <= 0.0 || x_max <= x_min || alpha <= 0.0 {
             return Err(DistError::new("bounded pareto domain"));
         }
+        let la = x_min.powf(alpha);
+        let ha = x_max.powf(alpha);
         Ok(BoundedPareto {
-            x_min,
-            x_max,
-            alpha,
+            la,
+            ha,
+            ha_la: ha * la,
+            neg_inv_alpha: -1.0 / alpha,
         })
     }
 
     /// Draws one sample.
     pub fn sample(&self, rng: &mut Prng) -> f64 {
         let u = rng.next_f64();
-        let la = self.x_min.powf(self.alpha);
-        let ha = self.x_max.powf(self.alpha);
         // Inverse CDF of the truncated Pareto.
-        (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / self.alpha)
+        (-(u * self.ha - u * self.la - self.ha) / self.ha_la).powf(self.neg_inv_alpha)
     }
 }
 
@@ -213,7 +219,7 @@ fn inverse_normal_cdf(p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::time::SimDuration;
 
     fn sample_n(mut draw: impl FnMut(&mut Prng) -> f64, n: usize, seed: u64) -> Vec<f64> {
         let mut rng = Prng::seed_from(seed);
@@ -303,6 +309,35 @@ mod tests {
     }
 
     #[test]
+    fn bounded_pareto_matches_the_per_draw_formula() {
+        // The inverse CDF with every constant recomputed per draw; `sample`
+        // must match it bit for bit.
+        let reference = |x_min: f64, x_max: f64, alpha: f64, u: f64| {
+            let la = x_min.powf(alpha);
+            let ha = x_max.powf(alpha);
+            (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha)
+        };
+        let secs = |us: u64| SimDuration::from_micros(us).as_secs_f64();
+        for (x_min, x_max, alpha) in [
+            (secs(300), secs(250_000), 1.05),  // rpcstack's SoftQueue stalls
+            (secs(200), secs(60_000), 1.1),    // CongestionParams::fabric
+            (secs(2_000), secs(900_000), 0.9), // CongestionParams::wan
+            (1.0, 1e4, 0.05),
+            (1.0, 1e4, 8.0),
+        ] {
+            let d = BoundedPareto::new(x_min, x_max, alpha).unwrap();
+            let mut rng = Prng::seed_from(5);
+            let mut shadow = rng.clone();
+            for draw in 0..100_000 {
+                let got = d.sample(&mut rng);
+                let want = reference(x_min, x_max, alpha, shadow.next_f64());
+                let inputs = format!("draw {draw}: x_min {x_min}, x_max {x_max}, alpha {alpha}");
+                assert_eq!(got.to_bits(), want.to_bits(), "{inputs}: {got} vs {want}");
+            }
+        }
+    }
+
+    #[test]
     fn inverse_normal_cdf_matches_known_points() {
         assert!(inverse_normal_cdf(0.5).abs() < 1e-8);
         assert!((inverse_normal_cdf(0.975) - 1.959964).abs() < 1e-4);
@@ -317,39 +352,63 @@ mod tests {
         inverse_normal_cdf(0.0);
     }
 
-    proptest! {
-        #[test]
-        fn samples_are_finite_and_in_domain(seed: u64) {
+    #[test]
+    fn samples_are_finite_and_in_domain() {
+        let ln = LogNormal::from_median_sigma(100.0, 2.5).unwrap();
+        let bp = BoundedPareto::new(1.0, 1e4, 0.5).unwrap();
+        let ex = Exponential::from_mean(10.0).unwrap();
+        let mut seeds = Prng::seed_from(0xD157_0001);
+        let mut cases = vec![0, u64::MAX];
+        cases.resize_with(64, || seeds.next_u64());
+        for (case, seed) in cases.into_iter().enumerate() {
             let mut rng = Prng::seed_from(seed);
-            let ln = LogNormal::from_median_sigma(100.0, 2.5).unwrap();
-            let bp = BoundedPareto::new(1.0, 1e4, 0.5).unwrap();
-            let ex = Exponential::from_mean(10.0).unwrap();
             for _ in 0..200 {
                 let a = ln.sample(&mut rng);
-                prop_assert!(a.is_finite() && a > 0.0);
                 let b = bp.sample(&mut rng);
-                prop_assert!(b.is_finite() && (1.0..=1e4).contains(&b));
                 let c = ex.sample(&mut rng);
-                prop_assert!(c.is_finite() && c >= 0.0);
+                let inputs = format!("case {case}: seed {seed}, samples {a}, {b}, {c}");
+                assert!(a.is_finite() && a > 0.0, "{inputs}");
+                assert!(b.is_finite() && (1.0..=1e4).contains(&b), "{inputs}");
+                assert!(c.is_finite() && c >= 0.0, "{inputs}");
             }
         }
+    }
 
-        #[test]
-        fn inverse_normal_cdf_is_monotone(p1 in 0.001f64..0.999, p2 in 0.001f64..0.999) {
+    #[test]
+    fn inverse_normal_cdf_is_monotone() {
+        let (mut rng, hi) = (Prng::seed_from(0xD157_0002), 0.999f64.next_down());
+        // The range's ends and the points where the tail approximation
+        // hands over to the central one.
+        let mut cases = vec![(0.001, hi), (0.001, 0.02425)];
+        cases.extend([(0.02425, 0.97575), (0.97575, hi)]);
+        let mut p = || 0.001 + rng.next_f64() * 0.998;
+        cases.resize_with(64, || (p(), p()));
+        for (case, (p1, p2)) in cases.into_iter().enumerate() {
             if p1 < p2 {
-                prop_assert!(inverse_normal_cdf(p1) < inverse_normal_cdf(p2));
+                let (a, b) = (inverse_normal_cdf(p1), inverse_normal_cdf(p2));
+                assert!(a < b, "case {case}: p1 {p1}, p2 {p2}");
             }
         }
+    }
 
-        #[test]
-        fn lognormal_quantile_agrees_with_inverse_cdf(
-            median in 1.0f64..1e6,
-            sigma in 0.0f64..3.0,
-            q in 0.01f64..0.99,
-        ) {
+    #[test]
+    fn lognormal_quantile_agrees_with_inverse_cdf() {
+        let mut rng = Prng::seed_from(0xD157_0003);
+        let hi = (1e6f64.next_down(), 3f64.next_down(), 0.99f64.next_down());
+        let mut cases = vec![(1.0, 0.0, 0.01), hi, (1.0, hi.1, 0.01), (hi.0, 0.0, hi.2)];
+        cases.resize_with(64, || {
+            let median = 1.0 + rng.next_f64() * (1e6 - 1.0);
+            (median, rng.next_f64() * 3.0, 0.01 + rng.next_f64() * 0.98)
+        });
+        for (case, (median, sigma, q)) in cases.into_iter().enumerate() {
             let d = LogNormal::from_median_sigma(median, sigma).unwrap();
             let expected = (median.ln() + sigma * inverse_normal_cdf(q)).exp();
-            prop_assert!((d.quantile(q) - expected).abs() <= 1e-9 * expected.max(1.0));
+            let got = d.quantile(q);
+            let inputs = format!("case {case}: median {median}, sigma {sigma}, q {q}");
+            assert!(
+                (got - expected).abs() <= 1e-9 * expected.max(1.0),
+                "{inputs}"
+            );
         }
     }
 }

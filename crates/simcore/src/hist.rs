@@ -54,7 +54,7 @@ pub struct LogHistogram {
 /// ops with no data-dependent branch. `v | 1` keeps `leading_zeros`
 /// defined at `v = 0` without changing any magnitude at or above the
 /// linear limit. Equivalence with the branchy reference formulation is
-/// pinned over the full `u64` range by a proptest below.
+/// pinned over the full `u64` range by a property test below.
 fn bucket_index(v: u64) -> usize {
     let msb = 63 - (v | 1).leading_zeros() as usize;
     let m = if msb > 5 { msb } else { 5 }; // max() — compiles to cmov.
@@ -204,7 +204,7 @@ impl LogHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::rng::Prng;
 
     /// The original branchy formulation of [`bucket_index`], kept as the
     /// reference the branchless kernel is checked against: exact buckets
@@ -350,80 +350,118 @@ mod tests {
         assert!(h.quantile(0.9).is_some());
     }
 
-    proptest! {
-        #[test]
-        fn branchless_bucket_index_matches_reference(v: u64) {
-            // Full-u64-range equivalence of the branchless kernel with
-            // the branchy reference: the two must agree on every input,
-            // not just in-distribution latencies.
-            prop_assert_eq!(bucket_index(v), bucket_index_reference(v));
+    #[test]
+    fn branchless_bucket_index_matches_reference() {
+        // Full-u64-range equivalence of the branchless kernel with
+        // the branchy reference: the two must agree on every input,
+        // not just in-distribution latencies.
+        let mut rng = Prng::seed_from(0x4157_0001);
+        let mut cases = vec![0, u64::MAX];
+        cases.resize_with(64, || rng.next_u64());
+        for (case, v) in cases.into_iter().enumerate() {
+            assert_eq!(
+                bucket_index(v),
+                bucket_index_reference(v),
+                "case {case}, v {v}"
+            );
         }
+    }
 
-        #[test]
-        fn record_n_zero_preserves_extremes(v: u64, w: u64) {
-            // The masked (branch-free) extreme update must treat n = 0 as
-            // a strict no-op both on an empty histogram and after real
-            // records.
+    #[test]
+    fn record_n_zero_preserves_extremes() {
+        // The masked (branch-free) extreme update must treat n = 0 as
+        // a strict no-op both on an empty histogram and after real
+        // records.
+        let mut rng = Prng::seed_from(0x4157_0002);
+        let mut cases = vec![(0, 0), (0, u64::MAX), (u64::MAX, 0), (u64::MAX, u64::MAX)];
+        cases.resize_with(64, || (rng.next_u64(), rng.next_u64()));
+        for (case, (v, w)) in cases.into_iter().enumerate() {
+            let inputs = format!("case {case}: v {v}, w {w}");
             let mut h = LogHistogram::new();
             h.record_n(v, 0);
-            prop_assert!(h.is_empty());
-            prop_assert_eq!(h.min(), None);
-            prop_assert_eq!(h.max(), None);
+            assert_eq!(
+                (h.is_empty(), h.min(), h.max()),
+                (true, None, None),
+                "{inputs}"
+            );
             h.record(w);
             h.record_n(v, 0);
-            prop_assert_eq!(h.min(), Some(w));
-            prop_assert_eq!(h.max(), Some(w));
-            prop_assert_eq!(h.count(), 1);
+            assert_eq!(
+                (h.min(), h.max(), h.count()),
+                (Some(w), Some(w), 1),
+                "{inputs}"
+            );
         }
+    }
 
-        #[test]
-        fn merge_with_empty_is_identity_in_both_directions(
-            values in proptest::collection::vec(any::<u64>(), 0..50),
-        ) {
-            // The guard-free merge relies on the empty histogram's fields
-            // being fold identities; check both merge directions against
-            // the untouched original, over full-range values.
+    #[test]
+    fn merge_with_empty_is_identity_in_both_directions() {
+        // The guard-free merge relies on the empty histogram's fields
+        // being fold identities; check both merge directions against
+        // the untouched original, over full-range values.
+        let mut rng = Prng::seed_from(0x4157_0003);
+        let mut cases = vec![
+            vec![],
+            vec![0],
+            vec![u64::MAX],
+            vec![0; 49],
+            vec![u64::MAX; 49],
+        ];
+        cases.resize_with(64, || (0..rng.index(50)).map(|_| rng.next_u64()).collect());
+        let fields = |h: &LogHistogram| (h.count(), h.sum(), h.min(), h.max(), h.counts.clone());
+        for (case, values) in cases.into_iter().enumerate() {
             let mut h = LogHistogram::new();
             for &v in &values {
                 h.record(v);
             }
             let mut merged = h.clone();
             merged.merge(&LogHistogram::default());
-            prop_assert_eq!(merged.count(), h.count());
-            prop_assert_eq!(merged.sum(), h.sum());
-            prop_assert_eq!(merged.min(), h.min());
-            prop_assert_eq!(merged.max(), h.max());
-            prop_assert_eq!(&merged.counts, &h.counts);
+            let inputs = format!("case {case}: values {values:?}");
+            assert_eq!(fields(&merged), fields(&h), "{inputs}");
             let mut seeded = LogHistogram::new();
             seeded.merge(&h);
-            prop_assert_eq!(seeded.count(), h.count());
-            prop_assert_eq!(seeded.min(), h.min());
-            prop_assert_eq!(seeded.max(), h.max());
-            prop_assert_eq!(&seeded.counts, &h.counts);
+            assert_eq!(fields(&seeded), fields(&h), "{inputs}");
         }
+    }
 
-        #[test]
-        fn bucket_index_is_monotone_nondecreasing(a: u64, b: u64) {
+    #[test]
+    fn bucket_index_is_monotone_nondecreasing() {
+        let mut rng = Prng::seed_from(0x4157_0004);
+        let mut cases = vec![(0, 0), (0, u64::MAX), (u64::MAX, 0), (u64::MAX, u64::MAX)];
+        cases.resize_with(64, || (rng.next_u64(), rng.next_u64()));
+        for (case, (a, b)) in cases.into_iter().enumerate() {
             let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            prop_assert!(bucket_index(lo) <= bucket_index(hi));
+            let inputs = format!("case {case}: a {a}, b {b}");
+            assert!(bucket_index(lo) <= bucket_index(hi), "{inputs}");
         }
+    }
 
-        #[test]
-        fn bucket_midpoint_is_within_relative_error(v in 1u64..u64::MAX / 2) {
+    #[test]
+    fn bucket_midpoint_is_within_relative_error() {
+        let (mut rng, half) = (Prng::seed_from(0x4157_0005), u64::MAX / 2);
+        let mut cases = vec![1, half - 1];
+        cases.resize_with(64, || 1 + rng.next_below(half - 1));
+        for (case, v) in cases.into_iter().enumerate() {
             let mid = bucket_midpoint(bucket_index(v));
             let rel = (mid as f64 - v as f64).abs() / v as f64;
-            prop_assert!(rel <= 1.0 / 32.0 + 1e-9, "v={v} mid={mid} rel={rel}");
+            assert!(
+                rel <= 1.0 / 32.0 + 1e-9,
+                "case {case}: v={v} mid={mid} rel={rel}"
+            );
         }
+    }
 
-        #[test]
-        fn sharded_merge_is_bit_identical_to_single_pass(
-            values in proptest::collection::vec(0u64..1_000_000_000, 1..200),
-            shards in 1usize..8,
-        ) {
-            // The parallel fleet driver records per-shard histograms and
-            // folds them in shard order; bucket counts are integers, so the
-            // merged histogram must equal single-pass recording EXACTLY —
-            // this is part of the determinism contract.
+    #[test]
+    fn sharded_merge_is_bit_identical_to_single_pass() {
+        // The parallel fleet driver records per-shard histograms and
+        // folds them in shard order; bucket counts are integers, so the
+        // merged histogram must equal single-pass recording EXACTLY —
+        // this is part of the determinism contract.
+        let mut rng = Prng::seed_from(0x4157_0006);
+        let mut cases = vec![(1, 1), (1, 7), (199, 1), (199, 7)];
+        cases.resize_with(64, || (1 + rng.index(199), 1 + rng.index(7)));
+        for (case, (len, shards)) in cases.into_iter().enumerate() {
+            let values: Vec<u64> = (0..len).map(|_| rng.next_below(1_000_000_000)).collect();
             let mut single = LogHistogram::new();
             for &v in &values {
                 single.record(v);
@@ -437,25 +475,35 @@ mod tests {
                 }
                 merged.merge(&local);
             }
-            prop_assert_eq!(merged.count(), single.count());
-            prop_assert_eq!(merged.sum(), single.sum());
-            prop_assert_eq!(merged.min(), single.min());
-            prop_assert_eq!(merged.max(), single.max());
+            let inputs = format!("case {case}: shards {shards}, values {values:?}");
+            assert_eq!(merged.count(), single.count(), "{inputs}");
+            assert_eq!(merged.sum(), single.sum(), "{inputs}");
+            assert_eq!(merged.min(), single.min(), "{inputs}");
+            assert_eq!(merged.max(), single.max(), "{inputs}");
             for q in [0.01, 0.25, 0.5, 0.75, 0.99] {
-                prop_assert_eq!(merged.quantile(q), single.quantile(q));
+                assert_eq!(merged.quantile(q), single.quantile(q), "q {q}, {inputs}");
             }
-            prop_assert_eq!(&merged.counts, &single.counts);
+            assert_eq!(&merged.counts, &single.counts, "{inputs}");
         }
+    }
 
-        #[test]
-        fn quantile_between_min_and_max(values in proptest::collection::vec(0u64..1_000_000_000, 1..100), q in 0.0f64..=1.0) {
+    #[test]
+    fn quantile_between_min_and_max() {
+        let mut rng = Prng::seed_from(0x4157_0007);
+        let mut cases = vec![(vec![0], 0.0), (vec![999_999_999], 1.0), (vec![0; 99], 1.0)];
+        cases.resize_with(64, || {
+            let values = (0..1 + rng.index(99)).map(|_| rng.next_below(1_000_000_000));
+            (values.collect(), rng.next_f64())
+        });
+        for (case, (values, q)) in cases.into_iter().enumerate() {
             let mut h = LogHistogram::new();
             for &v in &values {
                 h.record(v);
             }
             let got = h.quantile(q).unwrap();
-            prop_assert!(got >= h.min().unwrap());
-            prop_assert!(got <= h.max().unwrap());
+            let inputs = format!("case {case}: q {q}, got {got}, values {values:?}");
+            assert!(got >= h.min().unwrap(), "{inputs}");
+            assert!(got <= h.max().unwrap(), "{inputs}");
         }
     }
 }

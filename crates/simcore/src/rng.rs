@@ -200,7 +200,6 @@ impl Prng {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn splitmix_matches_reference_vectors() {
@@ -308,13 +307,16 @@ mod tests {
         assert_ne!(v, (0..100).collect::<Vec<_>>());
     }
 
-    proptest! {
-        #[test]
-        fn substreams_are_distinct_and_derivation_is_repeatable(seed: u64) {
+    #[test]
+    fn substreams_are_distinct_and_derivation_is_repeatable() {
+        let mut rng = Prng::seed_from(0x5EED_0001);
+        let mut cases = vec![0, u64::MAX];
+        cases.resize_with(64, || rng.next_u64());
+        for (case, seed) in cases.into_iter().enumerate() {
             let parent = Prng::seed_from(seed);
             let mut a = parent.substream(0);
             let mut b = parent.substream(1);
-            prop_assert_ne!(a.next_u64(), b.next_u64());
+            assert_ne!(a.next_u64(), b.next_u64(), "case {case}: seed {seed}");
             // Derivation never advances the parent, so taking the same
             // index again — even after deriving other substreams — yields
             // the identical child. The sharded fleet driver depends on
@@ -323,11 +325,16 @@ mod tests {
             let _ = parent.substream(3);
             let mut c1 = parent.substream(7);
             let mut c2 = parent.substream(7);
-            prop_assert_eq!(c1.next_u64(), c2.next_u64());
+            assert_eq!(c1.next_u64(), c2.next_u64(), "case {case}: seed {seed}");
         }
+    }
 
-        #[test]
-        fn split_children_are_independent_of_consumption_order(seed: u64) {
+    #[test]
+    fn split_children_are_independent_of_consumption_order() {
+        let mut rng = Prng::seed_from(0x5EED_0002);
+        let mut cases = vec![0, u64::MAX];
+        cases.resize_with(64, || rng.next_u64());
+        for (case, seed) in cases.into_iter().enumerate() {
             // Deriving stream(k) must not depend on how much the parent has
             // been used.
             let parent = Prng::seed_from(seed);
@@ -337,7 +344,7 @@ mod tests {
                 throwaway.next_u64();
             }
             let mut c2 = parent.stream(5);
-            prop_assert_eq!(c1.next_u64(), c2.next_u64());
+            assert_eq!(c1.next_u64(), c2.next_u64(), "case {case}: seed {seed}");
         }
     }
 }

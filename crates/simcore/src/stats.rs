@@ -258,7 +258,7 @@ fn ranks(values: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::rng::Prng;
 
     #[test]
     fn percentile_interpolates() {
@@ -345,26 +345,36 @@ mod tests {
         assert_eq!(r, vec![1.0, 2.5, 2.5, 4.0]);
     }
 
-    proptest! {
-        #[test]
-        fn percentile_is_monotone_in_q(
-            mut values in proptest::collection::vec(-1e6f64..1e6, 2..100),
-            q1 in 0.0f64..=1.0,
-            q2 in 0.0f64..=1.0,
-        ) {
+    #[test]
+    fn percentile_is_monotone_in_q() {
+        let mut rng = Prng::seed_from(0x57A7_0001);
+        let mut cases = vec![(2, 0.0, 1.0), (99, 1.0, 0.0), (2, 1.0, 1.0), (99, 0.0, 0.0)];
+        cases.resize_with(64, || (2 + rng.index(98), rng.next_f64(), rng.next_f64()));
+        for (case, (len, q1, q2)) in cases.into_iter().enumerate() {
+            let mut values: Vec<f64> = (0..len).map(|_| -1e6 + rng.next_f64() * 2e6).collect();
             values.sort_by(|a, b| a.partial_cmp(b).unwrap());
             let (lo, hi) = if q1 <= q2 { (q1, q2) } else { (q2, q1) };
             let a = percentile(&values, lo).unwrap();
             let b = percentile(&values, hi).unwrap();
-            prop_assert!(a <= b + 1e-9);
+            let inputs = format!("case {case}: q1 {q1}, q2 {q2}, {values:?}");
+            assert!(a <= b + 1e-9, "{inputs}");
         }
+    }
 
-        #[test]
-        fn select_percentile_matches_the_sorted_path(
-            // Small integer values so duplicates are common; the special
-            // draws put NaN and infinities among them.
-            draws in proptest::collection::vec((0u8..12, -20i32..20), 1..200),
-        ) {
+    #[test]
+    fn select_percentile_matches_the_sorted_path() {
+        // Small integer values so duplicates are common; the special
+        // draws put NaN and infinities among them.
+        let mut rng = Prng::seed_from(0x57A7_0002);
+        let mut cases = vec![vec![(0, 0)], vec![(1, 0)], vec![(2, 0)], vec![(11, -20)]];
+        cases.extend([vec![(11, 19); 199], vec![(0, 0); 199]]);
+        cases.resize_with(64, || {
+            let len = 1 + rng.index(199);
+            (0..len)
+                .map(|_| (rng.index(12), rng.index(40) as i32 - 20))
+                .collect()
+        });
+        for (case, draws) in cases.into_iter().enumerate() {
             let mut values: Vec<f64> = draws
                 .iter()
                 .map(|&(kind, v)| match kind {
@@ -378,16 +388,30 @@ mod tests {
             for q in [0.0, 0.01, 0.5, 0.95, 0.99, 1.0] {
                 let expect = percentile(&sorted, q).map(f64::to_bits);
                 let got = select_percentile(&mut values, q).map(f64::to_bits);
-                prop_assert_eq!(got, expect, "q = {}", q);
+                assert_eq!(got, expect, "case {case}: q = {q}, draws {draws:?}");
             }
         }
+    }
 
-        #[test]
-        fn sorted_finite_matches_the_stable_partial_cmp_sort(
-            // Small integer values so duplicates are common, both signs,
-            // and special draws for NaN, the infinities and both zeros.
-            draws in proptest::collection::vec((0u8..14, -20i32..20), 0..200),
-        ) {
+    #[test]
+    fn sorted_finite_matches_the_stable_partial_cmp_sort() {
+        // Small integer values so duplicates are common, both signs, and
+        // special draws for NaN, the infinities and both zeros.
+        let mut rng = Prng::seed_from(0x57A7_0003);
+        let mut cases: Vec<Vec<(usize, i32)>> = (0..6).map(|kind| vec![(kind, -20)]).collect();
+        cases.extend([
+            vec![],
+            vec![(3, 0), (4, 0)],
+            vec![(4, 0), (3, 0)],
+            vec![(13, 19); 199],
+        ]);
+        cases.resize_with(64, || {
+            let len = rng.index(200);
+            (0..len)
+                .map(|_| (rng.index(14), rng.index(40) as i32 - 20))
+                .collect()
+        });
+        for (case, draws) in cases.into_iter().enumerate() {
             let values: Vec<f64> = draws
                 .iter()
                 .map(|&(kind, v)| match kind {
@@ -405,33 +429,55 @@ mod tests {
             expect.retain(|v| v.is_finite());
             expect.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-            prop_assert_eq!(bits(&sorted_finite(values.clone())), bits(&expect));
+            let inputs = format!("case {case}: draws {draws:?}");
+            assert_eq!(
+                bits(&sorted_finite(values.clone())),
+                bits(&expect),
+                "{inputs}"
+            );
             // The same input without its negative zeros takes the key sort.
-            let no_neg_zero: Vec<f64> = values.iter().copied().filter(|v| v.to_bits() != NEG_ZERO_BITS).collect();
+            let no_neg_zero: Vec<f64> = values
+                .iter()
+                .copied()
+                .filter(|v| v.to_bits() != NEG_ZERO_BITS)
+                .collect();
             expect.retain(|v| v.to_bits() != NEG_ZERO_BITS);
-            prop_assert_eq!(bits(&sorted_finite(no_neg_zero)), bits(&expect));
+            assert_eq!(bits(&sorted_finite(no_neg_zero)), bits(&expect), "{inputs}");
         }
+    }
 
-        #[test]
-        fn order_keys_round_trip_and_order_like_total_cmp(
-            a_bits in any::<u64>(),
-            b_bits in any::<u64>(),
-        ) {
+    #[test]
+    fn order_keys_round_trip_and_order_like_total_cmp() {
+        let mut rng = Prng::seed_from(0x57A7_0004);
+        let corners = [0, u64::MAX, NEG_ZERO_BITS];
+        let mut cases: Vec<_> = corners
+            .iter()
+            .flat_map(|&a| corners.map(|b| (a, b)))
+            .collect();
+        cases.resize_with(64, || (rng.next_u64(), rng.next_u64()));
+        for (case, (a_bits, b_bits)) in cases.into_iter().enumerate() {
             let (a, b) = (f64::from_bits(a_bits), f64::from_bits(b_bits));
-            prop_assert_eq!(from_order_key(order_key(a)).to_bits(), a.to_bits());
-            prop_assert_eq!(order_key(a).cmp(&order_key(b)), a.total_cmp(&b));
+            let inputs = format!("case {case}: a_bits {a_bits:#x}, b_bits {b_bits:#x}");
+            assert_eq!(
+                from_order_key(order_key(a)).to_bits(),
+                a.to_bits(),
+                "{inputs}"
+            );
+            assert_eq!(order_key(a).cmp(&order_key(b)), a.total_cmp(&b), "{inputs}");
         }
+    }
 
-        #[test]
-        fn correlation_is_bounded(
-            x in proptest::collection::vec(-100.0f64..100.0, 3..50),
-        ) {
+    #[test]
+    fn correlation_is_bounded() {
+        let mut rng = Prng::seed_from(0x57A7_0005);
+        let mut cases = vec![3, 49];
+        cases.resize_with(64, || 3 + rng.index(47));
+        for (case, len) in cases.into_iter().enumerate() {
+            let x: Vec<f64> = (0..len).map(|_| -100.0 + rng.next_f64() * 200.0).collect();
             let y: Vec<f64> = x.iter().map(|v| v * 2.0 + (v * 17.0).sin()).collect();
-            if let Some(r) = pearson(&x, &y) {
-                prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&r));
-            }
-            if let Some(r) = spearman(&x, &y) {
-                prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&r));
+            for r in [pearson(&x, &y), spearman(&x, &y)].into_iter().flatten() {
+                let inputs = format!("case {case}: r {r}, x {x:?}");
+                assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&r), "{inputs}");
             }
         }
     }

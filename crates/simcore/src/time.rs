@@ -234,7 +234,7 @@ impl fmt::Display for SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::rng::Prng;
 
     #[test]
     fn construction_roundtrips() {
@@ -363,29 +363,43 @@ mod tests {
         assert_eq!(total.as_nanos(), 10);
     }
 
-    proptest! {
-        #[test]
-        fn add_then_since_is_identity(start in 0u64..u64::MAX / 2, delta in 0u64..u64::MAX / 2) {
-            let t = SimTime::from_nanos(start);
-            let d = SimDuration::from_nanos(delta);
-            prop_assert_eq!((t + d).since(t), d);
+    #[test]
+    fn add_then_since_is_identity() {
+        let (mut rng, half) = (Prng::seed_from(0x7135), u64::MAX / 2);
+        let mut cases = vec![(0, 0), (0, half - 1), (half - 1, 0), (half - 1, half - 1)];
+        cases.resize_with(64, || (rng.next_below(half), rng.next_below(half)));
+        for (case, (start, delta)) in cases.into_iter().enumerate() {
+            let inputs = format!("case {case}: start {start}, delta {delta}");
+            let (t, d) = (SimTime::from_nanos(start), SimDuration::from_nanos(delta));
+            assert_eq!((t + d).since(t), d, "{inputs}");
         }
+    }
 
-        #[test]
-        fn align_down_is_idempotent(t in 0u64..u64::MAX / 2, w in 1u64..1_000_000u64) {
-            let w = SimDuration::from_nanos(w);
-            let once = SimTime::from_nanos(t).align_down(w);
-            prop_assert_eq!(once.align_down(w), once);
-            prop_assert!(once <= SimTime::from_nanos(t));
+    #[test]
+    fn align_down_is_idempotent() {
+        let (mut rng, half) = (Prng::seed_from(0x7136), u64::MAX / 2);
+        let mut cases = vec![(0, 1), (0, 999_999), (half - 1, 1), (half - 1, 999_999)];
+        cases.resize_with(64, || (rng.next_below(half), 1 + rng.next_below(999_999)));
+        for (case, (t, w)) in cases.into_iter().enumerate() {
+            let inputs = format!("case {case}: t {t}, w {w}");
+            let (t, w) = (SimTime::from_nanos(t), SimDuration::from_nanos(w));
+            let once = t.align_down(w);
+            assert_eq!(once.align_down(w), once, "{inputs}");
+            assert!(once <= t, "{inputs}");
         }
+    }
 
-        #[test]
-        fn secs_f64_roundtrip_within_rounding(ns in 0u64..1_000_000_000_000u64) {
-            let d = SimDuration::from_nanos(ns);
-            let back = SimDuration::from_secs_f64(d.as_secs_f64());
+    #[test]
+    fn secs_f64_roundtrip_within_rounding() {
+        let mut rng = Prng::seed_from(0x7137);
+        let mut cases = vec![0, 999_999_999_999];
+        cases.resize_with(64, || rng.next_below(1_000_000_000_000));
+        for (case, ns) in cases.into_iter().enumerate() {
+            let back = SimDuration::from_secs_f64(SimDuration::from_nanos(ns).as_secs_f64());
             let diff = back.as_nanos().abs_diff(ns);
             // f64 has 52 mantissa bits; allow proportional rounding slack.
-            prop_assert!(diff <= 1 + ns / (1 << 50));
+            let inputs = format!("case {case}: ns {ns}, back {back}");
+            assert!(diff <= 1 + ns / (1 << 50), "{inputs}");
         }
     }
 }
