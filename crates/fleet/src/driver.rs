@@ -30,7 +30,7 @@ use crate::pool;
 use crate::workload::{RootArrival, Workload};
 use rpclens_cluster::exogenous::{ExogenousProfile, NoiseEdges};
 use rpclens_cluster::machine::{Machine, MachineConfig, MachineId};
-use rpclens_cluster::mgk::QueueModel;
+use rpclens_cluster::mgk::{QueueModel, WaitTables};
 use rpclens_cluster::site::DensePairMap;
 use rpclens_netsim::latency::Network;
 use rpclens_netsim::topology::{ClusterId, Topology};
@@ -538,6 +538,9 @@ impl Driver {
         // so iteration is deterministic.
         let mut site_entries = Vec::new();
         let mut machine_noise_slots = 0;
+        // One Erlang-C wait table per distinct worker count, shared by
+        // every site with that count.
+        let mut wait_tables = WaitTables::default();
         for svc in catalog.services() {
             for (ci, &cluster) in svc.clusters.iter().enumerate() {
                 let mut site_rng =
@@ -575,7 +578,7 @@ impl Driver {
                     ));
                 }
                 let queue =
-                    QueueModel::new(svc.workers, svc.background_service, svc.background_scv);
+                    wait_tables.model(svc.workers, svc.background_service, svc.background_scv);
                 let noise_slot = site_entries.len();
                 let machine_noise_slot = machine_noise_slots;
                 machine_noise_slots += n_machines;

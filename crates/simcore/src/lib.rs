@@ -11,6 +11,8 @@
 //!   handler times and payload sizes, exponential holding times and
 //!   jitter, and bounded-Pareto stalls and congestion excess.
 //! - [`alias`]: O(1) categorical sampling via the Vose alias method.
+//! - [`bracket`]: decide-first comparisons of a uniform against a costly
+//!   function, tabulated as per-cell bounds on a grid.
 //! - [`hist`]: a log-bucketed high-dynamic-range histogram for recording
 //!   latencies spanning nanoseconds to minutes with bounded relative error.
 //! - [`stats`]: exact quantiles and correlation coefficients used by the
@@ -37,6 +39,7 @@
 #![warn(missing_docs)]
 
 pub mod alias;
+pub mod bracket;
 pub mod dist;
 pub mod hist;
 pub mod renewal;

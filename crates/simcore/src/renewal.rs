@@ -78,10 +78,16 @@ pub const PRUNE_BATCH: usize = 32;
 /// Remembering the trajectory costs one [`SimTime`] per flip. Once the
 /// stored tail exceeds [`PRUNE_TRIGGER_LEN`] entries and at least
 /// [`PRUNE_BATCH`] of them end more than [`RETENTION`] before a query,
-/// every interval ending that far back is discarded. Their draws were
-/// already consumed in trajectory order, so every answer inside the
-/// retained tail is bit-identical to the never-pruned trajectory, and
-/// resident state stays at a few KB however long the simulation runs.
+/// every interval ending that far back is discarded. The check also runs
+/// after each flip drawn while extending the trajectory to a query, so a
+/// first query hours into the run (a later shard's first root) stores
+/// the flips of its retention window, not the whole trajectory from
+/// t=0. Discarded draws were already consumed in trajectory order, so
+/// every answer inside the retained tail is bit-identical to the
+/// never-pruned trajectory. The stored tail stays near the larger of
+/// [`PRUNE_TRIGGER_LEN`] and the retention window's flips plus
+/// [`PRUNE_BATCH`], a few KB however long the simulation runs and
+/// wherever it starts.
 ///
 /// The price is a bounded look-behind: a query at `t` is always answered
 /// when `t` is at most [`RETENTION`] behind the furthest instant ever
@@ -145,22 +151,13 @@ impl AlternatingRenewal {
     /// Panics if `now` falls below the retained horizon (see the
     /// type-level docs).
     pub fn interval_at(&mut self, now: SimTime) -> u64 {
-        while *self.flip_ends.last().expect("trajectory is never empty") <= now {
-            // The global interval being appended; even indices are up.
-            let next = self.pruned + self.flip_ends.len();
-            let hold = if next.is_multiple_of(2) {
-                self.up_hold.sample(&mut self.rng)
-            } else {
-                self.down_hold.sample(&mut self.rng)
-            };
-            let end = *self.flip_ends.last().expect("trajectory is never empty")
-                + SimDuration::from_secs_f64(hold.max(1e-6));
-            self.flip_ends.push(end);
-        }
-        if self.flip_ends.len() > PRUNE_TRIGGER_LEN
-            && self.flip_ends[PRUNE_BATCH - 1] <= horizon(now)
-        {
-            self.prune(now);
+        let horizon = horizon(now);
+        // Pruning runs inside the extension too, so a first query far
+        // into the run never stores the trajectory from t=0.
+        self.prune_if_due(horizon);
+        while self.last_end() <= now {
+            self.push_flip();
+            self.prune_if_due(horizon);
         }
         assert!(
             now >= self.pruned_end,
@@ -171,6 +168,24 @@ impl AlternatingRenewal {
         let i = self.locate(now);
         self.cursor = i;
         (self.pruned + i) as u64
+    }
+
+    /// The end of the last drawn interval.
+    fn last_end(&self) -> SimTime {
+        *self.flip_ends.last().expect("trajectory is never empty")
+    }
+
+    /// Draws the next interval of the trajectory and stores its end.
+    fn push_flip(&mut self) {
+        // The global interval being appended; even indices are up.
+        let next = self.pruned + self.flip_ends.len();
+        let hold = if next.is_multiple_of(2) {
+            self.up_hold.sample(&mut self.rng)
+        } else {
+            self.down_hold.sample(&mut self.rng)
+        };
+        let end = self.last_end() + SimDuration::from_secs_f64(hold.max(1e-6));
+        self.flip_ends.push(end);
     }
 
     /// The local interval containing `now`: the first stored end above
@@ -234,10 +249,19 @@ impl AlternatingRenewal {
         (g % 2 == 1).then_some(g / 2)
     }
 
-    /// Discards stored intervals ending at or before `now - RETENTION`,
-    /// keeping global numbering via the pruned-prefix count.
-    fn prune(&mut self, now: SimTime) {
-        let horizon = horizon(now);
+    /// Prunes below `horizon` once the stored tail exceeds
+    /// [`PRUNE_TRIGGER_LEN`] and at least [`PRUNE_BATCH`] intervals end
+    /// at or before it.
+    #[inline]
+    fn prune_if_due(&mut self, horizon: SimTime) {
+        if self.flip_ends.len() > PRUNE_TRIGGER_LEN && self.flip_ends[PRUNE_BATCH - 1] <= horizon {
+            self.prune(horizon);
+        }
+    }
+
+    /// Discards stored intervals ending at or before `horizon`, keeping
+    /// global numbering via the pruned-prefix count.
+    fn prune(&mut self, horizon: SimTime) {
         // Keep at least one interval so the trajectory stays non-empty.
         let cut = self
             .flip_ends
@@ -431,6 +455,41 @@ mod tests {
             "stored tail peaked at {peak} entries"
         );
         assert!(p.pruned > 10_000, "only {} intervals pruned", p.pruned);
+    }
+
+    #[test]
+    fn late_first_query_stores_only_its_retention_window() {
+        // A first query 18 h in (a later shard's first root) stores at
+        // most a prune trigger's worth of flips plus a batch, and a
+        // 2-hour walk from there stays near the trigger as a walk from
+        // t=0 does; every answer is the never-pruned trajectory's.
+        let start = 18 * 3_600_000_000_000u64;
+        let walk = 2 * 3_600_000_000_000u64;
+        let mut reference = process(busy(), 25);
+        while reference.last_end() <= SimTime::from_nanos(start + walk) {
+            reference.push_flip();
+        }
+        assert!(reference.flip_ends.len() > 4_000);
+        let mut p = process(busy(), 25);
+        let first = SimTime::from_nanos(start);
+        assert_eq!(p.interval_at(first), local(&reference, first) as u64);
+        assert!(p.flip_ends.len() <= PRUNE_TRIGGER_LEN + PRUNE_BATCH);
+        assert!(p.flip_ends.capacity() <= 2 * PRUNE_TRIGGER_LEN);
+        let mut peak_len = 0;
+        for i in 1..=10_000u64 {
+            let now = SimTime::from_nanos(start + i * (walk / 10_000));
+            assert_eq!(
+                p.interval_at(now),
+                local(&reference, now) as u64,
+                "at {now}"
+            );
+            peak_len = peak_len.max(p.flip_ends.len());
+        }
+        assert!(
+            peak_len <= PRUNE_TRIGGER_LEN + 128,
+            "stored tail peaked at {peak_len} entries"
+        );
+        assert!(p.flip_ends.capacity() <= 2 * PRUNE_TRIGGER_LEN);
     }
 
     #[test]
