@@ -1,7 +1,9 @@
 //! Ablation studies for the design choices DESIGN.md calls out.
 //!
-//! Each ablation runs the fleet twice — mechanism on vs off — at the same
-//! seed and compares the metric that mechanism exists to move:
+//! Each ablation runs the fleet twice at the same seed and fault
+//! scenario — every mechanism on, then one switched off through
+//! [`FleetConfig::without`] — and compares the metric that mechanism
+//! exists to move:
 //!
 //! - **hedging**: the tail (P99) latency of hedged storage methods. The
 //!   paper attributes the Cancelled error class to hedging (§4.4); the
@@ -10,80 +12,58 @@
 //!   finds congestion still bites the WAN tail (§5.1).
 //! - **reserved cores**: KV-Store's latency coupling to machine
 //!   utilization (§3.3.4: reserved cores sever the coupling).
+//! - **retry budget**: retry amplification under `overload-collapse`,
+//!   the storm the per-trace token bucket exists to clamp.
+//!
+//! Every arm also reports the resilience counters ([`RetryArm`]).
 
 use rpclens_core::common::component_sum_secs;
 use rpclens_core::figs::fig17::SERVER_SIDE;
-use rpclens_fleet::driver::{run_fleet, FleetConfig, FleetRun, SimScale};
+use rpclens_fleet::driver::{run_fleet, FleetConfig, FleetRun, Mechanism, SimScale};
 use rpclens_fleet::faults::FaultScenario;
 use rpclens_rpcstack::component::LatencyComponent;
 use rpclens_simcore::stats::{percentile, sorted_finite};
 use rpclens_trace::query::MethodQuery;
 use rpclens_trace::span::MethodId;
+use std::fmt::Write as _;
 
-/// The available ablations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Ablation {
-    /// Request hedging on/off.
-    Hedging,
-    /// Network congestion on/off.
-    Congestion,
-    /// Reserved-core isolation on/off.
-    ReservedCores,
+/// One ablation's row: the metric its mechanism exists to move and the
+/// fault scenario both arms run under.
+struct Row {
+    metric: &'static str,
+    faults: fn() -> FaultScenario,
+    measure: fn(&FleetRun) -> f64,
 }
 
-impl Ablation {
-    /// All ablations.
-    pub const ALL: [Ablation; 3] = [
-        Ablation::Hedging,
-        Ablation::Congestion,
-        Ablation::ReservedCores,
-    ];
-
-    /// CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Ablation::Hedging => "hedging",
-            Ablation::Congestion => "congestion",
-            Ablation::ReservedCores => "reserved-cores",
-        }
-    }
-
-    /// Parses a CLI name.
-    pub fn parse(name: &str) -> Option<Ablation> {
-        Ablation::ALL
-            .iter()
-            .copied()
-            .find(|a| a.name() == name.to_lowercase())
-    }
-}
-
-/// Result of one ablation: the metric with the mechanism on and off, and
-/// a human description.
-#[derive(Debug, Clone)]
-pub struct AblationResult {
-    /// Which ablation ran.
-    pub ablation: Ablation,
-    /// Metric description (what the numbers are).
-    pub metric: &'static str,
-    /// Metric with the mechanism enabled.
-    pub with_mechanism: f64,
-    /// Metric with the mechanism disabled.
-    pub without_mechanism: f64,
-}
-
-impl AblationResult {
-    /// Ratio without/with: > 1 means the mechanism was helping.
-    pub fn improvement(&self) -> f64 {
-        self.without_mechanism / self.with_mechanism.max(1e-12)
+fn row(mechanism: Mechanism) -> Row {
+    match mechanism {
+        Mechanism::Hedging => Row {
+            metric: "P99 latency of hedged storage methods (s)",
+            faults: FaultScenario::none,
+            measure: hedged_tail,
+        },
+        // Here the "mechanism" is congestion itself: with it on, the
+        // tail is worse, so improvement() < 1 documents its cost.
+        Mechanism::Congestion => Row {
+            metric: "fleet P99 network-wire latency (s)",
+            faults: FaultScenario::none,
+            measure: network_tail,
+        },
+        Mechanism::ReservedCores => Row {
+            metric: "KV-Store server-side latency rise, hot vs cool utilization quartile",
+            faults: FaultScenario::none,
+            measure: kv_util_coupling,
+        },
+        Mechanism::RetryBudget => Row {
+            metric: "retry amplification (executed attempts per base attempt)",
+            faults: FaultScenario::overload_collapse,
+            measure: |run| RetryArm::of(run).amplification(),
+        },
     }
 }
 
-fn config(scale: &SimScale) -> FleetConfig {
-    FleetConfig::at_scale(scale.clone())
-}
-
-/// One arm of the retry-budget ablation: the resilience counters that
-/// the token bucket exists to move.
+/// One arm of an ablation: the resilience counters the retry budget
+/// exists to move.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryArm {
     /// Retry attempts actually issued.
@@ -116,80 +96,88 @@ impl RetryArm {
     }
 }
 
-/// Result of the retry-budget ablation: the same fault scenario run with
-/// the [`RetryBudget`] token bucket on and off.
-///
-/// [`RetryBudget`]: rpclens_rpcstack::retry::RetryBudget
-#[derive(Debug, Clone, Copy)]
-pub struct RetryBudgetAblation {
+/// Result of one ablation: the metric and the counters with the
+/// mechanism on and off.
+#[derive(Debug, Clone)]
+pub struct AblationResult {
+    /// The mechanism switched off.
+    pub mechanism: Mechanism,
+    /// Metric description (what the numbers are).
+    pub metric: &'static str,
     /// The fault scenario both arms ran under.
     pub scenario: &'static str,
-    /// Counters with the budget enforcing its ratio.
-    pub with_budget: RetryArm,
-    /// Counters with retries bounded only by `max_attempts`.
-    pub without_budget: RetryArm,
+    /// Metric with the mechanism on.
+    pub with_mechanism: f64,
+    /// Metric with the mechanism off.
+    pub without_mechanism: f64,
+    /// Counters with the mechanism on.
+    pub with_counters: RetryArm,
+    /// Counters with the mechanism off.
+    pub without_counters: RetryArm,
 }
 
-/// Runs the retry-budget ablation: the given fault scenario at the given
-/// scale, once with the per-trace retry budget enforcing its ratio and
-/// once with the budget disabled (retries bounded only by the backoff
-/// policy's `max_attempts`). The gap between the two amplification
-/// factors is the storm the budget is clamping.
-pub fn run_retry_budget_ablation(scale: &SimScale, faults: FaultScenario) -> RetryBudgetAblation {
-    let mut on_cfg = config(scale);
-    on_cfg.faults = faults;
-    let on = run_fleet(on_cfg);
-    let mut off_cfg = config(scale);
-    off_cfg.faults = faults;
-    off_cfg.retry_budget_enabled = false;
-    let off = run_fleet(off_cfg);
-    RetryBudgetAblation {
-        scenario: faults.name,
-        with_budget: RetryArm::of(&on),
-        without_budget: RetryArm::of(&off),
+impl AblationResult {
+    /// Ratio without/with: > 1 means the mechanism was helping.
+    pub fn improvement(&self) -> f64 {
+        self.without_mechanism / self.with_mechanism.max(1e-12)
     }
 }
 
-/// Renders the retry-budget ablation as the table `repro --ablate
-/// retry-budget` prints.
-pub fn render_retry_budget(r: &RetryBudgetAblation) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "retry-budget ablation under `{}`:", r.scenario);
-    let _ = writeln!(out, "{:>24}  {:>14}  {:>14}", "", "budget on", "budget off");
-    let row = |out: &mut String, label: &str, on: u64, off: u64| {
+/// Runs one ablation at the given scale.
+pub fn run_ablation(mechanism: Mechanism, scale: &SimScale) -> AblationResult {
+    let row = row(mechanism);
+    let config = FleetConfig::at_scale(scale.clone()).with_faults((row.faults)());
+    let scenario = config.faults.name;
+    let on = run_fleet(config.clone());
+    let off = run_fleet(FleetConfig {
+        without: Some(mechanism),
+        ..config
+    });
+    AblationResult {
+        mechanism,
+        metric: row.metric,
+        scenario,
+        with_mechanism: (row.measure)(&on),
+        without_mechanism: (row.measure)(&off),
+        with_counters: RetryArm::of(&on),
+        without_counters: RetryArm::of(&off),
+    }
+}
+
+/// Renders one ablation as `ablate` prints it: the metric both ways and
+/// their ratio, then each arm's counters.
+pub fn render(r: &AblationResult) -> String {
+    let (name, pad) = (r.mechanism.name(), "");
+    let mut out = format!(
+        "{name:>14}: {}\n\
+         {pad:14}  fault scenario    {}\n\
+         {pad:14}  with mechanism    {:.6}\n\
+         {pad:14}  without mechanism {:.6}\n\
+         {pad:14}  ratio (off/on)    {:.3}\n\
+         {pad:24}  {:>14}  {:>14}\n",
+        r.metric,
+        r.scenario,
+        r.with_mechanism,
+        r.without_mechanism,
+        r.improvement(),
+        "mechanism on",
+        "mechanism off"
+    );
+    let (on, off) = (&r.with_counters, &r.without_counters);
+    for (label, on, off) in [
+        ("retries issued", on.retries_issued, off.retries_issued),
+        ("retries denied", on.retries_denied, off.retries_denied),
+        ("load sheds", on.load_sheds, off.load_sheds),
+        ("total attempts", on.total_spans, off.total_spans),
+    ] {
         let _ = writeln!(out, "{label:>24}  {on:>14}  {off:>14}");
-    };
-    row(
-        &mut out,
-        "retries issued",
-        r.with_budget.retries_issued,
-        r.without_budget.retries_issued,
-    );
-    row(
-        &mut out,
-        "retries denied",
-        r.with_budget.retries_denied,
-        r.without_budget.retries_denied,
-    );
-    row(
-        &mut out,
-        "load sheds",
-        r.with_budget.load_sheds,
-        r.without_budget.load_sheds,
-    );
-    row(
-        &mut out,
-        "total attempts",
-        r.with_budget.total_spans,
-        r.without_budget.total_spans,
-    );
+    }
     let _ = writeln!(
         out,
         "{:>24}  {:>14.4}  {:>14.4}",
         "retry amplification",
-        r.with_budget.amplification(),
-        r.without_budget.amplification()
+        on.amplification(),
+        off.amplification()
     );
     out
 }
@@ -284,50 +272,6 @@ fn kv_util_coupling(run: &FleetRun) -> f64 {
     (hot / cool.max(1e-12) - 1.0).abs()
 }
 
-/// Runs one ablation at the given scale.
-pub fn run_ablation(ablation: Ablation, scale: &SimScale) -> AblationResult {
-    match ablation {
-        Ablation::Hedging => {
-            let on = run_fleet(config(scale));
-            let mut cfg = config(scale);
-            cfg.hedging_enabled = false;
-            let off = run_fleet(cfg);
-            AblationResult {
-                ablation,
-                metric: "P99 latency of hedged storage methods (s)",
-                with_mechanism: hedged_tail(&on),
-                without_mechanism: hedged_tail(&off),
-            }
-        }
-        Ablation::Congestion => {
-            let on = run_fleet(config(scale));
-            let mut cfg = config(scale);
-            cfg.congestion_enabled = false;
-            let off = run_fleet(cfg);
-            // Here the "mechanism" is congestion itself: with it on, the
-            // tail is worse, so improvement() < 1 documents its cost.
-            AblationResult {
-                ablation,
-                metric: "fleet P99 network-wire latency (s)",
-                with_mechanism: network_tail(&on),
-                without_mechanism: network_tail(&off),
-            }
-        }
-        Ablation::ReservedCores => {
-            let on = run_fleet(config(scale));
-            let mut cfg = config(scale);
-            cfg.reserved_cores_enabled = false;
-            let off = run_fleet(cfg);
-            AblationResult {
-                ablation,
-                metric: "KV-Store server-side latency rise, hot vs cool utilization quartile",
-                with_mechanism: kv_util_coupling(&on),
-                without_mechanism: kv_util_coupling(&off),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,7 +291,7 @@ mod tests {
 
     #[test]
     fn hedging_reduces_hedged_method_tail() {
-        let r = run_ablation(Ablation::Hedging, &scale());
+        let r = run_ablation(Mechanism::Hedging, &scale());
         assert!(r.with_mechanism.is_finite() && r.without_mechanism.is_finite());
         // Turning hedging off must not make the tail better; it usually
         // makes it noticeably worse.
@@ -362,7 +306,7 @@ mod tests {
 
     #[test]
     fn congestion_inflates_the_network_tail() {
-        let r = run_ablation(Ablation::Congestion, &scale());
+        let r = run_ablation(Mechanism::Congestion, &scale());
         // Without congestion, the network P99 collapses toward wire
         // latency.
         assert!(
@@ -374,31 +318,64 @@ mod tests {
 
     #[test]
     fn retry_budget_clamps_overload_amplification() {
-        let r = run_retry_budget_ablation(&scale(), FaultScenario::overload_collapse());
+        let r = run_ablation(Mechanism::RetryBudget, &scale());
+        assert_eq!(r.scenario, "overload-collapse");
+        let (on, off) = (r.with_counters, r.without_counters);
         // The budget denied retries the unbudgeted arm went on to issue.
-        assert!(r.with_budget.retries_denied > 0, "{r:?}");
-        assert_eq!(r.without_budget.retries_denied, 0, "{r:?}");
-        assert!(
-            r.without_budget.retries_issued > r.with_budget.retries_issued,
-            "{r:?}"
-        );
+        assert!(on.retries_denied > 0, "{r:?}");
+        assert_eq!(off.retries_denied, 0, "{r:?}");
+        assert!(off.retries_issued > on.retries_issued, "{r:?}");
         // And the storm it clamps is visible in the amplification gap.
         assert!(
-            r.without_budget.amplification() > r.with_budget.amplification(),
+            off.amplification() > on.amplification(),
             "amplification with {:.4} vs without {:.4}",
-            r.with_budget.amplification(),
-            r.without_budget.amplification()
+            on.amplification(),
+            off.amplification()
         );
+        assert_eq!(r.with_mechanism, on.amplification());
+        assert_eq!(r.without_mechanism, off.amplification());
     }
 
     #[test]
     fn reserved_cores_decouple_kv_from_utilization() {
-        let r = run_ablation(Ablation::ReservedCores, &scale());
+        let r = run_ablation(Mechanism::ReservedCores, &scale());
         assert!(
             r.without_mechanism > r.with_mechanism,
             "coupling with reservation {:.3} vs without {:.3}",
             r.with_mechanism,
             r.without_mechanism
         );
+    }
+
+    #[test]
+    fn render_prints_the_ratio_and_both_arms_counters() {
+        let arm = |issued, denied| RetryArm {
+            retries_issued: issued,
+            retries_denied: denied,
+            load_sheds: 7,
+            total_spans: 1_000,
+        };
+        let text = render(&AblationResult {
+            mechanism: Mechanism::RetryBudget,
+            metric: "m",
+            scenario: "overload-collapse",
+            with_mechanism: 1.0,
+            without_mechanism: 2.0,
+            with_counters: arm(10, 4),
+            without_counters: arm(20, 0),
+        });
+        assert!(text.starts_with("  retry-budget: m\n"), "{text}");
+        assert!(text.contains("ratio (off/on)    2.000"), "{text}");
+        assert!(
+            text.contains("fault scenario    overload-collapse"),
+            "{text}"
+        );
+        for row in [
+            "          retries issued              10              20",
+            "          retries denied               4               0",
+            "     retry amplification          1.0101          1.0204",
+        ] {
+            assert!(text.contains(row), "missing {row:?} in\n{text}");
+        }
     }
 }

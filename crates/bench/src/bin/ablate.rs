@@ -1,30 +1,30 @@
 //! `ablate` — run the design-choice ablations.
 //!
 //! ```text
-//! ablate all | hedging | congestion | reserved-cores  [--scale smoke|default|paper]
+//! ablate all | hedging | congestion | reserved-cores | retry-budget  [--scale smoke|default|paper]
 //! ```
 
-use rpclens_bench::ablation::{run_ablation, Ablation};
+use rpclens_bench::ablation::{render, run_ablation};
 use rpclens_bench::scale_by_name;
-use rpclens_fleet::driver::SimScale;
+use rpclens_fleet::driver::{Mechanism, SimScale};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = SimScale::smoke();
-    let mut ablations = Vec::new();
+    let mut mechanisms = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--scale" => {
                 let Some(s) = iter.next().and_then(|n| scale_by_name(n)) else {
-                    eprintln!("usage: ablate all|hedging|congestion|reserved-cores [--scale smoke|default|paper]");
+                    eprintln!("usage: ablate all|hedging|congestion|reserved-cores|retry-budget [--scale smoke|default|paper]");
                     std::process::exit(2);
                 };
                 scale = s;
             }
-            "all" => ablations.extend(Ablation::ALL),
-            name => match Ablation::parse(name) {
-                Some(a) => ablations.push(a),
+            "all" => mechanisms.extend(Mechanism::ALL),
+            name => match Mechanism::parse(name) {
+                Some(m) => mechanisms.push(m),
                 None => {
                     eprintln!("unknown ablation {name}");
                     std::process::exit(2);
@@ -32,26 +32,15 @@ fn main() {
             },
         }
     }
-    if ablations.is_empty() {
-        ablations.extend(Ablation::ALL);
+    if mechanisms.is_empty() {
+        mechanisms.extend(Mechanism::ALL);
     }
-    for ablation in ablations {
+    for mechanism in mechanisms {
         eprintln!(
             "running ablation {} at scale {}...",
-            ablation.name(),
+            mechanism.name(),
             scale.name
         );
-        let r = run_ablation(ablation, &scale);
-        println!(
-            "{:>14}: {}\n{:>14}  with mechanism    {:.6}\n{:>14}  without mechanism {:.6}\n{:>14}  ratio (off/on)    {:.3}",
-            ablation.name(),
-            r.metric,
-            "",
-            r.with_mechanism,
-            "",
-            r.without_mechanism,
-            "",
-            r.improvement()
-        );
+        print!("{}", render(&run_ablation(mechanism, &scale)));
     }
 }

@@ -38,19 +38,11 @@
 //! manifest, and swaps the Fig. 23 checks for their causal
 //! reconciliation variant.
 //!
-//! `--ablate retry-budget` runs the selected fault scenario twice — with
-//! the per-trace retry budget enforcing its ratio and with it disabled —
-//! and prints the retry amplification of each arm. It needs no artifact:
-//! `repro --faults overload-collapse --ablate retry-budget` is a
-//! complete invocation.
-//!
 //! Each artifact prints its rendered data followed by the
 //! paper-vs-measured expectation checks. The process exits non-zero if
 //! any check misses, so CI can gate on shape fidelity.
 
-use rpclens_bench::ablation::{render_retry_budget, run_retry_budget_ablation};
 use rpclens_bench::{produce, scale_by_name, Artifact};
-use rpclens_core::figs::fig23;
 use rpclens_fleet::driver::{run_fleet, FleetConfig, SimScale};
 use rpclens_fleet::faults::FaultScenario;
 use rpclens_fleet::telemetry::{detector_bands, manifest_for_run, slo_findings};
@@ -61,7 +53,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: repro <artifact>... | all | list  [--scale smoke|default|paper|fleet] [--seed N]\n\
          \x20      [--shards N] [--threads N] [--progress]\n\
-         \x20      [--faults {}] [--ablate retry-budget]\n\
+         \x20      [--faults {}]\n\
          \x20      [--out DIR] [--telemetry FILE] [--baseline FILE] [--export-store FILE]\n\
          artifacts: {}",
         FaultScenario::PRESETS.join("|"),
@@ -88,7 +80,6 @@ fn main() {
     let mut baseline_path: Option<std::path::PathBuf> = None;
     let mut export_path: Option<std::path::PathBuf> = None;
     let mut progress = false;
-    let mut ablate_retry_budget = false;
     let mut artifacts: Vec<Artifact> = Vec::new();
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
@@ -143,14 +134,6 @@ fn main() {
                 let Some(path) = iter.next() else { usage() };
                 export_path = Some(std::path::PathBuf::from(path));
             }
-            "--ablate" => {
-                let Some(name) = iter.next() else { usage() };
-                if name != "retry-budget" {
-                    eprintln!("unknown ablation {name} (repro only runs retry-budget; see `ablate` for the others)");
-                    usage();
-                }
-                ablate_retry_budget = true;
-            }
             "--progress" => progress = true,
             "all" => artifacts.extend(Artifact::ALL),
             "list" => {
@@ -170,20 +153,8 @@ fn main() {
     }
     let observability_only =
         telemetry_path.is_some() || baseline_path.is_some() || export_path.is_some();
-    if artifacts.is_empty() && !observability_only && !ablate_retry_budget {
+    if artifacts.is_empty() && !observability_only {
         usage();
-    }
-
-    if ablate_retry_budget {
-        eprintln!(
-            "running retry-budget ablation: scale={} faults={} (two fleet runs)",
-            scale.name, faults.name
-        );
-        let r = run_retry_budget_ablation(&scale, faults);
-        println!("{}", render_retry_budget(&r));
-        if artifacts.is_empty() && !observability_only {
-            return;
-        }
     }
 
     let baseline: Option<RunManifest> = baseline_path.map(|path| {
@@ -248,11 +219,11 @@ fn main() {
         // The default chaos scenario must still reconcile with the
         // Fig. 23 taxonomy: the causal variant of the checks gates every
         // such invocation, artifact or not. When Fig. 23 is requested,
-        // `produce` runs those checks with the figure; otherwise they
-        // run here. Stress presets (`partition`, `overload-collapse`)
-        // intentionally deviate and are exempt.
+        // its own checks are those; otherwise `produce`'s Fig. 23 checks
+        // run here without the figure. Stress presets (`partition`,
+        // `overload-collapse`) intentionally deviate and are exempt.
         if faults.reconciles_taxonomy() && !artifacts.contains(&Artifact::Fig23) {
-            let causal = fig23::causal_checks(&fig23::compute(run));
+            let (_, causal) = produce(Artifact::Fig23, Some(run));
             println!("{causal}");
             total += causal.items.len();
             passed += causal.passed();

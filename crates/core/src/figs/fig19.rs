@@ -14,7 +14,7 @@
 
 use crate::check::ExpectationSet;
 use crate::render::{fmt_secs, TextTable};
-use rpclens_fleet::driver::FleetRun;
+use rpclens_fleet::driver::{FleetRun, Mechanism};
 use rpclens_netsim::latency::Network;
 use rpclens_netsim::topology::{ClusterId, PathClass};
 use rpclens_rpcstack::cost::{self, MessageClass};
@@ -73,7 +73,7 @@ pub fn compute(run: &FleetRun) -> Fig19 {
         // network changes no sampled value.
         let mut network = Network::new(
             run.topology.clone(),
-            run.config.congestion_enabled,
+            run.config.runs(Mechanism::Congestion),
             run.config.scale.seed ^ 0xF19,
         );
         // The row the paper plots: the client reads a specific shard, and

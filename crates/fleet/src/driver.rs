@@ -152,6 +152,51 @@ const MAX_TRACE_SPANS: usize = 4_000;
 /// Hard cap on call depth.
 const MAX_DEPTH: u32 = 12;
 
+/// A mechanism an ablation switches off ([`FleetConfig::without`]),
+/// leaving the rest of the run as configured.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mechanism {
+    /// Clients hedge slow requests (§4.4: the source of Cancelled
+    /// errors).
+    Hedging,
+    /// Network paths carry congestion state (§5.1); off, latency is pure
+    /// wire + transmission.
+    Congestion,
+    /// Reserved-core isolation (§3.3.4); off, KV-Store shares cores like
+    /// everyone else.
+    ReservedCores,
+    /// The per-trace [`RetryBudget`] token bucket gates retries; off,
+    /// retries are bounded only by `max_attempts`, which is what lets a
+    /// retry storm amplify.
+    RetryBudget,
+}
+
+impl Mechanism {
+    /// Every mechanism, in the order `ablate all` runs them.
+    pub const ALL: [Mechanism; 4] = [
+        Mechanism::Hedging,
+        Mechanism::Congestion,
+        Mechanism::ReservedCores,
+        Mechanism::RetryBudget,
+    ];
+
+    /// CLI name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Mechanism::Hedging => "hedging",
+            Mechanism::Congestion => "congestion",
+            Mechanism::ReservedCores => "reserved-cores",
+            Mechanism::RetryBudget => "retry-budget",
+        }
+    }
+
+    /// Parses a CLI name (case-insensitive).
+    pub fn parse(name: &str) -> Option<Mechanism> {
+        let name = name.to_lowercase();
+        Mechanism::ALL.into_iter().find(|m| m.name() == name)
+    }
+}
+
 /// Full driver configuration.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -164,18 +209,9 @@ pub struct FleetConfig {
     /// injection profile follows from it
     /// ([`FaultScenario::error_profile`]).
     pub faults: FaultScenario,
-    /// Whether network paths carry congestion state (disable for
-    /// ablations: pure wire + transmission latency).
-    pub congestion_enabled: bool,
-    /// Whether clients hedge slow requests (disable for ablations).
-    pub hedging_enabled: bool,
-    /// Whether the per-trace [`RetryBudget`] token bucket gates retries
-    /// (disable for ablations: retries are then bounded only by
-    /// `max_attempts`, which is what lets a retry storm amplify).
-    pub retry_budget_enabled: bool,
-    /// Whether reserved-core isolation is honoured (disable for
-    /// ablations: KV-Store then shares cores like everyone else).
-    pub reserved_cores_enabled: bool,
+    /// The one mechanism this run switches off, for an ablation;
+    /// `None` (the default) runs every mechanism.
+    pub without: Option<Mechanism>,
     /// Number of worker shards the root workload is split across.
     ///
     /// Shards are the unit of *determinism*: contiguous root chunks whose
@@ -213,10 +249,7 @@ impl FleetConfig {
         FleetConfig {
             scale,
             faults: FaultScenario::none(),
-            congestion_enabled: true,
-            hedging_enabled: true,
-            retry_budget_enabled: true,
-            reserved_cores_enabled: true,
+            without: None,
             shards: available_cores(),
             threads: available_cores(),
             progress: false,
@@ -227,6 +260,11 @@ impl FleetConfig {
     pub fn with_faults(mut self, scenario: FaultScenario) -> Self {
         self.faults = scenario;
         self
+    }
+
+    /// Whether this run keeps mechanism `m` switched on.
+    pub fn runs(&self, m: Mechanism) -> bool {
+        self.without != Some(m)
     }
 }
 
@@ -572,7 +610,8 @@ impl Driver {
                         MachineId(((svc.id.0 as u32) << 16) | ((ci as u32) << 8) | mi as u32),
                         MachineConfig {
                             speed: 0.85 + 0.3 * site_rng.next_f64(),
-                            reserved_cores: svc.reserved_cores && config.reserved_cores_enabled,
+                            reserved_cores: svc.reserved_cores
+                                && config.runs(Mechanism::ReservedCores),
                         },
                         mprofile,
                     ));
@@ -607,7 +646,7 @@ impl Driver {
         // softmax over negative RTT is time-invariant, so the per-call
         // work reduces to one row scan over a probe network's
         // `rtt_estimate`.
-        let probe_net = Network::new(topology.clone(), config.congestion_enabled, seed);
+        let probe_net = Network::new(topology.clone(), config.runs(Mechanism::Congestion), seed);
         let n_clusters = topology.num_clusters();
         let mut placement = Vec::with_capacity(catalog.num_services());
         for svc in catalog.services() {
@@ -933,7 +972,7 @@ impl<'a> Shard<'a> {
             world,
             network: Network::new(
                 world.topology.clone(),
-                world.config.congestion_enabled,
+                world.config.runs(Mechanism::Congestion),
                 world.config.scale.seed,
             ),
             store: TraceStore::new(),
@@ -992,7 +1031,7 @@ impl<'a> Shard<'a> {
                     .config
                     .faults
                     .retry
-                    .filter(|_| self.world.config.retry_budget_enabled)
+                    .filter(|_| self.world.config.runs(Mechanism::RetryBudget))
                     .map(|rs| RetryBudget::new(rs.budget_ratio, rs.budget_cap)),
                 retries: 0,
             };
@@ -1150,7 +1189,7 @@ impl<'a> Shard<'a> {
         let Some(primary_idx) = primary.span else {
             return primary;
         };
-        if !hedge.enabled || !self.world.config.hedging_enabled {
+        if !hedge.enabled || !self.world.config.runs(Mechanism::Hedging) {
             return primary;
         }
         let primary_latency = primary.finish.since(call.start);
@@ -1336,7 +1375,7 @@ impl<'a> Shard<'a> {
         let speed = machine.config().speed;
         // Reserved-core pools are isolated from the machine's ambient
         // load; only a residual coupling remains.
-        let reserved = service.reserved_cores && world.config.reserved_cores_enabled;
+        let reserved = service.reserved_cores && world.config.runs(Mechanism::ReservedCores);
         let mut pool_util = if reserved { util * 0.25 } else { util };
         // An overload surge inflates the pool's ambient utilization,
         // clamped below saturation so the M/G/k wait stays finite. A
@@ -1626,8 +1665,8 @@ mod tests {
     use rpclens_trace::query::MethodQuery;
     use std::collections::HashMap;
 
-    fn tiny_run() -> FleetRun {
-        let scale = SimScale {
+    fn tiny_config() -> FleetConfig {
+        FleetConfig::at_scale(SimScale {
             name: "test",
             total_methods: 320,
             roots: 6_000,
@@ -1635,8 +1674,61 @@ mod tests {
             trace_sample_rate: 1,
             profiler_sample_cap: 10_000,
             seed: 11,
-        };
-        run_fleet(FleetConfig::at_scale(scale))
+        })
+    }
+
+    fn tiny_run() -> FleetRun {
+        run_fleet(tiny_config())
+    }
+
+    /// What each mechanism visibly does in a run, in [`Mechanism::ALL`]
+    /// order: hedges issued, congested wire traversals, retries the
+    /// budget denied, and machines with reserved cores.
+    fn mechanism_marks(run: &FleetRun) -> [u64; 4] {
+        let c = &run.telemetry.counters;
+        let reserved = run
+            .sites
+            .values()
+            .flat_map(|site| &site.machines)
+            .filter(|m| m.config().reserved_cores)
+            .count();
+        [
+            c.hedges_issued,
+            c.wire.congested,
+            reserved as u64,
+            c.resilience.retries_denied,
+        ]
+    }
+
+    #[test]
+    fn each_switch_turns_off_exactly_its_own_mechanism() {
+        // overload-collapse is the scenario whose retries the budget
+        // denies; the other three mechanisms act under any scenario.
+        let config = tiny_config().with_faults(FaultScenario::overload_collapse());
+        let all_on = mechanism_marks(&run_fleet(config.clone()));
+        assert!(all_on.iter().all(|&n| n > 0), "{all_on:?}");
+        for (i, m) in Mechanism::ALL.into_iter().enumerate() {
+            let marks = mechanism_marks(&run_fleet(FleetConfig {
+                without: Some(m),
+                ..config.clone()
+            }));
+            for (j, n) in marks.into_iter().enumerate() {
+                assert_eq!(n == 0, i == j, "without {}: {marks:?}", m.name());
+            }
+        }
+    }
+
+    #[test]
+    fn mechanism_names_roundtrip() {
+        for m in Mechanism::ALL {
+            assert_eq!(Mechanism::parse(m.name()), Some(m));
+        }
+        assert_eq!(
+            Mechanism::parse("Retry-Budget"),
+            Some(Mechanism::RetryBudget)
+        );
+        assert_eq!(Mechanism::parse("controllers"), None);
+        assert_eq!(Mechanism::parse(""), None);
     }
 
     /// What a one-shard run at smoke's root rate holds after `days`

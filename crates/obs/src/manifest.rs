@@ -23,7 +23,9 @@
 //! so two manifests can be compared by one integer.
 //!
 //! Schema evolution: bump [`MANIFEST_SCHEMA_VERSION`] whenever a field is
-//! added, removed, or changes meaning. Readers reject other versions
+//! added, removed, or changes meaning. [`RunManifest::parse`] reads every
+//! version from 1 to the current one (each older version is a subset of
+//! the next, its missing parts defaulted) and rejects any other version
 //! rather than guessing.
 
 use crate::json::{self, Json};
@@ -170,7 +172,8 @@ pub struct RobustnessSection {
 /// A versioned run manifest; see the module docs for the layout.
 #[derive(Debug, Clone, Default)]
 pub struct RunManifest {
-    /// Schema version; readers reject mismatches.
+    /// Schema version; [`RunManifest::parse`] accepts 1 through
+    /// [`MANIFEST_SCHEMA_VERSION`] and rejects any other.
     pub schema_version: u32,
     /// Shard-count-invariant counters.
     pub deterministic: DeterministicSection,
@@ -470,8 +473,9 @@ impl RunManifest {
     ///
     /// # Errors
     ///
-    /// Returns a message on malformed JSON, a schema-version mismatch, or
-    /// a digest that does not match the deterministic fields.
+    /// Returns a message on malformed JSON, a schema version outside 1
+    /// through [`MANIFEST_SCHEMA_VERSION`], or a digest that does not
+    /// match the deterministic fields.
     pub fn parse(text: &str) -> Result<RunManifest, String> {
         let root = json::parse(text).map_err(|e| e.to_string())?;
         let version = root
